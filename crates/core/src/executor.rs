@@ -30,6 +30,7 @@
 //! same fault seed produce identical event streams.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use keystone_dataflow::cache::CacheManager;
@@ -73,13 +74,6 @@ pub struct Executor<'g> {
     /// How many times each node was actually computed (not served from
     /// cache/memo) — the measured counterpart of the paper's `C(v)`.
     eval_counts: Mutex<HashMap<NodeId, u64>>,
-    /// Stage-label prefix for multi-tenant attribution: when set, every
-    /// node's trace/sim/wall label becomes `{tag}:transform:{label}` etc.,
-    /// so [`SimClock::by_stage`](keystone_dataflow::simclock::SimClock)
-    /// groups charges into per-tenant lanes. `None` (the default) keeps
-    /// labels byte-identical to single-tenant runs. Mutable mid-run so the
-    /// forest wave scheduler can re-tag the executor between waves.
-    stage_tag: Mutex<Option<String>>,
 }
 
 impl<'g> Executor<'g> {
@@ -98,27 +92,6 @@ impl<'g> Executor<'g> {
             cross_run_cache: false,
             memo: Mutex::new(HashMap::new()),
             eval_counts: Mutex::new(HashMap::new()),
-            stage_tag: Mutex::new(None),
-        }
-    }
-
-    /// Sets the per-tenant stage-label prefix (builder form).
-    pub fn with_stage_tag(self, tag: impl Into<String>) -> Self {
-        *self.stage_tag.lock() = Some(tag.into());
-        self
-    }
-
-    /// Re-tags (or clears) the stage-label prefix mid-run — the forest wave
-    /// scheduler calls this before dispatching each tenant's wave.
-    pub fn set_stage_tag(&self, tag: Option<String>) {
-        *self.stage_tag.lock() = tag;
-    }
-
-    /// A node's stage label, prefixed with the tenant tag when one is set.
-    fn stage_label(&self, kind: &str, label: &str) -> String {
-        match self.stage_tag.lock().as_deref() {
-            Some(tag) => format!("{tag}:{kind}:{label}"),
-            None => format!("{kind}:{label}"),
         }
     }
 
@@ -302,7 +275,7 @@ impl<'g> Executor<'g> {
                     .iter()
                     .map(|&i| self.eval(i).data().clone())
                     .collect();
-                let label = self.stage_label("transform", &n.label);
+                let label = format!("transform:{}", n.label);
                 let in_count = inputs.first().map_or(0, |d| d.stats().count);
                 self.ctx.tracer.node_start(node, &label);
                 let sim_mark = self.ctx.sim.mark();
@@ -329,20 +302,24 @@ impl<'g> Executor<'g> {
                 NodeOutput::Data(out)
             }
             NodeKind::Estimate(op) => {
+                // Ledger entries the input pulls append (nested transforms
+                // charging themselves), so they can be told apart from a
+                // charge the estimator made itself.
+                let pulled = AtomicUsize::new(0);
                 let handles: Vec<NodeHandle<'_, 'g>> = n
                     .inputs
                     .iter()
                     .map(|&i| NodeHandle {
                         exec: self,
                         node: i,
+                        pulled: &pulled,
                     })
                     .collect();
                 let handle_refs: Vec<&dyn InputHandle> =
                     handles.iter().map(|h| h as &dyn InputHandle).collect();
-                let label = self.stage_label("fit", &n.label);
+                let label = format!("fit:{}", n.label);
                 self.ctx.tracer.node_start(node, &label);
                 let sim_mark = self.ctx.sim.mark();
-                let sim_before = self.ctx.sim.total_seconds();
                 let span_mark = self.ctx.metrics.span_count();
                 let start = std::time::Instant::now();
                 // Estimators re-enter the executor through lazy handles;
@@ -356,14 +333,17 @@ impl<'g> Executor<'g> {
                 });
                 let wall_secs = start.elapsed().as_secs_f64();
                 // If the estimator didn't charge the simulated clock itself
-                // (solvers do), fall back to the profiled estimate. The
-                // record count comes from the profile's full-scale hint.
+                // (solvers do), fall back to the profiled estimate. Every
+                // entry since `sim_mark` coming from an input pull means the
+                // estimator charged nothing — whether or not its inputs were
+                // cache hits. The record count comes from the profile's
+                // full-scale hint.
                 let records = self
                     .profiles
                     .as_ref()
                     .and_then(|p| p.get(&node))
                     .map_or(0, |p| p.records_hint);
-                if self.ctx.sim.total_seconds() == sim_before {
+                if self.ctx.sim.mark() - sim_mark == pulled.load(Ordering::Relaxed) {
                     self.charge_sim(node, &label, records, wall_secs);
                 }
                 self.ctx.tracer.node_end(
@@ -380,7 +360,7 @@ impl<'g> Executor<'g> {
             NodeKind::ModelApply => {
                 let model = self.eval(n.inputs[0]).model().clone();
                 let data = self.eval(n.inputs[1]).data().clone();
-                let label = self.stage_label("apply", &n.label);
+                let label = format!("apply:{}", n.label);
                 let in_count = data.stats().count;
                 self.ctx.tracer.node_start(node, &label);
                 let sim_mark = self.ctx.sim.mark();
@@ -547,11 +527,19 @@ impl<'g> Executor<'g> {
 struct NodeHandle<'a, 'g> {
     exec: &'a Executor<'g>,
     node: NodeId,
+    /// Simulated-ledger entries appended during pulls, shared by all of one
+    /// estimator's handles. A statistic read on the driving thread after the
+    /// fit returns; it publishes no other data, hence `Relaxed`.
+    pulled: &'a AtomicUsize,
 }
 
 impl InputHandle for NodeHandle<'_, '_> {
     fn get(&self) -> AnyData {
-        self.exec.eval(self.node).data().clone()
+        let mark = self.exec.ctx.sim.mark();
+        let data = self.exec.eval(self.node).data().clone();
+        self.pulled
+            .fetch_add(self.exec.ctx.sim.mark() - mark, Ordering::Relaxed);
+        data
     }
 }
 
@@ -735,6 +723,70 @@ mod tests {
             1,
             "materialized input must be computed once"
         );
+    }
+
+    /// Stage labels and seconds of the ledger entries under `prefix`.
+    fn sim_entries(ctx: &ExecContext, prefix: &str) -> Vec<(String, f64)> {
+        ctx.sim
+            .entries()
+            .into_iter()
+            .filter(|e| e.stage.starts_with(prefix))
+            .map(|e| (e.stage, e.exec_secs))
+            .collect()
+    }
+
+    #[test]
+    fn estimator_fit_charge_does_not_depend_on_input_caching() {
+        let fit_entries = |cache: Arc<CacheManager>| {
+            let (g, e) = estimator_graph(Arc::new(AtomicU64::new(0)), 3);
+            let ctx = ExecContext::default_cluster();
+            let exec =
+                Executor::new(&g, ctx.clone(), cache).with_profiles(Arc::new(HashMap::new()));
+            let _ = exec.eval(e);
+            sim_entries(&ctx, "fit:")
+        };
+        // Uncached input: every pull re-runs `double`, which charges the
+        // ledger inside the fit. Pinned input: one charge, then cache hits.
+        let uncached = fit_entries(no_cache());
+        let pinned = fit_entries(big_cache());
+        assert_eq!(uncached.len(), 1, "one fit charge, got {uncached:?}");
+        assert_eq!(uncached[0].0, "fit:multipass");
+        assert_eq!(uncached, pinned);
+    }
+
+    /// Charges the simulated clock itself, as the solvers do.
+    struct SelfCharging;
+    impl Estimator<f64, f64> for SelfCharging {
+        fn fit(
+            &self,
+            data: &DistCollection<f64>,
+            ctx: &ExecContext,
+        ) -> Box<dyn Transformer<f64, f64>> {
+            let _ = data.count();
+            ctx.sim.charge_seconds("solve:test", 1.0, 0.0);
+            Box::new(CountingDouble(Arc::new(AtomicU64::new(0))))
+        }
+    }
+
+    #[test]
+    fn self_charging_estimator_gets_no_second_charge() {
+        for cache in [no_cache(), big_cache()] {
+            let (mut g, _) = estimator_graph(Arc::new(AtomicU64::new(0)), 1);
+            let e = g.add(
+                NodeKind::Estimate(Arc::new(TypedEstimator::new(SelfCharging))),
+                vec![1],
+                "selfcharging",
+            );
+            let ctx = ExecContext::default_cluster();
+            let exec =
+                Executor::new(&g, ctx.clone(), cache).with_profiles(Arc::new(HashMap::new()));
+            let _ = exec.eval(e);
+            assert_eq!(
+                sim_entries(&ctx, "solve:"),
+                vec![("solve:test".into(), 1.0)]
+            );
+            assert!(sim_entries(&ctx, "fit:").is_empty());
+        }
     }
 
     #[test]

@@ -19,7 +19,6 @@ pub mod profiler;
 pub mod record;
 pub mod report;
 pub mod trace;
-pub mod tuning;
 
 pub use context::ExecContext;
 pub use operator::{

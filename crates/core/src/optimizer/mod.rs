@@ -9,9 +9,14 @@ pub mod materialize;
 pub mod multi;
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
+use keystone_dataflow::cache::{CacheManager, CachePolicy};
+
+use crate::context::ExecContext;
 use crate::graph::{Graph, NodeId, NodeKind};
 use crate::profiler::{PipelineProfile, ProfileOptions};
+use crate::trace::TraceEvent;
 
 pub use adaptive::{
     recalibrate_profile, recalibrate_resources, AdaptationReport, AdaptiveController,
@@ -24,8 +29,8 @@ pub use fusion::{
 };
 pub use materialize::{MatNode, MatProblem};
 pub use multi::{
-    fit_forest, forest_cache_set, merge_forest, tenant_subproblem, trim_to_budget, CrossMerge,
-    ForestMerge, ForestReport, Wave, WaveScheduler,
+    fit_forest, merge_forest, tenant_subproblem, CrossMerge, ForestEstimate, ForestMerge,
+    ForestReport,
 };
 
 /// How much of the optimizer to run (the three configurations of Fig. 9).
@@ -178,6 +183,106 @@ impl PipelineOptions {
     pub fn with_adaptive_hints(mut self, hints: AdaptiveHints) -> Self {
         self.adaptive_hints = hints;
         self
+    }
+
+    /// The cache budget a fit on `ctx` runs under, bytes.
+    pub(crate) fn budget_on(&self, ctx: &ExecContext) -> u64 {
+        self.mem_budget
+            .unwrap_or_else(|| ctx.resources.total_cache_bytes())
+    }
+
+    /// Whether the fit pins a greedy Algorithm 1 set (the only strategy
+    /// whose cache contents a [`MatProblem`] solves for ahead of time).
+    pub(crate) fn pins_greedy_set(&self) -> bool {
+        self.level != OptLevel::None && self.caching == CachingStrategy::Greedy
+    }
+}
+
+/// Fit step 3, shared by [`Pipeline::fit`](crate::pipeline::Pipeline::fit)
+/// and the forest's shared path: the fit-time cache for an already-solved
+/// materialization. Greedy pins `cache_set` (empty unless
+/// [`PipelineOptions::pins_greedy_set`]) and traces `picks` in the order
+/// Algorithm 1 made them; LRU admits at run time; rule-based and
+/// [`OptLevel::None`] cache no data.
+pub(crate) fn fit_cache(
+    ctx: &ExecContext,
+    opts: &PipelineOptions,
+    budget: u64,
+    cache_set: &HashSet<NodeId>,
+    picks: Vec<materialize::MatPick>,
+) -> CacheManager {
+    for pick in picks {
+        ctx.tracer.record(TraceEvent::MaterializePick {
+            node: pick.node,
+            label: pick.label,
+            est_saving_secs: pick.est_saving_secs,
+            size_bytes: pick.size_bytes,
+        });
+    }
+    let cache = match (opts.level, opts.caching) {
+        (OptLevel::None, _) | (_, CachingStrategy::RuleBased) => {
+            CacheManager::new(0, CachePolicy::Pinned(HashSet::new()))
+        }
+        (_, CachingStrategy::Lru { admission_fraction }) => {
+            CacheManager::new(budget, CachePolicy::Lru { admission_fraction })
+        }
+        (_, CachingStrategy::Greedy) => {
+            let keys: HashSet<u64> = cache_set.iter().map(|&v| v as u64).collect();
+            CacheManager::new(budget, CachePolicy::Pinned(keys))
+        }
+    };
+    cache.with_observer(Arc::new(crate::trace::TraceCacheObserver(
+        ctx.tracer.clone(),
+    )))
+}
+
+/// What whole-stage fusion did to a fit's graph (the fusion fields of
+/// [`FitReport`](crate::pipeline::FitReport)).
+#[derive(Default)]
+pub(crate) struct FusionOutcome {
+    pub fused: Vec<(NodeId, Vec<String>)>,
+    pub fused_nodes: usize,
+    pub columnar_chains: usize,
+}
+
+/// Fit step 3b, shared like [`fit_cache`]: whole-stage fusion after
+/// materialization, so every pick (and every entry of `outputs`) acts as a
+/// barrier. The rewrite is id-stable (chains collapse onto their tail's
+/// node id), so the cache key set, fit roots and output ids all apply to
+/// the fused graph unchanged. A no-op unless
+/// [`PipelineOptions::fusion_enabled`].
+pub(crate) fn fuse_for_fit(
+    graph: &mut Graph,
+    profile: &mut PipelineProfile,
+    outputs: &[NodeId],
+    cache_set: &HashSet<NodeId>,
+    ctx: &ExecContext,
+    opts: &PipelineOptions,
+) -> FusionOutcome {
+    if !opts.fusion_enabled() {
+        return FusionOutcome::default();
+    }
+    let result = fuse_chains_multi(graph, outputs, cache_set, opts.columnar_enabled());
+    *graph = result.graph;
+    merge_profiles(profile, &result.chains);
+    // Chains arrive in ascending tail-id order, so the event stream is
+    // deterministic (same discipline as the CseMerge emission).
+    let fused = result
+        .chains
+        .into_iter()
+        .map(|chain| {
+            ctx.tracer.record(TraceEvent::FusionMerge {
+                node: chain.tail,
+                label: graph.nodes[chain.tail].label.clone(),
+                members: chain.labels.clone(),
+            });
+            (chain.tail, chain.labels)
+        })
+        .collect();
+    FusionOutcome {
+        fused,
+        fused_nodes: result.absorbed,
+        columnar_chains: result.columnar_chains,
     }
 }
 

@@ -1,10 +1,10 @@
 //! Multi-tenant forest optimization (ROADMAP item 5): Algorithm 1 and the
 //! whole-pipeline passes generalized from one DAG to a *forest* of tenant
-//! pipelines fitted concurrently — the hyperparameter-sweep / per-segment
+//! pipelines fitted together — the hyperparameter-sweep / per-segment
 //! regime where SystemML-style plan costing pays for itself across many
 //! near-identical plans rather than a single one.
 //!
-//! Three cooperating layers:
+//! [`fit_forest`] plans, decides, then executes exactly one plan:
 //!
 //! 1. **Cross-pipeline CSE** ([`merge_forest`]): tenant graph snapshots are
 //!    concatenated (input ids offset) and run through the existing
@@ -13,42 +13,44 @@
 //!    shared featurization trunk of a sweep — collapse into one shared plan
 //!    region. Every node the merge leaves shared by ≥ 2 tenants is reported
 //!    as a deterministic [`TraceEvent::CrossCseMerge`].
-//! 2. **Global greedy materialization** ([`forest_cache_set`]): one shared
-//!    cache budget allocated by a forest-wide `MatProblem` whose sink set is
-//!    the union of every tenant's fit roots, so reuse counts sum demand
-//!    *across* tenants. The chosen set is the better of the forest-wide
-//!    greedy solution and the budget-trimmed union of per-tenant greedy
-//!    solutions, so it dominates or equals the per-tenant answer on
-//!    estimated cost by construction.
-//! 3. **Fair wave scheduling** ([`WaveScheduler`]): a deterministic
-//!    deficit-round-robin scheduler interleaves estimator waves from the
-//!    concurrent fits on the shared executor. Each wave runs under a
-//!    `tenant{i}` stage tag, so [`SimClock`](keystone_dataflow::simclock::
-//!    SimClock) charges land in per-tenant lanes (rendered as separate
-//!    tracks by the Chrome-trace exporter) and per-tenant rows appear in
-//!    `PipelineReport`/`RunArtifact`.
+//! 2. **One profile, one forest-wide `MatProblem`**: the merged graph is
+//!    profiled once and Algorithm 1 runs under the single shared budget over
+//!    a problem whose sink set is the union of every tenant's fit roots, so
+//!    reuse counts sum demand *across* tenants.
+//! 3. **The cost model chooses** ([`ForestEstimate`]): the same problem
+//!    prices both candidates — the shared plan under the forest-wide set,
+//!    and each tenant alone ([`tenant_subproblem`]) under its own greedy set
+//!    with the full budget — and sharing runs only when it is estimated
+//!    strictly cheaper. Nothing is executed to find out, as in the paper's
+//!    §4: the optimizer picks from estimates.
+//! 4. **Round-robin wave execution**: the chosen shared plan runs once, the
+//!    tenants' estimator waves interleaved position-wise on one executor.
+//!    Each wave runs under a `tenant{i}` stage prefix, so
+//!    [`SimClock`](keystone_dataflow::simclock::SimClock) charges land in
+//!    per-tenant lanes (rendered as separate tracks by the Chrome-trace
+//!    exporter) and per-tenant rows appear in `PipelineReport`/`RunArtifact`.
 //!
 //! **Invariant**: each tenant's fitted pipeline is bit-identical to the
 //! pipeline a solo [`Pipeline::fit`] would produce — forest optimization may
-//! only change *when* and *what is shared*, never *what is computed*. And
-//! the forest's total simulated cost never exceeds the sum of solo costs:
-//! [`fit_forest`] scratch-measures both strategies on throwaway contexts and
-//! replays only the winner on the real one (determinism makes the replay
-//! exact), so even adversarially mis-declared operators cannot make sharing
-//! a regression.
+//! only change *when* and *what is shared*, never *what is computed*.
+//!
+//! **Checked, not enforced**: that the forest's simulated cost never exceeds
+//! the sum of solo costs follows from the estimate only as far as the
+//! profiles are truthful. The differential oracle's forest axis
+//! (`keystone-testkit`) measures it offline, cell by cell; at run time a
+//! mis-declared operator cost can mislead this choice exactly as it can
+//! mislead Algorithm 1's picks.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
-
-use keystone_dataflow::cache::{CacheManager, CachePolicy};
 
 use crate::context::ExecContext;
 use crate::executor::Executor;
 use crate::graph::{Graph, NodeId, NodeKind};
 use crate::optimizer::{
-    build_mat_problem, eliminate_common_subexpressions, fit_roots, labels_of, CachingStrategy,
-    MatProblem, OptLevel, PipelineOptions,
+    build_mat_problem, eliminate_common_subexpressions, fit_cache, fit_roots, fuse_for_fit,
+    labels_of, CachingStrategy, MatProblem, OptLevel, PipelineOptions,
 };
 use crate::pipeline::{ExecutablePlan, FitReport, FittedPipeline, Pipeline};
 use crate::profiler::{profile_and_select, ProfileOptions};
@@ -197,161 +199,70 @@ pub fn tenant_subproblem(problem: &MatProblem, sinks: &[usize]) -> MatProblem {
     }
 }
 
-/// Shrinks a cache set until it fits the budget, each step dropping the
-/// member whose removal costs the least estimated runtime (ties broken by
-/// smallest node id, so the result is deterministic).
-pub fn trim_to_budget(
-    problem: &MatProblem,
-    mut set: HashSet<usize>,
-    budget: u64,
-) -> HashSet<usize> {
-    while problem.set_bytes(&set) > budget {
-        let mut members: Vec<usize> = set
-            .iter()
-            .copied()
-            .filter(|&v| !problem.nodes[v].always_cached)
-            .collect();
-        members.sort_unstable();
-        let mut best: Option<(f64, usize)> = None;
-        for &v in &members {
-            set.remove(&v);
-            let runtime = problem.est_runtime(&set);
-            set.insert(v);
-            if best.is_none_or(|(r, _)| runtime < r) {
-                best = Some((runtime, v));
-            }
-        }
-        match best {
-            Some((_, v)) => {
-                set.remove(&v);
-            }
-            // Only always-cached members remain; they are budget-free.
-            None => break,
-        }
-    }
-    set
+/// Position-wise round-robin over per-tenant wave lists (tenant order =
+/// lane order; each list already topological for its tenant): round `r`
+/// dispatches every lane's `r`-th wave, in lane order. So the schedule is a
+/// permutation of the input that keeps each lane's order (work-conserving),
+/// puts at most N−1 other waves between two consecutive waves of a lane with
+/// work left (starvation-free), is a pure function of the input, and with
+/// one lane is the input order — today's single-pipeline wave order.
+fn interleave_waves(per_tenant: &[Vec<NodeId>]) -> Vec<(usize, NodeId)> {
+    let rounds = per_tenant.iter().map(Vec::len).max().unwrap_or(0);
+    (0..rounds)
+        .flat_map(|r| {
+            per_tenant
+                .iter()
+                .enumerate()
+                .filter_map(move |(tenant, lane)| lane.get(r).map(|&node| (tenant, node)))
+        })
+        .collect()
 }
 
-/// Global greedy materialization over one shared budget. Candidates are the
-/// forest-wide greedy Algorithm 1 solution (reuse counts summed across
-/// tenants) and the budget-trimmed union of per-tenant greedy solutions; the
-/// one with the lower forest-estimated runtime wins, ties going to the
-/// forest-wide set. The result therefore dominates or equals the per-tenant
-/// answer on estimated total cost *by construction* — the property the ISSUE
-/// asks the property tests to hold.
-pub fn forest_cache_set(
-    problem: &MatProblem,
-    tenant_sinks: &[Vec<usize>],
-    budget: u64,
-) -> HashSet<usize> {
-    let forest = problem.greedy_cache_set(budget);
-    let mut union: HashSet<usize> = HashSet::new();
-    for sinks in tenant_sinks {
-        let sub = tenant_subproblem(problem, sinks);
-        union.extend(sub.greedy_cache_set(budget));
-    }
-    let trimmed = trim_to_budget(problem, union, budget);
-    if problem.est_runtime(&forest) <= problem.est_runtime(&trimmed) {
-        forest
-    } else {
-        trimmed
-    }
-}
-
-/// One schedulable unit of fit work: an estimator wave belonging to a
-/// tenant, with the profiler's cost estimate attached for deficit
-/// accounting.
+/// The cost model's two estimates behind [`fit_forest`]'s choice, in the
+/// unit the `SimClock` ledger is charged in (profile seconds ÷
+/// `resources.workers`, as the executor charges them).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Wave {
-    /// Owning tenant index.
-    pub tenant: usize,
-    /// Estimator node to evaluate.
-    pub node: NodeId,
-    /// Estimated seconds for the wave (0.0 when unprofiled).
-    pub est_cost: f64,
+pub struct ForestEstimate {
+    /// The shared merged plan under the forest-wide cache set.
+    pub shared_secs: f64,
+    /// Each tenant fitted alone under its own greedy set and the full
+    /// budget, tenant order.
+    pub solo_secs: Vec<f64>,
 }
 
-/// Deterministic deficit-round-robin over per-tenant wave queues.
-///
-/// The quantum is fixed at the cost of the most expensive wave in the forest
-/// (clamped to ≥ 1.0 so zero-cost forests still progress), so every visit of
-/// a non-empty lane can afford its front wave and dispatches exactly one.
-/// That makes the fairness laws sharp, not asymptotic:
-///
-/// * **work-conserving** — `schedule` drains every queue; the output is a
-///   permutation of the input waves;
-/// * **starvation-free** — between two consecutive waves of any tenant with
-///   queued work, at most N−1 waves of other tenants run;
-/// * **deterministic** — the schedule is a pure function of the input;
-/// * **N=1 degeneration** — with one tenant the schedule is the input order,
-///   i.e. today's single-pipeline wave order.
-#[derive(Debug)]
-pub struct WaveScheduler {
-    queues: Vec<VecDeque<Wave>>,
-    deficits: Vec<f64>,
-    quantum: f64,
-    cursor: usize,
-}
-
-impl WaveScheduler {
-    /// Builds a scheduler over per-tenant wave lists (tenant order = lane
-    /// order; each list already topological for its tenant).
-    pub fn new(per_tenant: Vec<Vec<Wave>>) -> Self {
-        let quantum = per_tenant
-            .iter()
-            .flatten()
-            .map(|w| w.est_cost)
-            .fold(0.0f64, f64::max)
-            .max(1.0);
-        let deficits = vec![0.0; per_tenant.len()];
-        WaveScheduler {
-            queues: per_tenant.into_iter().map(VecDeque::from).collect(),
-            deficits,
-            quantum,
-            cursor: 0,
+impl ForestEstimate {
+    /// Prices both plans from the forest-wide `problem`: the shared plan
+    /// under `forest_set`, and each tenant's restriction of the problem
+    /// ([`tenant_subproblem`]) under the set `solve` picks for it alone.
+    fn price(
+        problem: &MatProblem,
+        forest_set: &HashSet<usize>,
+        tenant_sinks: &[Vec<usize>],
+        solve: impl Fn(&MatProblem) -> HashSet<usize>,
+        workers: f64,
+    ) -> Self {
+        ForestEstimate {
+            shared_secs: problem.est_runtime(forest_set) / workers,
+            solo_secs: tenant_sinks
+                .iter()
+                .map(|sinks| {
+                    let solo = tenant_subproblem(problem, sinks);
+                    solo.est_runtime(&solve(&solo)) / workers
+                })
+                .collect(),
         }
     }
 
-    /// Whether every lane has drained.
-    pub fn is_empty(&self) -> bool {
-        self.queues.iter().all(|q| q.is_empty())
+    /// Estimated cost of N independent fits, seconds.
+    pub fn solo_total(&self) -> f64 {
+        self.solo_secs.iter().sum()
     }
 
-    /// Dispatches the next wave, or `None` when all lanes are drained.
-    pub fn next_wave(&mut self) -> Option<Wave> {
-        if self.is_empty() {
-            return None;
-        }
-        loop {
-            let t = self.cursor;
-            self.cursor = (self.cursor + 1) % self.queues.len();
-            if self.queues[t].is_empty() {
-                // An idle lane forfeits its accumulated credit (classic DRR).
-                self.deficits[t] = 0.0;
-                continue;
-            }
-            self.deficits[t] += self.quantum;
-            let cost = self.queues[t].front().expect("non-empty lane").est_cost;
-            if cost <= self.deficits[t] {
-                let w = self.queues[t].pop_front().expect("non-empty lane");
-                // Cap the carried credit so float growth stays bounded; with
-                // quantum ≥ every wave cost the cap never changes behavior.
-                self.deficits[t] = (self.deficits[t] - w.est_cost).min(self.quantum);
-                if self.queues[t].is_empty() {
-                    self.deficits[t] = 0.0;
-                }
-                return Some(w);
-            }
-        }
-    }
-
-    /// Runs the scheduler to completion, returning the full dispatch order.
-    pub fn schedule(mut self) -> Vec<Wave> {
-        let mut out = Vec::new();
-        while let Some(w) = self.next_wave() {
-            out.push(w);
-        }
-        out
+    /// The decision rule: share only when strictly cheaper (ties go solo —
+    /// a merged plan that saves nothing is not worth one tenant waiting on
+    /// another).
+    pub fn favours_sharing(&self) -> bool {
+        self.shared_secs < self.solo_total()
     }
 }
 
@@ -359,203 +270,84 @@ impl WaveScheduler {
 #[derive(Debug)]
 pub struct ForestReport {
     /// Whether the shared (merged-forest) plan was executed. `false` means
-    /// the fit fell back to sequential solo fits — either sharing was not
-    /// estimated cheaper, or the opt level was [`OptLevel::None`].
+    /// every tenant was fitted alone — sharing was not estimated cheaper, or
+    /// the configuration is one the cost model does not price.
     pub shared: bool,
-    /// Per-tenant simulated solo-fit cost, seconds (scratch-measured).
-    pub solo_secs: Vec<f64>,
-    /// Total simulated cost of the forest fit as executed, seconds. By
-    /// construction ≤ `solo_secs.iter().sum()` (equal on the fallback path).
+    /// The estimates the choice was made from; `None` on the paths that are
+    /// not priced (one tenant, [`OptLevel::None`], LRU caching).
+    pub estimate: Option<ForestEstimate>,
+    /// Simulated seconds the whole call charged to the context's ledger —
+    /// measured, whichever plan ran.
     pub forest_secs: f64,
-    /// Shared computation nodes found by cross-pipeline CSE (empty when the
-    /// fallback path ran).
+    /// Shared computation nodes found by cross-pipeline CSE (empty unless
+    /// the shared plan ran).
     pub cross_merges: Vec<CrossMerge>,
     /// Per-tenant attribution rows (also exported on the fit report's
     /// `observability.tenants` and, from there, `RunArtifact`).
     pub tenants: Vec<TenantRow>,
-    /// The merged-plan fit report when the shared path ran.
+    /// The merged-plan fit report when the shared plan ran.
     pub fit: Option<FitReport>,
-    /// Per-tenant fit reports when the fallback path ran.
+    /// Per-tenant fit reports when the tenants were fitted alone.
     pub solo_reports: Vec<FitReport>,
 }
 
 impl ForestReport {
-    /// Sum of scratch-measured solo costs, seconds.
-    pub fn total_solo_secs(&self) -> f64 {
-        self.solo_secs.iter().sum()
-    }
-
-    /// Simulated-cost speedup of the executed forest plan over N
-    /// independent fits (≥ 1.0 by construction; 1.0 on the fallback path).
+    /// Estimated simulated-cost speedup of the plan that ran over N
+    /// independent fits: the ratio of the two estimates when the shared plan
+    /// ran, 1.0 when the tenants were fitted alone or a degenerate estimate
+    /// leaves the ratio undefined. Always finite.
     pub fn speedup(&self) -> f64 {
-        if self.forest_secs > 0.0 {
-            self.total_solo_secs() / self.forest_secs
-        } else {
-            1.0
+        match &self.estimate {
+            Some(e) if self.shared && e.shared_secs > 0.0 => e.solo_total() / e.shared_secs,
+            _ => 1.0,
         }
-    }
-}
-
-/// A fresh context with the same cluster shape (and fault plan) as `ctx`
-/// but empty ledgers — the scratch bench [`fit_forest`] measures candidate
-/// strategies on before committing charges to the real context.
-fn scratch_ctx(ctx: &ExecContext) -> ExecContext {
-    let fresh = ExecContext::new(ctx.resources.clone());
-    match &ctx.faults {
-        Some(plan) => fresh.with_faults(plan.clone()),
-        None => fresh,
     }
 }
 
 /// Optimizes and fits N tenant pipelines as one forest.
 ///
-/// Strategy selection is *measure-then-choose*: both the shared merged plan
-/// and the N-independent-fits plan are executed on scratch contexts first,
-/// and only the cheaper one is replayed on `ctx` — execution is
-/// deterministic, so the replay cost equals the measurement exactly. This
-/// makes `forest_secs ≤ Σ solo_secs` unconditional: mis-declared operator
-/// costs can fool an analytic model, but not a measurement.
+/// Mirrors [`Pipeline::fit`] stage for stage, generalized to multiple
+/// outputs, with one decision in the middle: the merged graph is profiled
+/// once and the forest-wide [`MatProblem`] prices both candidate plans (see
+/// [`ForestEstimate`]); only the cheaper one is executed, once, on `ctx`.
+/// How good the choice is depends on how truthful the profiles are — the
+/// same precondition Algorithm 1's picks have. When sharing is declined the
+/// merged profile has still run on `ctx`: its `OperatorChoice` events and
+/// whatever sample-scale charges self-charging estimators made stay there
+/// (`forest_secs` includes them), but no `CrossCseMerge` or forest-wide
+/// `MaterializePick` is recorded for a plan that never ran.
+///
+/// Three configurations are not priced and fit every tenant alone:
+///
+/// * one tenant — this is wholly [`Pipeline::fit`]: same trace events, same
+///   `SimClock` ledger, bit-equal plan;
+/// * [`OptLevel::None`] — no CSE runs at all (per the options contract), so
+///   there is nothing to share;
+/// * [`CachingStrategy::Lru`] — what an LRU cache holds depends on how the
+///   tenants' waves interleave, which a `MatProblem` does not model.
+///
+/// [`CachingStrategy::RuleBased`] (and a zero budget) is priced exactly,
+/// with the empty set on both sides: sharing then wins only when the trunk
+/// holds an estimator, which fits once instead of once per tenant.
 ///
 /// Each returned [`FittedPipeline`] is bit-identical (same models, same
 /// predictions) to the one `tenants[i].fit(ctx, opts)` would produce alone;
-/// the differential oracle's forest axis (`keystone-testkit`) holds this
-/// across opt level × budget × fusion × columnar cells.
-///
-/// With one tenant this delegates wholly to [`Pipeline::fit`] — same trace
-/// events, same `SimClock` ledger, bit-equal plan.
+/// the differential oracle's forest axis (`keystone-testkit`) holds this,
+/// and measured cost dominance over N solo fits, across opt level × budget
+/// × fusion × columnar cells.
 pub fn fit_forest<A: Record, B: Record>(
     tenants: &[Pipeline<A, B>],
     ctx: &ExecContext,
     opts: &PipelineOptions,
 ) -> (Vec<FittedPipeline<A, B>>, ForestReport) {
     assert!(!tenants.is_empty(), "fit_forest needs at least one tenant");
-    if tenants.len() == 1 {
-        let mark = ctx.sim.mark();
-        let (fitted, report) = tenants[0].fit(ctx, opts);
-        let secs = ctx.sim.seconds_since(mark);
-        let graph = fitted.plan().graph().clone();
-        let output = fitted.plan().output_node();
-        let row = TenantRow {
-            tenant: 0,
-            output,
-            fit_roots: fit_roots(&graph, output),
-            shared_nodes: 0,
-            sim_secs: secs,
-            solo_secs: secs,
-        };
-        return (
-            vec![fitted],
-            ForestReport {
-                shared: false,
-                solo_secs: vec![secs],
-                forest_secs: secs,
-                cross_merges: Vec::new(),
-                tenants: vec![row],
-                fit: None,
-                solo_reports: vec![report],
-            },
-        );
+    let sim_mark = ctx.sim.mark();
+    if tenants.len() == 1
+        || opts.level == OptLevel::None
+        || matches!(opts.caching, CachingStrategy::Lru { .. })
+    {
+        return fit_solo(tenants, ctx, opts, sim_mark, None);
     }
-
-    // OptLevel::None runs no CSE at all (per the options contract), so
-    // cross-pipeline sharing is off the table: go straight to solo fits.
-    if opts.level == OptLevel::None {
-        return fit_sequential(tenants, ctx, opts, Vec::new());
-    }
-
-    // Phase A: scratch-measure each tenant's solo cost.
-    let solo_secs: Vec<f64> = tenants
-        .iter()
-        .map(|t| {
-            let scratch = scratch_ctx(ctx);
-            let _ = t.fit(&scratch, opts);
-            scratch.sim.total_seconds()
-        })
-        .collect();
-    let total_solo: f64 = solo_secs.iter().sum();
-
-    // Phase B: scratch-measure the shared merged plan.
-    let scratch = scratch_ctx(ctx);
-    let _ = fit_shared(tenants, &scratch, opts);
-    let shared_secs = scratch.sim.total_seconds();
-
-    // Phase C: replay the winner on the real context.
-    if shared_secs < total_solo - 1e-9 {
-        let mark = ctx.sim.mark();
-        let (fitted, mut report) = fit_shared(tenants, ctx, opts);
-        report.forest_secs = ctx.sim.seconds_since(mark);
-        report.solo_secs = solo_secs.clone();
-        for (row, &solo) in report.tenants.iter_mut().zip(&solo_secs) {
-            row.solo_secs = solo;
-        }
-        if let Some(fit) = &mut report.fit {
-            fit.observability.tenants = report.tenants.clone();
-        }
-        (fitted, report)
-    } else {
-        fit_sequential(tenants, ctx, opts, solo_secs)
-    }
-}
-
-/// Fallback path: fit every tenant independently on the real context, in
-/// tenant order. Realized cost equals the scratch measurement exactly
-/// (deterministic execution), so `forest_secs == Σ solo_secs`.
-fn fit_sequential<A: Record, B: Record>(
-    tenants: &[Pipeline<A, B>],
-    ctx: &ExecContext,
-    opts: &PipelineOptions,
-    solo_hint: Vec<f64>,
-) -> (Vec<FittedPipeline<A, B>>, ForestReport) {
-    let mut fitted = Vec::new();
-    let mut reports = Vec::new();
-    let mut rows = Vec::new();
-    let mut measured = Vec::new();
-    for (i, t) in tenants.iter().enumerate() {
-        let mark = ctx.sim.mark();
-        let (f, r) = t.fit(ctx, opts);
-        let secs = ctx.sim.seconds_since(mark);
-        let output = f.plan().output_node();
-        rows.push(TenantRow {
-            tenant: i,
-            output,
-            fit_roots: fit_roots(f.plan().graph(), output),
-            shared_nodes: 0,
-            sim_secs: secs,
-            solo_secs: *solo_hint.get(i).unwrap_or(&secs),
-        });
-        measured.push(secs);
-        fitted.push(f);
-        reports.push(r);
-    }
-    let forest_secs: f64 = measured.iter().sum();
-    let solo_secs = if solo_hint.is_empty() {
-        measured
-    } else {
-        solo_hint
-    };
-    (
-        fitted,
-        ForestReport {
-            shared: false,
-            solo_secs,
-            forest_secs,
-            cross_merges: Vec::new(),
-            tenants: rows,
-            fit: None,
-            solo_reports: reports,
-        },
-    )
-}
-
-/// The shared path: merge the forest, optimize the merged graph once, and
-/// drive all tenants' estimator waves through one executor under the fair
-/// wave scheduler. Mirrors `Pipeline::fit` stage for stage, generalized to
-/// multiple outputs.
-fn fit_shared<A: Record, B: Record>(
-    tenants: &[Pipeline<A, B>],
-    ctx: &ExecContext,
-    opts: &PipelineOptions,
-) -> (Vec<FittedPipeline<A, B>>, ForestReport) {
     let t0 = Instant::now();
 
     // 1. Cross-pipeline CSE over the concatenated snapshots.
@@ -563,31 +355,12 @@ fn fit_shared<A: Record, B: Record>(
         .iter()
         .map(|t| (t.graph_snapshot(), t.output_node()))
         .collect();
-    let merged = merge_forest(&graphs);
-    let mut graph = merged.graph;
-    let outputs = merged.outputs.clone();
-    // Ascending node-id order by construction of `merges`.
-    for m in &merged.merges {
-        ctx.tracer.record(TraceEvent::CrossCseMerge {
-            node: m.node,
-            label: m.label.clone(),
-            tenants: m.tenants,
-            signature: m.signature,
-        });
-    }
-    // Per-tenant shared-node counts, taken before fusion rewrites labels.
-    let ancestries: Vec<HashSet<NodeId>> = outputs.iter().map(|&o| graph.ancestors(&[o])).collect();
-    let shared_counts: Vec<usize> = ancestries
-        .iter()
-        .map(|anc| {
-            merged
-                .merges
-                .iter()
-                .filter(|m| anc.contains(&m.node))
-                .count()
-        })
-        .collect();
-
+    let ForestMerge {
+        mut graph,
+        outputs,
+        eliminated,
+        merges,
+    } = merge_forest(&graphs);
     let tenant_roots: Vec<Vec<NodeId>> = outputs.iter().map(|&o| fit_roots(&graph, o)).collect();
     let mut all_roots: Vec<NodeId> = tenant_roots.iter().flatten().copied().collect();
     all_roots.sort_unstable();
@@ -600,115 +373,77 @@ fn fit_shared<A: Record, B: Record>(
     };
     let mut profile = profile_and_select(&mut graph, &all_roots, ctx, &popts);
 
-    // 3. Global greedy materialization under the one shared budget.
-    let budget = opts
-        .mem_budget
-        .unwrap_or_else(|| ctx.resources.total_cache_bytes());
-    let observer = Arc::new(crate::trace::TraceCacheObserver(ctx.tracer.clone()));
-    let (cache, cache_set) = match (opts.level, opts.caching) {
-        (OptLevel::None, _) | (_, CachingStrategy::RuleBased) => (
-            CacheManager::new(0, CachePolicy::Pinned(HashSet::new())).with_observer(observer),
-            HashSet::new(),
-        ),
-        (_, CachingStrategy::Lru { admission_fraction }) => (
-            CacheManager::new(budget, CachePolicy::Lru { admission_fraction })
-                .with_observer(observer),
-            HashSet::new(),
-        ),
-        (_, CachingStrategy::Greedy) => {
-            let problem = build_mat_problem(&graph, &profile, &all_roots);
-            let set = forest_cache_set(&problem, &tenant_roots, budget);
-            let mut picks: Vec<usize> = set.iter().copied().collect();
-            picks.sort_unstable();
-            for &node in &picks {
-                let mut without = set.clone();
-                without.remove(&node);
-                ctx.tracer.record(TraceEvent::MaterializePick {
-                    node,
-                    label: graph.nodes[node].label.clone(),
-                    est_saving_secs: problem.est_runtime(&without) - problem.est_runtime(&set),
-                    size_bytes: problem.nodes[node].size_bytes,
-                });
-            }
-            let keys: HashSet<u64> = set.iter().map(|&v| v as u64).collect();
-            (
-                CacheManager::new(budget, CachePolicy::Pinned(keys)).with_observer(observer),
-                set,
-            )
+    // 3. Global greedy materialization under the one shared budget, the
+    // same problem restricted to each tenant under the full budget, and the
+    // choice between the two plans.
+    let budget = opts.budget_on(ctx);
+    let solve = |p: &MatProblem| {
+        if opts.pins_greedy_set() {
+            p.greedy_cache_set_traced(budget)
+        } else {
+            Default::default()
         }
     };
-    let choices: Vec<(String, String)> = profile
-        .choices
+    let problem = build_mat_problem(&graph, &profile, &all_roots);
+    let (cache_set, picks) = solve(&problem);
+    let estimate = ForestEstimate::price(
+        &problem,
+        &cache_set,
+        &tenant_roots,
+        |solo| solve(solo).0,
+        ctx.resources.workers.max(1) as f64,
+    );
+    if !estimate.favours_sharing() {
+        return fit_solo(tenants, ctx, opts, sim_mark, Some(estimate));
+    }
+
+    // The shared plan runs: from here on the context is told about it.
+    // `merges` is in ascending node-id order by construction.
+    for m in &merges {
+        ctx.tracer.record(TraceEvent::CrossCseMerge {
+            node: m.node,
+            label: m.label.clone(),
+            tenants: m.tenants,
+            signature: m.signature,
+        });
+    }
+    let cache = fit_cache(ctx, opts, budget, &cache_set, picks);
+    let choices = profile.choice_labels(&graph);
+    // Per-tenant shared-node counts, taken before fusion rewrites the graph.
+    let shared_counts: Vec<usize> = outputs
         .iter()
-        .map(|(id, name)| (graph.nodes[*id].label.clone(), name.clone()))
+        .map(|&o| {
+            let anc = graph.ancestors(&[o]);
+            merges.iter().filter(|m| anc.contains(&m.node)).count()
+        })
         .collect();
 
     // 3b. Whole-stage fusion with every tenant output as a barrier.
-    let mut fused: Vec<(NodeId, Vec<String>)> = Vec::new();
-    let mut fused_nodes = 0;
-    let mut columnar_chains = 0;
-    if opts.fusion_enabled() {
-        let result = crate::optimizer::fusion::fuse_chains_multi(
-            &graph,
-            &outputs,
-            &cache_set,
-            opts.columnar_enabled(),
-        );
-        graph = result.graph;
-        crate::optimizer::merge_profiles(&mut profile, &result.chains);
-        fused_nodes = result.absorbed;
-        columnar_chains = result.columnar_chains;
-        for chain in &result.chains {
-            ctx.tracer.record(TraceEvent::FusionMerge {
-                node: chain.tail,
-                label: graph.nodes[chain.tail].label.clone(),
-                members: chain.labels.clone(),
-            });
-            fused.push((chain.tail, chain.labels.clone()));
-        }
-    }
+    let fusion = fuse_for_fit(&mut graph, &mut profile, &outputs, &cache_set, ctx, opts);
     let optimize_secs = t0.elapsed().as_secs_f64();
 
-    // 4. Fair wave scheduling: every tenant's estimator waves interleave on
-    // one executor. A shared root appears in several tenants' wave lists;
-    // the first wave computes it (charged to that tenant's lane) and later
-    // waves hit the model memo — that asymmetry is the saving being
-    // reported, not an accounting bug. The adaptive controller is not
-    // threaded through the shared path: mid-fit cache revisions are a
-    // per-pipeline feature and would break the bit-identity invariant.
+    // 4. Every tenant's estimator waves interleave on one executor. A shared
+    // root appears in several tenants' wave lists; the first wave computes
+    // it (charged to that tenant's lane) and later waves hit the model memo
+    // — that asymmetry is the saving being reported, not an accounting bug.
+    // The adaptive controller is not threaded through the shared path:
+    // mid-fit cache revisions are a per-pipeline feature and would break the
+    // bit-identity invariant.
     let profiles = Arc::new(profile.nodes.clone());
     let executor =
         Executor::new(&graph, ctx.clone(), Arc::new(cache)).with_profiles(profiles.clone());
-    let waves: Vec<Vec<Wave>> = tenant_roots
-        .iter()
-        .enumerate()
-        .map(|(i, roots)| {
-            roots
-                .iter()
-                .map(|&node| Wave {
-                    tenant: i,
-                    node,
-                    est_cost: profiles
-                        .get(&node)
-                        .map(|p| p.est_secs(p.records_hint))
-                        .unwrap_or(0.0),
-                })
-                .collect()
-        })
-        .collect();
-    for wave in WaveScheduler::new(waves).schedule() {
+    for (tenant, node) in interleave_waves(&tenant_roots) {
         // The clock's ambient prefix scopes every charge the wave makes —
         // the executor's own (`fit:...`) and the ones operators issue
         // themselves (a solver's `solve:lbfgs`) — into the tenant's lane.
-        ctx.sim
-            .set_stage_prefix(Some(format!("tenant{}", wave.tenant)));
-        let _ = executor.eval(wave.node);
+        ctx.sim.set_stage_prefix(Some(format!("tenant{tenant}")));
+        let _ = executor.eval(node);
     }
     ctx.sim.set_stage_prefix(None);
     let models = executor.models();
 
-    // 5. Per-tenant attribution rows from the SimClock lanes the stage tags
-    // produced.
+    // 5. Per-tenant attribution rows from the SimClock lanes the stage
+    // prefixes produced.
     let lanes: HashMap<String, f64> = ctx.sim.by_stage().into_iter().collect();
     let rows: Vec<TenantRow> = (0..tenants.len())
         .map(|i| TenantRow {
@@ -717,7 +452,7 @@ fn fit_shared<A: Record, B: Record>(
             fit_roots: tenant_roots[i].clone(),
             shared_nodes: shared_counts[i],
             sim_secs: lanes.get(&format!("tenant{i}")).copied().unwrap_or(0.0),
-            solo_secs: 0.0, // filled by fit_forest from the scratch bench
+            solo_secs: estimate.solo_secs[i],
         })
         .collect();
 
@@ -730,15 +465,15 @@ fn fit_shared<A: Record, B: Record>(
     observability.tenants = rows.clone();
     let fit_report = FitReport {
         optimize_secs,
-        eliminated_nodes: merged.eliminated,
+        eliminated_nodes: eliminated,
         choices,
-        fused,
-        fused_nodes,
-        columnar_chains,
+        fused: fusion.fused,
+        fused_nodes: fusion.fused_nodes,
+        columnar_chains: fusion.columnar_chains,
         cache_set_labels: labels_of(&graph, &cache_set),
-        cache_set: cache_set.clone(),
-        adaptation: crate::optimizer::AdaptationReport::default(),
         dot: graph.to_dot(&cache_set),
+        cache_set,
+        adaptation: crate::optimizer::AdaptationReport::default(),
         profile,
         observability,
     };
@@ -746,12 +481,12 @@ fn fit_shared<A: Record, B: Record>(
     // 6. Every tenant gets a typed plan over the one shared graph, rooted at
     // its own output. Models and profiles are shared Arcs — sharing the
     // artifact, not just the fit.
-    let graph_arc = Arc::new(graph);
+    let graph = Arc::new(graph);
     let fitted: Vec<FittedPipeline<A, B>> = outputs
         .iter()
         .map(|&out| {
             FittedPipeline::from_plan(Arc::new(ExecutablePlan::new(
-                graph_arc.clone(),
+                graph.clone(),
                 out,
                 models.clone(),
                 profiles.clone(),
@@ -760,9 +495,9 @@ fn fit_shared<A: Record, B: Record>(
         .collect();
     let report = ForestReport {
         shared: true,
-        solo_secs: Vec::new(),
-        forest_secs: 0.0,
-        cross_merges: merged.merges,
+        estimate: Some(estimate),
+        forest_secs: ctx.sim.seconds_since(sim_mark),
+        cross_merges: merges,
         tenants: rows,
         fit: Some(fit_report),
         solo_reports: Vec::new(),
@@ -770,85 +505,253 @@ fn fit_shared<A: Record, B: Record>(
     (fitted, report)
 }
 
+/// Fits every tenant independently on `ctx`, in tenant order.
+fn fit_solo<A: Record, B: Record>(
+    tenants: &[Pipeline<A, B>],
+    ctx: &ExecContext,
+    opts: &PipelineOptions,
+    sim_mark: usize,
+    estimate: Option<ForestEstimate>,
+) -> (Vec<FittedPipeline<A, B>>, ForestReport) {
+    let mut fitted = Vec::new();
+    let mut reports = Vec::new();
+    let mut rows = Vec::new();
+    for (i, t) in tenants.iter().enumerate() {
+        let mark = ctx.sim.mark();
+        let (f, r) = t.fit(ctx, opts);
+        let secs = ctx.sim.seconds_since(mark);
+        let output = f.plan().output_node();
+        rows.push(TenantRow {
+            tenant: i,
+            output,
+            fit_roots: fit_roots(f.plan().graph(), output),
+            shared_nodes: 0,
+            sim_secs: secs,
+            solo_secs: estimate.as_ref().map_or(secs, |e| e.solo_secs[i]),
+        });
+        fitted.push(f);
+        reports.push(r);
+    }
+    let report = ForestReport {
+        shared: false,
+        estimate,
+        forest_secs: ctx.sim.seconds_since(sim_mark),
+        cross_merges: Vec::new(),
+        tenants: rows,
+        fit: None,
+        solo_reports: reports,
+    };
+    (fitted, report)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operator::{Estimator, Transformer};
+    use crate::optimizer::MatNode;
+    use keystone_dataflow::collection::DistCollection;
 
-    fn wave(tenant: usize, node: usize, cost: f64) -> Wave {
-        Wave {
-            tenant,
-            node,
-            est_cost: cost,
+    #[test]
+    fn interleave_round_robins_and_drains_unequal_lanes() {
+        let order = interleave_waves(&[vec![0], vec![1, 2, 3], vec![4, 5]]);
+        assert_eq!(order, vec![(0, 0), (1, 1), (2, 4), (1, 2), (2, 5), (1, 3)]);
+    }
+
+    fn node(t_secs: f64, size_bytes: u64, weight: u32, inputs: Vec<usize>) -> MatNode {
+        MatNode {
+            t_secs,
+            size_bytes,
+            weight,
+            always_cached: weight > 1 || inputs.is_empty(),
+            inputs,
+            label: String::new(),
         }
     }
 
-    #[test]
-    fn scheduler_single_tenant_preserves_input_order() {
-        let waves = vec![vec![wave(0, 3, 5.0), wave(0, 1, 0.5), wave(0, 7, 2.0)]];
-        let order = WaveScheduler::new(waves.clone()).schedule();
-        assert_eq!(order, waves[0]);
+    /// The decision rule on a hand-built forest problem, greedy both sides.
+    fn estimate(problem: &MatProblem, tenant_sinks: &[Vec<usize>], budget: u64) -> ForestEstimate {
+        ForestEstimate::price(
+            problem,
+            &problem.greedy_cache_set(budget),
+            tenant_sinks,
+            |solo| solo.greedy_cache_set(budget),
+            1.0,
+        )
     }
 
     #[test]
-    fn scheduler_round_robins_equal_lanes() {
-        let waves = vec![
-            vec![wave(0, 0, 1.0), wave(0, 1, 1.0)],
-            vec![wave(1, 2, 1.0), wave(1, 3, 1.0)],
-        ];
-        let order = WaveScheduler::new(waves).schedule();
-        let tenants: Vec<usize> = order.iter().map(|w| w.tenant).collect();
-        assert_eq!(tenants, vec![0, 1, 0, 1]);
-    }
-
-    #[test]
-    fn scheduler_drains_unequal_lanes() {
-        let waves = vec![
-            vec![wave(0, 0, 10.0)],
-            vec![wave(1, 1, 0.1), wave(1, 2, 0.1), wave(1, 3, 0.1)],
-        ];
-        let order = WaveScheduler::new(waves).schedule();
-        assert_eq!(order.len(), 4);
-        // Work-conserving: all four waves dispatched exactly once.
-        let mut nodes: Vec<usize> = order.iter().map(|w| w.node).collect();
-        nodes.sort_unstable();
-        assert_eq!(nodes, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn trim_to_budget_is_deterministic_and_fits() {
+    fn disjoint_budget_sized_reuse_declines_sharing_under_a_tight_budget() {
+        // src -> a_i (budget-sized, re-read 5x by est_i), nothing in common:
+        // alone each tenant caches its own a_i, together only one fits.
         let problem = MatProblem {
             nodes: vec![
-                crate::optimizer::MatNode {
-                    t_secs: 1.0,
-                    size_bytes: 8,
-                    weight: 1,
-                    always_cached: true,
-                    inputs: vec![],
-                    label: "src".into(),
-                },
-                crate::optimizer::MatNode {
-                    t_secs: 5.0,
-                    size_bytes: 100,
-                    weight: 1,
-                    always_cached: false,
-                    inputs: vec![0],
-                    label: "a".into(),
-                },
-                crate::optimizer::MatNode {
-                    t_secs: 2.0,
-                    size_bytes: 100,
-                    weight: 1,
-                    always_cached: false,
-                    inputs: vec![1],
-                    label: "b".into(),
-                },
+                node(0.0, 1, 1, vec![]),
+                node(4.0, 100, 1, vec![0]),
+                node(1.0, 1, 5, vec![1]),
+                node(4.0, 100, 1, vec![0]),
+                node(1.0, 1, 5, vec![3]),
             ],
-            sinks: vec![2, 2],
+            sinks: vec![2, 4],
         };
-        let all: HashSet<usize> = [1, 2].into_iter().collect();
-        let trimmed = trim_to_budget(&problem, all, 100);
-        assert!(problem.set_bytes(&trimmed) <= 100);
-        assert_eq!(trimmed.len(), 1);
+        let e = estimate(&problem, &[vec![2], vec![4]], 100);
+        assert_eq!(e.solo_secs, vec![5.0, 5.0]);
+        assert_eq!(e.shared_secs, 5.0 + 21.0);
+        assert!(!e.favours_sharing());
+    }
+
+    #[test]
+    fn a_shared_trunk_accepts_sharing_under_the_same_budget() {
+        // The same tenants behind one expensive trunk node: alone each
+        // caches its a_i and runs the trunk once (10 + 4 + 1); together the
+        // trunk is cached and runs once for both (10 + 2 x (5 x 4 + 1)).
+        let problem = MatProblem {
+            nodes: vec![
+                node(0.0, 1, 1, vec![]),
+                node(40.0, 100, 1, vec![0]),
+                node(4.0, 100, 1, vec![1]),
+                node(1.0, 1, 5, vec![2]),
+                node(4.0, 100, 1, vec![1]),
+                node(1.0, 1, 5, vec![4]),
+            ],
+            sinks: vec![3, 5],
+        };
+        let e = estimate(&problem, &[vec![3], vec![5]], 100);
+        assert_eq!(e.solo_secs, vec![45.0, 45.0]);
+        assert_eq!(e.shared_secs, 40.0 + 2.0 * 21.0);
+        assert!(e.favours_sharing());
+    }
+
+    struct Halve;
+    impl Transformer<f64, f64> for Halve {
+        fn apply(&self, x: &f64) -> f64 {
+            x / 2.0
+        }
+    }
+
+    struct Center;
+    impl Estimator<f64, f64> for Center {
+        fn fit(
+            &self,
+            data: &DistCollection<f64>,
+            _ctx: &ExecContext,
+        ) -> Box<dyn Transformer<f64, f64>> {
+            struct Sub(f64);
+            impl Transformer<f64, f64> for Sub {
+                fn apply(&self, x: &f64) -> f64 {
+                    x - self.0
+                }
+            }
+            let n = data.count().max(1) as f64;
+            Box::new(Sub(data.aggregate(0.0, |a, x| a + x, |a, b| a + b) / n))
+        }
+    }
+
+    /// Two tenants off one `Pipeline::input()` handle; with `shared_trunk`
+    /// an estimator sits in the trunk (fit once shared, once per tenant
+    /// solo), without it the tenants have only the source in common.
+    fn two_tenants(shared_trunk: bool) -> Vec<Pipeline<f64, f64>> {
+        let train = DistCollection::from_vec((0..32).map(f64::from).collect(), 2);
+        let mut trunk = Pipeline::input();
+        if shared_trunk {
+            trunk = trunk.and_then(Halve).and_then_est(Center, &train);
+        }
+        (0..2)
+            .map(|_| trunk.and_then(Halve).and_then_est(Center, &train))
+            .collect()
+    }
+
+    #[test]
+    fn report_values_are_finite_and_defined_on_every_path() {
+        let profiled = |opts: PipelineOptions| PipelineOptions {
+            profile: ProfileOptions {
+                sizes: vec![8, 16],
+                deterministic_timing: true,
+                ..ProfileOptions::default()
+            },
+            ..opts
+        };
+        let lru = CachingStrategy::Lru {
+            admission_fraction: 1.0,
+        };
+        // (name, tenants, options, shared plan runs, model prices the forest)
+        let paths = [
+            (
+                "one tenant",
+                1,
+                true,
+                profiled(PipelineOptions::pipe_only()),
+                false,
+                false,
+            ),
+            (
+                "no optimization",
+                2,
+                true,
+                PipelineOptions::none(),
+                false,
+                false,
+            ),
+            (
+                "lru",
+                2,
+                true,
+                profiled(PipelineOptions::pipe_only().with_caching(lru)),
+                false,
+                false,
+            ),
+            (
+                "declined",
+                2,
+                false,
+                profiled(PipelineOptions::pipe_only()),
+                false,
+                true,
+            ),
+            (
+                "shared",
+                2,
+                true,
+                profiled(PipelineOptions::pipe_only()),
+                true,
+                true,
+            ),
+        ];
+        for (name, n, trunk, opts, shared, priced) in paths {
+            let tenants = two_tenants(trunk);
+            let ctx = ExecContext::default_cluster();
+            let (fitted, report) = fit_forest(&tenants[..n], &ctx, &opts);
+            assert_eq!(fitted.len(), n, "{name}");
+            assert_eq!(report.shared, shared, "{name}");
+            assert_eq!(report.estimate.is_some(), priced, "{name}");
+            assert_eq!(report.fit.is_some(), shared, "{name}");
+            assert_eq!(
+                report.solo_reports.len(),
+                if shared { 0 } else { n },
+                "{name}"
+            );
+            assert!(report.speedup().is_finite(), "{name}");
+            assert_eq!(report.speedup() > 1.0, shared, "{name}");
+            assert_eq!(report.forest_secs, ctx.sim.total_seconds(), "{name}");
+            assert_eq!(report.tenants.len(), n, "{name}");
+            for row in &report.tenants {
+                assert!(row.sim_secs.is_finite() && row.sim_secs >= 0.0, "{name}");
+                assert!(row.solo_secs.is_finite() && row.solo_secs >= 0.0, "{name}");
+            }
+            if let Some(e) = &report.estimate {
+                assert!(e.shared_secs.is_finite() && e.shared_secs >= 0.0, "{name}");
+                assert_eq!(e.favours_sharing(), shared, "{name}");
+            }
+            // A trace claims merges and forest-wide picks only when the
+            // shared plan ran.
+            let merges = ctx
+                .tracer
+                .events()
+                .iter()
+                .filter(|e| matches!(e.event, TraceEvent::CrossCseMerge { .. }))
+                .count();
+            assert_eq!(merges, report.cross_merges.len(), "{name}");
+            assert_eq!(merges > 0, shared, "{name}");
+        }
     }
 }
 
@@ -1074,26 +977,18 @@ mod proptests {
         }
     }
 
-    fn lanes_strategy() -> impl Strategy<Value = Vec<Vec<u32>>> {
-        proptest::collection::vec(proptest::collection::vec(0u32..8, 0..6), 1..5)
+    fn lane_lens() -> impl Strategy<Value = Vec<usize>> {
+        proptest::collection::vec(0usize..6, 1..5)
     }
 
-    fn build_lanes(costs: &[Vec<u32>]) -> Vec<Vec<Wave>> {
-        let mut node = 0usize;
-        costs
-            .iter()
-            .enumerate()
-            .map(|(t, lane)| {
-                lane.iter()
-                    .map(|&c| {
-                        node += 1;
-                        Wave {
-                            tenant: t,
-                            node,
-                            est_cost: c as f64 * 0.5,
-                        }
-                    })
-                    .collect()
+    /// Lanes of distinct wave ids, numbered in submission order.
+    fn build_lanes(lens: &[usize]) -> Vec<Vec<NodeId>> {
+        let mut next = 0;
+        lens.iter()
+            .map(|&len| {
+                let lane = (next..next + len).collect();
+                next += len;
+                lane
             })
             .collect()
     }
@@ -1105,19 +1000,18 @@ mod proptests {
         /// wave is dispatched exactly once, and each lane's waves appear in
         /// submission order.
         #[test]
-        fn prop_scheduler_work_conserving(costs in lanes_strategy()) {
-            let lanes = build_lanes(&costs);
-            let order = WaveScheduler::new(lanes.clone()).schedule();
+        fn prop_interleave_work_conserving(lens in lane_lens()) {
+            let lanes = build_lanes(&lens);
+            let order = interleave_waves(&lanes);
             let total: usize = lanes.iter().map(Vec::len).sum();
             prop_assert_eq!(order.len(), total);
             for (t, lane) in lanes.iter().enumerate() {
-                let got: Vec<usize> = order
+                let got: Vec<NodeId> = order
                     .iter()
-                    .filter(|w| w.tenant == t)
-                    .map(|w| w.node)
+                    .filter(|(tenant, _)| *tenant == t)
+                    .map(|&(_, node)| node)
                     .collect();
-                let want: Vec<usize> = lane.iter().map(|w| w.node).collect();
-                prop_assert_eq!(got, want);
+                prop_assert_eq!(&got, lane);
             }
         }
     }
@@ -1127,18 +1021,17 @@ mod proptests {
 
         /// Starvation-free: while a lane still has waves queued, at most
         /// N−1 waves from other lanes run between two of its consecutive
-        /// dispatches (quantum ≥ max wave cost ⇒ every round-robin visit of
-        /// a non-empty lane dispatches).
+        /// dispatches.
         #[test]
-        fn prop_scheduler_bounded_wave_gap(costs in lanes_strategy()) {
-            let lanes = build_lanes(&costs);
+        fn prop_interleave_bounded_wave_gap(lens in lane_lens()) {
+            let lanes = build_lanes(&lens);
             let n = lanes.len();
-            let order = WaveScheduler::new(lanes).schedule();
+            let order = interleave_waves(&lanes);
             for t in 0..n {
                 let positions: Vec<usize> = order
                     .iter()
                     .enumerate()
-                    .filter(|(_, w)| w.tenant == t)
+                    .filter(|(_, (tenant, _))| *tenant == t)
                     .map(|(i, _)| i)
                     .collect();
                 for pair in positions.windows(2) {
@@ -1157,24 +1050,25 @@ mod proptests {
 
         /// Deterministic: the schedule is a pure function of the input.
         #[test]
-        fn prop_scheduler_deterministic(costs in lanes_strategy()) {
-            let lanes = build_lanes(&costs);
-            let a = WaveScheduler::new(lanes.clone()).schedule();
-            let b = WaveScheduler::new(lanes).schedule();
-            prop_assert_eq!(a, b);
+        fn prop_interleave_deterministic(lens in lane_lens()) {
+            let lanes = build_lanes(&lens);
+            prop_assert_eq!(interleave_waves(&lanes), interleave_waves(&lanes));
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// One lane collapses to input order — no reordering, no deficit
-        /// effects.
+        /// One lane collapses to input order — today's single-pipeline wave
+        /// order.
         #[test]
-        fn prop_scheduler_single_lane_is_input_order(lane in proptest::collection::vec(0u32..8, 0..8)) {
-            let lanes = build_lanes(&[lane]);
-            let order = WaveScheduler::new(lanes.clone()).schedule();
-            prop_assert_eq!(order, lanes.into_iter().next().unwrap());
+        fn prop_interleave_single_lane_is_input_order(
+            lane in proptest::collection::vec(0usize..64, 0..8)
+        ) {
+            let order = interleave_waves(std::slice::from_ref(&lane));
+            let nodes: Vec<NodeId> = order.iter().map(|&(_, node)| node).collect();
+            prop_assert!(order.iter().all(|&(tenant, _)| tenant == 0));
+            prop_assert_eq!(nodes, lane);
         }
     }
 }

@@ -25,8 +25,8 @@ use crate::operator::{
     TypedOptimizableTransformer, TypedTransformer,
 };
 use crate::optimizer::{
-    build_mat_problem, eliminate_common_subexpressions, fit_roots, labels_of, CachingStrategy,
-    OptLevel, PipelineOptions,
+    build_mat_problem, eliminate_common_subexpressions, fit_cache, fit_roots, fuse_for_fit,
+    labels_of, AdaptiveController, OptLevel, PipelineOptions,
 };
 use crate::profiler::{profile_and_select, PipelineProfile, ProfileOptions};
 use crate::record::Record;
@@ -259,93 +259,37 @@ impl<A: Record, B: Record> Pipeline<A, B> {
         };
 
         // 3. Automatic materialization.
-        let budget = opts
-            .mem_budget
-            .unwrap_or_else(|| ctx.resources.total_cache_bytes());
-        let observer = Arc::new(crate::trace::TraceCacheObserver(ctx.tracer.clone()));
-        let mut adaptive: Option<Arc<crate::optimizer::AdaptiveController>> = None;
-        let (cache, cache_set) = match (opts.level, opts.caching) {
-            (OptLevel::None, _) | (_, CachingStrategy::RuleBased) => (
-                CacheManager::new(0, CachePolicy::Pinned(HashSet::new())).with_observer(observer),
-                HashSet::new(),
-            ),
-            (_, CachingStrategy::Lru { admission_fraction }) => (
-                CacheManager::new(budget, CachePolicy::Lru { admission_fraction })
-                    .with_observer(observer),
-                HashSet::new(),
-            ),
-            (_, CachingStrategy::Greedy) => {
-                let problem = build_mat_problem(&graph, &profile, &roots);
-                let (set, picks) = problem.greedy_cache_set_traced(budget);
-                for pick in picks {
-                    ctx.tracer
-                        .record(crate::trace::TraceEvent::MaterializePick {
-                            node: pick.node,
-                            label: pick.label,
-                            est_saving_secs: pick.est_saving_secs,
-                            size_bytes: pick.size_bytes,
-                        });
-                }
-                let keys: HashSet<u64> = set.iter().map(|&v| v as u64).collect();
-                // Adaptive re-optimization watches this fit's demand against
-                // the problem's predictions. Fault-injected runs keep the
-                // static plan: cache-loss probes fire per resident entry, so
-                // mid-fit membership changes would perturb the injected draw
-                // sequence rather than just the cost.
-                if opts.adaptive_enabled() && ctx.faults.is_none() {
-                    adaptive = Some(Arc::new(crate::optimizer::AdaptiveController::new(
-                        problem,
-                        set.clone(),
-                        budget,
-                        ctx.resources.workers,
-                        ctx.tracer.clone(),
-                        ctx.sim.clone(),
-                        opts.adaptive_hints.clone(),
-                    )));
-                }
-                (
-                    CacheManager::new(budget, CachePolicy::Pinned(keys)).with_observer(observer),
-                    set,
-                )
-            }
-        };
-        // Operator-choice labels are resolved before fusion relabels chain
-        // tails to `Fused[...]`.
-        let choices: Vec<(String, String)> = profile
-            .choices
-            .iter()
-            .map(|(id, name)| (graph.nodes[*id].label.clone(), name.clone()))
-            .collect();
+        let budget = opts.budget_on(ctx);
+        let problem = opts
+            .pins_greedy_set()
+            .then(|| build_mat_problem(&graph, &profile, &roots));
+        let (cache_set, picks) = problem
+            .as_ref()
+            .map(|p| p.greedy_cache_set_traced(budget))
+            .unwrap_or_default();
+        let cache = fit_cache(ctx, opts, budget, &cache_set, picks);
+        // Adaptive re-optimization watches this fit's demand against the
+        // problem's predictions. Fault-injected runs keep the static plan:
+        // cache-loss probes fire per resident entry, so mid-fit membership
+        // changes would perturb the injected draw sequence rather than just
+        // the cost.
+        let adaptive = problem
+            .filter(|_| opts.adaptive_enabled() && ctx.faults.is_none())
+            .map(|problem| {
+                Arc::new(AdaptiveController::new(
+                    problem,
+                    cache_set.clone(),
+                    budget,
+                    ctx.resources.workers,
+                    ctx.tracer.clone(),
+                    ctx.sim.clone(),
+                    opts.adaptive_hints.clone(),
+                ))
+            });
+        let choices = profile.choice_labels(&graph);
 
-        // 3b. Whole-stage fusion, after materialization so every pick acts
-        // as a barrier. The rewrite is id-stable (chains collapse onto their
-        // tail's node id), so the cache key set, fit roots, and the output
-        // id all apply to the fused graph unchanged.
-        let mut fused: Vec<(NodeId, Vec<String>)> = Vec::new();
-        let mut fused_nodes = 0;
-        let mut columnar_chains = 0;
-        if opts.fusion_enabled() {
-            let result = crate::optimizer::fuse_chains_with(
-                &graph,
-                output,
-                &cache_set,
-                opts.columnar_enabled(),
-            );
-            graph = result.graph;
-            crate::optimizer::merge_profiles(&mut profile, &result.chains);
-            fused_nodes = result.absorbed;
-            columnar_chains = result.columnar_chains;
-            // Chains arrive in ascending tail-id order, so the event stream
-            // is deterministic (same discipline as the CseMerge emission).
-            for chain in &result.chains {
-                ctx.tracer.record(crate::trace::TraceEvent::FusionMerge {
-                    node: chain.tail,
-                    label: graph.nodes[chain.tail].label.clone(),
-                    members: chain.labels.clone(),
-                });
-                fused.push((chain.tail, chain.labels.clone()));
-            }
-        }
+        // 3b. Whole-stage fusion.
+        let fusion = fuse_for_fit(&mut graph, &mut profile, &[output], &cache_set, ctx, opts);
         let optimize_secs = t0.elapsed().as_secs_f64();
 
         // 4. Fit every estimator feeding the output.
@@ -371,9 +315,9 @@ impl<A: Record, B: Record> Pipeline<A, B> {
             optimize_secs,
             eliminated_nodes: eliminated,
             choices,
-            fused,
-            fused_nodes,
-            columnar_chains,
+            fused: fusion.fused,
+            fused_nodes: fusion.fused_nodes,
+            columnar_chains: fusion.columnar_chains,
             cache_set_labels: labels_of(&graph, &cache_set),
             cache_set: cache_set.clone(),
             adaptation,

@@ -58,6 +58,17 @@ pub struct PipelineProfile {
     pub choices: Vec<(NodeId, String)>,
 }
 
+impl PipelineProfile {
+    /// `(node label, chosen physical operator)` pairs for a fit report.
+    /// Resolve them before fusion relabels chain tails to `Fused[...]`.
+    pub(crate) fn choice_labels(&self, graph: &Graph) -> Vec<(String, String)> {
+        self.choices
+            .iter()
+            .map(|(id, name)| (graph.nodes[*id].label.clone(), name.clone()))
+            .collect()
+    }
+}
+
 /// Profiling options.
 #[derive(Debug, Clone)]
 pub struct ProfileOptions {

@@ -108,11 +108,15 @@ pub struct TenantRow {
     /// The tenant's estimator nodes, topological order.
     pub fit_roots: Vec<NodeId>,
     /// Computation nodes on this tenant's ancestry shared with ≥ 1 other
-    /// tenant (0 for solo/fallback fits).
+    /// tenant (0 when the tenants were fitted alone).
     pub shared_nodes: usize,
     /// Simulated seconds charged to this tenant's lane during the fit.
     pub sim_secs: f64,
-    /// Scratch-measured simulated seconds a solo fit of this tenant costs.
+    /// What fitting this tenant alone costs, in the unit `sim_secs` is
+    /// charged in: the forest cost model's estimate (profile seconds ÷
+    /// `resources.workers`) where `fit_forest` priced the forest, and the
+    /// measured `sim_secs` itself on the paths it does not price (one
+    /// tenant, `OptLevel::None`, LRU), where the tenant *was* fitted alone.
     pub solo_secs: f64,
 }
 

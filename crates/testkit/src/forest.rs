@@ -1,23 +1,26 @@
 //! Multi-tenant forest axis of the differential oracle.
 //!
 //! The forest optimizer ([`keystone_core::optimizer::fit_forest`]) merges N
-//! tenant pipelines into one plan: cross-pipeline CSE over a shared trunk,
-//! one global materialization budget, fair wave scheduling. Its contract is
-//! twofold and this module checks both halves per seed, per cell:
+//! tenant pipelines into one plan — cross-pipeline CSE over a shared trunk,
+//! one global materialization budget, round-robin wave execution — and runs
+//! it only when its cost model estimates it strictly cheaper than N solo
+//! fits. The model chooses; this module verifies, per seed, per cell:
 //!
 //! 1. **Equivalence** — each tenant's fitted pipeline must produce held-out
 //!    predictions *bit-identical* (`f64::to_bits`) to the pipeline fit
 //!    alone, in every optimization-level × budget × fusion × columnar cell;
-//! 2. **Dominance** — the forest fit's total simulated cost must never
-//!    exceed the sum of the N independent fits' costs.
+//! 2. **Dominance** — the forest fit's total *measured* simulated cost must
+//!    never exceed the sum of the N independent fits' measured costs;
+//! 3. **Decision consistency** — the reported choice is the one the
+//!    reported estimates imply.
 //!
 //! Forests are generated with *controlled prefix overlap*: one seeded trunk
-//! of 0–4 stages (0 ⇒ no sharing at all, exercising the fallback path) on a
+//! of 0–4 stages (0 ⇒ no sharing at all, exercising the declined path) on a
 //! single `Pipeline::input()` handle, then 2–4 divergent tenant heads each
-//! ending in at least one estimator. Only truthfully-declared operators are
-//! drawn — cost mis-declaration is a different axis ([`crate::oracle`]) and
-//! would make per-cell *analytic* cost comparisons meaningless, though the
-//! measure-then-choose forest fit tolerates it by construction.
+//! ending in at least one estimator. **Precondition**: only truthfully-
+//! declared operators are drawn. `fit_forest` chooses from estimates, so
+//! dominance is a property of truthful profiles, not of the mechanism; cost
+//! mis-declaration is a different axis ([`crate::oracle`]).
 
 use keystone_core::context::ExecContext;
 use keystone_core::optimizer::{fit_forest, CachingStrategy, PipelineOptions};
@@ -350,15 +353,25 @@ pub fn check_forest_seed(seed: u64) -> Result<ForestSeedReport, String> {
                 ),
             ));
         }
-        // The report must agree with the external measurement's verdict.
-        if report.forest_secs > report.total_solo_secs() + 1e-9 {
+        // Decision consistency: the shared plan ran iff the model priced
+        // the forest and estimated sharing strictly cheaper.
+        let favoured = report
+            .estimate
+            .as_ref()
+            .is_some_and(|e| e.shared_secs < e.solo_secs.iter().sum::<f64>());
+        let well_formed = report.estimate.as_ref().is_none_or(|e| {
+            e.solo_secs.len() == forest.tenants.len()
+                && std::iter::once(&e.shared_secs)
+                    .chain(&e.solo_secs)
+                    .all(|s| s.is_finite() && *s >= 0.0)
+        });
+        if report.shared != favoured || !well_formed {
             return Err(forest_failure_report(
                 seed,
                 &cell.name,
                 &format!(
-                    "report claims forest_secs {:.6} > Σ solo_secs {:.6}",
-                    report.forest_secs,
-                    report.total_solo_secs()
+                    "choice shared={} disagrees with its estimate {:?}",
+                    report.shared, report.estimate
                 ),
             ));
         }
