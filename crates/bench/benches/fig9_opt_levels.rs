@@ -11,6 +11,7 @@ use keystone_bench::{print_table, save_json, secs, time_once};
 use keystone_core::context::ExecContext;
 use keystone_core::optimizer::{OptLevel, PipelineOptions};
 use keystone_core::profiler::ProfileOptions;
+use keystone_core::trace::TraceEvent;
 use keystone_solvers::logistic::one_hot;
 use keystone_solvers::solver_op::LinearSolverOp;
 use keystone_workloads::image_gen::ImageDatasetSpec;
@@ -48,7 +49,17 @@ fn levels() -> Vec<(&'static str, PipelineOptions)> {
 }
 
 fn breakdown(ctx: &ExecContext, optimize: f64, total: f64) -> (f64, f64, f64) {
-    let solve = ctx.wall.seconds_for_prefix("fit:LinearSolver");
+    let solve: f64 = ctx
+        .tracer
+        .events()
+        .iter()
+        .filter_map(|e| match &e.event {
+            TraceEvent::NodeEnd {
+                label, wall_secs, ..
+            } if label.starts_with("fit:LinearSolver") => Some(*wall_secs),
+            _ => None,
+        })
+        .sum();
     let featurize = (total - optimize - solve).max(0.0);
     (optimize, featurize, solve)
 }

@@ -4,15 +4,16 @@ use keystone_dataflow::cluster::{ClusterProfile, ResourceDesc};
 use keystone_dataflow::faults::FaultPlan;
 use keystone_dataflow::metrics::MetricsRegistry;
 use keystone_dataflow::simclock::SimClock;
-use keystone_dataflow::stats::ExecStats;
 
 use crate::trace::Tracer;
 
-/// Shared execution context: the cluster descriptor plus both clocks, the
-/// observability event sink, and the partition-level metrics registry.
+/// Shared execution context: the cluster descriptor plus three ledgers —
+/// the simulated clock (`sim`), the node-level event sink (`tracer`, whose
+/// `NodeEnd` events are the one record of per-node wall time and execution
+/// counts) and the partition-level metrics registry (`metrics`).
 ///
 /// Cloning is cheap and shares the underlying ledgers, so operators deep in
-/// a pipeline charge the same clocks — and trace into the same sink — the
+/// a pipeline charge the same clock — and trace into the same sink — the
 /// driver reads.
 #[derive(Debug, Clone)]
 pub struct ExecContext {
@@ -20,8 +21,6 @@ pub struct ExecContext {
     pub resources: ResourceDesc,
     /// Simulated cluster clock.
     pub sim: SimClock,
-    /// Wall-clock stage ledger.
-    pub wall: ExecStats,
     /// Structured event sink for optimizer and executor decisions.
     pub tracer: Tracer,
     /// Partition-level task spans, counters and histograms. The executor
@@ -41,7 +40,6 @@ impl ExecContext {
         ExecContext {
             resources,
             sim: SimClock::new(),
-            wall: ExecStats::new(),
             tracer: Tracer::new(),
             metrics: MetricsRegistry::new(),
             faults: None,
@@ -73,12 +71,11 @@ impl ExecContext {
     }
 
     /// Copy of this context pointing at a different worker count but
-    /// sharing clocks (used by scaling sweeps).
+    /// sharing ledgers (used by scaling sweeps).
     pub fn with_workers(&self, workers: usize) -> Self {
         ExecContext {
             resources: self.resources.with_workers(workers),
             sim: self.sim.clone(),
-            wall: self.wall.clone(),
             tracer: self.tracer.clone(),
             metrics: self.metrics.clone(),
             faults: self.faults.clone(),

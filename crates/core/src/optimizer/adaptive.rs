@@ -40,6 +40,7 @@ use std::sync::Arc;
 
 use keystone_dataflow::cache::CacheManager;
 use keystone_dataflow::cluster::ResourceDesc;
+use keystone_dataflow::json::write_f64;
 use keystone_dataflow::metrics::TaskSpan;
 use keystone_dataflow::simclock::SimClock;
 use parking_lot::Mutex;
@@ -122,26 +123,23 @@ impl AdaptationReport {
 
     /// Deterministic JSON rendering (golden-pinned wire format).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"recalibrations\":{}", self.recalibrations));
+        let mut out = format!("{{\"recalibrations\":{}", self.recalibrations);
         out.push_str(",\"revisions\":[");
         for (i, r) in self.revisions.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"wave\":{},\"promoted\":[{}],\"evicted\":[{}],\"predicted_saving_secs\":{}}}",
+                "{{\"wave\":{},\"promoted\":[{}],\"evicted\":[{}],\"predicted_saving_secs\":",
                 r.wave,
                 ids_csv(&r.promoted),
                 ids_csv(&r.evicted),
-                json_f64(r.predicted_saving_secs),
             ));
+            write_f64(&mut out, r.predicted_saving_secs);
+            out.push('}');
         }
-        out.push(']');
-        out.push_str(&format!(
-            ",\"decision_secs\":{}",
-            json_f64(self.decision_secs)
-        ));
+        out.push_str("],\"decision_secs\":");
+        write_f64(&mut out, self.decision_secs);
         out.push('}');
         out
     }
@@ -152,18 +150,6 @@ fn ids_csv(ids: &[NodeId]) -> String {
         .map(|i| i.to_string())
         .collect::<Vec<_>>()
         .join(",")
-}
-
-/// Same float convention as the report renderer: integral finite values
-/// keep a trailing `.0`, non-finite values become `null`.
-fn json_f64(v: f64) -> String {
-    if !v.is_finite() {
-        "null".to_string()
-    } else if v == v.trunc() {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
-    }
 }
 
 /// Refits per-node cost constants from measured actuals. For each node with

@@ -341,3 +341,65 @@ pub fn labels_of(graph: &Graph, set: &HashSet<NodeId>) -> Vec<String> {
     ids.sort_unstable();
     ids.iter().map(|&i| graph.nodes[i].label.clone()).collect()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::tests::{small_profile, Inc, MeanCenter};
+    use crate::pipeline::{FitReport, Pipeline};
+    use keystone_dataflow::collection::DistCollection;
+
+    /// Fits an `Inc → Inc → MeanCenter` pipeline (a fusable chain) and
+    /// returns the plan summary, the report and the trace stream with wall
+    /// time blanked.
+    fn fit(opts: PipelineOptions) -> (String, FitReport, Vec<String>) {
+        let train = DistCollection::from_vec(vec![1.0, 2.0, 3.0, 4.0], 2);
+        let pipe = Pipeline::<f64, f64>::input()
+            .and_then(Inc)
+            .and_then(Inc)
+            .and_then_est(MeanCenter, &train);
+        let ctx = ExecContext::default_cluster();
+        let opts = PipelineOptions {
+            profile: small_profile(),
+            ..opts
+        };
+        let (fitted, report) = pipe.fit(&ctx, &opts);
+        let events = ctx
+            .tracer
+            .events()
+            .into_iter()
+            .map(|e| match e.event {
+                TraceEvent::NodeEnd {
+                    node,
+                    label,
+                    records,
+                    out_bytes,
+                    sim_secs,
+                    ..
+                } => format!("NodeEnd {node} {label} {records} {out_bytes} {sim_secs}"),
+                other => format!("{other:?}"),
+            })
+            .collect();
+        (fitted.graph().summary(), report, events)
+    }
+
+    /// `fuse_for_fit` returns before reading the columnar toggle when fusion
+    /// is off, so an unfused fit is the same fit whatever the toggle says —
+    /// which is why the differential oracle has no unfused-columnar cells.
+    #[test]
+    fn columnar_toggle_is_a_no_op_without_fusion() {
+        let unfused = PipelineOptions::full().with_fusion(false);
+        let (plan_off, report_off, events_off) = fit(unfused.clone().with_columnar(false));
+        let (plan_on, report_on, events_on) = fit(unfused.with_columnar(true));
+        assert_eq!(plan_on, plan_off);
+        assert_eq!(events_on, events_off);
+        for r in [&report_on, &report_off] {
+            assert!(r.fused.is_empty());
+            assert_eq!((r.fused_nodes, r.columnar_chains), (0, 0));
+        }
+        // The chain is fusable, so the toggle is not vacuous on this plan.
+        let (plan_fused, report_fused, _) = fit(PipelineOptions::full().with_fusion(true));
+        assert!(report_fused.fused_nodes > 0);
+        assert_ne!(plan_fused, plan_off);
+    }
+}

@@ -326,12 +326,12 @@ impl<A: Record, B: Record> Pipeline<A, B> {
             observability,
         };
         let fitted = FittedPipeline {
-            plan: Arc::new(ExecutablePlan {
-                graph: Arc::new(graph),
+            plan: Arc::new(ExecutablePlan::new(
+                Arc::new(graph),
                 output,
                 models,
                 profiles,
-            }),
+            )),
             _ph: PhantomData,
         };
         (fitted, report)
@@ -420,6 +420,12 @@ pub struct ExecutablePlan {
     output: NodeId,
     models: HashMap<NodeId, Arc<dyn ErasedTransformer>>,
     profiles: Arc<HashMap<NodeId, crate::profiler::NodeProfile>>,
+    /// The output's ancestry that the runtime input feeds, in topological
+    /// order (see [`ExecutablePlan::apply_path`]).
+    apply_path: Vec<NodeId>,
+    /// The rest of the output's ancestry that produces data by running an
+    /// operator (see [`ExecutablePlan::reusable_nodes`]).
+    reusable: Vec<NodeId>,
 }
 
 impl ExecutablePlan {
@@ -433,11 +439,25 @@ impl ExecutablePlan {
         models: HashMap<NodeId, Arc<dyn ErasedTransformer>>,
         profiles: Arc<HashMap<NodeId, crate::profiler::NodeProfile>>,
     ) -> Self {
+        let tainted = graph
+            .runtime_input()
+            .map(|ri| graph.dependents(ri))
+            .unwrap_or_default();
+        let (apply_path, rest): (Vec<NodeId>, Vec<NodeId>) = graph
+            .topo_ancestors(&[output])
+            .into_iter()
+            .partition(|id| tainted.contains(id));
+        let reusable = rest
+            .into_iter()
+            .filter(|&id| runs_operator(&graph.nodes[id].kind))
+            .collect();
         ExecutablePlan {
             graph,
             output,
             models,
             profiles,
+            apply_path,
+            reusable,
         }
     }
 
@@ -482,9 +502,7 @@ impl ExecutablePlan {
         let executor = Executor::new(&self.graph, ctx.clone(), cache)
             .with_runtime_input(input)
             .with_models(self.models.clone())
-            .with_profiles(self.profiles.clone())
-            .memoize_all()
-            .with_cross_run_cache();
+            .with_profiles(self.profiles.clone());
         executor.eval(self.output).data().clone()
     }
 
@@ -494,22 +512,7 @@ impl ExecutablePlan {
     /// sources are already resident, so only `Transform` and `ModelApply`
     /// nodes qualify.
     pub fn reusable_nodes(&self) -> HashSet<NodeId> {
-        let tainted = self
-            .graph
-            .runtime_input()
-            .map(|ri| self.graph.dependents(ri))
-            .unwrap_or_default();
-        self.graph
-            .topo_ancestors(&[self.output])
-            .into_iter()
-            .filter(|&id| {
-                !tainted.contains(&id)
-                    && matches!(
-                        self.graph.nodes[id].kind,
-                        NodeKind::Transform(_) | NodeKind::ModelApply
-                    )
-            })
-            .collect()
+        self.reusable.iter().copied().collect()
     }
 
     /// Apply-path nodes: the output's ancestry restricted to what the
@@ -518,16 +521,7 @@ impl ExecutablePlan {
     /// ancestry is either a memoized model or served by the cross-run
     /// cache after the first wave).
     pub fn apply_path(&self) -> Vec<NodeId> {
-        let tainted = self
-            .graph
-            .runtime_input()
-            .map(|ri| self.graph.dependents(ri))
-            .unwrap_or_default();
-        self.graph
-            .topo_ancestors(&[self.output])
-            .into_iter()
-            .filter(|id| tainted.contains(id))
-            .collect()
+        self.apply_path.clone()
     }
 
     /// Deterministic estimate of one apply wave's simulated seconds over
@@ -541,15 +535,10 @@ impl ExecutablePlan {
     /// count.
     pub fn est_apply_secs(&self, records: usize, workers: usize) -> f64 {
         let w = workers.max(1) as f64;
-        self.apply_path()
-            .into_iter()
-            .filter(|&id| {
-                matches!(
-                    self.graph.nodes[id].kind,
-                    NodeKind::Transform(_) | NodeKind::ModelApply
-                )
-            })
-            .map(|id| {
+        self.apply_path
+            .iter()
+            .filter(|&&id| runs_operator(&self.graph.nodes[id].kind))
+            .map(|&id| {
                 let n = &self.graph.nodes[id];
                 match self.profiles.get(&id) {
                     Some(p) => p.est_secs(records),
@@ -559,6 +548,12 @@ impl ExecutablePlan {
             .sum::<f64>()
             / w
     }
+}
+
+/// Whether a node produces data by running an operator — the nodes worth
+/// caching across waves and the ones an apply wave is charged for.
+fn runs_operator(kind: &NodeKind) -> bool {
+    matches!(kind, NodeKind::Transform(_) | NodeKind::ModelApply)
 }
 
 /// A fitted pipeline: a typed handle over the shared [`ExecutablePlan`].
@@ -624,11 +619,11 @@ impl<A: Record, B: Record> FittedPipeline<A, B> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use keystone_dataflow::cluster::ClusterProfile;
 
-    struct Inc;
+    pub(crate) struct Inc;
     impl Transformer<f64, f64> for Inc {
         fn apply(&self, x: &f64) -> f64 {
             x + 1.0
@@ -643,7 +638,7 @@ mod tests {
     }
 
     /// Subtracts the training mean.
-    struct MeanCenter;
+    pub(crate) struct MeanCenter;
     impl Estimator<f64, f64> for MeanCenter {
         fn fit(
             &self,
@@ -688,7 +683,7 @@ mod tests {
         ExecContext::new(ClusterProfile::R3_4xlarge.descriptor(4))
     }
 
-    fn small_profile() -> ProfileOptions {
+    pub(crate) fn small_profile() -> ProfileOptions {
         ProfileOptions {
             sizes: vec![4, 8],
             seed: 1,

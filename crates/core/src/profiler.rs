@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use crate::context::ExecContext;
 use crate::graph::{Graph, NodeId, NodeKind};
-use crate::operator::{AnyData, ErasedTransformer, InputHandle};
+use crate::operator::{AnyData, ErasedCostFn, ErasedTransformer, InputHandle};
 use crate::record::DataStats;
 
 /// Extrapolated profile of one node.
@@ -197,43 +197,26 @@ pub fn profile_and_select(
                     let scale = scales.get(&in_id).copied().unwrap_or(1.0);
                     let inputs: Vec<AnyData> =
                         node.inputs.iter().map(|i| outputs[i].clone()).collect();
-                    // Operator selection on the first pass only.
-                    let op = if pass == 0 && opts.select_operators {
-                        match op.physical_options() {
-                            Some(options) if !options.is_empty() => {
-                                let stats: Vec<DataStats> = node
-                                    .inputs
-                                    .iter()
-                                    .map(|i| {
-                                        full_scale_stats(&outputs[i], &scales, *i, &full_counts)
-                                    })
-                                    .collect();
-                                let best = pick_min(&options, |o| {
-                                    (o.cost)(&stats, &ctx.resources)
-                                        .estimated_seconds(&ctx.resources)
-                                });
-                                let chosen = &options[best];
-                                profile.choices.push((id, chosen.name.clone()));
-                                trace_choice(
-                                    ctx,
-                                    id,
-                                    &node.label,
-                                    chosen.name.clone(),
-                                    options.iter().map(|o| {
-                                        (o.name.clone(), (o.cost)(&stats, &ctx.resources))
-                                    }),
-                                );
-                                let new_label = format!("{}[{}]", node.label, chosen.name);
-                                graph.nodes[id].kind = NodeKind::Transform(chosen.op.clone());
-                                graph.nodes[id].label = new_label;
-                                chosen.op.clone()
-                            }
-                            _ => op.clone(),
+                    // Operator selection on the first pass only; later passes
+                    // see the swapped-in operator through `node`.
+                    let options = (pass == 0 && opts.select_operators)
+                        .then(|| op.physical_options())
+                        .flatten();
+                    let op = match options {
+                        Some(options) if !options.is_empty() => {
+                            let stats =
+                                full_scale_inputs(&node.inputs, &outputs, &scales, &full_counts);
+                            select_operator(
+                                options.into_iter().map(|o| (o.name, o.cost, o.op)),
+                                &stats,
+                                NodeKind::Transform,
+                                id,
+                                graph,
+                                &mut profile,
+                                ctx,
+                            )
                         }
-                    } else if let NodeKind::Transform(cur) = &graph.nodes[id].kind {
-                        cur.clone()
-                    } else {
-                        op.clone()
+                        _ => op.clone(),
                     };
                     let in_records = inputs[0].stats().count;
                     let start = Instant::now();
@@ -250,42 +233,24 @@ pub fn profile_and_select(
                     outputs.insert(id, out);
                 }
                 NodeKind::Estimate(op) => {
-                    let op = if pass == 0 && opts.select_operators {
-                        match op.physical_options() {
-                            Some(options) if !options.is_empty() => {
-                                let stats: Vec<DataStats> = node
-                                    .inputs
-                                    .iter()
-                                    .map(|i| {
-                                        full_scale_stats(&outputs[i], &scales, *i, &full_counts)
-                                    })
-                                    .collect();
-                                let best = pick_min(&options, |o| {
-                                    (o.cost)(&stats, &ctx.resources)
-                                        .estimated_seconds(&ctx.resources)
-                                });
-                                let chosen = &options[best];
-                                profile.choices.push((id, chosen.name.clone()));
-                                trace_choice(
-                                    ctx,
-                                    id,
-                                    &node.label,
-                                    chosen.name.clone(),
-                                    options.iter().map(|o| {
-                                        (o.name.clone(), (o.cost)(&stats, &ctx.resources))
-                                    }),
-                                );
-                                let new_label = format!("{}[{}]", node.label, chosen.name);
-                                graph.nodes[id].kind = NodeKind::Estimate(chosen.op.clone());
-                                graph.nodes[id].label = new_label;
-                                chosen.op.clone()
-                            }
-                            _ => op.clone(),
+                    let options = (pass == 0 && opts.select_operators)
+                        .then(|| op.physical_options())
+                        .flatten();
+                    let op = match options {
+                        Some(options) if !options.is_empty() => {
+                            let stats =
+                                full_scale_inputs(&node.inputs, &outputs, &scales, &full_counts);
+                            select_operator(
+                                options.into_iter().map(|o| (o.name, o.cost, o.op)),
+                                &stats,
+                                NodeKind::Estimate,
+                                id,
+                                graph,
+                                &mut profile,
+                                ctx,
+                            )
                         }
-                    } else if let NodeKind::Estimate(cur) = &graph.nodes[id].kind {
-                        cur.clone()
-                    } else {
-                        op.clone()
+                        _ => op.clone(),
                     };
                     let handles: Vec<SampleHandle> = node
                         .inputs
@@ -384,43 +349,68 @@ fn record_measurement(
     });
 }
 
-/// Stats of a node's sample output rescaled to its full-scale record count.
-fn full_scale_stats(
-    sample: &AnyData,
+/// Full-scale statistics of a node's inputs, extrapolated from their
+/// sampled outputs.
+fn full_scale_inputs(
+    inputs: &[NodeId],
+    outputs: &HashMap<NodeId, AnyData>,
     scales: &HashMap<NodeId, f64>,
-    id: NodeId,
     full_counts: &HashMap<NodeId, usize>,
-) -> DataStats {
-    let full = full_counts.get(&id).copied().unwrap_or_else(|| {
-        let scale = scales.get(&id).copied().unwrap_or(1.0);
-        (sample.stats().count as f64 * scale).round() as usize
-    });
-    sample.stats().at_scale(full)
+) -> Vec<DataStats> {
+    inputs
+        .iter()
+        .map(|i| {
+            let sample = &outputs[i];
+            let full = full_counts.get(i).copied().unwrap_or_else(|| {
+                let scale = scales.get(i).copied().unwrap_or(1.0);
+                (sample.stats().count as f64 * scale).round() as usize
+            });
+            sample.stats().at_scale(full)
+        })
+        .collect()
 }
 
-/// Records an [`OperatorChoice`](crate::trace::TraceEvent::OperatorChoice)
+/// Operator selection (§3) for one node: prices every physical option
+/// `(name, cost model, implementation)` at the node's full-scale input
+/// statistics and picks the cheapest. The pick goes into `profile.choices`
+/// and an [`OperatorChoice`](crate::trace::TraceEvent::OperatorChoice)
 /// event carrying every candidate's cost profile — winners and losers — so
-/// reports can show what the optimizer rejected and why.
-fn trace_choice(
+/// reports can show what the optimizer rejected and why; graph node `id` is
+/// relabelled `label[chosen]` and its kind becomes `kind(chosen)`. Returns
+/// the chosen implementation.
+fn select_operator<Op: Clone>(
+    options: impl Iterator<Item = (String, ErasedCostFn, Op)>,
+    stats: &[DataStats],
+    kind: fn(Op) -> NodeKind,
+    id: NodeId,
+    graph: &mut Graph,
+    profile: &mut PipelineProfile,
     ctx: &ExecContext,
-    node: NodeId,
-    label: &str,
-    chosen: String,
-    costs: impl Iterator<Item = (String, keystone_dataflow::cost::CostProfile)>,
-) {
-    let candidates: Vec<crate::trace::OperatorCandidate> = costs
-        .map(|(name, cost)| crate::trace::OperatorCandidate {
+) -> Op {
+    let (mut candidates, mut ops) = (Vec::new(), Vec::new());
+    for (name, cost, op) in options {
+        let cost = cost(stats, &ctx.resources);
+        candidates.push(crate::trace::OperatorCandidate {
             name,
             est_secs: cost.estimated_seconds(&ctx.resources),
             cost,
-        })
-        .collect();
+        });
+        ops.push(op);
+    }
+    let best = pick_min(&candidates, |c| c.est_secs);
+    let chosen = candidates[best].name.clone();
+    let op = ops.swap_remove(best);
+    let node = &mut graph.nodes[id];
+    profile.choices.push((id, chosen.clone()));
     ctx.tracer.record(crate::trace::TraceEvent::OperatorChoice {
-        node,
-        label: label.to_string(),
-        chosen,
+        node: id,
+        label: node.label.clone(),
+        chosen: chosen.clone(),
         candidates,
     });
+    node.label = format!("{}[{}]", node.label, chosen);
+    node.kind = kind(op.clone());
+    op
 }
 
 fn pick_min<T>(items: &[T], score: impl Fn(&T) -> f64) -> usize {

@@ -9,12 +9,12 @@
 //! wall/simulated seconds, execution counts, output bytes, and cache
 //! hit/miss counters — with per-node relative errors.
 //!
-//! Reports serialize to JSON via a small hand-rolled writer (the build
-//! environment has no registry access, so `serde` is unavailable; the output
-//! is plain standard JSON) and render as a fixed-width table for terminals.
+//! Reports serialize to JSON through the [`keystone_dataflow::json`]
+//! writers and render as a fixed-width table for terminals.
 
 use std::collections::HashMap;
 
+use keystone_dataflow::json::{write_f64, write_string};
 use keystone_dataflow::metrics::MetricsRegistry;
 
 use crate::graph::{Graph, NodeId};
@@ -328,7 +328,7 @@ impl PipelineReport {
         s.push_str(",\"cache_losses\":");
         s.push_str(&self.cache_losses.to_string());
         s.push_str(",\"recovery_secs\":");
-        json_f64(&mut s, self.recovery_secs);
+        write_f64(&mut s, self.recovery_secs);
         s.push_str(",\"tenants\":[");
         for (i, t) in self.tenants.iter().enumerate() {
             if i > 0 {
@@ -349,9 +349,9 @@ impl PipelineReport {
             s.push_str(",\"shared_nodes\":");
             s.push_str(&t.shared_nodes.to_string());
             s.push_str(",\"sim_secs\":");
-            json_f64(&mut s, t.sim_secs);
+            write_f64(&mut s, t.sim_secs);
             s.push_str(",\"solo_secs\":");
-            json_f64(&mut s, t.solo_secs);
+            write_f64(&mut s, t.solo_secs);
             s.push('}');
         }
         s.push(']');
@@ -363,15 +363,15 @@ impl PipelineReport {
             s.push_str("{\"node\":");
             s.push_str(&n.node.to_string());
             s.push_str(",\"label\":");
-            json_string(&mut s, &n.label);
+            write_string(&mut s, &n.label);
             s.push_str(",\"predicted_secs\":");
-            json_opt_f64(&mut s, n.predicted_secs);
+            write_opt_f64(&mut s, n.predicted_secs);
             s.push_str(",\"predicted_out_bytes\":");
-            json_opt_f64(&mut s, n.predicted_out_bytes);
+            write_opt_f64(&mut s, n.predicted_out_bytes);
             s.push_str(",\"actual_wall_secs\":");
-            json_f64(&mut s, n.actual_wall_secs);
+            write_f64(&mut s, n.actual_wall_secs);
             s.push_str(",\"actual_sim_secs\":");
-            json_f64(&mut s, n.actual_sim_secs);
+            write_f64(&mut s, n.actual_sim_secs);
             s.push_str(",\"actual_out_bytes\":");
             s.push_str(&n.actual_out_bytes.to_string());
             s.push_str(",\"execs\":");
@@ -387,34 +387,34 @@ impl PipelineReport {
             s.push_str(",\"rejections\":");
             s.push_str(&n.cache.rejections.to_string());
             s.push_str("},\"time_rel_error\":");
-            json_opt_f64(&mut s, n.time_rel_error);
+            write_opt_f64(&mut s, n.time_rel_error);
             s.push_str(",\"bytes_rel_error\":");
-            json_opt_f64(&mut s, n.bytes_rel_error);
+            write_opt_f64(&mut s, n.bytes_rel_error);
             s.push_str(",\"task_spans\":");
             s.push_str(&n.task_spans.to_string());
             s.push_str(",\"partitions\":");
             s.push_str(&n.partitions.to_string());
             s.push_str(",\"skew_ratio\":");
-            json_opt_f64(&mut s, n.skew_ratio);
+            write_opt_f64(&mut s, n.skew_ratio);
             s.push_str(",\"utilization\":");
-            json_opt_f64(&mut s, n.utilization);
+            write_opt_f64(&mut s, n.utilization);
             s.push_str(",\"retries\":");
             s.push_str(&n.retries.to_string());
             s.push_str(",\"speculative_wins\":");
             s.push_str(&n.speculative_wins.to_string());
             s.push_str(",\"recovery_secs\":");
-            json_f64(&mut s, n.recovery_secs);
+            write_f64(&mut s, n.recovery_secs);
             s.push_str(",\"fused_members\":[");
             for (j, m) in n.fused_members.iter().enumerate() {
                 if j > 0 {
                     s.push(',');
                 }
-                json_string(&mut s, m);
+                write_string(&mut s, m);
             }
             s.push(']');
             s.push_str(",\"adapt\":");
             match &n.adapt {
-                Some(a) => json_string(&mut s, a),
+                Some(a) => write_string(&mut s, a),
                 None => s.push_str("null"),
             }
             s.push('}');
@@ -505,73 +505,11 @@ impl PipelineReport {
     }
 }
 
-fn json_f64(s: &mut String, v: f64) {
-    if v.is_finite() {
-        // Shortest roundtrip formatting Rust offers; always valid JSON.
-        let formatted = format!("{}", v);
-        s.push_str(&formatted);
-        if !formatted.contains('.') && !formatted.contains('e') {
-            s.push_str(".0");
-        }
-    } else {
-        s.push_str("null");
-    }
-}
-
-fn json_opt_f64(s: &mut String, v: Option<f64>) {
+fn write_opt_f64(s: &mut String, v: Option<f64>) {
     match v {
-        Some(x) => json_f64(s, x),
+        Some(x) => write_f64(s, x),
         None => s.push_str("null"),
     }
-}
-
-fn json_string(s: &mut String, v: &str) {
-    s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
-/// Minimal JSON validity check used by tests: verifies balanced structure
-/// and quoting without building a DOM.
-#[doc(hidden)]
-pub fn json_is_balanced(s: &str) -> bool {
-    let mut depth: i64 = 0;
-    let mut in_str = false;
-    let mut escape = false;
-    for c in s.chars() {
-        if in_str {
-            if escape {
-                escape = false;
-            } else if c == '\\' {
-                escape = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' | '[' => depth += 1,
-            '}' | ']' => {
-                depth -= 1;
-                if depth < 0 {
-                    return false;
-                }
-            }
-            _ => {}
-        }
-    }
-    depth == 0 && !in_str
 }
 
 /// Convenience: per-node cache counters keyed by label.
@@ -591,6 +529,7 @@ mod tests {
     use crate::profiler::{NodeProfile, PipelineProfile};
     use crate::record::DataStats;
     use keystone_dataflow::collection::DistCollection;
+    use keystone_dataflow::json;
 
     fn graph_with(labels: &[&str]) -> Graph {
         let mut g = Graph::new();
@@ -665,7 +604,7 @@ mod tests {
         t.record(crate::trace::TraceEvent::CacheHit { node: 1 });
         let r = PipelineReport::build(&g, &profile, &t);
         let json = r.to_json();
-        assert!(json_is_balanced(&json), "unbalanced: {json}");
+        assert!(json::parse(&json).is_ok(), "invalid JSON: {json}");
         assert!(json.contains("\"cache_hits\":1"));
         assert!(json.contains("\"cache_misses\":1"));
         assert!(json.contains("\\\"quoted\\\""));
@@ -719,7 +658,7 @@ mod tests {
         // err is 100% > 15% threshold, and skew 5 > 2 → blamed on skew.
         assert_eq!(row.miss_diagnosis(0.15), Some("skew"));
         let json = r.to_json();
-        assert!(json_is_balanced(&json), "unbalanced: {json}");
+        assert!(json::parse(&json).is_ok(), "invalid JSON: {json}");
         assert!(json.contains("\"skew_ratio\":5"));
         assert!(json.contains("\"task_spans\":4"));
         let table = r.render_table();
@@ -869,7 +808,7 @@ mod tests {
         assert_eq!(stale.adapt.as_deref(), Some("evicted"));
         assert_eq!(stale.execs, 0);
         let json = r.to_json();
-        assert!(json_is_balanced(&json), "unbalanced: {json}");
+        assert!(json::parse(&json).is_ok(), "invalid JSON: {json}");
         assert!(json.contains("\"adapt\":\"recalibrated+promoted\""));
         assert!(json.contains("\"adapt\":\"evicted\""));
         let table = r.render_table();
@@ -907,7 +846,7 @@ mod tests {
         assert_eq!(r.cache_losses, 1);
         assert!((r.recovery_secs - 1.5).abs() < 1e-12);
         let json = r.to_json();
-        assert!(json_is_balanced(&json), "unbalanced: {json}");
+        assert!(json::parse(&json).is_ok(), "invalid JSON: {json}");
         assert!(json.contains("\"retries\":1"));
         assert!(json.contains("\"speculative_wins\":1"));
         assert!(json.contains("\"cache_losses\":1"));
@@ -956,23 +895,10 @@ mod tests {
         let row = r.node("Fused[Inc+Dbl]").expect("row");
         assert_eq!(row.fused_members, vec!["Inc", "Dbl"]);
         let json = r.to_json();
-        assert!(json_is_balanced(&json), "unbalanced: {json}");
+        assert!(json::parse(&json).is_ok(), "invalid JSON: {json}");
         assert!(json.contains("\"fused_members\":[\"Inc\",\"Dbl\"]"));
         let table = r.render_table();
         assert!(table.contains("fused"), "header column missing: {table}");
         assert!(table.contains("Inc+Dbl"), "member list missing: {table}");
-    }
-
-    #[test]
-    fn json_f64_emits_valid_numbers() {
-        let mut s = String::new();
-        json_f64(&mut s, 2.0);
-        assert_eq!(s, "2.0");
-        let mut s = String::new();
-        json_f64(&mut s, f64::NAN);
-        assert_eq!(s, "null");
-        let mut s = String::new();
-        json_f64(&mut s, 1.5e-7);
-        assert!(s.contains('e') || s.contains('.'));
     }
 }

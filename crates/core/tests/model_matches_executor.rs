@@ -126,16 +126,17 @@ fn check_cache_set(cache_ids: &[usize]) {
     let exec = Executor::new(&g, ExecContext::default_cluster(), cache);
     let _ = exec.eval(e1);
     let _ = exec.eval(e2);
+    let actuals = exec.ctx().tracer.node_actuals();
 
     for (&id, &pred) in ids.iter().zip(predicted.iter()) {
         // Sources and model nodes are "always cached" in the model: their
         // predicted count is the number of *cost-bearing* executions (one),
-        // while the executor's visit counter also counts free Arc clones.
-        // The recurrence only has to be exact for recomputable nodes.
+        // and a source emits no `NodeEnd` at all. The recurrence only has
+        // to be exact for recomputable nodes.
         if problem.nodes[id].always_cached {
             continue;
         }
-        let actual = exec.eval_count(id) as f64;
+        let actual = actuals.get(&id).map_or(0, |a| a.execs) as f64;
         assert!(
             (actual - pred).abs() < 1e-9,
             "cache {:?}: node {} ({}) predicted {} executions, executor did {}",

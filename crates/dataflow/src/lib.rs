@@ -26,6 +26,9 @@
 //!   spans with worker-lane attribution, per-stage skew/utilization
 //!   analysis, and a Chrome trace-event exporter rendering measured worker
 //!   lanes next to the simulated-cluster ledger;
+//! * [`json`] — the one JSON codec (float/string writers, the sorted-key
+//!   [`json::JVal`] document builder and a parser) every report, artifact
+//!   and trace export goes through;
 //! * [`faults::FaultPlan`] — deterministic, seeded fault injection (task
 //!   failures, stragglers, cache-entry loss) that the executor's recovery
 //!   machinery — bounded retry, speculative re-execution, lineage
@@ -37,9 +40,9 @@ pub mod collection;
 pub mod columnar;
 pub mod cost;
 pub mod faults;
+pub mod json;
 pub mod metrics;
 pub mod simclock;
-pub mod stats;
 
 /// Tiny seed-splitting helper shared by deterministic samplers.
 pub(crate) mod rng_util {

@@ -27,8 +27,8 @@
 //!   ÷ lane span).
 //! * [`chrome_trace_json`] — a Chrome trace-event (Perfetto-loadable) JSON
 //!   export rendering real worker lanes and the simulated-cluster stage
-//!   ledger side by side as two process groups. Hand-rolled JSON, like the
-//!   report writer in `keystone-core` (no registry access, no serde).
+//!   ledger side by side as two process groups, written with the
+//!   [`crate::json`] codec.
 
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -38,6 +38,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::faults::FaultPlan;
+use crate::json::{write_f64, write_string};
 use crate::simclock::SimClock;
 
 /// One partition's work inside one stage: the physical-task record the
@@ -255,7 +256,7 @@ struct RegistryInner {
 
 /// Shared partition-metrics sink. Cloning shares the underlying ledgers, so
 /// collection operations deep inside operators record into the same registry
-/// the driver reads — the same ownership model as `SimClock` / `ExecStats`.
+/// the driver reads — the same ownership model as `SimClock`.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     inner: Arc<RegistryInner>,
@@ -705,9 +706,9 @@ pub fn chrome_trace_json_with(
     for s in &spans {
         let mut ev = String::with_capacity(160);
         ev.push_str("{\"name\":");
-        json_string(&mut ev, &format!("{}[p{}]", s.stage, s.partition));
+        write_string(&mut ev, &format!("{}[p{}]", s.stage, s.partition));
         ev.push_str(",\"cat\":");
-        json_string(&mut ev, s.op);
+        write_string(&mut ev, s.op);
         ev.push_str(",\"ph\":\"X\",\"pid\":1,\"tid\":");
         ev.push_str(&s.worker.to_string());
         ev.push_str(",\"ts\":");
@@ -754,7 +755,7 @@ pub fn chrome_trace_json_with(
         let dur_us = ((e.exec_secs + e.coord_secs) * 1e6).max(0.0) as u64;
         let mut ev = String::with_capacity(160);
         ev.push_str("{\"name\":");
-        json_string(&mut ev, &e.stage);
+        write_string(&mut ev, &e.stage);
         ev.push_str(",\"cat\":\"sim\",\"ph\":\"X\",\"pid\":2,\"tid\":");
         ev.push_str(&tid.to_string());
         ev.push_str(",\"ts\":");
@@ -762,9 +763,9 @@ pub fn chrome_trace_json_with(
         ev.push_str(",\"dur\":");
         ev.push_str(&dur_us.to_string());
         ev.push_str(",\"args\":{\"exec_secs\":");
-        json_f64(&mut ev, e.exec_secs);
+        write_f64(&mut ev, e.exec_secs);
         ev.push_str(",\"coord_secs\":");
-        json_f64(&mut ev, e.coord_secs);
+        write_f64(&mut ev, e.coord_secs);
         ev.push_str("}}");
         sim_events.push(ev);
     }
@@ -795,7 +796,7 @@ pub fn chrome_trace_json_with(
             };
             let mut ev = String::with_capacity(160);
             ev.push_str("{\"name\":");
-            json_string(&mut ev, &e.name);
+            write_string(&mut ev, &e.name);
             ev.push_str(",\"cat\":\"serve\",\"ph\":\"X\",\"pid\":3,\"tid\":");
             ev.push_str(&tid.to_string());
             ev.push_str(",\"ts\":");
@@ -807,11 +808,11 @@ pub fn chrome_trace_json_with(
                 if i > 0 {
                     ev.push(',');
                 }
-                json_string(&mut ev, k);
+                write_string(&mut ev, k);
                 ev.push(':');
                 match v {
-                    ChromeArg::Num(n) => json_f64(&mut ev, *n),
-                    ChromeArg::Str(s) => json_string(&mut ev, s),
+                    ChromeArg::Num(n) => write_f64(&mut ev, *n),
+                    ChromeArg::Str(s) => write_string(&mut ev, s),
                 }
             }
             ev.push_str("}}");
@@ -832,7 +833,7 @@ pub fn chrome_trace_json_with(
 fn meta_event(name: &str, pid: u64, tid: Option<u64>, value: &str) -> String {
     let mut ev = String::with_capacity(96);
     ev.push_str("{\"name\":");
-    json_string(&mut ev, name);
+    write_string(&mut ev, name);
     ev.push_str(",\"ph\":\"M\",\"pid\":");
     ev.push_str(&pid.to_string());
     if let Some(tid) = tid {
@@ -840,249 +841,15 @@ fn meta_event(name: &str, pid: u64, tid: Option<u64>, value: &str) -> String {
         ev.push_str(&tid.to_string());
     }
     ev.push_str(",\"args\":{\"name\":");
-    json_string(&mut ev, value);
+    write_string(&mut ev, value);
     ev.push_str("}}");
     ev
 }
 
-fn json_f64(s: &mut String, v: f64) {
-    if v.is_finite() {
-        let formatted = format!("{}", v);
-        s.push_str(&formatted);
-        if !formatted.contains('.') && !formatted.contains('e') {
-            s.push_str(".0");
-        }
-    } else {
-        s.push_str("null");
-    }
-}
-
-fn json_string(s: &mut String, v: &str) {
-    s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
-/// Minimal JSON reader used by tests to *parse* (not just balance-check)
-/// exported traces: builds a DOM of nested values without external crates.
+/// The parser lives in [`crate::json`]; `perf/` (frozen by
+/// `BENCHMARK.json`) imports it by this path.
 #[doc(hidden)]
-pub mod microjson {
-    use std::collections::HashMap;
-
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any JSON number.
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object.
-        Obj(HashMap<String, Value>),
-    }
-
-    impl Value {
-        /// The value at `key` of an object.
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(m) => m.get(key),
-                _ => None,
-            }
-        }
-
-        /// Numeric payload.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// String payload.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// Array payload.
-        pub fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses a complete JSON document; `Err` carries the byte offset of the
-    /// first syntax error.
-    pub fn parse(input: &str) -> Result<Value, usize> {
-        let bytes = input.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(pos);
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, usize> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => parse_obj(b, pos),
-            Some(b'[') => parse_arr(b, pos),
-            Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
-            Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-            Some(_) => parse_num(b, pos),
-            None => Err(*pos),
-        }
-    }
-
-    fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, usize> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(v)
-        } else {
-            Err(*pos)
-        }
-    }
-
-    fn parse_num(b: &[u8], pos: &mut usize) -> Result<Value, usize> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-            *pos += 1;
-        }
-        std::str::from_utf8(&b[start..*pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or(start)
-    }
-
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, usize> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(*pos);
-        }
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            match b.get(*pos).ok_or(*pos)? {
-                b'"' => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    match b.get(*pos).ok_or(*pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = b.get(*pos + 1..*pos + 5).ok_or(*pos)?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| *pos)?,
-                                16,
-                            )
-                            .map_err(|_| *pos)?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            *pos += 4;
-                        }
-                        _ => return Err(*pos),
-                    }
-                    *pos += 1;
-                }
-                _ => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| *pos)?;
-                    let c = rest.chars().next().ok_or(*pos)?;
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, usize> {
-        *pos += 1; // '['
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(parse_value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(*pos),
-            }
-        }
-    }
-
-    fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, usize> {
-        *pos += 1; // '{'
-        let mut map = HashMap::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Obj(map));
-        }
-        loop {
-            skip_ws(b, pos);
-            let key = parse_string(b, pos)?;
-            skip_ws(b, pos);
-            if b.get(*pos) != Some(&b':') {
-                return Err(*pos);
-            }
-            *pos += 1;
-            map.insert(key, parse_value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Obj(map));
-                }
-                _ => return Err(*pos),
-            }
-        }
-    }
-}
+pub use crate::json as microjson;
 
 #[cfg(test)]
 mod tests {
@@ -1427,19 +1194,5 @@ mod tests {
             Some("wave")
         );
         assert_eq!(pid3[1].get("dur").and_then(|v| v.as_f64()), Some(0.0));
-    }
-
-    #[test]
-    fn microjson_rejects_garbage() {
-        assert!(microjson::parse("{\"a\":").is_err());
-        assert!(microjson::parse("[1,2,]").is_err());
-        assert!(microjson::parse("[1] trailing").is_err());
-        assert!(microjson::parse("\"\\q\"").is_err());
-    }
-
-    #[test]
-    fn microjson_roundtrips_escapes() {
-        let v = microjson::parse("{\"k\":\"a\\\"b\\u0041\"}").expect("parse");
-        assert_eq!(v.get("k").and_then(|s| s.as_str()), Some("a\"bA"));
     }
 }

@@ -45,12 +45,11 @@ use keystone_core::pipeline::{ExecutablePlan, FitReport};
 use keystone_core::profiler::PipelineProfile;
 use keystone_core::report::PipelineReport;
 use keystone_core::trace::{CacheCounters, RecoveryStats, TraceEvent, TracedEvent};
-use keystone_dataflow::metrics::{microjson, Histogram, TaskSpan};
+use keystone_dataflow::json::{self, JVal};
+use keystone_dataflow::metrics::{Histogram, TaskSpan};
 use keystone_dataflow::simclock::SimEntry;
 use keystone_serve::loadgen::percentile;
 use keystone_serve::server::ServeOutcome;
-
-use crate::json::JVal;
 
 /// Version stamped into every artifact; bump on any change to the JSON
 /// layout. Readers check it via [`schema_version_of`] before trusting
@@ -669,8 +668,8 @@ impl RunArtifact {
                     ),
                 ]),
             ),
-            ("counters", crate::json::uint_map(&self.counters)),
-            ("gauges", crate::json::num_map(&self.gauges)),
+            ("counters", json::uint_map(&self.counters)),
+            ("gauges", json::num_map(&self.gauges)),
             (
                 "histograms",
                 JVal::Arr(self.histograms.iter().map(histogram_jval).collect()),
@@ -745,7 +744,7 @@ impl RunArtifact {
 /// interpreting the rest — the check a reader performs before trusting
 /// field paths.
 pub fn schema_version_of(json: &str) -> Option<u32> {
-    let doc = microjson::parse(json).ok()?;
+    let doc = json::parse(json).ok()?;
     doc.get("meta")?
         .get("schema_version")?
         .as_f64()
@@ -1156,7 +1155,7 @@ mod tests {
         let artifact = capture_test(&report, &ctx);
         let json = artifact.to_json();
         assert_eq!(schema_version_of(&json), Some(SCHEMA_VERSION));
-        let doc = microjson::parse(&json).expect("valid artifact JSON");
+        let doc = json::parse(&json).expect("valid artifact JSON");
         assert_eq!(
             doc.get("meta")
                 .and_then(|m| m.get("kind"))

@@ -28,7 +28,7 @@ use keystone_core::graph::NodeId;
 use keystone_core::trace::TraceEvent;
 
 use crate::artifact::{RunArtifact, RunKind};
-use crate::json::JVal;
+use keystone_dataflow::json::JVal;
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -727,7 +727,7 @@ mod tests {
         }
         assert!(text.contains("record_skew"));
         let json = d.to_json();
-        assert!(keystone_dataflow::metrics::microjson::parse(&json).is_ok());
+        assert!(keystone_dataflow::json::parse(&json).is_ok());
         // Silence the unused-import lint for CaptureOptions in this module.
         let _ = CaptureOptions::default();
     }

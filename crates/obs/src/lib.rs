@@ -24,7 +24,6 @@
 
 pub mod artifact;
 pub mod diagnose;
-pub mod json;
 pub mod regress;
 
 pub use artifact::{

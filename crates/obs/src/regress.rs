@@ -14,10 +14,9 @@
 
 use std::collections::BTreeMap;
 
-use keystone_dataflow::metrics::microjson;
+use keystone_dataflow::json::{self, JVal};
 
 use crate::artifact::RunArtifact;
-use crate::json::JVal;
 
 /// Structured difference between two artifacts of the same pipeline.
 #[derive(Debug, Clone, Default)]
@@ -169,14 +168,14 @@ impl BenchSnapshot {
 
     /// Parses a snapshot written by [`BenchSnapshot::to_json`].
     pub fn from_json(json: &str) -> Result<BenchSnapshot, String> {
-        let doc = microjson::parse(json).map_err(|e| format!("snapshot parse error: {e}"))?;
+        let doc = json::parse(json).map_err(|e| format!("snapshot parse error: {e}"))?;
         let name = doc
             .get("name")
             .and_then(|v| v.as_str())
             .ok_or("snapshot missing `name`")?
             .to_string();
         let mut metrics = BTreeMap::new();
-        if let Some(microjson::Value::Obj(pairs)) = doc.get("metrics") {
+        if let Some(json::Value::Obj(pairs)) = doc.get("metrics") {
             for (k, v) in pairs {
                 let value = v
                     .as_f64()

@@ -176,7 +176,7 @@ fn golden_adaptation_section_is_parseable() {
     } else {
         capture().to_json()
     };
-    let doc = keystone_dataflow::metrics::microjson::parse(&golden).expect("valid JSON");
+    let doc = keystone_dataflow::json::parse(&golden).expect("valid JSON");
     let adaptation = doc.get("adaptation").expect("adaptation section");
     assert_eq!(
         adaptation

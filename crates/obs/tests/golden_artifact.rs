@@ -122,7 +122,7 @@ fn golden_is_reparsable_and_self_describing() {
     } else {
         capture().to_json()
     };
-    let doc = keystone_dataflow::metrics::microjson::parse(&golden).expect("valid JSON");
+    let doc = keystone_dataflow::json::parse(&golden).expect("valid JSON");
     let meta = doc.get("meta").expect("meta section");
     assert_eq!(meta.get("kind").and_then(|v| v.as_str()), Some("fit"));
     for key in [

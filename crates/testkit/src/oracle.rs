@@ -2,12 +2,12 @@
 //!
 //! For one seed, [`matrix`] enumerates a grid of optimizer configurations —
 //! optimization level × materialization budget × caching strategy ×
-//! partition count × seeded fault plan × whole-stage fusion on/off ×
-//! columnar lowering on/off × adaptive re-optimization on/off — and
+//! partition count × seeded fault plan × physical variant (unfused,
+//! fused-record, fused-columnar) × adaptive re-optimization on/off — and
 //! [`check_seed`] fits the seed's generated pipeline in every cell,
 //! comparing held-out predictions *bitwise* (`f64::to_bits`, so `-0.0` vs
-//! `0.0` or NaN payload drift cannot masquerade as equality). The four
-//! physical variants (fusion × columnar) of each configuration must
+//! `0.0` or NaN payload drift cannot masquerade as equality). The three
+//! physical variants of each configuration must
 //! additionally choose the exact same materialization picks — fusion and
 //! columnar lowering are physical rewrites and may never perturb the
 //! caching decision. Each adaptive cell is further compared against its
@@ -39,8 +39,8 @@ pub const BUDGET_UNBOUNDED: u64 = 1 << 40;
 pub struct MatrixCell {
     /// Display name, e.g. `full/greedy-tight/p4/faults+adapt+fuse+col`.
     pub name: String,
-    /// Key shared by the four physical variants (fusion × columnar) of the
-    /// same base configuration; materialization picks are compared within a
+    /// Key shared by the three physical variants (unfused, fused-record,
+    /// fused-columnar) of the same base configuration; materialization picks are compared within a
     /// pair.
     pub pair: String,
     /// Optimizer configuration.
@@ -52,8 +52,9 @@ pub struct MatrixCell {
     /// Whether whole-stage fusion is forced on (vs forced off).
     pub fused: bool,
     /// Whether columnar lowering of fused chains is forced on (vs forced
-    /// off). Only observable when `fused` is also on; forcing it in both
-    /// directions on unfused cells pins the toggle as a structural no-op.
+    /// off). Only set together with `fused`: without fusion the toggle is
+    /// never read (pinned by a unit test beside `fuse_for_fit`), so an
+    /// unfused columnar cell would re-run its unfused sibling.
     pub col: bool,
     /// Whether mid-fit adaptive re-optimization is forced on (vs forced
     /// off). Adaptation is cost-only: predictions must stay bit-identical
@@ -75,7 +76,7 @@ pub(crate) fn profile_opts() -> ProfileOptions {
 
 /// The full configuration matrix for one seed: 7 optimizer configurations ×
 /// {1, 4} partitions × {no faults, seeded faults} × {adaptive off, adaptive
-/// on} × {fusion off, fusion on} × {columnar off, columnar on} = 224 cells.
+/// on} × {unfused, fused-record, fused-columnar} = 168 cells.
 pub fn matrix(_seed: u64) -> Vec<MatrixCell> {
     let configs: Vec<(&str, PipelineOptions)> = vec![
         ("none", PipelineOptions::none()),
@@ -108,7 +109,7 @@ pub fn matrix(_seed: u64) -> Vec<MatrixCell> {
             PipelineOptions::full().with_budget(BUDGET_UNBOUNDED),
         ),
     ];
-    let mut cells = Vec::with_capacity(configs.len() * 32);
+    let mut cells = Vec::with_capacity(configs.len() * 24);
     for partitions in [1usize, 4] {
         for faulted in [false, true] {
             for (tag, opts) in &configs {
@@ -118,33 +119,31 @@ pub fn matrix(_seed: u64) -> Vec<MatrixCell> {
                         if faulted { "/faults" } else { "" },
                         if adapt { "+adapt" } else { "" }
                     );
-                    for fused in [false, true] {
-                        for col in [false, true] {
-                            let mut name = pair.clone();
-                            if fused {
-                                name.push_str("+fuse");
-                            }
-                            if col {
-                                name.push_str("+col");
-                            }
-                            cells.push(MatrixCell {
-                                name,
-                                pair: pair.clone(),
-                                opts: PipelineOptions {
-                                    profile: profile_opts(),
-                                    ..opts
-                                        .clone()
-                                        .with_fusion(fused)
-                                        .with_columnar(col)
-                                        .with_adaptive(adapt)
-                                },
-                                partitions,
-                                faulted,
-                                fused,
-                                col,
-                                adapt,
-                            });
+                    for (fused, col) in [(false, false), (true, false), (true, true)] {
+                        let mut name = pair.clone();
+                        if fused {
+                            name.push_str("+fuse");
                         }
+                        if col {
+                            name.push_str("+col");
+                        }
+                        cells.push(MatrixCell {
+                            name,
+                            pair: pair.clone(),
+                            opts: PipelineOptions {
+                                profile: profile_opts(),
+                                ..opts
+                                    .clone()
+                                    .with_fusion(fused)
+                                    .with_columnar(col)
+                                    .with_adaptive(adapt)
+                            },
+                            partitions,
+                            faulted,
+                            fused,
+                            col,
+                            adapt,
+                        });
                     }
                 }
             }
@@ -227,8 +226,8 @@ pub struct SeedReport {
 }
 
 /// Runs the full matrix for `seed`, requiring bit-identical predictions in
-/// every cell, identical materialization picks among the four physical
-/// variants (fusion × columnar) of each base configuration, and cost-only
+/// every cell, identical materialization picks among the three physical
+/// variants of each base configuration, and cost-only
 /// adaptation: every `+adapt` cell is compared against its static twin —
 /// the adaptive simulated fit cost may never exceed the static cost by more
 /// than the charged decision overhead, and when no revision fired the twins
@@ -459,21 +458,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matrix_has_224_distinct_cells_in_physical_variant_pairs() {
+    fn matrix_has_168_distinct_cells_in_physical_variant_pairs() {
         let cells = matrix(0);
-        assert_eq!(cells.len(), 224);
+        assert_eq!(cells.len(), 168);
         let names: HashSet<&str> = cells.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names.len(), 224, "cell names must be unique");
+        assert_eq!(names.len(), 168, "cell names must be unique");
         let pairs: HashSet<&str> = cells.iter().map(|c| c.pair.as_str()).collect();
         assert_eq!(pairs.len(), 56, "every base config appears as one pair");
         for pair in &pairs {
             let variants: Vec<&MatrixCell> = cells.iter().filter(|c| c.pair == *pair).collect();
-            assert_eq!(variants.len(), 4, "pair `{pair}` must have 4 variants");
-            assert!(variants.iter().any(|c| c.fused) && variants.iter().any(|c| !c.fused));
-            assert!(variants.iter().any(|c| c.col) && variants.iter().any(|c| !c.col));
-            assert!(
-                variants.iter().any(|c| c.fused && c.col),
-                "pair `{pair}` must cover the fused+columnar corner"
+            let physical: Vec<(bool, bool)> = variants.iter().map(|c| (c.fused, c.col)).collect();
+            assert_eq!(
+                physical,
+                [(false, false), (true, false), (true, true)],
+                "pair `{pair}` must be unfused, fused-record, fused-columnar"
             );
             // Adaptation is part of the pair key, never mixed inside one.
             let adapt = variants[0].adapt;
@@ -521,6 +519,6 @@ mod tests {
     #[test]
     fn single_seed_smoke() {
         let report = check_seed(3).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(report.cells, 224);
+        assert_eq!(report.cells, 168);
     }
 }

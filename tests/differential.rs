@@ -1,17 +1,16 @@
 //! Tier-1 differential-equivalence sweep (the testkit's headline oracle).
 //!
 //! Every seed in the pinned range drives one random well-typed pipeline
-//! through the full 224-cell configuration matrix — optimization level ×
+//! through the full 168-cell configuration matrix — optimization level ×
 //! materialization budget × caching strategy × partition count × seeded
-//! fault plan × whole-stage fusion on/off × columnar lowering on/off ×
+//! fault plan × physical variant (unfused, fused-record, fused-columnar) ×
 //! adaptive re-optimization on/off — and the held-out predictions must be
-//! bit-identical in every cell, with the four physical variants (fusion ×
-//! columnar) of each configuration choosing identical materialization
-//! picks and every adaptive cell staying within the charged decision
-//! overhead of its static twin's simulated fit cost. A
-//! failing cell prints (and writes to `target/testkit-failure.txt`,
-//! which CI uploads as an artifact) the seed, the generated recipe, the DAG
-//! summary, and the one-command repro:
+//! bit-identical in every cell, with the three physical variants of each
+//! configuration choosing identical materialization picks and every
+//! adaptive cell staying within the charged decision overhead of its static
+//! twin's simulated fit cost. A failing cell prints (and writes to
+//! `target/testkit-failure.txt`, which CI uploads as an artifact) the seed,
+//! the generated recipe, the DAG summary, and the one-command repro:
 //!
 //! ```text
 //! KEYSTONE_TESTKIT_SEED=<seed> cargo test --test differential -- --nocapture
@@ -37,11 +36,11 @@ fn optimizer_configurations_are_output_equivalent() {
             }
         }
     }
-    // The pinned sweep must cover at least 25 pipelines x 224 cells; an env
+    // The pinned sweep must cover at least 25 pipelines x 168 cells; an env
     // override (targeted repro) may legitimately run fewer.
     if std::env::var("KEYSTONE_TESTKIT_SEED").is_err() {
         assert!(
-            seeds.len() >= 25 && cells_checked >= 25 * 224,
+            seeds.len() >= 25 && cells_checked >= 25 * 168,
             "pinned sweep shrank: {} seeds, {} cells",
             seeds.len(),
             cells_checked
@@ -49,11 +48,6 @@ fn optimizer_configurations_are_output_equivalent() {
     }
 }
 
-/// Serving-equivalence axis: one-record-at-a-time requests through the
-/// `keystone-serve` micro-batcher (batch-size × linger sweep, including
-/// batch=1, with and without an injected fault plan) must be bit-identical
-/// to one batch `apply()`. Shares `KEYSTONE_TESTKIT_SEED` repro semantics
-/// with the optimizer matrix above.
 /// Multi-tenant forest axis: each seed generates 2–4 pipeline variants
 /// sharing a seeded trunk (0–4 stages of controlled prefix overlap), fit
 /// both independently and through `fit_forest`'s merged plan, across an
@@ -104,6 +98,11 @@ fn forest_fit_is_tenant_equivalent_and_cost_dominant() {
     }
 }
 
+/// Serving-equivalence axis: one-record-at-a-time requests through the
+/// `keystone-serve` micro-batcher (batch-size × linger sweep, including
+/// batch=1, with and without an injected fault plan) must be bit-identical
+/// to one batch `apply()`. Shares `KEYSTONE_TESTKIT_SEED` repro semantics
+/// with the optimizer matrix above.
 #[test]
 fn serving_is_equivalent_to_batch_apply() {
     let seeds = oracle::seeds_from_env(0, 25);
