@@ -116,10 +116,7 @@ impl<'g> Executor<'g> {
     /// sharing one cache must run the *same* graph — two plans with
     /// different node numbering would collide keys and serve each other's
     /// outputs. The multi-tenant forest path satisfies this by construction
-    /// (all tenants execute one merged graph); sharers with concurrent
-    /// lifetimes should hold entries via [`CacheManager::pin_shared`]
-    /// rather than the one-way `pin` flag so one owner finishing cannot
-    /// evict data another still reads.
+    /// (all tenants execute one merged graph).
     pub fn with_runtime_input(mut self, data: AnyData) -> Self {
         self.runtime_input = Some(data);
         self
@@ -168,12 +165,10 @@ impl<'g> Executor<'g> {
             return NodeOutput::Model(m.clone());
         }
         // Adaptive hook: count this request and let the re-planner revise
-        // the cache membership at the wave boundary. The fitted-model
-        // snapshot is taken (and its lock dropped) before the hook runs.
+        // the cache membership at the wave boundary.
         if let Some(ad) = &self.adaptive {
-            let fitted: std::collections::HashSet<NodeId> =
-                self.models.lock().keys().copied().collect();
-            ad.on_request(node, &fitted, &self.cache);
+            let fitted = |n: NodeId| self.models.lock().contains_key(&n);
+            ad.on_request(node, fitted, &self.cache);
         }
         // Policy-driven cache for data nodes. A resident entry can still be
         // *lost* (simulated executor failure) or hold a foreign value; both

@@ -559,18 +559,14 @@ impl<A: Record, B: Record> ErasedTransformer for TypedTransformer<A, B> {
                       assemble: &PartitionAssemble,
                       _ctx: &ExecContext| {
                     let typed: DistCollection<A> = input.downcast();
-                    let folded = typed.fold_partitions(|part| {
+                    assemble(typed.fused_partitions(|part| {
                         let out: Vec<AnyRecord> = part
                             .iter()
                             .map(|x| rest(Box::new(op.apply(x)) as AnyRecord))
                             .collect();
                         let n = out.len() as u64;
                         (fold(out), n)
-                    });
-                    let parts = folded
-                        .into_partitions()
-                        .expect("fused fold output is freshly produced and uniquely owned");
-                    assemble(parts.into_iter().flatten().collect())
+                    }))
                 },
             )
         };
@@ -697,6 +693,25 @@ impl<A: Record, L: Record, B: Record> ErasedEstimator for TypedLabelEstimator<A,
     }
 }
 
+/// The physical option a logical operator runs when operator selection is
+/// off: `options[default_index]`, clamped to the last option.
+///
+/// # Panics
+/// Panics when the logical operator offers no physical options.
+fn default_option<O>(
+    mut options: Vec<O>,
+    default_index: usize,
+    name: impl FnOnce() -> String,
+) -> O {
+    assert!(
+        !options.is_empty(),
+        "logical operator {} has no physical options",
+        name()
+    );
+    let idx = default_index.min(options.len() - 1);
+    options.swap_remove(idx)
+}
+
 /// Erases an [`OptimizableTransformer`]: applies via the default option and
 /// exposes erased physical options to the operator-level optimizer.
 pub struct TypedOptimizableTransformer<A: Record, B: Record> {
@@ -716,9 +731,9 @@ impl<A: Record, B: Record> ErasedTransformer for TypedOptimizableTransformer<A, 
     }
 
     fn apply_any(&self, inputs: &[AnyData], ctx: &ExecContext) -> AnyData {
-        let mut options = self.op.options();
-        let idx = self.op.default_index().min(options.len() - 1);
-        let chosen = options.swap_remove(idx);
+        let chosen = default_option(self.op.options(), self.op.default_index(), || {
+            self.op.name()
+        });
         let input = inputs[0].downcast::<A>();
         AnyData::wrap(chosen.op.apply_collection(&input, ctx))
     }
@@ -766,9 +781,9 @@ impl<A: Record, B: Record> ErasedEstimator for TypedOptimizableEstimator<A, B> {
         inputs: &[&dyn InputHandle],
         ctx: &ExecContext,
     ) -> Arc<dyn ErasedTransformer> {
-        let mut options = self.op.options();
-        let idx = self.op.default_index().min(options.len() - 1);
-        let chosen = options.swap_remove(idx);
+        let chosen = default_option(self.op.options(), self.op.default_index(), || {
+            self.op.name()
+        });
         TypedEstimator::from_box(chosen.op).fit_any(inputs, ctx)
     }
 
@@ -815,9 +830,9 @@ impl<A: Record, L: Record, B: Record> ErasedEstimator for TypedOptimizableLabelE
         inputs: &[&dyn InputHandle],
         ctx: &ExecContext,
     ) -> Arc<dyn ErasedTransformer> {
-        let mut options = self.op.options();
-        let idx = self.op.default_index().min(options.len() - 1);
-        let chosen = options.swap_remove(idx);
+        let chosen = default_option(self.op.options(), self.op.default_index(), || {
+            self.op.name()
+        });
         TypedLabelEstimator::from_box(chosen.op).fit_any(inputs, ctx)
     }
 
@@ -1026,6 +1041,27 @@ mod tests {
         let out = erased.apply_any(&[input], &ctx());
         let v: DistCollection<f64> = out.downcast();
         assert_eq!(v.collect(), vec![10.0]);
+    }
+
+    /// A logical operator with nothing to run is a caller bug, reported by
+    /// name.
+    #[test]
+    #[should_panic(expected = "logical operator NoOptions has no physical options")]
+    fn optimizable_transformer_without_options_panics_by_name() {
+        struct NoOptions;
+        impl OptimizableTransformer<f64, f64> for NoOptions {
+            fn options(&self) -> Vec<TransformerOption<f64, f64>> {
+                Vec::new()
+            }
+        }
+        let input = AnyData::wrap(DistCollection::from_vec(vec![1.0], 1));
+        let _ = TypedOptimizableTransformer::new(NoOptions).apply_any(&[input], &ctx());
+    }
+
+    #[test]
+    fn default_option_clamps_to_the_last() {
+        assert_eq!(default_option(vec!['a', 'b', 'c'], 1, String::new), 'b');
+        assert_eq!(default_option(vec!['a', 'b', 'c'], 9, String::new), 'c');
     }
 
     #[test]

@@ -8,18 +8,18 @@
 //! made under those errors can waste budget that a genuinely hot node
 //! needs. This module closes the loop using only *observed* evidence:
 //!
-//! 1. **Recalibration** — [`recalibrate_profile`] refits per-node cost
-//!    constants from the executor's measured [`NodeActuals`] (simulated
-//!    seconds per execution, observed output bytes), and
-//!    [`recalibrate_resources`] refits the cluster description's memory
-//!    bandwidth from measured [`TaskSpan`]s. Perfectly-predicted runs are
-//!    exact no-ops (the update is multiplicative in the observed/predicted
-//!    ratio, which is then `1.0`).
+//! 1. **Recosting** — when a trigger fires, [`AdaptiveController::on_request`]
+//!    clones the plan's [`MatProblem`] and overwrites each executed node's
+//!    cost with the executor's measured
+//!    [`NodeActuals`](crate::trace::NodeActuals) (simulated seconds per
+//!    execution, de-amortized by the worker count; observed output bytes),
+//!    then applies any [`AdaptiveHints::cost_overrides`] on top.
+//!    Nodes that have not run keep their subsample extrapolations.
 //! 2. **What-if re-planning** — [`AdaptiveController`] watches per-node
 //!    request counts during fit. When a node is requested *more* often
-//!    than the plan's [`MatProblem::request_counts`] predicted, it rebuilds
-//!    the materialization problem with observed costs and remaining demand
-//!    and re-runs greedy Algorithm 1 on it.
+//!    than the plan's [`MatProblem::request_counts`] predicted, it recosts
+//!    the materialization problem as above, restricts it to the remaining
+//!    demand and re-runs greedy Algorithm 1 on it.
 //! 3. **Mid-fit revision** — the re-planned solution is applied at the
 //!    wave boundary as a [`TraceEvent::PlanRevision`]: picks with no
 //!    remaining demand are evicted (freeing budget), and recalibrated
@@ -35,20 +35,16 @@
 //! can change *cost only, never results* — the property the testkit's
 //! differential oracle holds it to across its adaptive on/off axis.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashSet;
 
 use keystone_dataflow::cache::CacheManager;
-use keystone_dataflow::cluster::ResourceDesc;
 use keystone_dataflow::json::write_f64;
-use keystone_dataflow::metrics::TaskSpan;
 use keystone_dataflow::simclock::SimClock;
 use parking_lot::Mutex;
 
 use crate::graph::NodeId;
 use crate::optimizer::materialize::MatProblem;
-use crate::profiler::PipelineProfile;
-use crate::trace::{NodeActuals, TraceEvent, Tracer};
+use crate::trace::{TraceEvent, Tracer};
 
 /// Simulated coordination seconds one applied plan revision costs: the
 /// driver-side decision is a metadata operation, priced like a barrier-free
@@ -152,61 +148,6 @@ fn ids_csv(ids: &[NodeId]) -> String {
         .join(",")
 }
 
-/// Refits per-node cost constants from measured actuals. For each node with
-/// at least one observed execution, the predicted one-execution cost
-/// `est_secs(records_hint)` is compared against the observed per-execution
-/// simulated cost (de-amortized by the worker count the executor divided
-/// by), and both `fixed_secs` and `secs_per_record` are scaled by
-/// `1 + alpha * (observed/predicted - 1)`.
-///
-/// * `alpha = 1.0` jumps straight to the observed cost;
-/// * `alpha in (0, 1)` is exponential smoothing: iterating the update K
-///   times shrinks the relative error by `(1-alpha)^K` (monotone
-///   convergence);
-/// * a perfectly-predicted node has ratio exactly `1.0`, making the update
-///   an exact bitwise no-op (idempotence).
-pub fn recalibrate_profile(
-    profile: &mut PipelineProfile,
-    actuals: &HashMap<NodeId, NodeActuals>,
-    workers: usize,
-    alpha: f64,
-) {
-    let w = workers.max(1) as f64;
-    for (id, p) in profile.nodes.iter_mut() {
-        let Some(a) = actuals.get(id) else { continue };
-        if a.execs == 0 {
-            continue;
-        }
-        let predicted = p.est_secs(p.records_hint);
-        if predicted <= 0.0 || predicted.is_nan() {
-            continue;
-        }
-        let observed = a.sim_secs / a.execs as f64 * w;
-        let factor = 1.0 + alpha * (observed / predicted - 1.0);
-        if factor.is_finite() && factor > 0.0 {
-            p.fixed_secs *= factor;
-            p.secs_per_record *= factor;
-        }
-    }
-}
-
-/// Refits the cluster description's memory bandwidth from measured task
-/// spans: observed bytes moved divided by observed busy time, summed over
-/// all spans (integer sums, so the result is independent of span order).
-/// Spans with no bytes or no duration leave the description unchanged.
-pub fn recalibrate_resources(r: &ResourceDesc, spans: &[TaskSpan]) -> ResourceDesc {
-    let total_bytes: u64 = spans.iter().map(|s| s.bytes).sum();
-    let total_us: u64 = spans
-        .iter()
-        .map(|s| s.end_us.saturating_sub(s.start_us))
-        .sum();
-    let mut out = r.clone();
-    if total_bytes > 0 && total_us > 0 {
-        out.mem_bandwidth = total_bytes as f64 / (total_us as f64 / 1e6);
-    }
-    out
-}
-
 struct AdaptState {
     /// The materialization problem the fit was planned with (pre-fusion
     /// node ids, which survive fusion's id-stable rewrite).
@@ -233,8 +174,9 @@ struct AdaptState {
 /// hook and applies cost-only plan revisions at wave boundaries.
 ///
 /// Lock discipline: `on_request` takes the internal state lock first, then
-/// may read the tracer and mutate the cache; neither of those ever calls
-/// back into the controller, so the order is acyclic.
+/// may read the tracer, ask the caller's `fitted` predicate and mutate the
+/// cache; none of those ever calls back into the controller, so the order
+/// is acyclic.
 pub struct AdaptiveController {
     tracer: Tracer,
     sim: SimClock,
@@ -284,11 +226,11 @@ impl AdaptiveController {
 
     /// The executor's eval-entry hook: counts one request against `node`
     /// and, when observed demand exceeds the plan's prediction, runs the
-    /// recalibrate → re-plan → revise sequence. `fitted` is the set of
-    /// already-fitted estimator nodes (their future demand is zero);
-    /// `cache` is the fit's live cache, which revisions mutate through its
-    /// promote/demote overlay.
-    pub fn on_request(&self, node: NodeId, fitted: &HashSet<NodeId>, cache: &CacheManager) {
+    /// recost → re-plan → revise sequence. `fitted` says whether an
+    /// estimator node is already fitted (its future demand is zero) and is
+    /// consulted only once a trigger fires; `cache` is the fit's live
+    /// cache, which revisions mutate through its promote/demote overlay.
+    pub fn on_request(&self, node: NodeId, fitted: impl Fn(NodeId) -> bool, cache: &CacheManager) {
         let mut state = self.state.lock();
         if node >= state.observed.len() {
             return;
@@ -333,7 +275,7 @@ impl AdaptiveController {
         // Remaining demand: fitted estimators are done (their models are
         // memoized), and the trigger node is owed at least the demand the
         // plan failed to predict.
-        recal.sinks.retain(|s| !fitted.contains(s));
+        recal.sinks.retain(|&s| !fitted(s));
         let extra = ((observed as f64 - predicted.floor()).max(1.0)) as usize;
         for _ in 0..extra {
             recal.sinks.push(node);
@@ -420,16 +362,11 @@ impl AdaptiveController {
     }
 }
 
-/// Convenience alias used by `Pipeline::fit`.
-pub type SharedAdaptiveController = Arc<AdaptiveController>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::optimizer::materialize::MatNode;
-    use crate::profiler::NodeProfile;
     use keystone_dataflow::cache::CachePolicy;
-    use keystone_dataflow::cluster::ClusterProfile;
 
     fn node(t_secs: f64, size: u64, weight: u32, always: bool, inputs: Vec<usize>) -> MatNode {
         MatNode {
@@ -476,6 +413,11 @@ mod tests {
         )
     }
 
+    /// No estimator has been fitted yet.
+    fn unfitted(_: NodeId) -> bool {
+        false
+    }
+
     fn pinned_cache(keys: &HashSet<usize>, budget: u64) -> CacheManager {
         CacheManager::new(
             budget,
@@ -488,10 +430,9 @@ mod tests {
         let (problem, set) = underdeclared_problem();
         let ctl = controller(problem, set.clone(), 1000, AdaptiveHints::default());
         let cache = pinned_cache(&set, 1000);
-        let fitted = HashSet::new();
         // Exactly the predicted demand: one request per node.
         for n in [2usize, 1, 0] {
-            ctl.on_request(n, &fitted, &cache);
+            ctl.on_request(n, unfitted, &cache);
         }
         let report = ctl.report();
         assert_eq!(report.recalibrations, 0);
@@ -504,10 +445,9 @@ mod tests {
         let (problem, set) = underdeclared_problem();
         let ctl = controller(problem, set.clone(), 1000, AdaptiveHints::default());
         let cache = pinned_cache(&set, 1000);
-        let fitted = HashSet::new();
-        ctl.on_request(2, &fitted, &cache);
-        ctl.on_request(1, &fitted, &cache); // pass 1 — predicted
-        ctl.on_request(1, &fitted, &cache); // pass 2 — excess: trigger
+        ctl.on_request(2, unfitted, &cache);
+        ctl.on_request(1, unfitted, &cache); // pass 1 — predicted
+        ctl.on_request(1, unfitted, &cache); // pass 2 — excess: trigger
         let report = ctl.report();
         assert_eq!(report.recalibrations, 1);
         assert_eq!(report.revisions.len(), 1);
@@ -520,7 +460,7 @@ mod tests {
         assert!(cache.policy_admits(1));
         // Further passes must not re-trigger.
         for _ in 0..5 {
-            ctl.on_request(1, &fitted, &cache);
+            ctl.on_request(1, unfitted, &cache);
         }
         assert_eq!(ctl.report().recalibrations, 1);
     }
@@ -546,16 +486,15 @@ mod tests {
         let cache = pinned_cache(&set, 100);
 
         // Est A's three predicted passes over a.
-        let fitted = HashSet::new();
-        ctl.on_request(2, &fitted, &cache);
+        ctl.on_request(2, unfitted, &cache);
         for _ in 0..3 {
-            ctl.on_request(1, &fitted, &cache);
+            ctl.on_request(1, unfitted, &cache);
         }
         // Est A is now fitted; est B starts hammering b.
-        let fitted: HashSet<usize> = [2].into_iter().collect();
-        ctl.on_request(4, &fitted, &cache);
-        ctl.on_request(3, &fitted, &cache);
-        ctl.on_request(3, &fitted, &cache); // excess → trigger
+        let fitted = |s: NodeId| s == 2;
+        ctl.on_request(4, fitted, &cache);
+        ctl.on_request(3, fitted, &cache);
+        ctl.on_request(3, fitted, &cache); // excess → trigger
         let report = ctl.report();
         assert_eq!(report.recalibrations, 1);
         assert_eq!(report.revisions.len(), 1);
@@ -568,8 +507,8 @@ mod tests {
         assert!(cache.policy_admits(3));
         // Soundness: nothing later re-evicts 1's slot or re-promotes it.
         for _ in 0..10 {
-            ctl.on_request(3, &fitted, &cache);
-            ctl.on_request(1, &fitted, &cache);
+            ctl.on_request(3, fitted, &cache);
+            ctl.on_request(1, fitted, &cache);
         }
         let report = ctl.report();
         assert_eq!(report.revisions.len(), 1, "no second revision");
@@ -600,10 +539,9 @@ mod tests {
         };
         let ctl = controller(problem, set.clone(), 1000, hints);
         let cache = pinned_cache(&set, 1000);
-        let fitted = HashSet::new();
         // `other`'s predicted demand is 1; the second request triggers.
-        ctl.on_request(3, &fitted, &cache);
-        ctl.on_request(3, &fitted, &cache);
+        ctl.on_request(3, unfitted, &cache);
+        ctl.on_request(3, unfitted, &cache);
         let report = ctl.report();
         assert_eq!(report.recalibrations, 1);
         assert_eq!(report.revisions.len(), 1);
@@ -625,9 +563,8 @@ mod tests {
         };
         let ctl = controller(problem, set.clone(), 1000, hints);
         let cache = pinned_cache(&set, 1000);
-        let fitted = HashSet::new();
-        ctl.on_request(1, &fitted, &cache);
-        ctl.on_request(1, &fitted, &cache); // trigger
+        ctl.on_request(1, unfitted, &cache);
+        ctl.on_request(1, unfitted, &cache); // trigger
         let report = ctl.report();
         assert_eq!(report.revisions.len(), 1);
         // Saving reflects the override: caching 1 saves one extra 99 s
@@ -637,99 +574,6 @@ mod tests {
             "saving {} ignores the override",
             report.revisions[0].predicted_saving_secs
         );
-    }
-
-    #[test]
-    fn recalibrate_profile_is_a_noop_on_perfect_predictions() {
-        let mut profile = PipelineProfile::default();
-        profile.nodes.insert(
-            1,
-            NodeProfile {
-                secs_per_record: 0.25,
-                fixed_secs: 3.0,
-                records_hint: 8,
-                ..Default::default()
-            },
-        );
-        let before = profile.nodes[&1].clone();
-        let mut actuals = HashMap::new();
-        actuals.insert(
-            1,
-            NodeActuals {
-                execs: 1,
-                sim_secs: before.est_secs(8),
-                ..Default::default()
-            },
-        );
-        recalibrate_profile(&mut profile, &actuals, 1, 0.5);
-        let after = &profile.nodes[&1];
-        assert_eq!(after.fixed_secs.to_bits(), before.fixed_secs.to_bits());
-        assert_eq!(
-            after.secs_per_record.to_bits(),
-            before.secs_per_record.to_bits()
-        );
-    }
-
-    #[test]
-    fn recalibrate_profile_converges_monotonically() {
-        let mut profile = PipelineProfile::default();
-        profile.nodes.insert(
-            0,
-            NodeProfile {
-                secs_per_record: 0.1,
-                fixed_secs: 1.0,
-                records_hint: 10,
-                ..Default::default()
-            },
-        );
-        // The node actually costs 5x its prediction.
-        let truth = 5.0 * profile.nodes[&0].est_secs(10);
-        let mut actuals = HashMap::new();
-        actuals.insert(
-            0,
-            NodeActuals {
-                execs: 2,
-                sim_secs: 2.0 * truth,
-                ..Default::default()
-            },
-        );
-        let mut prev_err = f64::INFINITY;
-        for _ in 0..6 {
-            recalibrate_profile(&mut profile, &actuals, 1, 0.5);
-            let p = &profile.nodes[&0];
-            let err = (p.est_secs(p.records_hint) - truth).abs() / truth;
-            assert!(err < prev_err, "relative error must shrink every step");
-            prev_err = err;
-        }
-        assert!(prev_err < 0.02, "6 steps of alpha=0.5 reach ~1.5% error");
-    }
-
-    #[test]
-    fn recalibrate_resources_refits_bandwidth_from_spans() {
-        let r = ClusterProfile::SingleNode.descriptor(1);
-        let span = |bytes: u64, start_us: u64, end_us: u64| TaskSpan {
-            stage: "transform:x".into(),
-            op: "map",
-            op_seq: 0,
-            stage_id: Some(1),
-            partition: 0,
-            worker: 0,
-            start_us,
-            end_us,
-            items_in: 1,
-            items_out: 1,
-            bytes,
-            retries: 0,
-            speculative: false,
-        };
-        // 3 MB over 1.5 s total busy time → 2 MB/s.
-        let spans = vec![span(1_000_000, 0, 500_000), span(2_000_000, 0, 1_000_000)];
-        let out = recalibrate_resources(&r, &spans);
-        assert!((out.mem_bandwidth - 2_000_000.0).abs() < 1e-6);
-        assert_eq!(out.workers, r.workers);
-        // Degenerate spans leave the description untouched.
-        let same = recalibrate_resources(&r, &[span(0, 0, 0)]);
-        assert_eq!(same, r);
     }
 
     #[test]

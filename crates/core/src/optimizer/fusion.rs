@@ -37,7 +37,6 @@ use std::sync::Arc;
 
 use keystone_dataflow::collection::DistCollection;
 use keystone_dataflow::columnar::ColumnarBatch;
-use keystone_dataflow::cost::CostProfile;
 
 use crate::context::ExecContext;
 use crate::graph::{Graph, NodeId, NodeKind};
@@ -127,14 +126,16 @@ impl FusedMap {
     /// Columnar execution: gather each partition into a [`ColumnarBatch`],
     /// run every member kernel as a tight loop over contiguous slices
     /// (ping-ponging two batches so allocations amortize across members),
-    /// scatter back to records. Uses the same `fold_partitions` primitive —
+    /// scatter back to records. Uses the same `fused_partitions` primitive —
     /// and therefore the same single "fused" task-span wave and fault
     /// surface — as the record path; only the per-record inner work
     /// changes, and each kernel reproduces its operator's `apply`
     /// bit-for-bit, so outputs are identical to the record path.
     fn apply_columnar(&self, input: &AnyData, kernels: &[ColumnarFn]) -> AnyData {
         let typed: DistCollection<Vec<f64>> = input.downcast();
-        let folded = typed.fold_partitions(|part| {
+        // One `Vec<Vec<f64>>` per input partition, exactly what the record
+        // path's assemble produces.
+        let parts = typed.fused_partitions(|part| {
             let mut batch = ColumnarBatch::from_records(part);
             let mut next = ColumnarBatch::with_capacity(batch.values().len(), batch.len());
             for k in kernels {
@@ -147,15 +148,6 @@ impl FusedMap {
             let n = batch.len() as u64;
             (batch.into_records(), n)
         });
-        // Each folded partition holds exactly one element (the partition's
-        // record vector); flatten restores one `Vec<Vec<f64>>` per input
-        // partition, exactly what the record path's assemble produces.
-        let parts: Vec<Vec<Vec<f64>>> = folded
-            .into_partitions()
-            .expect("fused fold output is freshly produced and uniquely owned")
-            .into_iter()
-            .flatten()
-            .collect();
         AnyData::wrap(DistCollection::from_partitions(parts))
     }
 }
@@ -368,24 +360,6 @@ pub fn merge_profiles(profile: &mut PipelineProfile, chains: &[FusedChain]) {
                 },
             );
         }
-    }
-}
-
-/// Cost profile of a fused chain (Boehm 2015's generated-operator costing):
-/// compute, network, and barriers add up across members, but **memory bytes
-/// are charged only at the chain boundaries** — interior results live in
-/// registers/cache, never in a materialized collection. Treating each
-/// member's `bytes` as an even read/write split, the surviving traffic is
-/// the head's input read plus the tail's output write.
-pub fn fused_cost(members: &[CostProfile]) -> CostProfile {
-    let (Some(first), Some(last)) = (members.first(), members.last()) else {
-        return CostProfile::default();
-    };
-    CostProfile {
-        flops: members.iter().map(|m| m.flops).sum(),
-        bytes: (first.bytes + last.bytes) / 2.0,
-        network: members.iter().map(|m| m.network).sum(),
-        barriers: members.iter().map(|m| m.barriers).sum(),
     }
 }
 
@@ -709,37 +683,5 @@ mod tests {
         };
         merge_profiles(&mut profile, &[chain]);
         assert!(profile.nodes.is_empty(), "partial sums would under-cost");
-    }
-
-    #[test]
-    fn fused_cost_charges_bytes_only_at_boundaries() {
-        let members = [
-            CostProfile {
-                flops: 10.0,
-                bytes: 100.0,
-                network: 1.0,
-                barriers: 1.0,
-            },
-            CostProfile {
-                flops: 20.0,
-                bytes: 400.0,
-                network: 2.0,
-                barriers: 0.0,
-            },
-            CostProfile {
-                flops: 30.0,
-                bytes: 60.0,
-                network: 0.0,
-                barriers: 1.0,
-            },
-        ];
-        let c = fused_cost(&members);
-        assert_eq!(c.flops, 60.0);
-        assert_eq!(c.network, 3.0);
-        assert_eq!(c.barriers, 2.0);
-        // Head input read (50) + tail output write (30); the interior 400
-        // bytes vanish.
-        assert_eq!(c.bytes, 80.0);
-        assert_eq!(fused_cost(&[]), CostProfile::default());
     }
 }

@@ -19,13 +19,12 @@ use crate::profiler::{PipelineProfile, ProfileOptions};
 use crate::trace::TraceEvent;
 
 pub use adaptive::{
-    recalibrate_profile, recalibrate_resources, AdaptationReport, AdaptiveController,
-    AdaptiveHints, RevisionRecord, ADAPT_DECISION_SECS,
+    AdaptationReport, AdaptiveController, AdaptiveHints, RevisionRecord, ADAPT_DECISION_SECS,
 };
 pub use cse::{eliminate_common_subexpressions, CseResult};
 pub use fusion::{
-    fuse_chains, fuse_chains_multi, fuse_chains_with, fused_cost, merge_profiles, FusedChain,
-    FusedMap, FusionResult,
+    fuse_chains, fuse_chains_multi, fuse_chains_with, merge_profiles, FusedChain, FusedMap,
+    FusionResult,
 };
 pub use materialize::{MatNode, MatProblem};
 pub use multi::{
@@ -345,7 +344,7 @@ pub fn labels_of(graph: &Graph, set: &HashSet<NodeId>) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::tests::{small_profile, Inc, MeanCenter};
+    use crate::pipeline::tests::{events_without_wall, small_profile, Inc, MeanCenter};
     use crate::pipeline::{FitReport, Pipeline};
     use keystone_dataflow::collection::DistCollection;
 
@@ -364,22 +363,7 @@ mod tests {
             ..opts
         };
         let (fitted, report) = pipe.fit(&ctx, &opts);
-        let events = ctx
-            .tracer
-            .events()
-            .into_iter()
-            .map(|e| match e.event {
-                TraceEvent::NodeEnd {
-                    node,
-                    label,
-                    records,
-                    out_bytes,
-                    sim_secs,
-                    ..
-                } => format!("NodeEnd {node} {label} {records} {out_bytes} {sim_secs}"),
-                other => format!("{other:?}"),
-            })
-            .collect();
+        let events = events_without_wall(&ctx);
         (fitted.graph().summary(), report, events)
     }
 

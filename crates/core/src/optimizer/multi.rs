@@ -88,18 +88,6 @@ pub struct ForestMerge {
     pub merges: Vec<CrossMerge>,
 }
 
-/// Forest-level canonicalizer: concatenates tenant graph snapshots
-/// (offsetting node ids) and runs single-pipeline CSE over the result, so
-/// structurally-identical prefixes across tenants merge into one shared
-/// region. With one tenant this is exactly `eliminate_common_subexpressions`
-/// — the concatenation of a single graph is the graph itself — which is the
-/// N=1 degeneration law the property tests pin down.
-///
-/// `merges` reports every Transform/Estimate/ModelApply node that ended up
-/// on ≥ 2 tenants' ancestry paths, in ascending node-id order. Shared
-/// RuntimeInput/DataSource nodes are excluded: sources are "shared" by
-/// construction, not by optimization, and reporting them would make every
-/// forest look like it merged something.
 /// Content-recursive structural signatures that are stable across *runs*:
 /// FNV over the node's kind tag, its label bytes, and its inputs'
 /// signatures. Unlike [`Graph::signatures`] — whose per-node identity is the
@@ -126,6 +114,18 @@ fn stable_signatures(graph: &Graph) -> Vec<u64> {
     sig
 }
 
+/// Forest-level canonicalizer: concatenates tenant graph snapshots
+/// (offsetting node ids) and runs single-pipeline CSE over the result, so
+/// structurally-identical prefixes across tenants merge into one shared
+/// region. With one tenant this is exactly `eliminate_common_subexpressions`
+/// — the concatenation of a single graph is the graph itself — which is the
+/// N=1 degeneration law the property tests pin down.
+///
+/// `merges` reports every Transform/Estimate/ModelApply node that ended up
+/// on ≥ 2 tenants' ancestry paths, in ascending node-id order. Shared
+/// RuntimeInput/DataSource nodes are excluded: sources are "shared" by
+/// construction, not by optimization, and reporting them would make every
+/// forest look like it merged something.
 pub fn merge_forest(graphs: &[(Graph, NodeId)]) -> ForestMerge {
     assert!(!graphs.is_empty(), "merge_forest needs at least one tenant");
     let mut concat = Graph::new();

@@ -692,6 +692,26 @@ pub(crate) mod tests {
         }
     }
 
+    /// The context's trace stream with wall time blanked, so two runs of
+    /// the same plan compare equal.
+    pub(crate) fn events_without_wall(ctx: &ExecContext) -> Vec<String> {
+        ctx.tracer
+            .events()
+            .into_iter()
+            .map(|e| match e.event {
+                crate::trace::TraceEvent::NodeEnd {
+                    node,
+                    label,
+                    records,
+                    out_bytes,
+                    sim_secs,
+                    ..
+                } => format!("NodeEnd {node} {label} {records} {out_bytes} {sim_secs}"),
+                other => format!("{other:?}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn transformer_only_pipeline() {
         let pipe = Pipeline::<f64, f64>::input().and_then(Inc).and_then(Scale);
@@ -911,6 +931,96 @@ pub(crate) mod tests {
         for (_, label, members) in &first {
             assert_eq!(members.len(), 2);
             assert_eq!(label, &format!("Fused[{}]", members.join("+")));
+        }
+    }
+
+    /// Declares one pass over its input and makes three: the excess demand
+    /// an `AdaptiveController` exists to notice.
+    struct ThricePulled;
+    impl Estimator<f64, f64> for ThricePulled {
+        fn fit(
+            &self,
+            data: &DistCollection<f64>,
+            ctx: &ExecContext,
+        ) -> Box<dyn Transformer<f64, f64>> {
+            MeanCenter.fit(data, ctx)
+        }
+
+        fn fit_lazy(
+            &self,
+            data: &dyn Fn() -> DistCollection<f64>,
+            ctx: &ExecContext,
+        ) -> Box<dyn Transformer<f64, f64>> {
+            let _ = (data(), data());
+            MeanCenter.fit(&data(), ctx)
+        }
+    }
+
+    /// `fit` builds an `AdaptiveController` only for a fault-free fit that
+    /// pins a greedy set. Under a fault plan, at `OptLevel::None` and under
+    /// LRU the adaptive toggle is never read, so such a fit is the same fit
+    /// whatever the toggle says — which is why the differential oracle has
+    /// `+adapt` cells only for fault-free greedy configurations.
+    #[test]
+    fn adaptive_toggle_is_a_no_op_under_faults_none_and_lru() {
+        use crate::optimizer::{AdaptationReport, CachingStrategy};
+        use keystone_dataflow::faults::FaultSpec;
+
+        let run = |faulted: bool, opts: PipelineOptions| {
+            let train = DistCollection::from_vec((0..16).map(f64::from).collect(), 2);
+            let pipe = Pipeline::<f64, f64>::input()
+                .and_then(Inc)
+                .and_then_est(ThricePulled, &train);
+            // Failures and cache losses only, and a speculation floor no
+            // task reaches: recovery then charges nothing measured.
+            let ctx = if faulted {
+                ctx().with_faults(
+                    FaultSpec::new(11)
+                        .with_task_failures(0.3)
+                        .with_cache_loss(0.3)
+                        .with_straggler_min_delay_us(u64::MAX)
+                        .into_plan(),
+                )
+            } else {
+                ctx()
+            };
+            let opts = PipelineOptions {
+                profile: small_profile(),
+                ..opts
+            };
+            let (_, report) = pipe.fit(&ctx, &opts);
+            let mut cache_set: Vec<NodeId> = report.cache_set.into_iter().collect();
+            cache_set.sort_unstable();
+            (
+                events_without_wall(&ctx),
+                ctx.sim.entries(),
+                cache_set,
+                report.adaptation,
+            )
+        };
+
+        let greedy = PipelineOptions::pipe_only().with_budget(1 << 20);
+        // Not vacuous: where the controller is built, this pipeline trips it.
+        let (.., engaged) = run(false, greedy.clone().with_adaptive(true));
+        assert!(engaged.recalibrations >= 1, "{engaged:?}");
+
+        let lru = greedy.clone().with_caching(CachingStrategy::Lru {
+            admission_fraction: 1.0,
+        });
+        for (case, faulted, opts) in [
+            ("faults", true, greedy),
+            ("none", false, PipelineOptions::none()),
+            ("lru", false, lru),
+        ] {
+            let on = run(faulted, opts.clone().with_adaptive(true));
+            let off = run(faulted, opts.with_adaptive(false));
+            assert_eq!(on, off, "{case}: the adaptive toggle changed the fit");
+            assert_eq!(on.3, AdaptationReport::default(), "{case}");
+            assert_eq!(
+                faulted,
+                on.0.iter().any(|e| e.starts_with("TaskRetry")),
+                "{case}: the fault plan must inject something"
+            );
         }
     }
 

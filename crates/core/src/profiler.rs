@@ -192,40 +192,47 @@ pub fn profile_and_select(
                     sample_stats.insert(id, *sampled.stats());
                     outputs.insert(id, sampled);
                 }
-                NodeKind::Transform(op) => {
-                    let in_id = node.inputs[0];
-                    let scale = scales.get(&in_id).copied().unwrap_or(1.0);
-                    let inputs: Vec<AnyData> =
-                        node.inputs.iter().map(|i| outputs[i].clone()).collect();
-                    // Operator selection on the first pass only; later passes
-                    // see the swapped-in operator through `node`.
-                    let options = (pass == 0 && opts.select_operators)
-                        .then(|| op.physical_options())
-                        .flatten();
-                    let op = match options {
-                        Some(options) if !options.is_empty() => {
-                            let stats =
-                                full_scale_inputs(&node.inputs, &outputs, &scales, &full_counts);
-                            select_operator(
-                                options.into_iter().map(|o| (o.name, o.cost, o.op)),
-                                &stats,
-                                NodeKind::Transform,
-                                id,
-                                graph,
-                                &mut profile,
-                                ctx,
-                            )
+                NodeKind::Transform(_) | NodeKind::ModelApply => {
+                    // A fitted model applies like a transformer over its
+                    // data input (input 1; input 0 is the model).
+                    let (op, data_ids) = match &node.kind {
+                        NodeKind::Transform(op) => {
+                            // Operator selection on the first pass only; later
+                            // passes see the swapped-in operator through `node`.
+                            let options = (pass == 0 && opts.select_operators)
+                                .then(|| op.physical_options())
+                                .flatten();
+                            let op = match options {
+                                Some(options) if !options.is_empty() => {
+                                    let stats = full_scale_inputs(
+                                        &node.inputs,
+                                        &outputs,
+                                        &scales,
+                                        &full_counts,
+                                    );
+                                    select_operator(
+                                        options.into_iter().map(|o| (o.name, o.cost, o.op)),
+                                        &stats,
+                                        NodeKind::Transform,
+                                        id,
+                                        graph,
+                                        &mut profile,
+                                        ctx,
+                                    )
+                                }
+                                _ => op.clone(),
+                            };
+                            (op, &node.inputs[..])
                         }
-                        _ => op.clone(),
+                        _ => (models[&node.inputs[0]].clone(), &node.inputs[1..]),
                     };
+                    let scale = scales.get(&data_ids[0]).copied().unwrap_or(1.0);
+                    let inputs: Vec<AnyData> =
+                        data_ids.iter().map(|i| outputs[i].clone()).collect();
                     let in_records = inputs[0].stats().count;
                     let start = Instant::now();
                     let out = op.apply_any(&inputs, ctx);
-                    let secs = if opts.deterministic_timing {
-                        synthetic_secs(&graph.nodes[id].label, in_records)
-                    } else {
-                        start.elapsed().as_secs_f64()
-                    };
+                    let secs = sample_secs(opts, &graph.nodes[id].label, in_records, start);
                     record_measurement(&mut measurements, id, in_records, secs, &out);
                     scales.insert(id, scale);
                     full_counts.insert(id, (out.stats().count as f64 * scale).round() as usize);
@@ -262,42 +269,17 @@ pub fn profile_and_select(
                     let in_records = outputs[&node.inputs[0]].stats().count;
                     let start = Instant::now();
                     let model = op.fit_any(&handle_refs, ctx);
-                    let secs = if opts.deterministic_timing {
-                        synthetic_secs(&graph.nodes[id].label, in_records)
-                    } else {
-                        start.elapsed().as_secs_f64()
-                    };
+                    let secs = sample_secs(opts, &graph.nodes[id].label, in_records, start);
                     measurements.entry(id).or_default().push(Measurement {
                         in_records,
                         secs,
                         out_records: 1,
                         out_bytes_per_record: 1024.0,
                     });
-                    scales.insert(id, scales.get(&node.inputs[0]).copied().unwrap_or(1.0));
-                    full_counts.insert(
-                        id,
-                        (in_records as f64 * scales.get(&node.inputs[0]).copied().unwrap_or(1.0))
-                            .round() as usize,
-                    );
-                    models.insert(id, model);
-                }
-                NodeKind::ModelApply => {
-                    let model = models[&node.inputs[0]].clone();
-                    let data = outputs[&node.inputs[1]].clone();
-                    let scale = scales.get(&node.inputs[1]).copied().unwrap_or(1.0);
-                    let in_records = data.stats().count;
-                    let start = Instant::now();
-                    let out = model.apply_any(&[data], ctx);
-                    let secs = if opts.deterministic_timing {
-                        synthetic_secs(&graph.nodes[id].label, in_records)
-                    } else {
-                        start.elapsed().as_secs_f64()
-                    };
-                    record_measurement(&mut measurements, id, in_records, secs, &out);
+                    let scale = scales.get(&node.inputs[0]).copied().unwrap_or(1.0);
                     scales.insert(id, scale);
-                    full_counts.insert(id, (out.stats().count as f64 * scale).round() as usize);
-                    sample_stats.insert(id, *out.stats());
-                    outputs.insert(id, out);
+                    full_counts.insert(id, (in_records as f64 * scale).round() as usize);
+                    models.insert(id, model);
                 }
             }
         }
@@ -332,6 +314,16 @@ pub fn profile_and_select(
         );
     }
     profile
+}
+
+/// What one sampled run that began at `start` is booked as: wall time, or
+/// the label-derived synthetic time under `deterministic_timing`.
+fn sample_secs(opts: &ProfileOptions, label: &str, in_records: usize, start: Instant) -> f64 {
+    if opts.deterministic_timing {
+        synthetic_secs(label, in_records)
+    } else {
+        start.elapsed().as_secs_f64()
+    }
 }
 
 fn record_measurement(

@@ -512,15 +512,6 @@ fn write_opt_f64(s: &mut String, v: Option<f64>) {
     }
 }
 
-/// Convenience: per-node cache counters keyed by label.
-pub fn counters_by_label(report: &PipelineReport) -> HashMap<String, CacheCounters> {
-    report
-        .nodes
-        .iter()
-        .map(|n| (n.label.clone(), n.cache))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

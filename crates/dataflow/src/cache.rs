@@ -94,14 +94,6 @@ struct Entry {
     value: CachedValue,
     size: u64,
     last_used: u64,
-    pinned: bool,
-    /// Shared-pin refcount: how many concurrent owners (forest tenants,
-    /// cross-run executors) currently hold this entry via
-    /// [`CacheManager::pin_shared`]. Distinct from the one-way `pinned`
-    /// policy flag — the flag says "the plan protects this", the count says
-    /// "someone is still using this". An entry is eviction-exempt while
-    /// either is set.
-    pins: u32,
 }
 
 struct Inner {
@@ -235,25 +227,14 @@ impl CacheManager {
     /// any resident entry, releasing its bytes. Returns `true` if an entry
     /// was resident and dropped. The drop is an *eviction* (a deliberate
     /// policy decision), not an invalidation: observers see `on_evict` and
-    /// the executor's lineage recompute covers any later demand. An entry
-    /// another owner holds a [`CacheManager::pin_shared`] on is spared (the
-    /// membership still closes); the bytes release at the last unpin's next
-    /// demote.
+    /// the executor's lineage recompute covers any later demand.
     pub fn demote(&self, key: u64) -> bool {
         let (dropped, note) = {
             let mut inner = self.inner.lock();
             inner.promoted.remove(&key);
             inner.demoted.insert(key);
-            match inner.entries.get(&key) {
-                // Another owner still holds a shared pin on the entry: the
-                // membership closes (no re-admission) but the resident bytes
-                // stay until the last [`CacheManager::unpin_shared`]. Before
-                // refcounts, a demote by one tenant silently dropped data a
-                // concurrent tenant was mid-read on — the single-owner
-                // assumption the multi-tenant audit flagged.
-                Some(e) if e.pins > 0 => (false, None),
-                Some(_) => {
-                    let e = inner.entries.remove(&key).expect("resident");
+            match inner.entries.remove(&key) {
+                Some(e) => {
                     inner.used -= e.size;
                     inner.stats.evictions += 1;
                     (true, Some(Note::Evict(key)))
@@ -356,8 +337,6 @@ impl CacheManager {
                         value,
                         size,
                         last_used: clock,
-                        pinned: true,
-                        pins: 0,
                     },
                 );
                 inner.used += size;
@@ -371,7 +350,7 @@ impl CacheManager {
                     notes.push(Note::Reject(key));
                     return false;
                 }
-                // Evict LRU non-pinned entries until the new object fits.
+                // Evict LRU entries until the new object fits.
                 // Tie-break equal recency timestamps by key: `min_by_key`
                 // over a HashMap otherwise resolves ties in iteration order,
                 // which differs between processes.
@@ -379,7 +358,6 @@ impl CacheManager {
                     let victim = inner
                         .entries
                         .iter()
-                        .filter(|(_, e)| !e.pinned && e.pins == 0)
                         .min_by_key(|(&k, e)| (e.last_used, k))
                         .map(|(&k, _)| k);
                     match victim {
@@ -404,8 +382,6 @@ impl CacheManager {
                         value,
                         size,
                         last_used: clock,
-                        pinned: false,
-                        pins: 0,
                     },
                 );
                 inner.used += size;
@@ -434,60 +410,6 @@ impl CacheManager {
             self.emit(&[Note::Invalidate(key)]);
         }
         removed
-    }
-
-    /// Marks a resident entry as pinned, exempting it from LRU eviction
-    /// (the whole-pipeline optimizer protects its chosen set this way even
-    /// when the baseline policy manages the rest). Returns `true` if the key
-    /// was resident.
-    pub fn pin(&self, key: u64) -> bool {
-        let mut inner = self.inner.lock();
-        match inner.entries.get_mut(&key) {
-            Some(e) => {
-                e.pinned = true;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Takes a shared (refcounted) pin on a resident entry: the entry is
-    /// exempt from LRU eviction and [`CacheManager::demote`] until every
-    /// owner has called [`CacheManager::unpin_shared`]. Multi-owner callers
-    /// (forest tenants on one executor pool, cross-run executors sharing a
-    /// serving cache) use this instead of the one-way [`CacheManager::pin`]
-    /// flag, which has no release and therefore assumes a single owner.
-    /// Returns `true` if the key was resident.
-    pub fn pin_shared(&self, key: u64) -> bool {
-        let mut inner = self.inner.lock();
-        match inner.entries.get_mut(&key) {
-            Some(e) => {
-                e.pins += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Releases one shared pin taken by [`CacheManager::pin_shared`].
-    /// Returns `true` if the key was resident and held at least one pin
-    /// (the decrement saturates at zero — releasing an unpinned entry is a
-    /// reported no-op, not a panic, since a racing invalidation may have
-    /// already dropped it).
-    pub fn unpin_shared(&self, key: u64) -> bool {
-        let mut inner = self.inner.lock();
-        match inner.entries.get_mut(&key) {
-            Some(e) if e.pins > 0 => {
-                e.pins -= 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Current shared-pin count for a key (0 when not resident).
-    pub fn pin_count(&self, key: u64) -> u32 {
-        self.inner.lock().entries.get(&key).map_or(0, |e| e.pins)
     }
 
     /// Drops everything (keeps counters).
@@ -812,26 +734,6 @@ mod tests {
     }
 
     #[test]
-    fn eviction_loop_rejects_when_all_residents_pinned() {
-        let c = CacheManager::new(
-            100,
-            CachePolicy::Lru {
-                admission_fraction: 1.0,
-            },
-        );
-        assert!(c.put(1, val(1), 60));
-        assert!(c.pin(1));
-        assert!(!c.pin(9), "pinned a non-resident key");
-        // Key 2 fits the admission cap but not the remaining budget, and
-        // the only candidate victim is pinned: the offer must be rejected
-        // rather than evicting the pinned entry or looping forever.
-        assert!(!c.put(2, val(2), 50));
-        assert_eq!(c.stats().rejected, 1);
-        assert_eq!(c.stats().evictions, 0);
-        assert!(c.get(1).is_some(), "pinned entry lost");
-    }
-
-    #[test]
     fn invalidate_releases_bytes_and_counts() {
         let c = CacheManager::new(
             100,
@@ -1050,67 +952,6 @@ mod tests {
         let first = run();
         assert_eq!(first, run(), "eviction schedule not reproducible");
         assert!(first.contains(&"evict:4".to_string()), "events: {first:?}");
-    }
-
-    #[test]
-    fn shared_pins_refcount_across_owners() {
-        // Two tenants of a shared executor pool pin the same trunk output.
-        // One tenant finishing (and unpinning) must not expose the entry to
-        // eviction while the other still holds it — the single-owner
-        // assumption behind the boolean `pin` flag.
-        let c = CacheManager::new(
-            100,
-            CachePolicy::Lru {
-                admission_fraction: 1.0,
-            },
-        );
-        assert!(c.put(1, val(1), 60));
-        assert!(c.pin_shared(1));
-        assert!(c.pin_shared(1));
-        assert_eq!(c.pin_count(1), 2);
-        assert!(c.unpin_shared(1));
-        // Still pinned by the second owner: an over-budget offer must be
-        // rejected, not satisfied by evicting the held entry.
-        assert!(!c.put(2, val(2), 50));
-        assert!(c.get(1).is_some(), "entry evicted while still pinned");
-        assert!(c.unpin_shared(1));
-        assert_eq!(c.pin_count(1), 0);
-        assert!(!c.unpin_shared(1), "saturating decrement reported success");
-        // Last pin released: now the entry is a legal victim.
-        assert!(c.put(2, val(2), 50));
-        assert!(c.get(1).is_none(), "unpinned entry survived eviction");
-    }
-
-    #[test]
-    fn demote_spares_entries_another_owner_has_pinned() {
-        let set: HashSet<u64> = [1].into_iter().collect();
-        let c = CacheManager::new(100, CachePolicy::Pinned(set));
-        assert!(c.put(1, val(1), 40));
-        assert!(c.pin_shared(1));
-        // A tenant demoting the key closes the membership but must not
-        // drop the bytes another tenant is mid-read on.
-        assert!(!c.demote(1), "demote dropped a shared-pinned entry");
-        assert!(c.get(1).is_some());
-        assert_eq!(c.used(), 40);
-        assert!(!c.policy_admits(1), "membership stayed open");
-        // After the last unpin the demote takes effect as usual.
-        assert!(c.unpin_shared(1));
-        assert!(c.demote(1));
-        assert!(c.get(1).is_none());
-        assert_eq!(c.used(), 0);
-    }
-
-    #[test]
-    fn pin_shared_on_missing_key_reports_absence() {
-        let c = CacheManager::new(
-            100,
-            CachePolicy::Lru {
-                admission_fraction: 1.0,
-            },
-        );
-        assert!(!c.pin_shared(9));
-        assert!(!c.unpin_shared(9));
-        assert_eq!(c.pin_count(9), 0);
     }
 
     #[test]

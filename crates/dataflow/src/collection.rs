@@ -9,6 +9,15 @@
 //! Unlike Spark, collections here are **eager**; recomputation-versus-reuse
 //! decisions live one level up, in the pipeline executor, which is where the
 //! paper's materialization optimizer operates (§4.3).
+//!
+//! Every per-partition operation runs through one private bracket,
+//! `DistCollection::run_region`: ambient [`TaskScope`] lookup, one `op_seq`
+//! draw on the driving thread, the file's only parallel fan-out, fault
+//! landing and [`TaskSpan`] measurement per partition, one batched span
+//! commit. The public ops only say what a partition's work is. Anything
+//! that changes how a region runs — a persistent pool in place of the
+//! per-region thread spawn, a "don't fork below N records" rule, turning a
+//! worker panic into a typed error — is an edit to that one function.
 
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -21,6 +30,12 @@ use crate::rng_util::split_seed;
 /// a throughput indicator, not an allocator truth.
 fn part_bytes<T>(p: &[T]) -> u64 {
     std::mem::size_of_val(p) as u64
+}
+
+/// A freshly produced partition and the `items_out` its span reports.
+fn counted<U>(out: Vec<U>) -> (Arc<Vec<U>>, u64) {
+    let n = out.len() as u64;
+    (Arc::new(out), n)
 }
 
 /// Runs one partition's work, measuring a [`TaskSpan`] when a task scope is
@@ -94,55 +109,6 @@ fn measure_partition<R>(
         }
     }
 }
-
-/// Draws the next operation sequence number from the active scope (0 when
-/// uninstrumented) — one per collection operation, before the fan-out, so
-/// every partition of the op shares it and fault decisions for distinct ops
-/// on the same partition stay independent.
-fn next_op_seq(scope: &Option<TaskScope>) -> u64 {
-    scope.as_ref().map_or(0, |sc| sc.next_op_seq())
-}
-
-/// Strips measured spans off per-partition results, committing them to the
-/// scope's registry in one batch.
-fn commit_spans<R>(scope: &Option<TaskScope>, results: Vec<(R, Option<TaskSpan>)>) -> Vec<R> {
-    let mut out = Vec::with_capacity(results.len());
-    let mut spans = Vec::new();
-    for (r, s) in results {
-        out.push(r);
-        if let Some(s) = s {
-            spans.push(s);
-        }
-    }
-    if let Some(sc) = scope {
-        sc.registry.record_spans(spans);
-    }
-    out
-}
-
-/// A partition handle was still shared when exclusive ownership was
-/// requested (see [`DistCollection::into_partitions`]). Carries the first
-/// offending partition index and its observed handle count so callers can
-/// report *which* cached handle kept the data alive.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SharedPartitionError {
-    /// Index of the first shared partition.
-    pub partition: usize,
-    /// Strong-handle count observed on that partition (always ≥ 2).
-    pub handles: usize,
-}
-
-impl std::fmt::Display for SharedPartitionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "partition {} is shared by {} handles; use into_partitions_or_clone to copy it",
-            self.partition, self.handles
-        )
-    }
-}
-
-impl std::error::Error for SharedPartitionError {}
 
 /// An immutable, partitioned collection of `T`.
 #[derive(Debug)]
@@ -228,29 +194,71 @@ impl<T: Send + Sync + 'static> DistCollection<T> {
         self.partitions.iter().flat_map(|p| p.iter())
     }
 
+    /// The one instrumented partition region under every operation below:
+    /// looks up the ambient [`TaskScope`] and draws one `op_seq` from it on
+    /// the driving thread (0 when uninstrumented) so every partition of the
+    /// op shares it and fault decisions for distinct ops on the same
+    /// partition stay independent, fans `work` out over the partitions,
+    /// measures each visited partition, and commits the spans in one batch.
+    ///
+    /// `work` gets the partition index and slice and returns its result
+    /// plus the `items_out` its span reports; `span_bytes` is the span's
+    /// `bytes`. With `skip_empty`, empty partitions are not visited: no
+    /// result, no span.
+    fn run_region<R: Send>(
+        &self,
+        op: &'static str,
+        skip_empty: bool,
+        span_bytes: impl Fn(usize, &[T]) -> u64 + Sync,
+        work: impl Fn(usize, &[T]) -> (R, u64) + Sync,
+    ) -> Vec<R> {
+        let scope = current_task_scope();
+        let op_seq = scope.as_ref().map_or(0, |sc| sc.next_op_seq());
+        let measured: Vec<(R, Option<TaskSpan>)> = self
+            .partitions
+            .par_iter()
+            .enumerate()
+            .filter(|(_, p)| !(skip_empty && p.is_empty()))
+            .map(|(pi, p)| {
+                let bytes = span_bytes(pi, p);
+                measure_partition(&scope, op, op_seq, pi, p.len(), bytes, || work(pi, p))
+            })
+            .collect();
+        let mut out = Vec::with_capacity(measured.len());
+        let mut spans = Vec::new();
+        for (r, span) in measured {
+            out.push(r);
+            spans.extend(span);
+        }
+        if let Some(sc) = &scope {
+            sc.registry.record_spans(spans);
+        }
+        out
+    }
+
+    /// [`Self::run_region`] over every partition, reporting its own bytes.
+    fn region<R: Send>(&self, op: &'static str, work: impl Fn(&[T]) -> (R, u64) + Sync) -> Vec<R> {
+        self.run_region(op, false, |_, p| part_bytes(p), |_, p| work(p))
+    }
+
+    /// A region in which each partition produces one output partition.
+    fn map_region<U: Send + Sync + 'static>(
+        &self,
+        op: &'static str,
+        f: impl Fn(&[T]) -> Vec<U> + Sync,
+    ) -> DistCollection<U> {
+        DistCollection {
+            partitions: self.region(op, |p| counted(f(p))),
+        }
+    }
+
     /// Element-wise transformation, preserving partitioning.
     pub fn map<U, F>(&self, f: F) -> DistCollection<U>
     where
         U: Send + Sync + 'static,
         F: Fn(&T) -> U + Send + Sync,
     {
-        let scope = current_task_scope();
-        let seq = next_op_seq(&scope);
-        let results = self
-            .partitions
-            .par_iter()
-            .enumerate()
-            .map(|(pi, p)| {
-                measure_partition(&scope, "map", seq, pi, p.len(), part_bytes::<T>(p), || {
-                    let out = Arc::new(p.iter().map(&f).collect::<Vec<U>>());
-                    let n = out.len() as u64;
-                    (out, n)
-                })
-            })
-            .collect();
-        DistCollection {
-            partitions: commit_spans(&scope, results),
-        }
+        self.map_region("map", |p| p.iter().map(&f).collect())
     }
 
     /// Whole-partition transformation (the `mapPartitions` of Spark) —
@@ -261,103 +269,38 @@ impl<T: Send + Sync + 'static> DistCollection<T> {
         U: Send + Sync + 'static,
         F: Fn(&[T]) -> Vec<U> + Send + Sync,
     {
-        let scope = current_task_scope();
-        let seq = next_op_seq(&scope);
-        let results = self
-            .partitions
-            .par_iter()
-            .enumerate()
-            .map(|(pi, p)| {
-                measure_partition(
-                    &scope,
-                    "map_partitions",
-                    seq,
-                    pi,
-                    p.len(),
-                    part_bytes::<T>(p),
-                    || {
-                        let out = Arc::new(f(p));
-                        let n = out.len() as u64;
-                        (out, n)
-                    },
-                )
-            })
-            .collect();
-        DistCollection {
-            partitions: commit_spans(&scope, results),
-        }
+        self.map_region("map_partitions", f)
     }
 
     /// Whole-stage fused execution: applies `f` to each partition slice in a
-    /// single instrumented pass, producing exactly one folded value per
-    /// partition. `f` returns the folded value plus the number of records it
-    /// represents, so the task span's `items_out` reflects the records a
-    /// fused operator chain produced rather than the fold count. This is the
-    /// execution primitive behind the optimizer's `FusedMap`: one task span
-    /// per partition for the whole chain, no intermediate collections.
+    /// single instrumented pass and returns exactly one folded value per
+    /// partition, in partition order. `f` returns the folded value plus the
+    /// number of records it represents, so the task span's `items_out`
+    /// reflects the records a fused operator chain produced rather than the
+    /// fold count. This is the execution primitive behind the optimizer's
+    /// `FusedMap`: one `"fused"` task span per partition for the whole
+    /// chain, no intermediate collections.
+    pub fn fused_partitions<U, F>(&self, f: F) -> Vec<U>
+    where
+        U: Send,
+        F: Fn(&[T]) -> (U, u64) + Send + Sync,
+    {
+        self.region("fused", f)
+    }
+
+    /// [`Self::fused_partitions`] with each folded value wrapped as a
+    /// one-element partition of a new collection.
     pub fn fold_partitions<U, F>(&self, f: F) -> DistCollection<U>
     where
         U: Send + Sync + 'static,
         F: Fn(&[T]) -> (U, u64) + Send + Sync,
     {
-        let scope = current_task_scope();
-        let seq = next_op_seq(&scope);
-        let results = self
-            .partitions
-            .par_iter()
-            .enumerate()
-            .map(|(pi, p)| {
-                measure_partition(
-                    &scope,
-                    "fused",
-                    seq,
-                    pi,
-                    p.len(),
-                    part_bytes::<T>(p),
-                    || {
-                        let (out, n) = f(p);
-                        (Arc::new(vec![out]), n)
-                    },
-                )
-            })
-            .collect();
-        DistCollection {
-            partitions: commit_spans(&scope, results),
-        }
-    }
-
-    /// Takes ownership of the partition vectors without cloning. Used by the
-    /// fused-operator exit path, which owns the freshly produced collection
-    /// outright.
-    ///
-    /// Returns [`SharedPartitionError`] if any partition handle is still
-    /// shared — e.g. when the collection was admitted into a cross-request
-    /// serving cache — instead of panicking, so a cached handle can never
-    /// poison a fit. Callers that can clone should prefer
-    /// [`DistCollection::into_partitions_or_clone`].
-    pub fn into_partitions(self) -> Result<Vec<Vec<T>>, SharedPartitionError> {
-        self.partitions
-            .into_iter()
-            .enumerate()
-            .map(|(partition, p)| {
-                let handles = Arc::strong_count(&p);
-                Arc::try_unwrap(p).map_err(|_| SharedPartitionError { partition, handles })
-            })
-            .collect()
-    }
-
-    /// Like [`DistCollection::into_partitions`], but falls back to cloning
-    /// any partition whose handle is shared (the `Arc::make_mut` strategy):
-    /// uniquely owned partitions move for free, shared ones are copied and
-    /// the other handle keeps its data untouched. Never fails.
-    pub fn into_partitions_or_clone(self) -> Vec<Vec<T>>
-    where
-        T: Clone,
-    {
-        self.partitions
-            .into_iter()
-            .map(|p| Arc::try_unwrap(p).unwrap_or_else(|arc| (*arc).clone()))
-            .collect()
+        DistCollection::from_partitions(
+            self.fused_partitions(f)
+                .into_iter()
+                .map(|u| vec![u])
+                .collect(),
+        )
     }
 
     /// One-to-many element transformation.
@@ -366,31 +309,7 @@ impl<T: Send + Sync + 'static> DistCollection<T> {
         U: Send + Sync + 'static,
         F: Fn(&T) -> Vec<U> + Send + Sync,
     {
-        let scope = current_task_scope();
-        let seq = next_op_seq(&scope);
-        let results = self
-            .partitions
-            .par_iter()
-            .enumerate()
-            .map(|(pi, p)| {
-                measure_partition(
-                    &scope,
-                    "flat_map",
-                    seq,
-                    pi,
-                    p.len(),
-                    part_bytes::<T>(p),
-                    || {
-                        let out = Arc::new(p.iter().flat_map(&f).collect::<Vec<U>>());
-                        let n = out.len() as u64;
-                        (out, n)
-                    },
-                )
-            })
-            .collect();
-        DistCollection {
-            partitions: commit_spans(&scope, results),
-        }
+        self.map_region("flat_map", |p| p.iter().flat_map(&f).collect())
     }
 
     /// Keeps elements matching the predicate.
@@ -399,34 +318,11 @@ impl<T: Send + Sync + 'static> DistCollection<T> {
         T: Clone,
         F: Fn(&T) -> bool + Send + Sync,
     {
-        let scope = current_task_scope();
-        let seq = next_op_seq(&scope);
-        let results = self
-            .partitions
-            .par_iter()
-            .enumerate()
-            .map(|(pi, p)| {
-                measure_partition(
-                    &scope,
-                    "filter",
-                    seq,
-                    pi,
-                    p.len(),
-                    part_bytes::<T>(p),
-                    || {
-                        let out = Arc::new(p.iter().filter(|x| f(x)).cloned().collect::<Vec<T>>());
-                        let n = out.len() as u64;
-                        (out, n)
-                    },
-                )
-            })
-            .collect();
-        DistCollection {
-            partitions: commit_spans(&scope, results),
-        }
+        self.map_region("filter", |p| p.iter().filter(|x| f(x)).cloned().collect())
     }
 
     /// Zips two collections with identical partitioning element-by-element.
+    /// Spans count both sides' bytes.
     ///
     /// # Panics
     /// Panics if partition counts or sizes differ (same contract as Spark's
@@ -442,31 +338,17 @@ impl<T: Send + Sync + 'static> DistCollection<T> {
             other.num_partitions(),
             "zip: partition count mismatch"
         );
-        let scope = current_task_scope();
-        let seq = next_op_seq(&scope);
-        let results = self
-            .partitions
-            .par_iter()
-            .zip(other.partitions.par_iter())
-            .enumerate()
-            .map(|(pi, (a, b))| {
+        let partitions = self.run_region(
+            "zip",
+            false,
+            |pi, a| part_bytes(a) + part_bytes(&other.partitions[pi]),
+            |pi, a| {
+                let b = &other.partitions[pi];
                 assert_eq!(a.len(), b.len(), "zip: partition size mismatch");
-                let bytes = part_bytes::<T>(a) + part_bytes::<U>(b);
-                measure_partition(&scope, "zip", seq, pi, a.len(), bytes, || {
-                    let out = Arc::new(
-                        a.iter()
-                            .zip(b.iter())
-                            .map(|(x, y)| f(x, y))
-                            .collect::<Vec<V>>(),
-                    );
-                    let n = out.len() as u64;
-                    (out, n)
-                })
-            })
-            .collect();
-        DistCollection {
-            partitions: commit_spans(&scope, results),
-        }
+                counted(a.iter().zip(b.iter()).map(|(x, y)| f(x, y)).collect())
+            },
+        );
+        DistCollection { partitions }
     }
 
     /// Per-partition aggregation followed by an associative combine on the
@@ -479,56 +361,25 @@ impl<T: Send + Sync + 'static> DistCollection<T> {
         SeqF: Fn(U, &T) -> U + Send + Sync,
         CombF: Fn(U, U) -> U + Send + Sync,
     {
-        let scope = current_task_scope();
-        let op_seq = next_op_seq(&scope);
-        let results = self
-            .partitions
-            .par_iter()
-            .enumerate()
-            .map(|(pi, p)| {
-                measure_partition(
-                    &scope,
-                    "aggregate",
-                    op_seq,
-                    pi,
-                    p.len(),
-                    part_bytes::<T>(p),
-                    || (p.iter().fold(zero.clone(), &seq), 1),
-                )
-            })
-            .collect();
-        let partials: Vec<U> = commit_spans(&scope, results);
+        let partials = self.region("aggregate", |p| (p.iter().fold(zero.clone(), &seq), 1));
         partials.into_iter().fold(zero, comb)
     }
 
     /// Per-partition map to a partial value, then an associative reduce.
-    /// Returns `None` for an empty collection.
+    /// Empty partitions are skipped (no `map` call, no span); returns `None`
+    /// for an empty collection.
     pub fn map_reduce_partitions<U, MapF, RedF>(&self, map: MapF, red: RedF) -> Option<U>
     where
         U: Send + Sync + 'static,
         MapF: Fn(&[T]) -> U + Send + Sync,
         RedF: Fn(U, U) -> U + Send + Sync,
     {
-        let scope = current_task_scope();
-        let seq = next_op_seq(&scope);
-        let results = self
-            .partitions
-            .par_iter()
-            .enumerate()
-            .filter(|(_, p)| !p.is_empty())
-            .map(|(pi, p)| {
-                measure_partition(
-                    &scope,
-                    "map_reduce_partitions",
-                    seq,
-                    pi,
-                    p.len(),
-                    part_bytes::<T>(p),
-                    || (map(p), 1),
-                )
-            })
-            .collect();
-        let partials: Vec<U> = commit_spans(&scope, results);
+        let partials = self.run_region(
+            "map_reduce_partitions",
+            true,
+            |_, p| part_bytes(p),
+            |_, p| (map(p), 1),
+        );
         partials.into_iter().reduce(red)
     }
 
@@ -589,29 +440,10 @@ impl<T: Send + Sync + 'static> DistCollection<T> {
     where
         T: Clone,
     {
-        let scope = current_task_scope();
-        let seq = next_op_seq(&scope);
-        let results = self
-            .partitions
-            .par_iter()
-            .enumerate()
-            .map(|(pi, part)| {
-                measure_partition(
-                    &scope,
-                    "repartition",
-                    seq,
-                    pi,
-                    part.len(),
-                    part_bytes::<T>(part),
-                    || {
-                        let out = part.as_slice().to_vec();
-                        let n = out.len() as u64;
-                        (out, n)
-                    },
-                )
-            })
-            .collect();
-        let cloned: Vec<Vec<T>> = commit_spans(&scope, results);
+        let cloned = self.region("repartition", |part| {
+            let n = part.len() as u64;
+            (part.to_vec(), n)
+        });
         DistCollection::from_vec(cloned.into_iter().flatten().collect(), p)
     }
 
@@ -626,6 +458,8 @@ impl<T: Send + Sync + 'static> DistCollection<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultSpec;
+    use crate::metrics::{enter_task_scope, MetricsRegistry};
 
     #[test]
     fn from_vec_balances_partitions() {
@@ -667,46 +501,6 @@ mod tests {
         assert_eq!(folded.num_partitions(), 4);
         assert_eq!(folded.count(), 4);
         assert_eq!(folded.collect().iter().sum::<i64>(), 45);
-    }
-
-    #[test]
-    fn into_partitions_returns_owned_vectors() {
-        let c = DistCollection::from_vec((0..7).collect::<Vec<i64>>(), 3);
-        let mapped = c.map(|x| x + 1);
-        let parts = mapped.into_partitions().expect("uniquely owned");
-        assert_eq!(parts.len(), 3);
-        let flat: Vec<i64> = parts.into_iter().flatten().collect();
-        assert_eq!(flat, (1..8).collect::<Vec<i64>>());
-    }
-
-    #[test]
-    fn into_partitions_rejects_shared_handles_with_typed_error() {
-        let c = DistCollection::from_vec(vec![1, 2, 3], 2);
-        let alias = c.clone();
-        let err = c.into_partitions().expect_err("shared handle must error");
-        assert_eq!(err.partition, 0);
-        assert!(err.handles >= 2, "observed {} handles", err.handles);
-        assert!(err.to_string().contains("shared by"));
-        // The aliasing handle is untouched by the failed extraction.
-        assert_eq!(alias.collect(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn into_partitions_or_clone_copies_shared_handles() {
-        let c = DistCollection::from_vec(vec![1, 2, 3], 2);
-        let alias = c.clone();
-        let parts = c.into_partitions_or_clone();
-        assert_eq!(
-            parts.into_iter().flatten().collect::<Vec<i64>>(),
-            vec![1, 2, 3]
-        );
-        // Clone fallback: the alias still owns its data.
-        assert_eq!(alias.collect(), vec![1, 2, 3]);
-
-        // Uniquely owned handles move without cloning: Arc identity of the
-        // partition buffers is observable via pointer equality beforehand.
-        let solo = DistCollection::from_vec(vec![9, 8], 1);
-        assert_eq!(solo.into_partitions_or_clone(), vec![vec![9, 8]]);
     }
 
     #[test]
@@ -786,62 +580,155 @@ mod tests {
         );
     }
 
-    #[test]
-    fn instrumented_ops_emit_one_span_per_partition() {
-        use crate::metrics::{with_task_scope, MetricsRegistry};
-        let r = MetricsRegistry::new();
-        let c = DistCollection::from_vec((0..100).collect::<Vec<i64>>(), 4);
-        let d = DistCollection::from_vec((0..100).collect::<Vec<i64>>(), 4);
-        with_task_scope(&r, "stage", Some(7), 2, || {
-            let m = c.map(|x| x + 1);
-            let _ = m.filter(|x| x % 2 == 0);
-            let _ = m.flat_map(|&x| vec![x]);
-            let _ = m.map_partitions(|p| vec![p.len()]);
-            let _ = c.zip(&d, |a, b| a + b);
-            let _ = c.aggregate(0i64, |a, &x| a + x, |a, b| a + b);
-            let _ = c.map_reduce_partitions(|p| p.len(), |a, b| a + b);
-            let _ = c.repartition(2);
+    /// Partition sizes 3, 0, 2: the empty middle partition is what
+    /// `map_reduce_partitions` skips and everything else still visits.
+    fn ragged() -> DistCollection<i64> {
+        DistCollection::from_partitions(vec![vec![1, 2, 3], vec![], vec![4, 5]])
+    }
+
+    /// Every instrumented op as `(documented span name, the op run on `c`
+    /// down to a throwaway count, expected `(partition, items_out)` per
+    /// span)`; what the ops return is the other tests' business.
+    /// `bytes` is 8 per `i64` in, doubled for `zip`, which reads two
+    /// collections.
+    type OpCase = (
+        &'static str,
+        fn(&DistCollection<i64>) -> usize,
+        &'static [(usize, u64)],
+    );
+    #[rustfmt::skip]
+    const OPS: [OpCase; 9] = [
+        ("map", |c| c.map(|x| x + 1).count(), &[(0, 3), (1, 0), (2, 2)]),
+        ("map_partitions", |c| c.map_partitions(|p| vec![p.len()]).count(), &[(0, 1), (1, 1), (2, 1)]),
+        ("fused", |c| c.fold_partitions(|p| (p.len(), 2 * p.len() as u64)).count(), &[(0, 6), (1, 0), (2, 4)]),
+        ("flat_map", |c| c.flat_map(|&x| vec![x, x]).count(), &[(0, 6), (1, 0), (2, 4)]),
+        ("filter", |c| c.filter(|x| x % 2 == 1).count(), &[(0, 2), (1, 0), (2, 1)]),
+        ("zip", |c| c.zip(c, |a, b| a + b).count(), &[(0, 3), (1, 0), (2, 2)]),
+        ("aggregate", |c| c.aggregate(0, |a, _| a + 1, |a, b| a + b), &[(0, 1), (1, 1), (2, 1)]),
+        ("map_reduce_partitions", |c| c.map_reduce_partitions(|p| p.len(), |a, b| a + b).unwrap_or(0), &[(0, 1), (2, 1)]),
+        ("repartition", |c| c.repartition(2).count(), &[(0, 3), (1, 0), (2, 2)]),
+    ];
+
+    fn run_all_ops(scope: TaskScope) -> Vec<TaskSpan> {
+        let registry = scope.registry.clone();
+        let c = ragged();
+        enter_task_scope(scope, || {
+            for (_, run, _) in &OPS {
+                let _ = run(&c);
+            }
         });
-        let spans = r.spans();
-        // Eight instrumented operations × 4 partitions each.
-        assert_eq!(spans.len(), 32);
-        for op in [
-            "map",
-            "filter",
-            "flat_map",
-            "map_partitions",
-            "zip",
-            "aggregate",
-            "map_reduce_partitions",
-            "repartition",
-        ] {
-            let parts: Vec<usize> = spans
-                .iter()
-                .filter(|s| s.op == op)
-                .map(|s| s.partition)
-                .collect();
-            assert_eq!(parts.len(), 4, "op {op} missing spans: {parts:?}");
+        registry.spans()
+    }
+
+    #[test]
+    fn every_op_runs_in_the_one_instrumented_region() {
+        let r = MetricsRegistry::new();
+        let spans = run_all_ops(TaskScope::new(&r, "stage", Some(7), 2));
+        let sizes = [3u64, 0, 2];
+        let mut next = spans.iter();
+        for (seq, (op, _, expected)) in OPS.iter().enumerate() {
+            // One span per visited partition, in partition order, all
+            // carrying the op's one `op_seq`; consecutive ops draw
+            // consecutive numbers.
+            for &(partition, items_out) in *expected {
+                let s = next.next().unwrap_or_else(|| panic!("{op}: span missing"));
+                assert_eq!((s.op, s.op_seq, s.partition), (*op, seq as u64, partition));
+                assert_eq!(s.items_in, sizes[partition], "{op} p{partition}");
+                assert_eq!(s.items_out, items_out, "{op} p{partition}");
+                let sides = if *op == "zip" { 2 } else { 1 };
+                assert_eq!(s.bytes, 8 * sides * sizes[partition], "{op} p{partition}");
+                assert_eq!((&*s.stage, s.stage_id), ("stage", Some(7)));
+                // The shim hands contiguous chunks to pool threads, so a
+                // partition's real lane never exceeds its own index.
+                assert!(s.worker <= s.partition, "lane {} > p{partition}", s.worker);
+                assert!(s.end_us >= s.start_us, "negative duration");
+                assert_eq!((s.retries, s.speculative), (0, false), "no fault plan");
+            }
         }
+        assert!(next.next().is_none(), "more spans than visited partitions");
+
+        // Outside a scope, operations are uninstrumented: no spans, and the
+        // scope's `op_seq` counter is not drawn from.
+        let scope = TaskScope::new(&r, "idle", None, 2);
+        let before = r.span_count();
+        for (_, run, _) in &OPS {
+            let _ = run(&ragged());
+        }
+        assert_eq!(r.span_count(), before);
+        assert_eq!(scope.next_op_seq(), 0);
+    }
+
+    /// Faults land per `(stage, op_seq, partition)`: each task's retries are
+    /// the plan's decision for its key, injected stragglers really sleep,
+    /// and two runs of one seed agree — so the region draws `op_seq` once
+    /// per op, in op order, exactly as each op's own copy of the bracket did.
+    #[test]
+    fn faults_land_on_the_partitions_the_plan_names() {
+        let plan = FaultSpec::new(0xFA17)
+            .with_task_failures(0.4)
+            .with_stragglers(0.3)
+            .with_straggler_min_delay_us(300)
+            .into_plan();
+        let run = || {
+            let r = MetricsRegistry::new();
+            let scope = TaskScope::new(&r, "stage", Some(7), 2).with_faults(Some(plan.clone()));
+            run_all_ops(scope)
+        };
+        let spans = run();
+        assert_eq!(spans.len(), 26);
+        let (mut retried, mut delayed) = (0, 0);
         for s in &spans {
-            assert_eq!(&s.stage, "stage");
-            assert_eq!(s.stage_id, Some(7));
-            // The shim hands contiguous chunks to pool threads, so a
-            // partition's real lane never exceeds its own index.
-            assert!(
-                s.worker <= s.partition,
-                "lane {} > partition {}",
-                s.worker,
+            assert_eq!(
+                s.retries,
+                plan.injected_failures(7, s.op_seq, s.partition),
+                "{} p{}",
+                s.op,
                 s.partition
             );
-            assert!(s.end_us >= s.start_us, "negative duration");
-            assert!(s.items_in > 0 && s.bytes > 0);
-            assert_eq!(s.retries, 0, "no fault plan, no retries");
-            assert!(!s.speculative);
+            retried += usize::from(s.retries > 0);
+            // A straggler's delay is at least the 300 µs floor whatever its
+            // natural duration; nothing else in these tiny tasks takes that.
+            if plan
+                .straggler_extra_us(7, s.op_seq, s.partition, 0)
+                .is_some()
+            {
+                delayed += 1;
+                assert!(s.end_us - s.start_us >= 300, "{} p{}", s.op, s.partition);
+            }
         }
-        // Outside a scope, operations are uninstrumented.
-        let before = r.span_count();
-        let _ = c.map(|x| x * 2);
-        assert_eq!(r.span_count(), before);
+        assert!(
+            retried > 0 && delayed > 0,
+            "{retried} retried, {delayed} delayed"
+        );
+        let key = |s: &TaskSpan| (s.op, s.op_seq, s.partition, s.retries);
+        assert_eq!(
+            spans.iter().map(key).collect::<Vec<_>>(),
+            run().iter().map(key).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn fused_partitions_and_fold_partitions_emit_identical_spans() {
+        let c = ragged();
+        let fold = |p: &[i64]| (p.iter().sum::<i64>(), p.len() as u64);
+        let r = MetricsRegistry::new();
+        let (plain, wrapped) = enter_task_scope(TaskScope::new(&r, "stage", None, 2), || {
+            (c.fused_partitions(fold), c.fold_partitions(fold))
+        });
+        // One folded value per partition, empty ones included; the wrapper
+        // only boxes each as a one-element partition.
+        assert_eq!(plain, vec![6, 0, 9]);
+        assert_eq!(wrapped.num_partitions(), 3);
+        assert_eq!(wrapped.collect(), plain);
+        let shape = |s: &TaskSpan| (s.op, s.partition, s.items_in, s.items_out, s.bytes);
+        let spans = r.spans();
+        let (a, b) = spans.split_at(3);
+        assert!(a.iter().all(|s| s.op == "fused" && s.op_seq == 0));
+        assert!(b.iter().all(|s| s.op_seq == 1));
+        assert_eq!(
+            a.iter().map(shape).collect::<Vec<_>>(),
+            b.iter().map(shape).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub(crate) mod rng_util {
 
 pub use cache::{CacheManager, CachePolicy};
 pub use cluster::{ClusterProfile, ResourceDesc};
-pub use collection::{DistCollection, SharedPartitionError};
+pub use collection::DistCollection;
 pub use columnar::ColumnarBatch;
 pub use cost::CostProfile;
 pub use faults::{FaultPlan, FaultSpec};

@@ -586,24 +586,11 @@ impl Drop for ScopeGuard {
     }
 }
 
-/// Runs `f` with a [`TaskScope`] active on this thread. Scopes nest: the
-/// innermost wins, so an estimator that re-enters the executor attributes
-/// inner nodes' partition work to the inner nodes. The scope is visible only
-/// on the calling thread — instrumented collection operations read it before
+/// Runs `f` with `scope` active on this thread. Scopes nest: the innermost
+/// wins, so an estimator that re-enters the executor attributes inner nodes'
+/// partition work to the inner nodes. The scope is visible only on the
+/// calling thread — instrumented collection operations read it before
 /// fanning out to the pool, so per-partition work is still attributed.
-pub fn with_task_scope<T>(
-    registry: &MetricsRegistry,
-    stage: &str,
-    stage_id: Option<u64>,
-    workers: usize,
-    f: impl FnOnce() -> T,
-) -> T {
-    enter_task_scope(TaskScope::new(registry, stage, stage_id, workers), f)
-}
-
-/// Runs `f` with an explicit [`TaskScope`] active on this thread — the
-/// general form of [`with_task_scope`], used when the scope carries extras
-/// such as a fault plan.
 pub fn enter_task_scope<T>(scope: TaskScope, f: impl FnOnce() -> T) -> T {
     SCOPES.with(|s| s.borrow_mut().push(scope));
     let _guard = ScopeGuard;
@@ -1011,6 +998,16 @@ mod tests {
         assert_eq!(merged.counters["items"], 8);
         assert_eq!(merged.gauges["mem"], 2.0);
         assert_eq!(merged.histograms["lat"].count(), 2);
+    }
+
+    fn with_task_scope<T>(
+        registry: &MetricsRegistry,
+        stage: &str,
+        stage_id: Option<u64>,
+        workers: usize,
+        f: impl FnOnce() -> T,
+    ) -> T {
+        enter_task_scope(TaskScope::new(registry, stage, stage_id, workers), f)
     }
 
     #[test]

@@ -126,37 +126,13 @@ pub fn fft_inplace(buf: &mut [Complex], inverse: bool) {
 /// precomputed twiddle table (`len / 2` entries). Each index `i` reads
 /// `(block[i], block[i + half])` and writes `(u + v, u - v)` with
 /// `v = block[i + half] * w_i` — indices are independent, so the pass is
-/// data-parallel. Dispatches to the scalar reference under
-/// `--features scalar-kernels`, otherwise to the 2-wide unrolled variant;
-/// both compute the identical per-index expressions, so outputs are
-/// bit-identical (asserted by `butterfly_simd_matches_scalar_exactly`).
+/// data-parallel: unrolled 2-wide on the re/im components directly, two
+/// independent butterflies per iteration, eight multiplies LLVM packs into
+/// vector lanes. Per-index arithmetic is exactly the serial loop's, so
+/// outputs are bit-identical to it (asserted by
+/// `butterfly_simd_matches_scalar_exactly`).
 #[inline]
 fn butterfly(block: &mut [Complex], twiddles: &[Complex]) {
-    #[cfg(feature = "scalar-kernels")]
-    butterfly_scalar(block, twiddles);
-    #[cfg(not(feature = "scalar-kernels"))]
-    butterfly_simd(block, twiddles);
-}
-
-/// Scalar reference butterfly pass (the original serial loop body, minus
-/// the twiddle recurrence, which the caller hoists).
-#[doc(hidden)]
-pub fn butterfly_scalar(block: &mut [Complex], twiddles: &[Complex]) {
-    let half = block.len() / 2;
-    let (lo, hi) = block.split_at_mut(half);
-    for ((a, b), w) in lo.iter_mut().zip(hi.iter_mut()).zip(twiddles) {
-        let u = *a;
-        let v = *b * *w;
-        *a = u + v;
-        *b = u - v;
-    }
-}
-
-/// 2-wide unrolled butterfly pass on the re/im components directly: two
-/// independent butterflies per iteration, eight multiplies LLVM packs into
-/// vector lanes. Per-index arithmetic is exactly [`butterfly_scalar`]'s.
-#[doc(hidden)]
-pub fn butterfly_simd(block: &mut [Complex], twiddles: &[Complex]) {
     let half = block.len() / 2;
     let (lo, hi) = block.split_at_mut(half);
     let pairs = half - half % 2;
@@ -360,6 +336,19 @@ mod tests {
         assert!((time_energy - freq_energy).abs() < 1e-9 * time_energy);
     }
 
+    /// Scalar reference butterfly pass (the original serial loop body, minus
+    /// the twiddle recurrence, which the caller hoists).
+    fn butterfly_scalar(block: &mut [Complex], twiddles: &[Complex]) {
+        let half = block.len() / 2;
+        let (lo, hi) = block.split_at_mut(half);
+        for ((a, b), w) in lo.iter_mut().zip(hi.iter_mut()).zip(twiddles) {
+            let u = *a;
+            let v = *b * *w;
+            *a = u + v;
+            *b = u - v;
+        }
+    }
+
     /// The SIMD butterfly must match the scalar reference bit-for-bit on
     /// deterministic inputs, across odd/even half sizes.
     #[test]
@@ -378,7 +367,7 @@ mod tests {
             let mut scalar = block.clone();
             let mut simd = block.clone();
             butterfly_scalar(&mut scalar, &twiddles);
-            butterfly_simd(&mut simd, &twiddles);
+            butterfly(&mut simd, &twiddles);
             for (i, (s, v)) in scalar.iter().zip(&simd).enumerate() {
                 assert_eq!(s.re.to_bits(), v.re.to_bits(), "half={half} idx={i} re");
                 assert_eq!(s.im.to_bits(), v.im.to_bits(), "half={half} idx={i} im");
@@ -386,7 +375,7 @@ mod tests {
         }
     }
 
-    /// The hoisted twiddle table + kernel dispatch must reproduce the
+    /// The hoisted twiddle table + unrolled kernel must reproduce the
     /// original serial butterfly loop bit-for-bit.
     #[test]
     fn fft_matches_serial_reference_exactly() {

@@ -7,13 +7,11 @@
 //!
 //! The inner update of all three entry points (`matmul`, [`gram`],
 //! [`tr_matmul`]) is the same rank-1 row update `out[j] += alpha * b[j]`,
-//! implemented twice in [`kernels`]: a plain scalar loop kept as the
-//! reference, and a portable 4-wide unrolled variant that LLVM lowers to
-//! vector FMAs. Both compute the identical per-element expression in the
-//! same order, so their outputs are bit-identical — asserted by the
-//! `simd_matches_scalar_*` tests below. Building with
-//! `--features scalar-kernels` routes every public entry point through the
-//! scalar reference instead, which is how CI diffs the two paths.
+//! [`kernels::saxpy_row`]: a portable 4-wide unrolled loop that LLVM lowers
+//! to vector FMAs. It computes the same per-element expression in the same
+//! order as the plain scalar loop the tests keep as their reference, so the
+//! two are bit-identical — asserted by the `simd_matches_scalar_*` tests
+//! below.
 
 use crate::dense::DenseMatrix;
 use rayon::prelude::*;
@@ -48,25 +46,14 @@ pub fn zero_skip_enabled(data: &[f64]) -> bool {
     density(data) < ZERO_SKIP_MAX_DENSITY
 }
 
-/// The shared inner row-update kernels. Scalar reference and the portable
-/// 4-wide SIMD variant live side by side; [`kernels::saxpy_row`] dispatches
-/// on the `scalar-kernels` feature.
+/// The shared inner row-update kernel.
 pub mod kernels {
-    /// Scalar reference: `out[j] += alpha * b[j]`.
+    /// `out[j] += alpha * b[j]`, four independent lanes per iteration, which
+    /// LLVM auto-vectorizes to vector mul/add (or FMA where the target
+    /// allows). Each element's update is the same single expression as the
+    /// plain scalar loop, so the two are bit-identical on every input.
     #[inline]
-    pub fn saxpy_row_scalar(alpha: f64, b: &[f64], out: &mut [f64]) {
-        for (o, &bv) in out.iter_mut().zip(b) {
-            *o += alpha * bv;
-        }
-    }
-
-    /// Portable 4-wide variant of [`saxpy_row_scalar`]: the body is four
-    /// independent lanes per iteration, which LLVM auto-vectorizes to
-    /// vector mul/add (or FMA where the target allows). Each element's
-    /// update is the same single expression as the scalar loop, so the two
-    /// are bit-identical on every input.
-    #[inline]
-    pub fn saxpy_row_simd(alpha: f64, b: &[f64], out: &mut [f64]) {
+    pub fn saxpy_row(alpha: f64, b: &[f64], out: &mut [f64]) {
         let n = out.len().min(b.len());
         let (out4, out_tail) = out[..n].split_at_mut(n - n % 4);
         let (b4, b_tail) = b[..n].split_at(n - n % 4);
@@ -79,16 +66,6 @@ pub mod kernels {
         for (o, &bv) in out_tail.iter_mut().zip(b_tail) {
             *o += alpha * bv;
         }
-    }
-
-    /// Active kernel: SIMD by default, scalar reference under
-    /// `--features scalar-kernels`.
-    #[inline]
-    pub fn saxpy_row(alpha: f64, b: &[f64], out: &mut [f64]) {
-        #[cfg(feature = "scalar-kernels")]
-        saxpy_row_scalar(alpha, b, out);
-        #[cfg(not(feature = "scalar-kernels"))]
-        saxpy_row_simd(alpha, b, out);
     }
 }
 
@@ -330,6 +307,13 @@ mod tests {
         );
     }
 
+    /// Scalar reference for [`kernels::saxpy_row`]: `out[j] += alpha * b[j]`.
+    fn saxpy_row_scalar(alpha: f64, b: &[f64], out: &mut [f64]) {
+        for (o, &bv) in out.iter_mut().zip(b) {
+            *o += alpha * bv;
+        }
+    }
+
     #[test]
     fn simd_matches_scalar_saxpy_row_exactly() {
         for len in [0usize, 1, 3, 4, 5, 7, 8, 17, 64, 65] {
@@ -338,8 +322,8 @@ mod tests {
             for alpha in [0.0, -0.0, 1.0, -2.75, 3.0e-9] {
                 let mut scalar = init.clone();
                 let mut simd = init.clone();
-                kernels::saxpy_row_scalar(alpha, &b, &mut scalar);
-                kernels::saxpy_row_simd(alpha, &b, &mut simd);
+                saxpy_row_scalar(alpha, &b, &mut scalar);
+                kernels::saxpy_row(alpha, &b, &mut simd);
                 let sb: Vec<u64> = scalar.iter().map(|v| v.to_bits()).collect();
                 let vb: Vec<u64> = simd.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(sb, vb, "len={len} alpha={alpha}");

@@ -254,6 +254,6 @@ fn fusion_respects_barriers_and_cost_model() {
 fn differential_smoke() {
     for seed in 100..106u64 {
         let report = check_seed(seed).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(report.cells, 168);
+        assert_eq!(report.cells, 114);
     }
 }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Non-test source lines per crate: for every `src/**/*.rs`, the lines before
-# the file's first `#[cfg(test)]` (the whole file when it has none). This is
-# the number simplicity PRs quote in CHANGES.md.
+# the file's first `#[cfg(test)]` that is followed by a `mod` line (the whole
+# file when it has none; a `#[cfg(test)]` on any other item is counted and
+# does not stop the count). This is the number simplicity PRs quote in
+# CHANGES.md.
 #
 # usage: scripts/loc.sh [crate ...]    (default: every crate under crates/)
 set -euo pipefail
@@ -18,7 +20,14 @@ fi
 total=0
 for crate in "${crates[@]}"; do
     lines=$(find "crates/$crate/src" -name '*.rs' -print0 | sort -z |
-        xargs -0 awk 'FNR == 1 { counting = 1 } /#\[cfg\(test\)\]/ { counting = 0 } counting { n++ } END { print n + 0 }')
+        xargs -0 awk '
+            FNR == 1 { n += held; held = 0; counting = 1 }
+            !counting { next }
+            held && /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { held = 0; counting = 0; next }
+            { n += held; held = 0 }
+            /#\[cfg\(test\)\]/ { held = 1; next }
+            { n++ }
+            END { print n + held }')
     printf '%-12s %6d\n' "$crate" "$lines"
     total=$((total + lines))
 done

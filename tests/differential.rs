@@ -1,10 +1,12 @@
 //! Tier-1 differential-equivalence sweep (the testkit's headline oracle).
 //!
 //! Every seed in the pinned range drives one random well-typed pipeline
-//! through the full 168-cell configuration matrix — optimization level ×
+//! through the full 114-cell configuration matrix — optimization level ×
 //! materialization budget × caching strategy × partition count × seeded
-//! fault plan × physical variant (unfused, fused-record, fused-columnar) ×
-//! adaptive re-optimization on/off — and the held-out predictions must be
+//! fault plan × physical variant (unfused, fused-record, fused-columnar),
+//! plus an adaptive twin of every fault-free greedy cell (the only ones in
+//! which `Pipeline::fit` builds an adaptive controller) — and the held-out
+//! predictions must be
 //! bit-identical in every cell, with the three physical variants of each
 //! configuration choosing identical materialization picks and every
 //! adaptive cell staying within the charged decision overhead of its static
@@ -36,11 +38,11 @@ fn optimizer_configurations_are_output_equivalent() {
             }
         }
     }
-    // The pinned sweep must cover at least 25 pipelines x 168 cells; an env
+    // The pinned sweep must cover at least 25 pipelines x 114 cells; an env
     // override (targeted repro) may legitimately run fewer.
     if std::env::var("KEYSTONE_TESTKIT_SEED").is_err() {
         assert!(
-            seeds.len() >= 25 && cells_checked >= 25 * 168,
+            seeds.len() >= 25 && cells_checked >= 25 * 114,
             "pinned sweep shrank: {} seeds, {} cells",
             seeds.len(),
             cells_checked
