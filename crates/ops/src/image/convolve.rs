@@ -122,12 +122,24 @@ fn output_side(img: &Image, k: usize) -> (usize, usize) {
 #[derive(Clone)]
 pub struct ConvolverMatMul {
     bank: Arc<FilterBank>,
+    /// The filters as im2col's right-hand side, `k² × b`.
+    fmat: DenseMatrix,
 }
 
 impl ConvolverMatMul {
-    /// Builds the physical operator over a shared filter bank.
+    /// Builds the physical operator over a shared filter bank, laying the
+    /// filters out as the GEMM operand once up front.
     pub fn from_bank(bank: Arc<FilterBank>) -> Self {
-        ConvolverMatMul { bank }
+        let k = bank.k();
+        let mut fmat = DenseMatrix::zeros(k * k, bank.len());
+        for (bi, f) in bank.filters().iter().enumerate() {
+            for i in 0..k {
+                for j in 0..k {
+                    fmat.set(i * k + j, bi, f.get(i, j));
+                }
+            }
+        }
+        ConvolverMatMul { bank, fmat }
     }
 }
 
@@ -136,15 +148,6 @@ impl Transformer<Image, Image> for ConvolverMatMul {
         let k = self.bank.k();
         let (mw, mh) = output_side(img, k);
         let b = self.bank.len();
-        // Filter matrix: k² × b.
-        let mut fmat = DenseMatrix::zeros(k * k, b);
-        for (bi, f) in self.bank.filters().iter().enumerate() {
-            for i in 0..k {
-                for j in 0..k {
-                    fmat.set(i * k + j, bi, f.get(i, j));
-                }
-            }
-        }
         let mut out = Image::zeros(mw, mh, b);
         // Accumulate channel by channel: im2col (m² × k²) × fmat (k² × b).
         let mut cols = DenseMatrix::zeros(mw * mh, k * k);
@@ -159,7 +162,7 @@ impl Transformer<Image, Image> for ConvolverMatMul {
                     }
                 }
             }
-            let res = matmul(&cols, &fmat);
+            let res = matmul(&cols, &self.fmat);
             for bi in 0..b {
                 for oy in 0..mh {
                     for ox in 0..mw {
@@ -202,9 +205,9 @@ impl Transformer<Image, Image> for ConvolverFft {
         let b = self.bank.len();
         let mut out = Image::zeros(mw, mh, b);
         for (bi, f) in self.bank.filters().iter().enumerate() {
-            let fdata: Vec<f64> = (0..k * k).map(|i| f.data()[i]).collect();
             for c in 0..img.channels() {
-                let res = correlate2d_fft(img.plane(c), n, &fdata, k);
+                // A `k × k` filter's row-major storage is the operand as is.
+                let res = correlate2d_fft(img.plane(c), n, f.data(), k);
                 for oy in 0..mh {
                     for ox in 0..mw {
                         let v = out.get(ox, oy, bi) + res[oy * mw + ox];
@@ -321,9 +324,7 @@ impl OptimizableTransformer<Image, Image> for Convolver {
                     let m = (n - k + 1.0).max(1.0);
                     CostProfile::compute(records(stats) * 2.0 * d * b * k * k * m * m)
                 }),
-                op: Box::new(ConvolverMatMul {
-                    bank: self.bank.clone(),
-                }),
+                op: Box::new(ConvolverMatMul::from_bank(self.bank.clone())),
             },
             TransformerOption {
                 name: "fft".into(),
@@ -401,10 +402,7 @@ mod tests {
         let img = test_image(12, 3, 1);
         let bank = FilterBank::random(4, 3, 2);
         let oracle = convolve_direct_oracle(&img, &bank);
-        let got = ConvolverMatMul {
-            bank: Arc::new(bank),
-        }
-        .apply(&img);
+        let got = ConvolverMatMul::from_bank(Arc::new(bank)).apply(&img);
         assert_images_close(&got, &oracle, 1e-10);
     }
 

@@ -11,7 +11,8 @@
 //!   simplified `Sift` and `Lcs` descriptors, `ZcaWhitener`.
 //! * [`stats`] — the **optimizable** `PCA` (local/distributed ×
 //!   exact/approximate, Table 2), `GMM`, `KMeans`, `FisherVector`,
-//!   `RandomFeatures` (TIMIT kernel approximation), `StandardScaler`,
+//!   `RandomFeatures` (TIMIT kernel approximation: the spec) and its
+//!   table-backed physical operator `RandomFeatureMap`, `StandardScaler`,
 //!   `Normalizer`, `ColumnSampler`.
 //! * [`eval`] — accuracy, top-k error, confusion matrices, mean average
 //!   precision.

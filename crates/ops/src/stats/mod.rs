@@ -12,7 +12,7 @@ pub use fisher::FisherVectorEstimator;
 pub use gmm::{Gmm, GmmModel};
 pub use kmeans::KMeans;
 pub use pca::{DescriptorPca, Pca, PcaModel};
-pub use random_features::RandomFeatures;
+pub use random_features::{RandomFeatureMap, RandomFeatures};
 pub use scaling::{ColumnSampler, Normalizer, SignedPowerNormalizer, StandardScaler};
 
 /// Cost returned by cost models for physically infeasible plans (e.g. the

@@ -2,13 +2,41 @@
 //! TIMIT pipeline uses to turn a kernel SVM into a linear solve (§5.1).
 //!
 //! `z(x) = sqrt(2/D) · cos(W x + b)` with `W ~ N(0, γ)` approximates the RBF
-//! kernel. `W` entries are derived on demand from a hash of `(seed, i, j)`,
-//! so the operator needs no knowledge of the input dimension up front and
-//! several blocks with different seeds can be merged with `gather`.
+//! kernel. Two types share that definition, the paper's §3 split between a
+//! logical operator and the physical operator that runs:
+//!
+//! * [`RandomFeatures`] is the **spec**: `(out_dim, gamma, seed)`, `Copy`,
+//!   with every entry of `W` and `b` a pure hash of `(seed, i, j)`. Its
+//!   `apply` derives each weight where it is used — two hashes, `ln`, `sqrt`
+//!   and `cos` per entry, `D·d` of them per record — and is the reference
+//!   the tests compare against.
+//! * [`RandomFeatureMap`] ([`RandomFeatures::materialized`]) is the
+//!   **physical operator** pipelines chain: it holds `γ·W` and `b` as a
+//!   resident table and runs one register-blocked pass over it per record.
+//!
+//! **First-touch binding.** The table is built from the first record the map
+//! sees, which fixes its input dimension. Graph construction therefore stays
+//! free, the operator still needs no input dimension up front, and several
+//! blocks with different seeds can still be merged with `gather`. Building
+//! costs the `D·d` derivations the spec spends on *one* record, so from the
+//! first record on the map is never slower and no run-time choice between
+//! the two exists. A record whose length differs from the bound dimension
+//! takes the spec's path.
+//!
+//! **Bit-identity.** The spec accumulates `proj += γ * w(i,j) * x[j]`, which
+//! Rust evaluates as `proj + ((γ * w(i,j)) * x[j])`, starting from `b[i]`
+//! with `j` ascending. The table stores exactly the inner product
+//! `γ * w(i,j)`; the kernel starts each accumulator at `b[i]` and adds
+//! `table[i][j] * x[j]` for `j` ascending. Every intermediate is the same
+//! `f64`, so the two agree to the bit on every input, NaN and ±Inf included.
+//! Keeping four outputs in flight changes which additions overlap in time,
+//! not their order within an output.
+
+use std::sync::OnceLock;
 
 use keystone_core::operator::Transformer;
 
-/// Random cosine feature block.
+/// Random cosine feature block: the spec, and the derive-on-demand reference.
 #[derive(Debug, Clone, Copy)]
 pub struct RandomFeatures {
     /// Output features `D` of this block.
@@ -26,6 +54,14 @@ impl RandomFeatures {
             out_dim,
             gamma: 1.0,
             seed,
+        }
+    }
+
+    /// The physical operator for this spec; see the module docs.
+    pub fn materialized(self) -> RandomFeatureMap {
+        RandomFeatureMap {
+            spec: self,
+            table: OnceLock::new(),
         }
     }
 
@@ -56,11 +92,15 @@ impl RandomFeatures {
         let h = self.hash2(i as u64, u64::MAX);
         (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 * std::f64::consts::PI
     }
+
+    fn scale(&self) -> f64 {
+        (2.0 / self.out_dim as f64).sqrt()
+    }
 }
 
 impl Transformer<Vec<f64>, Vec<f64>> for RandomFeatures {
     fn apply(&self, x: &Vec<f64>) -> Vec<f64> {
-        let scale = (2.0 / self.out_dim as f64).sqrt();
+        let scale = self.scale();
         (0..self.out_dim)
             .map(|i| {
                 let mut proj = self.phase(i);
@@ -73,6 +113,92 @@ impl Transformer<Vec<f64>, Vec<f64>> for RandomFeatures {
     }
     fn name(&self) -> String {
         "RandomFeatures".into()
+    }
+}
+
+/// `γ·W` and `b` of one [`RandomFeatures`] spec at one input dimension.
+#[derive(Debug)]
+struct Table {
+    in_dim: usize,
+    scale: f64,
+    /// `gamma * w(i, j)`, row-major `out_dim × in_dim`.
+    w: Vec<f64>,
+    phase: Vec<f64>,
+}
+
+impl Table {
+    fn build(spec: &RandomFeatures, in_dim: usize) -> Table {
+        let mut w = Vec::with_capacity(spec.out_dim * in_dim);
+        for i in 0..spec.out_dim {
+            w.extend((0..in_dim).map(|j| spec.gamma * spec.w(i, j)));
+        }
+        Table {
+            in_dim,
+            scale: spec.scale(),
+            w,
+            phase: (0..spec.out_dim).map(|i| spec.phase(i)).collect(),
+        }
+    }
+
+    /// `x.len()` must equal `in_dim`.
+    fn apply(&self, x: &[f64]) -> Vec<f64> {
+        let d = self.in_dim;
+        let mut out = Vec::with_capacity(self.phase.len());
+        // Four independent accumulator chains hide the add latency that a
+        // single `proj += ..` chain serializes on; each chain still adds its
+        // own terms in the spec's order.
+        let mut quads = self.phase.chunks_exact(4);
+        let mut rows = self.w.as_slice();
+        for p in &mut quads {
+            let (r0, rest) = rows.split_at(d);
+            let (r1, rest) = rest.split_at(d);
+            let (r2, rest) = rest.split_at(d);
+            let (r3, rest) = rest.split_at(d);
+            rows = rest;
+            let (mut a0, mut a1, mut a2, mut a3) = (p[0], p[1], p[2], p[3]);
+            for ((((&xv, &w0), &w1), &w2), &w3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+                a0 += w0 * xv;
+                a1 += w1 * xv;
+                a2 += w2 * xv;
+                a3 += w3 * xv;
+            }
+            out.extend([a0, a1, a2, a3].map(|a| self.scale * a.cos()));
+        }
+        for &p in quads.remainder() {
+            let (row, rest) = rows.split_at(d);
+            rows = rest;
+            let mut acc = p;
+            for (&wv, &xv) in row.iter().zip(x) {
+                acc += wv * xv;
+            }
+            out.push(self.scale * acc.cos());
+        }
+        out
+    }
+}
+
+/// The physical random-feature operator: a [`RandomFeatures`] spec plus its
+/// weight table, bound to the input dimension of the first record applied.
+/// Bit-identical to the spec's `apply` on every input.
+#[derive(Debug)]
+pub struct RandomFeatureMap {
+    spec: RandomFeatures,
+    table: OnceLock<Table>,
+}
+
+impl Transformer<Vec<f64>, Vec<f64>> for RandomFeatureMap {
+    fn apply(&self, x: &Vec<f64>) -> Vec<f64> {
+        let table = self.table.get_or_init(|| Table::build(&self.spec, x.len()));
+        if x.len() == table.in_dim {
+            table.apply(x)
+        } else {
+            self.spec.apply(x)
+        }
+    }
+    // Same label as the spec: node labels, structural signatures and plan
+    // fingerprints do not depend on which of the two a pipeline chained.
+    fn name(&self) -> String {
+        self.spec.name()
     }
 }
 
@@ -143,5 +269,82 @@ mod tests {
         let z = rf.apply(&x);
         let k: f64 = z.iter().map(|v| v * v).sum();
         assert!((k - 1.0).abs() < 0.08, "self-kernel {}", k);
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    #[test]
+    fn map_is_bit_identical_to_spec_on_and_off_the_happy_path() {
+        let shapes = [(40, 128), (24, 64), (7, 13), (1, 1), (5, 3), (0, 8), (4, 0)];
+        let hostile = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+        let mut rng = XorShiftRng::new(21);
+        for (case, &(in_dim, out_dim)) in shapes.iter().enumerate() {
+            let spec = RandomFeatures {
+                out_dim,
+                gamma: 0.07 + case as f64,
+                seed: 0x5117 + case as u64,
+            };
+            let map = spec.materialized();
+            let mut gauss =
+                |len: usize| -> Vec<f64> { (0..len).map(|_| rng.next_gaussian()).collect() };
+            // The first record binds the table to `in_dim`.
+            let mut records = vec![gauss(in_dim), gauss(in_dim)];
+            for (at, &v) in hostile.iter().enumerate() {
+                let mut x = gauss(in_dim);
+                if let Some(slot) = x.get_mut(at % in_dim.max(1)) {
+                    *slot = v;
+                }
+                records.push(x);
+            }
+            records.push(hostile.iter().cycle().take(in_dim).copied().collect());
+            // Lengths other than the bound one: the fallback path.
+            records.push(Vec::new());
+            records.push(gauss(in_dim + 3));
+            records.push(gauss(in_dim.saturating_sub(1)));
+            for x in &records {
+                let want = spec.apply(x);
+                assert_eq!(want.len(), out_dim);
+                assert_eq!(
+                    bits(&map.apply(x)),
+                    bits(&want),
+                    "shape {:?}, record of length {}",
+                    (in_dim, out_dim),
+                    x.len()
+                );
+            }
+            assert_eq!(map.table.get().map(|t| t.in_dim), Some(in_dim));
+        }
+    }
+
+    #[test]
+    fn concurrent_first_touch_builds_one_table() {
+        let spec = RandomFeatures {
+            out_dim: 13,
+            gamma: 0.3,
+            seed: 77,
+        };
+        let map = spec.materialized();
+        let mut rng = XorShiftRng::new(4);
+        let xs: Vec<Vec<f64>> = (0..2)
+            .map(|_| (0..7).map(|_| rng.next_gaussian()).collect())
+            .collect();
+        let start = std::sync::Barrier::new(2);
+        let seen = std::thread::scope(|s| {
+            let handles = [&xs[0], &xs[1]].map(|x| {
+                let (map, start) = (&map, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let z = map.apply(x);
+                    (z, map.table.get().expect("bound by apply"))
+                })
+            });
+            handles.map(|h| h.join().expect("toucher panicked"))
+        });
+        assert!(std::ptr::eq(seen[0].1, seen[1].1));
+        for (x, (z, _)) in xs.iter().zip(&seen) {
+            assert_eq!(bits(z), bits(&spec.apply(x)));
+        }
     }
 }

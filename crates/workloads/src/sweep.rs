@@ -83,11 +83,14 @@ pub fn sweep_pipelines(
     let input = Pipeline::<Vec<f64>, Vec<f64>>::input();
     let branches: Vec<Pipeline<Vec<f64>, Vec<f64>>> = (0..cfg.blocks)
         .map(|b| {
-            input.and_then(RandomFeatures {
-                out_dim: cfg.block_dim,
-                gamma: cfg.gamma,
-                seed: cfg.seed.wrapping_add(b as u64),
-            })
+            input.and_then(
+                RandomFeatures {
+                    out_dim: cfg.block_dim,
+                    gamma: cfg.gamma,
+                    seed: cfg.seed.wrapping_add(b as u64),
+                }
+                .materialized(),
+            )
         })
         .collect();
     let trunk = gather(&branches).and_then_optimizable_label_est::<Vec<f64>, Vec<f64>>(
