@@ -89,7 +89,13 @@ fn main() {
     print_table(
         "Ablation 1: greedy vs exhaustive-optimal materialization (random DAGs, 4-15 nodes)",
         &[
-            "dags", "optimal%", "p50 gap", "p95 gap", "max gap", "greedy t", "exhaust t",
+            "dags",
+            "optimal%",
+            "p50 gap",
+            "p95 gap",
+            "max gap",
+            "greedy t",
+            "exhaust t",
         ],
         &rows,
     );

@@ -22,12 +22,7 @@ use keystone_ops::stats::pca::{
 use keystone_ops::stats::INFEASIBLE_COST;
 use keystone_solvers::solver_op::LinearSolverOp;
 
-fn stats_for(
-    n: usize,
-    d: usize,
-    k: usize,
-    nnz: Option<f64>,
-) -> Vec<DataStats> {
+fn stats_for(n: usize, d: usize, k: usize, nnz: Option<f64>) -> Vec<DataStats> {
     vec![
         DataStats {
             count: n,
@@ -116,7 +111,14 @@ fn main() {
             nnz.map_or("dense".to_string(), |z| format!("nnz={}", z)),
             pick.clone(),
             best.0.clone(),
-            if ok { "yes" } else if near_tie { "tie" } else { "NO" }.to_string(),
+            if ok {
+                "yes"
+            } else if near_tie {
+                "tie"
+            } else {
+                "NO"
+            }
+            .to_string(),
         ]);
     }
     print_table(
@@ -170,10 +172,24 @@ fn main() {
         for (i, v) in vecs.iter().enumerate() {
             m.row_mut(i).copy_from_slice(v);
         }
-        let times = [("local-svd".to_string(), time_once(|| fit_local_exact(&m, k)).1),
-            ("local-tsvd".to_string(), time_once(|| fit_local_tsvd(&m, k, 1)).1),
-            ("dist-svd".to_string(), time_once(|| fit_dist_exact(&dist, k)).1),
-            ("dist-tsvd".to_string(), time_once(|| fit_dist_tsvd(&dist, k, 2, 1)).1)];
+        let times = [
+            (
+                "local-svd".to_string(),
+                time_once(|| fit_local_exact(&m, k)).1,
+            ),
+            (
+                "local-tsvd".to_string(),
+                time_once(|| fit_local_tsvd(&m, k, 1)).1,
+            ),
+            (
+                "dist-svd".to_string(),
+                time_once(|| fit_dist_exact(&dist, k)).1,
+            ),
+            (
+                "dist-tsvd".to_string(),
+                time_once(|| fit_dist_tsvd(&dist, k, 2, 1)).1,
+            ),
+        ];
         let stats = vec![DataStats {
             count: n,
             bytes_per_record: d as f64 * 8.0,
@@ -212,7 +228,14 @@ fn main() {
             format!("{}", k),
             pick.clone(),
             best.0.clone(),
-            if ok { "yes" } else if near_tie { "tie" } else { "NO" }.to_string(),
+            if ok {
+                "yes"
+            } else if near_tie {
+                "tie"
+            } else {
+                "NO"
+            }
+            .to_string(),
         ]);
     }
     print_table(
@@ -242,8 +265,7 @@ fn run_all<F: keystone_solvers::Features>(
     data: &DistCollection<F>,
     labels: &DistCollection<Vec<f64>>,
 ) -> (String, Timed) {
-    let options =
-        <LinearSolverOp as OptimizableLabelEstimator<F, Vec<f64>, Vec<f64>>>::options(op);
+    let options = <LinearSolverOp as OptimizableLabelEstimator<F, Vec<f64>, Vec<f64>>>::options(op);
     let mut times = Vec::new();
     for o in &options {
         if (o.cost)(stats, r).flops >= keystone_solvers::cost::INFEASIBLE {

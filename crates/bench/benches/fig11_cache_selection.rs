@@ -3,7 +3,7 @@
 //! shows the cache set shrinking from {SIFT, ReduceDimensions, Normalize,
 //! TrainingLabels} at 80 GB/node to {Normalize, TrainingLabels} at 5 GB.
 
-use keystone_bench::save_json;
+use keystone_bench::{experiments_dir, save_json};
 use keystone_core::context::ExecContext;
 use keystone_core::optimizer::{OptLevel, PipelineOptions};
 use keystone_core::profiler::ProfileOptions;
@@ -52,13 +52,19 @@ fn main() {
         let (_, report) = pipe.fit(&ctx, &opts);
         println!("\n=== Fig 11: budget = {} ===", label);
         println!("cached nodes: {:?}", report.cache_set_labels);
-        saved.push((label.to_string(), report.cache_set_labels.clone()));
+        let mut row = vec![label.to_string()];
+        row.extend(report.cache_set_labels.iter().cloned());
+        saved.push(row);
         if budget < u64::MAX / 8 {
             // Also dump the annotated DAG for the tight case.
-            let dir = std::path::Path::new("target/keystone-experiments");
-            let _ = std::fs::create_dir_all(dir);
-            let _ = std::fs::write(dir.join("fig11_voc_dag.dot"), &report.dot);
-            println!("[DAG with cache set highlighted written to target/keystone-experiments/fig11_voc_dag.dot]");
+            let dir = experiments_dir();
+            let _ = std::fs::create_dir_all(&dir);
+            let path = dir.join("fig11_voc_dag.dot");
+            let _ = std::fs::write(&path, &report.dot);
+            println!(
+                "[DAG with cache set highlighted written to {}]",
+                path.display()
+            );
         }
     }
     save_json("fig11_cache_selection", &saved);

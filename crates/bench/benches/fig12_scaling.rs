@@ -107,7 +107,15 @@ fn main() {
     }
     print_table(
         "Fig 12: strong scaling, simulated minutes by stage (speedup vs 8 nodes; ideal 16x at 128)",
-        &["pipeline", "nodes", "load", "featurize", "solve", "total", "speedup"],
+        &[
+            "pipeline",
+            "nodes",
+            "load",
+            "featurize",
+            "solve",
+            "total",
+            "speedup",
+        ],
         &rows,
     );
     save_json("fig12_scaling", &rows);

@@ -24,7 +24,10 @@ use keystone_solvers::cost::{
 use keystone_solvers::dist_qr::DistQrSolver;
 use keystone_solvers::lbfgs::LbfgsSolver;
 
-fn fmt_cost(c: keystone_dataflow::cost::CostProfile, r: &keystone_dataflow::cluster::ResourceDesc) -> String {
+fn fmt_cost(
+    c: keystone_dataflow::cost::CostProfile,
+    r: &keystone_dataflow::cluster::ResourceDesc,
+) -> String {
     if c.flops >= INFEASIBLE {
         "x".to_string()
     } else {
@@ -69,9 +72,8 @@ fn main() {
         let (data, labels) = dense(n, d, k, 7);
         let (exact, t_exact) = time_once(|| DistQrSolver::new().fit(&data, &labels, &ctx));
         let (lb, t_lbfgs) = time_once(|| LbfgsSolver::with_iters(20).fit(&data, &labels, &ctx));
-        let (bl, t_block) = time_once(|| {
-            BlockSolver::with_config((d / 4).max(64), 5).fit(&data, &labels, &ctx)
-        });
+        let (bl, t_block) =
+            time_once(|| BlockSolver::with_config((d / 4).max(64), 5).fit(&data, &labels, &ctx));
         rows.push(vec![
             "timit".to_string(),
             format!("{}", d),
@@ -88,7 +90,14 @@ fn main() {
     }
     print_table(
         "Fig 6a: measured wall time at bench scale (loss = exact/block/lbfgs)",
-        &["dataset", "features", "exact", "block", "lbfgs", "train mse e/b/l"],
+        &[
+            "dataset",
+            "features",
+            "exact",
+            "block",
+            "lbfgs",
+            "train mse e/b/l",
+        ],
         &rows,
     );
     save_json("fig6_solvers_measured", &rows);
@@ -126,7 +135,9 @@ fn main() {
     }
     print_table(
         "Fig 6b: Table 1 cost models @ paper scale (16 nodes; x = infeasible)",
-        &["dataset", "features", "local-qr", "dist-qr", "block", "lbfgs"],
+        &[
+            "dataset", "features", "local-qr", "dist-qr", "block", "lbfgs",
+        ],
         &model_rows,
     );
     save_json("fig6_solvers_model", &model_rows);

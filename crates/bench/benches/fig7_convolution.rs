@@ -15,7 +15,11 @@ use keystone_ops::image::convolve::{
 use keystone_ops::image::Image;
 
 fn main() {
-    let (n, b, reps) = if quick_mode() { (64usize, 10usize, 5usize) } else { (256, 50, 5) };
+    let (n, b, reps) = if quick_mode() {
+        (64usize, 10usize, 5usize)
+    } else {
+        (256, 50, 5)
+    };
     let mut rng = XorShiftRng::new(3);
     let img = Image::new(
         n,

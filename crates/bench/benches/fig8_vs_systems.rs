@@ -64,7 +64,11 @@ fn main() {
             } else {
                 (None, dense(n, d, 1, 11).1)
             };
-            let data_d = if is_sparse { None } else { Some(dense(n, d, 1, 11).0) };
+            let data_d = if is_sparse {
+                None
+            } else {
+                Some(dense(n, d, 1, 11).0)
+            };
 
             // Loss target: 1.1× the exact solution's loss.
             macro_rules! run {
@@ -165,7 +169,15 @@ fn main() {
                         target,
                         &budgets,
                     );
-                    (chosen.name.clone(), t_ks, ks_hit, t_vw, vw_hit, t_sy, sy_hit)
+                    (
+                        chosen.name.clone(),
+                        t_ks,
+                        ks_hit,
+                        t_vw,
+                        vw_hit,
+                        t_sy,
+                        sy_hit,
+                    )
                 }};
             }
 

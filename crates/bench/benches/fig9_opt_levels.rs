@@ -158,7 +158,15 @@ fn main() {
 
     print_table(
         "Fig 9: optimization levels, stage breakdown",
-        &["pipeline", "level", "optimize", "featurize", "solve", "eval", "total"],
+        &[
+            "pipeline",
+            "level",
+            "optimize",
+            "featurize",
+            "solve",
+            "eval",
+            "total",
+        ],
         &rows,
     );
     save_json("fig9_opt_levels", &rows);

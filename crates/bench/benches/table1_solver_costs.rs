@@ -50,10 +50,7 @@ fn main() {
             "block",
             Box::new(move |n, d| {
                 let (data, labels) = dense(n, d, k, 1);
-                time_once(|| {
-                    BlockSolver::with_config(48, 3).fit(&data, &labels, &ctx3)
-                })
-                .1
+                time_once(|| BlockSolver::with_config(48, 3).fit(&data, &labels, &ctx3)).1
             }),
             {
                 let r = r.clone();

@@ -22,7 +22,9 @@ fn main() {
         .collect();
     print_table(
         "Table 3: dataset characteristics (paper scale)",
-        &["dataset", "n_train", "raw GB", "classes", "solve d", "density", "solve GB"],
+        &[
+            "dataset", "n_train", "raw GB", "classes", "solve d", "density", "solve GB",
+        ],
         &rows,
     );
     save_json("table3_datasets", &rows);

@@ -13,8 +13,8 @@ use keystone_solvers::logistic::one_hot;
 use keystone_workloads::image_gen::ImageDatasetSpec;
 use keystone_workloads::pipelines::{
     cifar_pipeline, image_classification_pipeline, predictions, speech_pipeline,
-    text_classification_pipeline, CifarPipelineConfig, ImagePipelineConfig,
-    SpeechPipelineConfig, TextPipelineConfig,
+    text_classification_pipeline, CifarPipelineConfig, ImagePipelineConfig, SpeechPipelineConfig,
+    TextPipelineConfig,
 };
 use keystone_workloads::{AmazonLike, TimitLike};
 
@@ -147,7 +147,13 @@ fn main() {
 
     print_table(
         "Table 5: time-to-accuracy (ours = synthetic data @ bench scale)",
-        &["pipeline", "accuracy", "fit time", "paper acc", "paper time"],
+        &[
+            "pipeline",
+            "accuracy",
+            "fit time",
+            "paper acc",
+            "paper time",
+        ],
         &rows,
     );
     save_json("table5_end_to_end", &rows);

@@ -59,13 +59,17 @@ fn main() {
         // Weak scaling: global batch 128·w; past ~2k examples per batch the
         // paper's runs stopped converging to a good model.
         let weak = if 128 * w <= 1024 {
-            Some(sgd_minutes(if w == 1 { STEPS_STRONG } else { STEPS_WEAK }, w, 128 * w))
+            Some(sgd_minutes(
+                if w == 1 { STEPS_STRONG } else { STEPS_WEAK },
+                w,
+                128 * w,
+            ))
         } else {
             None
         };
         let r = ClusterProfile::R3_4xlarge.descriptor(w);
-        let ks_minutes = block_solve_cost(&cifar, 1, 2048, &r).estimated_seconds(&r) / 60.0
-            + KS_DRIVER_MINUTES;
+        let ks_minutes =
+            block_solve_cost(&cifar, 1, 2048, &r).estimated_seconds(&r) / 60.0 + KS_DRIVER_MINUTES;
         let fmt = |t: Option<f64>| t.map_or("xxx".to_string(), |m| format!("{:.0}", m));
         table.push(vec![
             format!("{}", w),

@@ -4,16 +4,16 @@
 //! KeystoneML paper's evaluation (see `DESIGN.md` for the experiment index
 //! and `EXPERIMENTS.md` for paper-vs-measured results).
 //!
-//! Each `benches/*.rs` target is a standalone report generator (Criterion's
-//! statistical harness is reserved for the micro benches): running
-//! `cargo bench` prints the paper-style rows and writes machine-readable
-//! JSON under `target/keystone-experiments/`.
+//! Each `benches/*.rs` target is a standalone report generator: running
+//! `cargo bench -p keystone-bench --bench <name>` from the repo root prints
+//! the paper-style rows and writes machine-readable JSON under
+//! `target/keystone-experiments/`. Kernel and executor micro-measurements
+//! live in `perf/` (`linalg.*` / `executor.*` probes), not here.
 
-use std::io::Write;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use serde::Serialize;
+use keystone_dataflow::json::JVal;
 
 /// Times a closure once (macro-benchmark style; end-to-end experiments are
 /// far too large for statistical repetition).
@@ -44,22 +44,32 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Writes an experiment result as JSON under `target/keystone-experiments/`.
-pub fn save_json<T: Serialize>(name: &str, value: &T) {
-    let dir = PathBuf::from(
-        std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string()),
-    )
-    .join("keystone-experiments");
+/// `keystone-experiments/` under the workspace's target directory. Cargo runs
+/// a bench with the package root as its working directory, so the default
+/// is resolved from this crate's manifest, not from `./target`.
+pub fn experiments_dir() -> PathBuf {
+    std::env::var_os("CARGO_TARGET_DIR")
+        .map_or_else(
+            || PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target")),
+            PathBuf::from,
+        )
+        .join("keystone-experiments")
+}
+
+/// Writes an experiment's table rows as a JSON array of string arrays under
+/// [`experiments_dir`].
+pub fn save_json(name: &str, rows: &[Vec<String>]) {
+    let dir = experiments_dir();
     if std::fs::create_dir_all(&dir).is_err() {
         return;
     }
+    let doc = JVal::Arr(
+        rows.iter()
+            .map(|r| JVal::Arr(r.iter().map(|c| JVal::str(c)).collect()))
+            .collect(),
+    );
     let path = dir.join(format!("{name}.json"));
-    if let Ok(mut f) = std::fs::File::create(&path) {
-        let _ = f.write_all(
-            serde_json::to_string_pretty(value)
-                .unwrap_or_default()
-                .as_bytes(),
-        );
+    if std::fs::write(&path, doc.render()).is_ok() {
         println!("[saved {}]", path.display());
     }
 }
@@ -96,7 +106,11 @@ pub mod problems {
     ) -> (DistCollection<Vec<f64>>, DistCollection<Vec<f64>>) {
         let mut rng = XorShiftRng::new(seed);
         let wstar: Vec<Vec<f64>> = (0..k)
-            .map(|_| (0..d).map(|_| rng.next_gaussian() / (d as f64).sqrt()).collect())
+            .map(|_| {
+                (0..d)
+                    .map(|_| rng.next_gaussian() / (d as f64).sqrt())
+                    .collect()
+            })
             .collect();
         let mut rows = Vec::with_capacity(n);
         let mut labels = Vec::with_capacity(n);
@@ -105,8 +119,7 @@ pub mod problems {
             let y: Vec<f64> = wstar
                 .iter()
                 .map(|w| {
-                    x.iter().zip(w).map(|(a, b)| a * b).sum::<f64>()
-                        + 0.01 * rng.next_gaussian()
+                    x.iter().zip(w).map(|(a, b)| a * b).sum::<f64>() + 0.01 * rng.next_gaussian()
                 })
                 .collect();
             rows.push(x);
@@ -138,15 +151,13 @@ pub mod problems {
         let mut rows = Vec::with_capacity(n);
         let mut labels = Vec::with_capacity(n);
         for _ in 0..n {
-            let pairs: Vec<(u32, f64)> = (0..nnz)
-                .map(|_| (rng.next_usize(d) as u32, 1.0))
-                .collect();
+            let pairs: Vec<(u32, f64)> =
+                (0..nnz).map(|_| (rng.next_usize(d) as u32, 1.0)).collect();
             let x = SparseVector::from_pairs(d, pairs);
             let y: Vec<f64> = wstar
                 .iter()
                 .map(|w| {
-                    w.iter().map(|&(j, wv)| wv * x.get(j)).sum::<f64>()
-                        + 0.01 * rng.next_gaussian()
+                    w.iter().map(|&(j, wv)| wv * x.get(j)).sum::<f64>() + 0.01 * rng.next_gaussian()
                 })
                 .collect();
             rows.push(x);
@@ -193,6 +204,21 @@ mod tests {
         assert_eq!(secs(0.5), "500ms");
         assert_eq!(secs(2.5), "2.50s");
         assert_eq!(secs(120.0), "120s");
+    }
+
+    #[test]
+    fn saved_rows_parse_back_through_the_repo_codec() {
+        use keystone_dataflow::json::{parse, Value};
+        save_json(
+            "selftest_rows",
+            &[vec!["a \"quoted\" cell".into(), "1.5".into()], vec![]],
+        );
+        let path = experiments_dir().join("selftest_rows.json");
+        let text = std::fs::read_to_string(&path).expect("save_json wrote the file");
+        let cell = |s: &str| Value::Str(s.to_string());
+        let row = Value::Arr(vec![cell("a \"quoted\" cell"), cell("1.5")]);
+        assert_eq!(parse(&text), Ok(Value::Arr(vec![row, Value::Arr(vec![])])));
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

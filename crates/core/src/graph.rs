@@ -30,7 +30,7 @@ pub enum NodeKind {
 }
 
 impl NodeKind {
-    /// Small discriminant for structural signatures.
+    /// Small discriminant for structural keys.
     pub(crate) fn tag(&self) -> u8 {
         match self {
             NodeKind::RuntimeInput => 0,
@@ -41,9 +41,9 @@ impl NodeKind {
         }
     }
 
-    /// Identity of the operator/data for structural signatures: `Arc`
-    /// pointer identity, which is exactly what prefix-cloning preserves.
-    fn identity(&self) -> usize {
+    /// Identity of the operator/data for structural keys: `Arc` pointer
+    /// identity, which is exactly what prefix-cloning preserves.
+    pub(crate) fn identity(&self) -> usize {
         match self {
             NodeKind::RuntimeInput => 1,
             NodeKind::DataSource(d) => d.ptr_id(),
@@ -201,26 +201,6 @@ impl Graph {
         memo[&output]
     }
 
-    /// Structural signature per node: equal signatures mean equal
-    /// computations (same operator identity over the same inputs).
-    pub fn signatures(&self) -> Vec<u64> {
-        let mut sig = vec![0u64; self.nodes.len()];
-        for (id, node) in self.nodes.iter().enumerate() {
-            let mut h = 0xcbf29ce484222325u64; // FNV offset basis
-            let mut mix = |v: u64| {
-                h ^= v;
-                h = h.wrapping_mul(0x100000001b3);
-            };
-            mix(node.kind.tag() as u64);
-            mix(node.kind.identity() as u64);
-            for &input in &node.inputs {
-                mix(sig[input]);
-            }
-            sig[id] = h;
-        }
-        sig
-    }
-
     /// Deterministic one-line-per-node text summary: node id, kind, label,
     /// and input ids, in insertion (topological) order. Two structurally
     /// identical graphs always produce identical summaries, so the
@@ -365,29 +345,6 @@ mod tests {
         let before = g.len();
         assert_eq!(g.clone_rerooted(t, src), t);
         assert_eq!(g.len(), before);
-    }
-
-    #[test]
-    fn signatures_detect_structural_equality() {
-        let mut g = Graph::new();
-        let input = g.add(NodeKind::RuntimeInput, vec![], "input");
-        let op: Arc<dyn ErasedTransformer> = Arc::new(TypedTransformer::new(AddOne));
-        let a = g.add(NodeKind::Transform(op.clone()), vec![input], "a");
-        let b = g.add(NodeKind::Transform(op.clone()), vec![input], "b");
-        let c = g.add(NodeKind::Transform(op), vec![a], "c");
-        let sig = g.signatures();
-        assert_eq!(sig[a], sig[b], "same op over same input must collide");
-        assert_ne!(sig[a], sig[c], "different input must differ");
-    }
-
-    #[test]
-    fn signatures_distinguish_different_ops() {
-        let mut g = Graph::new();
-        let input = g.add(NodeKind::RuntimeInput, vec![], "input");
-        let a = g.add(transform_node(), vec![input], "a"); // distinct Arc
-        let b = g.add(transform_node(), vec![input], "b"); // distinct Arc
-        let sig = g.signatures();
-        assert_ne!(sig[a], sig[b]);
     }
 
     #[test]

@@ -27,22 +27,17 @@ pub struct CseResult {
 pub fn eliminate_common_subexpressions(graph: &Graph) -> CseResult {
     let mut out = Graph::new();
     let mut remap: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut canon: HashMap<u64, NodeId> = HashMap::new();
-    // We re-derive signatures incrementally over the *merged* inputs so that
-    // chains of duplicates collapse transitively.
+    // Keyed on the tuple itself, over the *merged* inputs, so that chains of
+    // duplicates collapse transitively and no two distinct computations can
+    // ever share a key.
+    let mut canon: HashMap<(u8, usize, Vec<NodeId>), NodeId> = HashMap::new();
     for (id, node) in graph.nodes.iter().enumerate() {
         let new_inputs: Vec<NodeId> = node.inputs.iter().map(|i| remap[i]).collect();
-        let sig = node_signature(node, &new_inputs);
-        match canon.get(&sig) {
-            Some(&existing) => {
-                remap.insert(id, existing);
-            }
-            None => {
-                let new_id = out.add(node.kind.clone(), new_inputs, node.label.clone());
-                canon.insert(sig, new_id);
-                remap.insert(id, new_id);
-            }
-        }
+        let key = (node.kind.tag(), node.kind.identity(), new_inputs.clone());
+        let new_id = *canon
+            .entry(key)
+            .or_insert_with(|| out.add(node.kind.clone(), new_inputs, node.label.clone()));
+        remap.insert(id, new_id);
     }
     let eliminated = graph.len() - out.len();
     CseResult {
@@ -50,29 +45,6 @@ pub fn eliminate_common_subexpressions(graph: &Graph) -> CseResult {
         remap,
         eliminated,
     }
-}
-
-fn node_signature(node: &crate::graph::Node, inputs: &[NodeId]) -> u64 {
-    use crate::graph::NodeKind;
-    let (tag, identity): (u64, u64) = match &node.kind {
-        NodeKind::RuntimeInput => (0, 1),
-        NodeKind::DataSource(d) => (1, d.ptr_id() as u64),
-        NodeKind::Transform(op) => (2, std::sync::Arc::as_ptr(op) as *const () as usize as u64),
-        NodeKind::Estimate(op) => (3, std::sync::Arc::as_ptr(op) as *const () as usize as u64),
-        NodeKind::ModelApply => (4, 2),
-    };
-    let mut h = 0xcbf29ce484222325u64;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    mix(tag);
-    mix(identity);
-    mix(inputs.len() as u64);
-    for &i in inputs {
-        mix(i as u64);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -90,9 +90,9 @@ pub struct ForestMerge {
 
 /// Content-recursive structural signatures that are stable across *runs*:
 /// FNV over the node's kind tag, its label bytes, and its inputs'
-/// signatures. Unlike [`Graph::signatures`] — whose per-node identity is the
-/// operator `Arc` address, perfect for intra-process CSE but different on
-/// every invocation — these can be embedded in deterministic artifacts and
+/// signatures. Unlike CSE's keys — whose per-node identity is the operator
+/// `Arc` address, perfect for intra-process merging but different on every
+/// invocation — these can be embedded in deterministic artifacts and
 /// compared across processes.
 fn stable_signatures(graph: &Graph) -> Vec<u64> {
     let mut sig = vec![0u64; graph.nodes.len()];
@@ -342,6 +342,7 @@ pub fn fit_forest<A: Record, B: Record>(
 ) -> (Vec<FittedPipeline<A, B>>, ForestReport) {
     assert!(!tenants.is_empty(), "fit_forest needs at least one tenant");
     let sim_mark = ctx.sim.mark();
+    let (event_mark, span_mark) = (ctx.tracer.len(), ctx.metrics.span_count());
     if tenants.len() == 1
         || opts.level == OptLevel::None
         || matches!(opts.caching, CachingStrategy::Lru { .. })
@@ -456,11 +457,13 @@ pub fn fit_forest<A: Record, B: Record>(
         })
         .collect();
 
-    let mut observability = crate::report::PipelineReport::build_with_metrics(
+    let mut observability = crate::report::PipelineReport::build_since(
         &graph,
         &profile,
         &ctx.tracer,
         Some(&ctx.metrics),
+        event_mark,
+        span_mark,
     );
     observability.tenants = rows.clone();
     let fit_report = FitReport {

@@ -218,6 +218,7 @@ impl<A: Record, B: Record> Pipeline<A, B> {
         opts: &PipelineOptions,
     ) -> (FittedPipeline<A, B>, FitReport) {
         let snapshot = self.graph.lock().clone();
+        let (event_mark, span_mark) = (ctx.tracer.len(), ctx.metrics.span_count());
         let t0 = Instant::now();
 
         // 1. Common sub-expression elimination.
@@ -305,11 +306,13 @@ impl<A: Record, B: Record> Pipeline<A, B> {
         let models = executor.models();
         let adaptation = adaptive.map(|ad| ad.report()).unwrap_or_default();
 
-        let observability = crate::report::PipelineReport::build_with_metrics(
+        let observability = crate::report::PipelineReport::build_since(
             &graph,
             &profile,
             &ctx.tracer,
             Some(&ctx.metrics),
+            event_mark,
+            span_mark,
         );
         let report = FitReport {
             optimize_secs,

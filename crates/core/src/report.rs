@@ -165,6 +165,25 @@ impl PipelineReport {
         tracer: &Tracer,
         metrics: Option<&MetricsRegistry>,
     ) -> Self {
+        Self::build_since(graph, profile, tracer, metrics, 0, 0)
+    }
+
+    /// [`PipelineReport::build_with_metrics`] over one window of the
+    /// ledgers: only trace events from index `event_mark` and task spans
+    /// from index `span_mark` onward are folded. A fit takes
+    /// `tracer.len()` / `metrics.span_count()` on entry, so a report built
+    /// on a reused `ExecContext` describes that fit alone — node ids repeat
+    /// from one fit's graph to the next, and the whole ledger would sum
+    /// unrelated nodes under one id.
+    pub fn build_since(
+        graph: &Graph,
+        profile: &PipelineProfile,
+        tracer: &Tracer,
+        metrics: Option<&MetricsRegistry>,
+        event_mark: usize,
+        span_mark: usize,
+    ) -> Self {
+        let tracer = &tracer.since(event_mark);
         let actuals = tracer.node_actuals();
         let counters = tracer.cache_counters();
         let recovery = tracer.recovery_by_node();
@@ -172,7 +191,7 @@ impl PipelineReport {
         // than one stage group (relabeled re-execution), keep the busier one.
         let mut skew_by_node: HashMap<u64, keystone_dataflow::metrics::StageSkew> = HashMap::new();
         if let Some(m) = metrics {
-            for sk in m.stage_skew() {
+            for sk in m.stage_skew_from(span_mark) {
                 if let Some(id) = sk.stage_id {
                     match skew_by_node.get(&id) {
                         Some(prev) if prev.tasks >= sk.tasks => {}

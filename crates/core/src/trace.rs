@@ -251,9 +251,9 @@ pub enum TraceEvent {
         label: String,
         /// How many tenants' outputs depend on this node.
         tenants: usize,
-        /// Content-addressed structural signature
-        /// ([`Graph::signatures`](crate::graph::Graph::signatures)) — stable
-        /// under tenant permutation, unlike the node id.
+        /// Content-addressed structural signature (kind tag, label and
+        /// input signatures) — stable under tenant permutation and across
+        /// runs, unlike the node id.
         signature: u64,
     },
 }
@@ -359,6 +359,16 @@ impl Tracer {
     /// Clears the ledger.
     pub fn clear(&self) {
         self.events.lock().clear();
+    }
+
+    /// A detached tracer holding only the events recorded at index `mark`
+    /// onward ([`Tracer::len`] taken earlier serves as the mark) — how a fit
+    /// on a reused context reports its own part of the ledger.
+    pub fn since(&self, mark: usize) -> Tracer {
+        let events = self.events.lock();
+        Tracer {
+            events: Arc::new(Mutex::new(events[mark.min(events.len())..].to_vec())),
+        }
     }
 
     /// Snapshot of all events with sequence numbers.

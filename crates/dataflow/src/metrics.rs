@@ -405,10 +405,16 @@ impl MetricsRegistry {
     /// of that partition's spans within the stage (a node may run several
     /// collection operations).
     pub fn stage_skew(&self) -> Vec<StageSkew> {
+        self.stage_skew_from(0)
+    }
+
+    /// [`MetricsRegistry::stage_skew`] over the spans recorded at index
+    /// `mark` onward only.
+    pub fn stage_skew_from(&self, mark: usize) -> Vec<StageSkew> {
         let spans = self.inner.spans.lock();
         let mut order: Vec<(Option<u64>, String)> = Vec::new();
         let mut groups: HashMap<(Option<u64>, String), Vec<&TaskSpan>> = HashMap::new();
-        for s in spans.iter() {
+        for s in spans.iter().skip(mark) {
             let key = (s.stage_id, s.stage.clone());
             groups.entry(key.clone()).or_insert_with(|| {
                 order.push(key.clone());

@@ -11,9 +11,9 @@
 //!   materialization picks, mispredictions, fusion barriers, linger-bound
 //!   serving, recovery overhead — each with severity and the evidence
 //!   that triggered it.
-//! * [`regress`](crate::regress) diffs two artifacts, snapshots the
-//!   gateable virtual metrics into `BENCH_*.json` files, and fails CI
-//!   when a committed baseline regresses beyond tolerance.
+//! * [`regress`](crate::regress) snapshots the gateable virtual metrics
+//!   into `BENCH_*.json` files, and fails CI when a committed baseline
+//!   regresses beyond tolerance.
 //!
 //! The load-bearing invariant, inherited from the dual-clock design:
 //! **virtual quantities are deterministic, wall quantities are not.**
@@ -33,6 +33,4 @@ pub use artifact::{
 pub use diagnose::{
     diagnose, diagnose_with, replanner_hints, DiagnoseOptions, Diagnosis, Finding, Severity,
 };
-pub use regress::{
-    direction_of, ArtifactDiff, BenchSnapshot, Direction, GateReport, Regression, RegressionGate,
-};
+pub use regress::{direction_of, BenchSnapshot, Direction, GateReport, Regression, RegressionGate};

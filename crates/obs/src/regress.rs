@@ -1,5 +1,5 @@
-//! Regression harness: diff two [`RunArtifact`]s, snapshot the virtual
-//! metrics that matter into `BENCH_*.json` files, and gate CI on them.
+//! Regression harness: snapshot the virtual metrics of a [`RunArtifact`]
+//! that matter into `BENCH_*.json` files, and gate CI on them.
 //!
 //! Everything in this module compares **virtual** quantities (simulated
 //! seconds, span counts, hit ratios, virtual latency percentiles) — the
@@ -17,92 +17,6 @@ use std::collections::BTreeMap;
 use keystone_dataflow::json::{self, JVal};
 
 use crate::artifact::RunArtifact;
-
-/// Structured difference between two artifacts of the same pipeline.
-#[derive(Debug, Clone, Default)]
-pub struct ArtifactDiff {
-    /// Per-stage simulated-seconds delta (new − base), keyed by stage
-    /// prefix; stages present in only one side diff against zero.
-    pub stage_sim_delta: BTreeMap<String, f64>,
-    /// Total simulated seconds, base and new.
-    pub sim_total_secs: (f64, f64),
-    /// Task-span counts, base and new.
-    pub span_count: (u64, u64),
-    /// Cache hit ratio, base and new.
-    pub cache_hit_ratio: (f64, f64),
-    /// Serve p50 latency when both sides carry a serve section.
-    pub serve_p50: Option<(f64, f64)>,
-    /// Serve p99 latency when both sides carry a serve section.
-    pub serve_p99: Option<(f64, f64)>,
-}
-
-impl ArtifactDiff {
-    /// Diffs `new` against `base`.
-    pub fn between(base: &RunArtifact, new: &RunArtifact) -> ArtifactDiff {
-        let mut stages: BTreeMap<String, (f64, f64)> = BTreeMap::new();
-        for (stage, secs) in &base.sim_by_stage {
-            stages.entry(stage.clone()).or_default().0 += *secs;
-        }
-        for (stage, secs) in &new.sim_by_stage {
-            stages.entry(stage.clone()).or_default().1 += *secs;
-        }
-        ArtifactDiff {
-            stage_sim_delta: stages.into_iter().map(|(k, (b, n))| (k, n - b)).collect(),
-            sim_total_secs: (base.sim_total_secs, new.sim_total_secs),
-            span_count: (base.spans.len() as u64, new.spans.len() as u64),
-            cache_hit_ratio: (
-                base.cache_hit_ratio().unwrap_or(0.0),
-                new.cache_hit_ratio().unwrap_or(0.0),
-            ),
-            serve_p50: match (&base.serve, &new.serve) {
-                (Some(b), Some(n)) => Some((b.p50_latency_secs, n.p50_latency_secs)),
-                _ => None,
-            },
-            serve_p99: match (&base.serve, &new.serve) {
-                (Some(b), Some(n)) => Some((b.p99_latency_secs, n.p99_latency_secs)),
-                _ => None,
-            },
-        }
-    }
-
-    /// Human-readable rendering, sorted by |delta| within each section.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "sim total: {:.4}s -> {:.4}s ({:+.4}s)\n",
-            self.sim_total_secs.0,
-            self.sim_total_secs.1,
-            self.sim_total_secs.1 - self.sim_total_secs.0
-        ));
-        out.push_str(&format!(
-            "spans:     {} -> {}\n",
-            self.span_count.0, self.span_count.1
-        ));
-        out.push_str(&format!(
-            "hit ratio: {:.3} -> {:.3}\n",
-            self.cache_hit_ratio.0, self.cache_hit_ratio.1
-        ));
-        if let Some((b, n)) = self.serve_p50 {
-            out.push_str(&format!("serve p50: {b:.6}s -> {n:.6}s\n"));
-        }
-        if let Some((b, n)) = self.serve_p99 {
-            out.push_str(&format!("serve p99: {b:.6}s -> {n:.6}s\n"));
-        }
-        let mut stages: Vec<(&String, &f64)> = self.stage_sim_delta.iter().collect();
-        stages.sort_by(|a, b| {
-            b.1.abs()
-                .partial_cmp(&a.1.abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(b.0))
-        });
-        for (stage, delta) in stages {
-            if delta.abs() > 1e-12 {
-                out.push_str(&format!("  stage {stage}: {delta:+.4}s\n"));
-            }
-        }
-        out
-    }
-}
 
 /// A named bag of scalar metrics — the unit the CI gate compares. The
 /// on-disk form is a `BENCH_<name>.json` file.

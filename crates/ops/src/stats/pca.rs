@@ -696,6 +696,85 @@ mod tests {
         assert!((local.cost)(&stats, &r).flops >= INFEASIBLE_COST);
     }
 
+    /// `Pca` chained with `and_then_optimizable_est` reaches
+    /// `profile_and_select`: every physical option is priced, and the fitted
+    /// pipeline is the one the chosen option gives when chained directly.
+    #[test]
+    fn optimizable_pca_in_a_pipeline_is_priced_and_the_pick_is_what_runs() {
+        use keystone_core::optimizer::{OptLevel, PipelineOptions};
+        use keystone_core::pipeline::Pipeline;
+        use keystone_core::profiler::ProfileOptions;
+        use keystone_core::trace::TraceEvent;
+
+        struct Physical(Box<dyn Estimator<Vec<f64>, Vec<f64>>>);
+        impl Estimator<Vec<f64>, Vec<f64>> for Physical {
+            fn fit(
+                &self,
+                data: &DistCollection<Vec<f64>>,
+                ctx: &ExecContext,
+            ) -> Box<dyn Transformer<Vec<f64>, Vec<f64>>> {
+                self.0.fit(data, ctx)
+            }
+        }
+
+        let train = DistCollection::from_vec(anisotropic(300, 6, 5), 4);
+        let opts = PipelineOptions {
+            level: OptLevel::Full,
+            profile: ProfileOptions {
+                sizes: vec![64, 128],
+                deterministic_timing: true,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let ctx = ExecContext::default_cluster();
+        let (fitted, _) = Pipeline::<Vec<f64>, Vec<f64>>::input()
+            .and_then_optimizable_est(Pca::new(2), &train)
+            .fit(&ctx, &opts);
+
+        let choices: Vec<(String, Vec<_>)> = ctx
+            .tracer
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.event {
+                TraceEvent::OperatorChoice {
+                    label,
+                    chosen,
+                    candidates,
+                    ..
+                } if label == "PCA" => Some((chosen, candidates)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(choices.len(), 1, "one OperatorChoice for the PCA node");
+        let (chosen, candidates) = &choices[0];
+        let names: Vec<&str> = candidates.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["local-svd", "local-tsvd", "dist-svd", "dist-tsvd"]);
+        for c in candidates {
+            assert!(
+                c.est_secs.is_finite() || c.cost.flops >= INFEASIBLE_COST,
+                "{}: {}",
+                c.name,
+                c.est_secs
+            );
+        }
+
+        let op = Pca::new(2)
+            .options()
+            .into_iter()
+            .find(|o| &o.name == chosen)
+            .expect("the chosen name is one of the options")
+            .op;
+        let ctx2 = ExecContext::default_cluster();
+        let (direct, _) = Pipeline::<Vec<f64>, Vec<f64>>::input()
+            .and_then_est(Physical(op), &train)
+            .fit(&ctx2, &opts);
+        assert_eq!(
+            fitted.apply(&train, &ctx).collect(),
+            direct.apply(&train, &ctx2).collect()
+        );
+    }
+
     #[test]
     fn descriptor_pca_projects_rows() {
         let rows = anisotropic(100, 8, 4);

@@ -9,7 +9,15 @@
 //! # target/run_artifact.json   — the full flight-recorder bundle
 //! # target/diagnosis.json      — structured findings
 //! # re-running produces byte-identical files (CI compares with `cmp`)
+//! # target/trace_skew.json     — Chrome trace of the worker lanes; load it
+//! #                              in chrome://tracing or Perfetto
 //! ```
+//!
+//! The cost model (§4.1) prices a node as "slowest worker + coordination",
+//! which assumes uniform partitions. One partition here holds most of the
+//! data, so the per-stage skew table flags the straggler and
+//! `miss_diagnosis` attributes a runtime prediction miss to skew rather
+//! than a uniform mis-estimate.
 //!
 //! The capture is deterministic: wall-clock fields are nulled, spans are
 //! sorted by identity, skew is measured in *records* (seed-pure), and the
@@ -127,15 +135,48 @@ fn main() {
     let artifact = RunArtifact::capture_fit(&report, &fitted.plan(), &ctx, &capture);
     let diagnosis = diagnose(&artifact);
 
-    println!("== predicted vs actual (faulted, skewed fit) ==");
+    // Per-stage skew analysis straight from the metrics registry (wall
+    // time, so it varies run to run; the artifact's skew is in records).
+    println!("== per-stage partition skew ==");
+    for sk in ctx.metrics.stage_skew() {
+        println!(
+            "{:<28} tasks {:>3}  max {:>8.5}s  median {:>8.5}s  skew {:>5.2}{}  util {:>3.0}%",
+            sk.stage,
+            sk.tasks,
+            sk.max_secs,
+            sk.median_secs,
+            sk.skew_ratio,
+            if sk.straggler { "  STRAGGLER" } else { "" },
+            sk.utilization * 100.0
+        );
+    }
+
+    println!("\n== predicted vs actual (faulted, skewed fit) ==");
     print!("{}", report.observability.render_table());
+    for n in &report.observability.nodes {
+        if let Some(cause) = n.miss_diagnosis(0.15) {
+            println!(
+                "prediction miss on {}: {:.0}% off, attributed to {cause}",
+                n.label,
+                n.time_rel_error.unwrap_or(0.0) * 100.0
+            );
+        }
+    }
     println!();
     print!("{}", diagnosis.render_text());
 
+    // Chrome trace: worker lanes (pid 1) next to the simulated-cluster
+    // stage timeline (pid 2), with the recovery stages of the seeded cache
+    // loss on their own lanes.
+    let trace = keystoneml::core::export::chrome_trace_json(&ctx);
     std::fs::create_dir_all("target").expect("create target/");
     std::fs::write("target/run_artifact.json", artifact.to_json()).expect("write artifact");
     std::fs::write("target/diagnosis.json", diagnosis.to_json()).expect("write diagnosis");
-    println!("\nwrote target/run_artifact.json and target/diagnosis.json");
+    std::fs::write("target/trace_skew.json", &trace).expect("write trace");
+    println!(
+        "\nwrote target/run_artifact.json, target/diagnosis.json and target/trace_skew.json ({} spans)",
+        ctx.metrics.span_count()
+    );
 
     // The run is engineered to be unhealthy: the gate below only means
     // anything if the detectors actually fired.

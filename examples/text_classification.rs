@@ -2,10 +2,14 @@
 //! levels of Fig. 9: None, Pipe-Only, and full KeystoneML. Prints the
 //! fit-time breakdown so the effect of whole-pipeline optimization (the 7×
 //! the paper reports came from caching features ahead of the iterative
-//! solver) is visible.
+//! solver) is visible. For the fully optimized fit it also prints the
+//! per-node predicted-vs-actual report — profiled estimates (§4.1) joined
+//! against what the executor measured, with cache counters — and exports
+//! the partition-level task spans as a Chrome trace.
 //!
 //! ```sh
 //! cargo run --release --example text_classification
+//! # then load target/trace.json in chrome://tracing or https://ui.perfetto.dev
 //! ```
 
 use std::time::Instant;
@@ -70,6 +74,31 @@ fn main() {
                 println!("  {} -> {}", node, choice);
             }
             println!("  cached: {:?}", report.cache_set_labels);
+
+            println!("\n== predicted vs actual ==");
+            print!("{}", report.observability.render_table());
+            if let Some(err) = report.observability.max_time_rel_error() {
+                println!(
+                    "worst per-node runtime prediction error: {:.0}%",
+                    err * 100.0
+                );
+            }
+            if let Some(err) = report.observability.max_bytes_rel_error() {
+                println!(
+                    "worst per-node memory prediction error:  {:.1}%",
+                    err * 100.0
+                );
+            }
+
+            // Worker lanes next to the simulated-cluster stage timeline.
+            let trace = chrome_trace_json(&ctx.metrics, &ctx.sim);
+            std::fs::create_dir_all("target").expect("create target/");
+            std::fs::write("target/trace.json", &trace).expect("write trace");
+            println!(
+                "wrote target/trace.json ({} task spans from {} stages)",
+                ctx.metrics.span_count(),
+                ctx.metrics.stage_skew().len()
+            );
         }
     }
 }

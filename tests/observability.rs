@@ -61,15 +61,73 @@ fn opts() -> PipelineOptions {
 
 /// Shared expensive prefix feeding two estimators: CSE merges the prefix
 /// copies and the materializer should cache the reused intermediate.
-fn fit_pipeline() -> (ExecContext, FitReport) {
+fn pipeline() -> Pipeline<Vec<f64>, Vec<f64>> {
     let train = train_data();
-    let pipe = Pipeline::<Vec<f64>, Vec<f64>>::input()
+    Pipeline::<Vec<f64>, Vec<f64>>::input()
         .and_then(BusyWork(20))
         .and_then_est(MeanShift, &train)
-        .and_then_est(MeanShift, &train);
+        .and_then_est(MeanShift, &train)
+}
+
+fn fit_pipeline() -> (ExecContext, FitReport) {
     let ctx = ExecContext::default_cluster();
-    let (_fitted, report) = pipe.fit(&ctx, &opts());
+    let (_fitted, report) = pipeline().fit(&ctx, &opts());
     (ctx, report)
+}
+
+/// The run-stable part of a report: totals, then per node its id, label,
+/// execution count, cache counters, task spans, partitions and simulated
+/// seconds (wall-clock fields are left out).
+fn structural(r: &PipelineReport) -> impl PartialEq + std::fmt::Debug {
+    let rows: Vec<_> = r
+        .nodes
+        .iter()
+        .map(|n| {
+            let sim = n.actual_sim_secs.to_bits();
+            let spans = (n.task_spans, n.partitions);
+            (n.node, n.label.clone(), n.execs, n.cache, spans, sim)
+        })
+        .collect();
+    (r.events, r.cache_hits, r.cache_misses, rows)
+}
+
+#[test]
+fn a_report_on_a_reused_context_covers_its_own_fit_only() {
+    let mut o = opts();
+    o.profile.deterministic_timing = true;
+    let fresh = structural(
+        &pipeline()
+            .fit(&ExecContext::default_cluster(), &o)
+            .1
+            .observability,
+    );
+
+    let ctx = ExecContext::default_cluster();
+    for round in 0..2 {
+        let (_, report) = pipeline().fit(&ctx, &o);
+        assert_eq!(structural(&report.observability), fresh, "fit {round}");
+    }
+
+    // `fit_forest` fits LRU tenants alone, one after the other on the one
+    // context: tenant 1's report must not contain tenant 0.
+    let lru = PipelineOptions {
+        caching: CachingStrategy::Lru {
+            admission_fraction: 1.0,
+        },
+        ..o
+    };
+    let fresh = structural(
+        &pipeline()
+            .fit(&ExecContext::default_cluster(), &lru)
+            .1
+            .observability,
+    );
+    let ctx = ExecContext::default_cluster();
+    let (_, forest) = fit_forest(&[pipeline(), pipeline()], &ctx, &lru);
+    assert_eq!(forest.solo_reports.len(), 2);
+    for r in &forest.solo_reports {
+        assert_eq!(structural(&r.observability), fresh);
+    }
 }
 
 #[test]
