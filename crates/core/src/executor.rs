@@ -180,7 +180,6 @@ impl<'g> Executor<'g> {
                 .is_some_and(|f| f.cache_entry_lost(node as u64))
             {
                 self.cache.invalidate(node as u64);
-                self.ctx.metrics.inc_counter("faults.cache_losses", 1);
             } else {
                 match v.downcast_ref::<AnyData>() {
                     Some(data) => return NodeOutput::Data(data.clone()),
@@ -401,12 +400,10 @@ impl<'g> Executor<'g> {
 
         // Retries: charge each failed attempt's backoff.
         let mut backoff_total = 0.0;
-        let mut retries = 0u64;
         for s in &spans {
             for attempt in 0..s.retries {
                 let backoff_secs = faults.backoff_secs(attempt);
                 backoff_total += backoff_secs;
-                retries += 1;
                 self.ctx.tracer.record(TraceEvent::TaskRetry {
                     node,
                     partition: s.partition,
@@ -415,8 +412,7 @@ impl<'g> Executor<'g> {
                 });
             }
         }
-        if retries > 0 {
-            self.ctx.metrics.inc_counter("faults.retries", retries);
+        if spans.iter().any(|s| s.retries > 0) {
             self.ctx
                 .sim
                 .charge_seconds(&format!("recovery:{label}"), backoff_total, 0.0);
@@ -465,9 +461,6 @@ impl<'g> Executor<'g> {
             }
         }
         if wins > 0 {
-            self.ctx
-                .metrics
-                .inc_counter("faults.speculative_wins", wins);
             self.ctx
                 .sim
                 .charge_seconds(&format!("speculative:{label}"), copies_total, 0.0);
@@ -847,7 +840,7 @@ mod tests {
             .iter()
             .filter(|e| matches!(e.event, TraceEvent::CacheLost { .. }))
             .count() as u64;
-        assert_eq!(ctx.metrics.counter("faults.cache_losses"), losses);
+        assert_eq!(ctx.tracer.recovery_stats().cache_losses, losses);
         assert_eq!(losses, 2);
     }
 
@@ -863,8 +856,6 @@ mod tests {
         let v: DistCollection<f64> = exec.eval(t).data().downcast();
         assert_eq!(v.collect(), vec![2.0, 4.0, 6.0], "faults changed results");
         // 2 partitions × 2 failed attempts each.
-        let retries = ctx.metrics.counter("faults.retries");
-        assert_eq!(retries, 4);
         let retry_events: Vec<_> = ctx
             .tracer
             .events()
@@ -904,8 +895,6 @@ mod tests {
         let ctx = ExecContext::default_cluster().with_faults(FaultSpec::new(3).into_plan());
         let exec = Executor::new(&g, ctx.clone(), no_cache());
         let _ = exec.eval(t);
-        assert_eq!(ctx.metrics.counter("faults.retries"), 0);
-        assert_eq!(ctx.metrics.counter("faults.cache_losses"), 0);
         assert!(ctx.tracer.recovery_stats() == Default::default());
     }
 

@@ -38,7 +38,7 @@
 use std::collections::HashSet;
 
 use keystone_dataflow::cache::CacheManager;
-use keystone_dataflow::json::write_f64;
+use keystone_dataflow::json::JVal;
 use keystone_dataflow::simclock::SimClock;
 use parking_lot::Mutex;
 
@@ -117,35 +117,29 @@ impl AdaptationReport {
         ids
     }
 
+    /// The one JSON form: the artifact's `adaptation` section and, rendered,
+    /// [`AdaptationReport::to_json`].
+    pub fn to_jval(&self) -> JVal {
+        let ids = |ids: &[NodeId]| JVal::Arr(ids.iter().map(|&n| JVal::UInt(n as u64)).collect());
+        let revisions = self.revisions.iter().map(|r| {
+            JVal::obj(vec![
+                ("wave", JVal::UInt(r.wave)),
+                ("promoted", ids(&r.promoted)),
+                ("evicted", ids(&r.evicted)),
+                ("predicted_saving_secs", JVal::Num(r.predicted_saving_secs)),
+            ])
+        });
+        JVal::obj(vec![
+            ("recalibrations", JVal::UInt(self.recalibrations)),
+            ("revisions", JVal::Arr(revisions.collect())),
+            ("decision_secs", JVal::Num(self.decision_secs)),
+        ])
+    }
+
     /// Deterministic JSON rendering (golden-pinned wire format).
     pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"recalibrations\":{}", self.recalibrations);
-        out.push_str(",\"revisions\":[");
-        for (i, r) in self.revisions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"wave\":{},\"promoted\":[{}],\"evicted\":[{}],\"predicted_saving_secs\":",
-                r.wave,
-                ids_csv(&r.promoted),
-                ids_csv(&r.evicted),
-            ));
-            write_f64(&mut out, r.predicted_saving_secs);
-            out.push('}');
-        }
-        out.push_str("],\"decision_secs\":");
-        write_f64(&mut out, self.decision_secs);
-        out.push('}');
-        out
+        self.to_jval().render()
     }
-}
-
-fn ids_csv(ids: &[NodeId]) -> String {
-    ids.iter()
-        .map(|i| i.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
 }
 
 struct AdaptState {
@@ -590,15 +584,15 @@ mod tests {
         };
         assert_eq!(
             report.to_json(),
-            "{\"recalibrations\":2,\"revisions\":[{\"wave\":1,\"promoted\":[3,5],\
-             \"evicted\":[1],\"predicted_saving_secs\":12.5}],\"decision_secs\":0.000000001}"
+            "{\"decision_secs\":0.000000001,\"recalibrations\":2,\"revisions\":[{\
+             \"evicted\":[1],\"predicted_saving_secs\":12.5,\"promoted\":[3,5],\"wave\":1}]}"
         );
         assert_eq!(report.promoted(), vec![3, 5]);
         assert_eq!(report.evicted(), vec![1]);
         let empty = AdaptationReport::default();
         assert_eq!(
             empty.to_json(),
-            "{\"recalibrations\":0,\"revisions\":[],\"decision_secs\":0.0}"
+            "{\"decision_secs\":0.0,\"recalibrations\":0,\"revisions\":[]}"
         );
     }
 }

@@ -55,7 +55,7 @@ use crate::optimizer::{
 use crate::pipeline::{ExecutablePlan, FitReport, FittedPipeline, Pipeline};
 use crate::profiler::{profile_and_select, ProfileOptions};
 use crate::record::Record;
-use crate::report::TenantRow;
+use crate::report::{LedgerWindow, TenantRow};
 use crate::trace::TraceEvent;
 
 /// One shared node the forest canonicalizer found: a plan region used by
@@ -341,13 +341,12 @@ pub fn fit_forest<A: Record, B: Record>(
     opts: &PipelineOptions,
 ) -> (Vec<FittedPipeline<A, B>>, ForestReport) {
     assert!(!tenants.is_empty(), "fit_forest needs at least one tenant");
-    let sim_mark = ctx.sim.mark();
-    let (event_mark, span_mark) = (ctx.tracer.len(), ctx.metrics.span_count());
+    let window = LedgerWindow::open(ctx);
     if tenants.len() == 1
         || opts.level == OptLevel::None
         || matches!(opts.caching, CachingStrategy::Lru { .. })
     {
-        return fit_solo(tenants, ctx, opts, sim_mark, None);
+        return fit_solo(tenants, ctx, opts, window.sim, None);
     }
     let t0 = Instant::now();
 
@@ -395,7 +394,7 @@ pub fn fit_forest<A: Record, B: Record>(
         ctx.resources.workers.max(1) as f64,
     );
     if !estimate.favours_sharing() {
-        return fit_solo(tenants, ctx, opts, sim_mark, Some(estimate));
+        return fit_solo(tenants, ctx, opts, window.sim, Some(estimate));
     }
 
     // The shared plan runs: from here on the context is told about it.
@@ -444,8 +443,8 @@ pub fn fit_forest<A: Record, B: Record>(
     let models = executor.models();
 
     // 5. Per-tenant attribution rows from the SimClock lanes the stage
-    // prefixes produced.
-    let lanes: HashMap<String, f64> = ctx.sim.by_stage().into_iter().collect();
+    // prefixes produced during this fit.
+    let lanes: HashMap<String, f64> = ctx.sim.since(window.sim).by_stage().into_iter().collect();
     let rows: Vec<TenantRow> = (0..tenants.len())
         .map(|i| TenantRow {
             tenant: i,
@@ -462,8 +461,7 @@ pub fn fit_forest<A: Record, B: Record>(
         &profile,
         &ctx.tracer,
         Some(&ctx.metrics),
-        event_mark,
-        span_mark,
+        window,
     );
     observability.tenants = rows.clone();
     let fit_report = FitReport {
@@ -499,7 +497,7 @@ pub fn fit_forest<A: Record, B: Record>(
     let report = ForestReport {
         shared: true,
         estimate: Some(estimate),
-        forest_secs: ctx.sim.seconds_since(sim_mark),
+        forest_secs: ctx.sim.seconds_since(window.sim),
         cross_merges: merges,
         tenants: rows,
         fit: Some(fit_report),

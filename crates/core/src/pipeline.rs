@@ -218,7 +218,7 @@ impl<A: Record, B: Record> Pipeline<A, B> {
         opts: &PipelineOptions,
     ) -> (FittedPipeline<A, B>, FitReport) {
         let snapshot = self.graph.lock().clone();
-        let (event_mark, span_mark) = (ctx.tracer.len(), ctx.metrics.span_count());
+        let window = crate::report::LedgerWindow::open(ctx);
         let t0 = Instant::now();
 
         // 1. Common sub-expression elimination.
@@ -311,8 +311,7 @@ impl<A: Record, B: Record> Pipeline<A, B> {
             &profile,
             &ctx.tracer,
             Some(&ctx.metrics),
-            event_mark,
-            span_mark,
+            window,
         );
         let report = FitReport {
             optimize_secs,

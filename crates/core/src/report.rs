@@ -9,14 +9,15 @@
 //! wall/simulated seconds, execution counts, output bytes, and cache
 //! hit/miss counters — with per-node relative errors.
 //!
-//! Reports serialize to JSON through the [`keystone_dataflow::json`]
-//! writers and render as a fixed-width table for terminals.
+//! Reports serialize to JSON as one [`JVal`] document and render as a
+//! fixed-width table for terminals.
 
 use std::collections::HashMap;
 
-use keystone_dataflow::json::{write_f64, write_string};
+use keystone_dataflow::json::JVal;
 use keystone_dataflow::metrics::MetricsRegistry;
 
+use crate::context::ExecContext;
 use crate::graph::{Graph, NodeId};
 use crate::profiler::PipelineProfile;
 use crate::trace::{CacheCounters, RecoveryStats, Tracer};
@@ -58,13 +59,9 @@ pub struct NodeReport {
     pub skew_ratio: Option<f64>,
     /// Busy wall time ÷ (lanes × stage span), clamped to 1.0.
     pub utilization: Option<f64>,
-    /// Failed task attempts this node's executions absorbed as retries.
-    pub retries: u64,
-    /// Straggler partitions beaten by a speculative copy.
-    pub speculative_wins: u64,
-    /// Simulated seconds of recovery work (retry backoff + speculative
-    /// copies) charged against this node.
-    pub recovery_secs: f64,
+    /// Recovery work this node's executions absorbed: retries, speculative
+    /// wins, lost cache entries and their simulated seconds.
+    pub recovery: RecoveryStats,
     /// Member labels when this node is a whole-stage fused chain
     /// (execution order); empty for ordinary nodes.
     pub fused_members: Vec<String>,
@@ -93,6 +90,34 @@ impl NodeReport {
             _ => Some("uniform"),
         }
     }
+
+    fn to_jval(&self) -> JVal {
+        let members = self.fused_members.iter().map(|m| JVal::str(m));
+        let predicted_out_bytes = JVal::opt_num(self.predicted_out_bytes);
+        let r = &self.recovery;
+        JVal::obj(vec![
+            ("node", JVal::UInt(self.node as u64)),
+            ("label", JVal::str(&self.label)),
+            ("predicted_secs", JVal::opt_num(self.predicted_secs)),
+            ("predicted_out_bytes", predicted_out_bytes),
+            ("actual_wall_secs", JVal::Num(self.actual_wall_secs)),
+            ("actual_sim_secs", JVal::Num(self.actual_sim_secs)),
+            ("actual_out_bytes", JVal::UInt(self.actual_out_bytes)),
+            ("execs", JVal::UInt(self.execs)),
+            ("cache", self.cache.to_jval()),
+            ("time_rel_error", JVal::opt_num(self.time_rel_error)),
+            ("bytes_rel_error", JVal::opt_num(self.bytes_rel_error)),
+            ("task_spans", JVal::UInt(self.task_spans)),
+            ("partitions", JVal::UInt(self.partitions)),
+            ("skew_ratio", JVal::opt_num(self.skew_ratio)),
+            ("utilization", JVal::opt_num(self.utilization)),
+            ("retries", JVal::UInt(r.retries)),
+            ("speculative_wins", JVal::UInt(r.speculative_wins)),
+            ("recovery_secs", JVal::Num(r.recovery_secs)),
+            ("fused_members", JVal::Arr(members.collect())),
+            ("adapt", self.adapt.as_deref().map_or(JVal::Null, JVal::str)),
+        ])
+    }
 }
 
 /// One tenant's attribution row in a multi-tenant forest fit
@@ -120,6 +145,45 @@ pub struct TenantRow {
     pub solo_secs: f64,
 }
 
+impl TenantRow {
+    /// The one JSON form (the report's and the artifact's `tenants` rows).
+    pub fn to_jval(&self) -> JVal {
+        let roots = self.fit_roots.iter().map(|&n| JVal::UInt(n as u64));
+        JVal::obj(vec![
+            ("tenant", JVal::UInt(self.tenant as u64)),
+            ("output", JVal::UInt(self.output as u64)),
+            ("fit_roots", JVal::Arr(roots.collect())),
+            ("shared_nodes", JVal::UInt(self.shared_nodes as u64)),
+            ("sim_secs", JVal::Num(self.sim_secs)),
+            ("solo_secs", JVal::Num(self.solo_secs)),
+        ])
+    }
+}
+
+/// Where one run's slice of an [`ExecContext`]'s ledgers begins. A report
+/// keeps the window it folded, so what is derived from it later (the run
+/// artifact) reads the same slice; the default window is the whole context.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LedgerWindow {
+    /// First trace event of the run ([`Tracer::len`] at its start).
+    pub events: usize,
+    /// First task span of the run ([`MetricsRegistry::span_count`]).
+    pub spans: usize,
+    /// First simulated-clock entry of the run (`SimClock::mark`).
+    pub sim: usize,
+}
+
+impl LedgerWindow {
+    /// Opens a window at the context's current ledger ends.
+    pub(crate) fn open(ctx: &ExecContext) -> Self {
+        LedgerWindow {
+            events: ctx.tracer.len(),
+            spans: ctx.metrics.span_count(),
+            sim: ctx.sim.mark(),
+        }
+    }
+}
+
 /// Whole-pipeline observability report.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineReport {
@@ -131,17 +195,13 @@ pub struct PipelineReport {
     pub cache_hits: u64,
     /// Total cache misses across nodes.
     pub cache_misses: u64,
-    /// Total retries across nodes.
-    pub retries: u64,
-    /// Total speculative wins across nodes.
-    pub speculative_wins: u64,
-    /// Total cache entries lost and recomputed from lineage.
-    pub cache_losses: u64,
-    /// Total simulated recovery seconds across nodes.
-    pub recovery_secs: f64,
+    /// Run-wide recovery totals, folded from the window's trace events.
+    pub recovery: RecoveryStats,
     /// Per-tenant rows when this fit was part of a multi-tenant forest
     /// (`fit_forest`); empty for ordinary solo fits.
     pub tenants: Vec<TenantRow>,
+    /// The slice of the context's ledgers this report folded.
+    pub window: LedgerWindow,
 }
 
 fn rel_error(predicted: f64, actual: f64) -> f64 {
@@ -149,41 +209,31 @@ fn rel_error(predicted: f64, actual: f64) -> f64 {
 }
 
 impl PipelineReport {
-    /// Joins profiler predictions with tracer actuals over `graph`'s nodes.
-    /// A node appears if it was profiled or it executed.
-    pub fn build(graph: &Graph, profile: &PipelineProfile, tracer: &Tracer) -> Self {
-        Self::build_with_metrics(graph, profile, tracer, None)
-    }
-
-    /// Like [`PipelineReport::build`], additionally joining partition-level
-    /// task spans from `metrics`: rows gain span/partition counts plus the
-    /// per-stage skew ratio and worker utilization, keyed by the node id the
-    /// executor stamps on every task scope.
+    /// Joins profiler predictions with tracer actuals over `graph`'s nodes
+    /// (a node appears if it was profiled or it executed) and, with
+    /// `metrics`, each node's task spans: span/partition counts, skew ratio
+    /// and worker utilization, keyed by the node id on every task scope.
     pub fn build_with_metrics(
         graph: &Graph,
         profile: &PipelineProfile,
         tracer: &Tracer,
         metrics: Option<&MetricsRegistry>,
     ) -> Self {
-        Self::build_since(graph, profile, tracer, metrics, 0, 0)
+        Self::build_since(graph, profile, tracer, metrics, LedgerWindow::default())
     }
 
-    /// [`PipelineReport::build_with_metrics`] over one window of the
-    /// ledgers: only trace events from index `event_mark` and task spans
-    /// from index `span_mark` onward are folded. A fit takes
-    /// `tracer.len()` / `metrics.span_count()` on entry, so a report built
-    /// on a reused `ExecContext` describes that fit alone — node ids repeat
-    /// from one fit's graph to the next, and the whole ledger would sum
-    /// unrelated nodes under one id.
+    /// [`PipelineReport::build_with_metrics`] over the events and spans from
+    /// `window` onward, which the report keeps. A fit opens its window on
+    /// entry, so on a reused `ExecContext` it reports itself alone — node
+    /// ids repeat from one fit's graph to the next.
     pub fn build_since(
         graph: &Graph,
         profile: &PipelineProfile,
         tracer: &Tracer,
         metrics: Option<&MetricsRegistry>,
-        event_mark: usize,
-        span_mark: usize,
+        window: LedgerWindow,
     ) -> Self {
-        let tracer = &tracer.since(event_mark);
+        let tracer = &tracer.since(window.events);
         let actuals = tracer.node_actuals();
         let counters = tracer.cache_counters();
         let recovery = tracer.recovery_by_node();
@@ -191,7 +241,7 @@ impl PipelineReport {
         // than one stage group (relabeled re-execution), keep the busier one.
         let mut skew_by_node: HashMap<u64, keystone_dataflow::metrics::StageSkew> = HashMap::new();
         if let Some(m) = metrics {
-            for sk in m.stage_skew_from(span_mark) {
+            for sk in m.stage_skew_from(window.spans) {
                 if let Some(id) = sk.stage_id {
                     match skew_by_node.get(&id) {
                         Some(prev) if prev.tasks >= sk.tasks => {}
@@ -254,7 +304,6 @@ impl PipelineReport {
                 _ => None,
             };
             let skew = skew_by_node.get(&(id as u64));
-            let rec = recovery.get(&id).copied().unwrap_or_default();
             let fused_members = match &graph.nodes[id].kind {
                 crate::graph::NodeKind::Transform(op) => op.fused_members().unwrap_or_default(),
                 _ => Vec::new(),
@@ -275,9 +324,7 @@ impl PipelineReport {
                 partitions: skew.map_or(0, |s| s.partitions as u64),
                 skew_ratio: skew.map(|s| s.skew_ratio),
                 utilization: skew.map(|s| s.utilization),
-                retries: rec.retries,
-                speculative_wins: rec.speculative_wins,
-                recovery_secs: rec.recovery_secs,
+                recovery: recovery.get(&id).copied().unwrap_or_default(),
                 fused_members,
                 adapt: adapt_by_node.get(&id).map(|&(recal, promo, evict)| {
                     let mut parts = Vec::new();
@@ -296,17 +343,14 @@ impl PipelineReport {
         }
         let cache_hits = nodes.iter().map(|n| n.cache.hits).sum();
         let cache_misses = nodes.iter().map(|n| n.cache.misses).sum();
-        let totals: RecoveryStats = tracer.recovery_stats();
         PipelineReport {
             nodes,
             events: tracer.len(),
             cache_hits,
             cache_misses,
-            retries: totals.retries,
-            speculative_wins: totals.speculative_wins,
-            cache_losses: totals.cache_losses,
-            recovery_secs: totals.recovery_secs,
+            recovery: tracer.recovery_stats(),
             tenants: Vec::new(),
+            window,
         }
     }
 
@@ -333,113 +377,24 @@ impl PipelineReport {
 
     /// Serializes the report as a JSON object.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + self.nodes.len() * 256);
-        s.push_str("{\"events\":");
-        s.push_str(&self.events.to_string());
-        s.push_str(",\"cache_hits\":");
-        s.push_str(&self.cache_hits.to_string());
-        s.push_str(",\"cache_misses\":");
-        s.push_str(&self.cache_misses.to_string());
-        s.push_str(",\"retries\":");
-        s.push_str(&self.retries.to_string());
-        s.push_str(",\"speculative_wins\":");
-        s.push_str(&self.speculative_wins.to_string());
-        s.push_str(",\"cache_losses\":");
-        s.push_str(&self.cache_losses.to_string());
-        s.push_str(",\"recovery_secs\":");
-        write_f64(&mut s, self.recovery_secs);
-        s.push_str(",\"tenants\":[");
-        for (i, t) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"tenant\":");
-            s.push_str(&t.tenant.to_string());
-            s.push_str(",\"output\":");
-            s.push_str(&t.output.to_string());
-            s.push_str(",\"fit_roots\":[");
-            for (j, r) in t.fit_roots.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&r.to_string());
-            }
-            s.push(']');
-            s.push_str(",\"shared_nodes\":");
-            s.push_str(&t.shared_nodes.to_string());
-            s.push_str(",\"sim_secs\":");
-            write_f64(&mut s, t.sim_secs);
-            s.push_str(",\"solo_secs\":");
-            write_f64(&mut s, t.solo_secs);
-            s.push('}');
-        }
-        s.push(']');
-        s.push_str(",\"nodes\":[");
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"node\":");
-            s.push_str(&n.node.to_string());
-            s.push_str(",\"label\":");
-            write_string(&mut s, &n.label);
-            s.push_str(",\"predicted_secs\":");
-            write_opt_f64(&mut s, n.predicted_secs);
-            s.push_str(",\"predicted_out_bytes\":");
-            write_opt_f64(&mut s, n.predicted_out_bytes);
-            s.push_str(",\"actual_wall_secs\":");
-            write_f64(&mut s, n.actual_wall_secs);
-            s.push_str(",\"actual_sim_secs\":");
-            write_f64(&mut s, n.actual_sim_secs);
-            s.push_str(",\"actual_out_bytes\":");
-            s.push_str(&n.actual_out_bytes.to_string());
-            s.push_str(",\"execs\":");
-            s.push_str(&n.execs.to_string());
-            s.push_str(",\"cache\":{\"hits\":");
-            s.push_str(&n.cache.hits.to_string());
-            s.push_str(",\"misses\":");
-            s.push_str(&n.cache.misses.to_string());
-            s.push_str(",\"admissions\":");
-            s.push_str(&n.cache.admissions.to_string());
-            s.push_str(",\"evictions\":");
-            s.push_str(&n.cache.evictions.to_string());
-            s.push_str(",\"rejections\":");
-            s.push_str(&n.cache.rejections.to_string());
-            s.push_str("},\"time_rel_error\":");
-            write_opt_f64(&mut s, n.time_rel_error);
-            s.push_str(",\"bytes_rel_error\":");
-            write_opt_f64(&mut s, n.bytes_rel_error);
-            s.push_str(",\"task_spans\":");
-            s.push_str(&n.task_spans.to_string());
-            s.push_str(",\"partitions\":");
-            s.push_str(&n.partitions.to_string());
-            s.push_str(",\"skew_ratio\":");
-            write_opt_f64(&mut s, n.skew_ratio);
-            s.push_str(",\"utilization\":");
-            write_opt_f64(&mut s, n.utilization);
-            s.push_str(",\"retries\":");
-            s.push_str(&n.retries.to_string());
-            s.push_str(",\"speculative_wins\":");
-            s.push_str(&n.speculative_wins.to_string());
-            s.push_str(",\"recovery_secs\":");
-            write_f64(&mut s, n.recovery_secs);
-            s.push_str(",\"fused_members\":[");
-            for (j, m) in n.fused_members.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                write_string(&mut s, m);
-            }
-            s.push(']');
-            s.push_str(",\"adapt\":");
-            match &n.adapt {
-                Some(a) => write_string(&mut s, a),
-                None => s.push_str("null"),
-            }
-            s.push('}');
-        }
-        s.push_str("]}");
-        s
+        self.to_jval().render()
+    }
+
+    fn to_jval(&self) -> JVal {
+        let r = &self.recovery;
+        let tenants = self.tenants.iter().map(TenantRow::to_jval);
+        let nodes = self.nodes.iter().map(NodeReport::to_jval);
+        JVal::obj(vec![
+            ("events", JVal::UInt(self.events as u64)),
+            ("cache_hits", JVal::UInt(self.cache_hits)),
+            ("cache_misses", JVal::UInt(self.cache_misses)),
+            ("retries", JVal::UInt(r.retries)),
+            ("speculative_wins", JVal::UInt(r.speculative_wins)),
+            ("cache_losses", JVal::UInt(r.cache_losses)),
+            ("recovery_secs", JVal::Num(r.recovery_secs)),
+            ("tenants", JVal::Arr(tenants.collect())),
+            ("nodes", JVal::Arr(nodes.collect())),
+        ])
     }
 
     /// Renders a fixed-width predicted-vs-actual table.
@@ -480,8 +435,8 @@ impl PipelineReport {
                 label.truncate(25);
                 label.push_str("...");
             }
-            let rec = if n.recovery_secs > 0.0 {
-                format!("{:.3}", n.recovery_secs)
+            let rec = if n.recovery.recovery_secs > 0.0 {
+                format!("{:.3}", n.recovery.recovery_secs)
             } else {
                 "-".to_string()
             };
@@ -502,8 +457,8 @@ impl PipelineReport {
                 n.cache.misses,
                 skew,
                 util,
-                n.retries,
-                n.speculative_wins,
+                n.recovery.retries,
+                n.recovery.speculative_wins,
                 rec,
                 adapt,
                 fused
@@ -515,19 +470,12 @@ impl PipelineReport {
             self.events,
             self.cache_hits,
             self.cache_misses,
-            self.retries,
-            self.speculative_wins,
-            self.cache_losses,
-            self.recovery_secs
+            self.recovery.retries,
+            self.recovery.speculative_wins,
+            self.recovery.cache_losses,
+            self.recovery.recovery_secs
         ));
         out
-    }
-}
-
-fn write_opt_f64(s: &mut String, v: Option<f64>) {
-    match v {
-        Some(x) => write_f64(s, x),
-        None => s.push_str("null"),
     }
 }
 
@@ -582,7 +530,7 @@ mod tests {
         let profile = profile_for(1, 2.0, 800.0);
         let t = Tracer::new();
         t.node_end(1, "op", 100, 800, 1.0, 0.5);
-        let r = PipelineReport::build(&g, &profile, &t);
+        let r = PipelineReport::build_with_metrics(&g, &profile, &t, None);
         let row = r.node("op").expect("row for op");
         assert_eq!(row.execs, 1);
         // pred 2.0 vs actual 1.0 → 100% relative error.
@@ -597,7 +545,7 @@ mod tests {
         let g = graph_with(&["src", "op"]);
         let profile = profile_for(1, 2.0, 800.0);
         let t = Tracer::new();
-        let r = PipelineReport::build(&g, &profile, &t);
+        let r = PipelineReport::build_with_metrics(&g, &profile, &t, None);
         let row = r.node("op").expect("row");
         assert_eq!(row.execs, 0);
         assert!(row.time_rel_error.is_none());
@@ -612,7 +560,7 @@ mod tests {
         t.node_end(1, "a\"quoted\"", 100, 800, 1.5, 0.0);
         t.record(crate::trace::TraceEvent::CacheMiss { node: 1 });
         t.record(crate::trace::TraceEvent::CacheHit { node: 1 });
-        let r = PipelineReport::build(&g, &profile, &t);
+        let r = PipelineReport::build_with_metrics(&g, &profile, &t, None);
         let json = r.to_json();
         assert!(json::parse(&json).is_ok(), "invalid JSON: {json}");
         assert!(json.contains("\"cache_hits\":1"));
@@ -627,7 +575,7 @@ mod tests {
         let profile = profile_for(1, 2.0, 800.0);
         let t = Tracer::new();
         t.node_end(1, "op", 100, 800, 1.0, 0.0);
-        let r = PipelineReport::build(&g, &profile, &t);
+        let r = PipelineReport::build_with_metrics(&g, &profile, &t, None);
         let table = r.render_table();
         assert!(table.contains("op"));
         assert!(table.contains("err%"));
@@ -695,9 +643,7 @@ mod tests {
             partitions: 4,
             skew_ratio: Some(1.1),
             utilization: Some(0.9),
-            retries: 0,
-            speculative_wins: 0,
-            recovery_secs: 0.0,
+            recovery: RecoveryStats::default(),
             fused_members: Vec::new(),
             adapt: None,
         };
@@ -809,7 +755,7 @@ mod tests {
             evicted: vec![2],
             predicted_saving_secs: 4.0,
         });
-        let r = PipelineReport::build(&g, &profile, &t);
+        let r = PipelineReport::build_with_metrics(&g, &profile, &t, None);
         let hot = r.node("hot").expect("hot row");
         assert_eq!(hot.adapt.as_deref(), Some("recalibrated+promoted"));
         // The evicted node never executed and was never profiled, but the
@@ -846,15 +792,15 @@ mod tests {
             copy_secs: 0.5,
         });
         t.record(TraceEvent::CacheLost { node: 1 });
-        let r = PipelineReport::build(&g, &profile, &t);
+        let r = PipelineReport::build_with_metrics(&g, &profile, &t, None);
         let row = r.node("op").expect("row");
-        assert_eq!(row.retries, 1);
-        assert_eq!(row.speculative_wins, 1);
-        assert!((row.recovery_secs - 1.5).abs() < 1e-12);
-        assert_eq!(r.retries, 1);
-        assert_eq!(r.speculative_wins, 1);
-        assert_eq!(r.cache_losses, 1);
-        assert!((r.recovery_secs - 1.5).abs() < 1e-12);
+        assert_eq!(row.recovery.retries, 1);
+        assert_eq!(row.recovery.speculative_wins, 1);
+        assert!((row.recovery.recovery_secs - 1.5).abs() < 1e-12);
+        assert_eq!(r.recovery.retries, 1);
+        assert_eq!(r.recovery.speculative_wins, 1);
+        assert_eq!(r.recovery.cache_losses, 1);
+        assert!((r.recovery.recovery_secs - 1.5).abs() < 1e-12);
         let json = r.to_json();
         assert!(json::parse(&json).is_ok(), "invalid JSON: {json}");
         assert!(json.contains("\"retries\":1"));
@@ -901,7 +847,7 @@ mod tests {
         let profile = profile_for(f, 1.0, 800.0);
         let t = Tracer::new();
         t.node_end(f, "Fused[Inc+Dbl]", 100, 800, 0.5, 0.25);
-        let r = PipelineReport::build(&g, &profile, &t);
+        let r = PipelineReport::build_with_metrics(&g, &profile, &t, None);
         let row = r.node("Fused[Inc+Dbl]").expect("row");
         assert_eq!(row.fused_members, vec!["Inc", "Dbl"]);
         let json = r.to_json();

@@ -37,6 +37,7 @@ use std::sync::Arc;
 
 use keystone_dataflow::cache::CacheObserver;
 use keystone_dataflow::cost::CostProfile;
+use keystone_dataflow::json::JVal;
 use parking_lot::Mutex;
 
 use crate::graph::NodeId;
@@ -287,6 +288,16 @@ impl RecoveryStats {
             _ => {}
         }
     }
+
+    /// The one JSON form (the run artifact's `recovery` section).
+    pub fn to_jval(&self) -> JVal {
+        JVal::obj(vec![
+            ("retries", JVal::UInt(self.retries)),
+            ("speculative_wins", JVal::UInt(self.speculative_wins)),
+            ("cache_losses", JVal::UInt(self.cache_losses)),
+            ("recovery_secs", JVal::Num(self.recovery_secs)),
+        ])
+    }
 }
 
 /// A [`TraceEvent`] plus its global sequence number (0-based, in the order
@@ -314,6 +325,19 @@ pub struct CacheCounters {
     pub rejections: u64,
 }
 
+impl CacheCounters {
+    /// The one JSON form (a report row's and an artifact row's `cache`).
+    pub fn to_jval(&self) -> JVal {
+        JVal::obj(vec![
+            ("hits", JVal::UInt(self.hits)),
+            ("misses", JVal::UInt(self.misses)),
+            ("admissions", JVal::UInt(self.admissions)),
+            ("evictions", JVal::UInt(self.evictions)),
+            ("rejections", JVal::UInt(self.rejections)),
+        ])
+    }
+}
+
 /// Per-node execution actuals derived from the event stream.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NodeActuals {
@@ -323,8 +347,6 @@ pub struct NodeActuals {
     pub wall_secs: f64,
     /// Total simulated seconds across executions.
     pub sim_secs: f64,
-    /// Input records of the last execution.
-    pub records: usize,
     /// Output bytes of the last execution.
     pub out_bytes: u64,
 }
@@ -354,11 +376,6 @@ impl Tracer {
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.events.lock().is_empty()
-    }
-
-    /// Clears the ledger.
-    pub fn clear(&self) {
-        self.events.lock().clear();
     }
 
     /// A detached tracer holding only the events recorded at index `mark`
@@ -437,7 +454,6 @@ impl Tracer {
         for e in self.events.lock().iter() {
             if let TraceEvent::NodeEnd {
                 node,
-                records,
                 out_bytes,
                 wall_secs,
                 sim_secs,
@@ -448,7 +464,6 @@ impl Tracer {
                 a.execs += 1;
                 a.wall_secs += wall_secs;
                 a.sim_secs += sim_secs;
-                a.records = *records;
                 a.out_bytes = *out_bytes;
             }
         }
@@ -555,10 +570,9 @@ mod tests {
     fn clones_share_the_ledger() {
         let t = Tracer::new();
         let clone = t.clone();
+        assert!(clone.is_empty());
         clone.record(TraceEvent::CacheMiss { node: 3 });
         assert_eq!(t.len(), 1);
-        t.clear();
-        assert!(clone.is_empty());
     }
 
     #[test]
@@ -631,7 +645,6 @@ mod tests {
         assert_eq!(a.execs, 2);
         assert!((a.wall_secs - 4.0).abs() < 1e-12);
         assert!((a.sim_secs - 2.0).abs() < 1e-12);
-        assert_eq!(a.records, 100);
         assert_eq!(a.out_bytes, 800);
     }
 }

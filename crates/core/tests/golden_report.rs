@@ -1,11 +1,11 @@
 //! Golden-file tests for the [`PipelineReport`] renderers.
 //!
 //! The table and JSON forms are consumed by scripts and by CI artifact
-//! diffing, so their exact shape — field order, column set (including the
-//! `retry`/`spec`/`rec(s)` recovery columns), number formatting — is a
-//! compatibility surface. These tests render a fully synthetic, fully
-//! deterministic report and compare byte-for-byte against checked-in golden
-//! files.
+//! diffing, so their exact shape — key set (JSON keys render sorted), column
+//! set (including the `retry`/`spec`/`rec(s)` recovery columns), number
+//! formatting — is a compatibility surface. These tests render a fully
+//! synthetic, fully deterministic report and compare byte-for-byte against
+//! checked-in golden files.
 //!
 //! To regenerate after an intentional format change:
 //!

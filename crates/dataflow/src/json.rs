@@ -1,16 +1,15 @@
-//! The repo's one JSON codec: writer primitives, a deterministic document
-//! builder, and a parser.
+//! The repo's one JSON codec: a deterministic document builder and a
+//! parser.
 //!
 //! There is no `serde` — the build environment is offline — so every
-//! report, run artifact, trace export and benchmark snapshot is rendered
-//! through the functions here and read back with [`parse`].
+//! report, run artifact, trace export and benchmark snapshot is built as a
+//! [`JVal`] and read back with [`parse`].
 //!
-//! * [`write_f64`] / [`write_string`] — the float and string conventions
-//!   every writer shares: shortest-roundtrip floats where integral finite
-//!   values keep a trailing `.0` (a value's JSON type never flips between
-//!   runs) and non-finite values collapse to `null`.
 //! * [`JVal`] — a document tree whose object keys are sorted at write
 //!   time, so two identical runs serialize to *byte-identical* JSON.
+//!   Floats render shortest-roundtrip, integral finite values keep a
+//!   trailing `.0` (a value's JSON type never flips between runs) and
+//!   non-finite values collapse to `null`.
 //! * [`Value`] / [`parse`] — a DOM parser, used by the regression gate to
 //!   read committed baselines and by tests to verify exports.
 
@@ -19,7 +18,7 @@ use std::collections::HashMap;
 /// Shortest-roundtrip float formatting; integral finite values keep a
 /// trailing `.0` so they stay floats on re-parse, non-finite values become
 /// `null`.
-pub fn write_f64(out: &mut String, v: f64) {
+fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let formatted = format!("{}", v);
         out.push_str(&formatted);
@@ -32,7 +31,7 @@ pub fn write_f64(out: &mut String, v: f64) {
 }
 
 /// Writes `v` as a quoted, escaped JSON string.
-pub fn write_string(out: &mut String, v: &str) {
+fn write_string(out: &mut String, v: &str) {
     out.push('"');
     for c in v.chars() {
         match c {
@@ -128,16 +127,6 @@ impl JVal {
             }
         }
     }
-}
-
-/// A string→f64 map as a sorted JSON object.
-pub fn num_map(m: &HashMap<String, f64>) -> JVal {
-    JVal::Obj(m.iter().map(|(k, v)| (k.clone(), JVal::Num(*v))).collect())
-}
-
-/// A string→u64 map as a sorted JSON object.
-pub fn uint_map(m: &HashMap<String, u64>) -> JVal {
-    JVal::Obj(m.iter().map(|(k, v)| (k.clone(), JVal::UInt(*v))).collect())
 }
 
 /// A parsed JSON value.

@@ -22,13 +22,12 @@
 //! * [`cache::CacheManager`] — the budgeted cache layer with the pinned-set
 //!   policy driven by the whole-pipeline optimizer, plus the LRU policy
 //!   (with Spark-like admission control) used as a baseline in Fig. 10;
-//! * [`metrics::MetricsRegistry`] — partition-level observability: per-task
-//!   spans with worker-lane attribution, per-stage skew/utilization
-//!   analysis, and a Chrome trace-event exporter rendering measured worker
-//!   lanes next to the simulated-cluster ledger;
-//! * [`json`] — the one JSON codec (float/string writers, the sorted-key
-//!   [`json::JVal`] document builder and a parser) every report, artifact
-//!   and trace export goes through;
+//! * [`metrics::MetricsRegistry`] — partition-level observability: the
+//!   ledger of per-task spans with worker-lane attribution, and per-stage
+//!   skew/utilization analysis over it;
+//! * [`json`] — the one JSON codec (the sorted-key [`json::JVal`] document
+//!   builder and a parser) every report, artifact and trace export goes
+//!   through;
 //! * [`faults::FaultPlan`] — deterministic, seeded fault injection (task
 //!   failures, stragglers, cache-entry loss) that the executor's recovery
 //!   machinery — bounded retry, speculative re-execution, lineage
@@ -63,5 +62,5 @@ pub use collection::DistCollection;
 pub use columnar::ColumnarBatch;
 pub use cost::CostProfile;
 pub use faults::{FaultPlan, FaultSpec};
-pub use metrics::{MetricsRegistry, MetricsSnapshot, StageSkew, TaskSpan};
+pub use metrics::{MetricsRegistry, StageSkew, TaskSpan};
 pub use simclock::SimClock;

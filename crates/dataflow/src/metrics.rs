@@ -1,5 +1,4 @@
-//! Partition-level metrics: task spans, counters/gauges/histograms, skew
-//! analysis, and a Chrome trace-event exporter.
+//! Partition-level metrics: task spans and skew analysis.
 //!
 //! The node-level tracer (in `keystone-core`) sees a pipeline as a sequence
 //! of operator executions, but the paper's cost model is a claim about
@@ -14,10 +13,10 @@
 //!   worker lane that actually executed it (the pool thread's index,
 //!   falling back to `partition % workers` when no pool is active), and
 //!   item/byte throughput.
-//! * [`MetricsRegistry`] — a cheaply-cloneable sink for spans plus named
-//!   counters, gauges and fixed-bucket [`Histogram`]s whose
-//!   [`MetricsSnapshot`]s merge associatively (roll up registries from
-//!   parallel drivers).
+//! * [`MetricsRegistry`] — a cheaply-cloneable, append-only span ledger.
+//!   It holds nothing else: every other run fact (retries, cache traffic,
+//!   serving admissions) is a trace event in `keystone-core` or a field of
+//!   the serving outcome, recorded once there.
 //! * [`TaskScope`] — an ambient, thread-local attribution scope. The
 //!   executor pushes a scope around each node's work; every instrumented
 //!   [`DistCollection`](crate::collection::DistCollection) operation invoked
@@ -25,10 +24,9 @@
 //! * [`StageSkew`] — per-stage max/median/p99 partition time, a straggler
 //!   flag (`max > 2 × median`), and worker-lane utilization (busy wall time
 //!   ÷ lane span).
-//! * [`chrome_trace_json`] — a Chrome trace-event (Perfetto-loadable) JSON
-//!   export rendering real worker lanes and the simulated-cluster stage
-//!   ledger side by side as two process groups, written with the
-//!   [`crate::json`] codec.
+//!
+//! The Chrome trace-event export of these spans lives in
+//! `keystone_core::export`, beside the tracer events it renders with them.
 
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -38,8 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::faults::FaultPlan;
-use crate::json::{write_f64, write_string};
-use crate::simclock::SimClock;
+use crate::json::JVal;
 
 /// One partition's work inside one stage: the physical-task record the
 /// node-level trace decomposes into.
@@ -85,181 +82,43 @@ impl TaskSpan {
     pub fn duration_secs(&self) -> f64 {
         self.end_us.saturating_sub(self.start_us) as f64 / 1e6
     }
-}
 
-/// A fixed-bucket histogram: `bounds[i]` is the inclusive upper edge of
-/// bucket `i`, with one implicit overflow bucket. Snapshots with identical
-/// bounds merge by adding counts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
-    sum: f64,
-    count: u64,
-}
-
-impl Histogram {
-    /// A histogram over ascending bucket upper bounds.
-    pub fn new(bounds: Vec<f64>) -> Self {
-        let n = bounds.len() + 1;
-        Histogram {
-            bounds,
-            counts: vec![0; n],
-            sum: 0.0,
-            count: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn observe(&mut self, v: f64) {
-        let i = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[i] += 1;
-        self.sum += v;
-        self.count += 1;
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Per-bucket counts (last entry is the overflow bucket).
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Bucket upper bounds (one shorter than
-    /// [`Histogram::bucket_counts`] — the overflow bucket has no bound).
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Nearest-rank quantile estimate: the upper bound of the bucket holding
-    /// the rank-`⌈q·n⌉` observation. `q` outside `0.0..=1.0` is clamped to
-    /// the nearest valid quantile; a NaN `q` returns `None`. Observations in
-    /// the overflow bucket report the largest finite bound — the histogram
-    /// cannot resolve beyond its edges. Returns `None` on an empty
-    /// histogram, and the only bucket bound on a bound-less histogram.
-    ///
-    /// Because the estimate is a pure function of the bucket counts,
-    /// quantiles commute with [`Histogram::merge`]: merging two snapshots
-    /// and taking a quantile equals taking the quantile of the merged
-    /// counts (asserted by tests below).
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        // A NaN rank is meaningless — reject it here rather than relying on
-        // every caller: `f64::clamp` passes NaN through, and `NaN as u64`
-        // would silently collapse to rank 1 (i.e. report q≈0).
-        if q.is_nan() {
-            return None;
-        }
-        // Out-of-range requests saturate to the nearest valid quantile.
-        let q = q.clamp(0.0, 1.0);
-        // Nearest rank, 1-based: ceil(q·n) clamped to [1, n] so q=0.0 maps
-        // to the first observation rather than rank 0.
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                // Overflow bucket: saturate to the last finite bound.
-                let edge = i.min(self.bounds.len().saturating_sub(1));
-                return self.bounds.get(edge).copied().or(Some(0.0));
+    /// The span's one JSON form. `deterministic` nulls what depends on
+    /// wall time or pool scheduling: the worker lane and the start/end
+    /// timestamps.
+    pub fn to_jval(&self, deterministic: bool) -> JVal {
+        let wall = |v: u64| {
+            if deterministic {
+                JVal::Null
+            } else {
+                JVal::UInt(v)
             }
-        }
-        unreachable!("rank {rank} exceeds histogram count {}", self.count)
-    }
-
-    /// Median estimate ([`Histogram::quantile`] at 0.5).
-    pub fn p50(&self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-
-    /// 99th-percentile estimate ([`Histogram::quantile`] at 0.99).
-    pub fn p99(&self) -> Option<f64> {
-        self.quantile(0.99)
-    }
-
-    /// Adds another histogram's counts into this one.
-    ///
-    /// # Panics
-    /// Panics if the bucket bounds differ — merging is only defined across
-    /// snapshots of the same metric.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bounds, other.bounds, "histogram bounds mismatch");
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-        self.sum += other.sum;
-        self.count += other.count;
+        };
+        JVal::obj(vec![
+            ("stage", JVal::str(&self.stage)),
+            ("stage_id", self.stage_id.map_or(JVal::Null, JVal::UInt)),
+            ("op", JVal::str(self.op)),
+            ("op_seq", JVal::UInt(self.op_seq)),
+            ("partition", JVal::UInt(self.partition as u64)),
+            ("worker", wall(self.worker as u64)),
+            ("items_in", JVal::UInt(self.items_in)),
+            ("items_out", JVal::UInt(self.items_out)),
+            ("bytes", JVal::UInt(self.bytes)),
+            ("retries", JVal::UInt(self.retries as u64)),
+            ("speculative", JVal::Bool(self.speculative)),
+            ("start_us", wall(self.start_us)),
+            ("end_us", wall(self.end_us)),
+        ])
     }
 }
 
-/// Mergeable point-in-time copy of a registry's scalar metrics.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSnapshot {
-    /// Monotonic counters by name.
-    pub counters: HashMap<String, u64>,
-    /// Last-write gauges by name.
-    pub gauges: HashMap<String, f64>,
-    /// Histograms by name.
-    pub histograms: HashMap<String, Histogram>,
-}
-
-impl MetricsSnapshot {
-    /// Folds `other` into this snapshot: counters add, histograms merge
-    /// bucket-wise, gauges take `other`'s value (last write wins).
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.histograms {
-            match self.histograms.get_mut(k) {
-                Some(mine) => mine.merge(h),
-                None => {
-                    self.histograms.insert(k.clone(), h.clone());
-                }
-            }
-        }
-    }
-}
-
-#[derive(Debug)]
-struct RegistryInner {
-    epoch: Instant,
-    spans: Mutex<Vec<TaskSpan>>,
-    scalars: Mutex<MetricsSnapshot>,
-}
-
-/// Shared partition-metrics sink. Cloning shares the underlying ledgers, so
+/// Shared partition-metrics sink. Cloning shares the span ledger, so
 /// collection operations deep inside operators record into the same registry
 /// the driver reads — the same ownership model as `SimClock`.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
-    inner: Arc<RegistryInner>,
+    epoch: Instant,
+    spans: Arc<Mutex<Vec<TaskSpan>>>,
 }
 
 impl Default for MetricsRegistry {
@@ -272,46 +131,43 @@ impl MetricsRegistry {
     /// Fresh, empty registry; its epoch (span timestamp zero) is now.
     pub fn new() -> Self {
         MetricsRegistry {
-            inner: Arc::new(RegistryInner {
-                epoch: Instant::now(),
-                spans: Mutex::new(Vec::new()),
-                scalars: Mutex::new(MetricsSnapshot::default()),
-            }),
+            epoch: Instant::now(),
+            spans: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
     /// Microseconds elapsed since the registry epoch.
     pub fn now_micros(&self) -> u64 {
-        self.inner.epoch.elapsed().as_micros() as u64
+        self.epoch.elapsed().as_micros() as u64
     }
 
     /// Appends one task span.
     pub fn record_span(&self, span: TaskSpan) {
-        self.inner.spans.lock().push(span);
+        self.spans.lock().push(span);
     }
 
     /// Appends a batch of task spans (one lock acquisition).
     pub fn record_spans(&self, spans: Vec<TaskSpan>) {
         if !spans.is_empty() {
-            self.inner.spans.lock().extend(spans);
+            self.spans.lock().extend(spans);
         }
     }
 
     /// Snapshot of all recorded spans.
     pub fn spans(&self) -> Vec<TaskSpan> {
-        self.inner.spans.lock().clone()
+        self.spans.lock().clone()
     }
 
     /// Number of recorded spans.
     pub fn span_count(&self) -> usize {
-        self.inner.spans.lock().len()
+        self.spans.lock().len()
     }
 
     /// Spans recorded at index `mark` onward ([`MetricsRegistry::span_count`]
     /// taken earlier serves as the mark) — how the executor attributes a
     /// window of the ledger to one node execution.
     pub fn spans_from(&self, mark: usize) -> Vec<TaskSpan> {
-        self.inner.spans.lock().iter().skip(mark).cloned().collect()
+        self.spans.lock().iter().skip(mark).cloned().collect()
     }
 
     /// Tags spans of `(stage_id, op_seq, partition)` recorded at `mark`
@@ -324,7 +180,7 @@ impl MetricsRegistry {
         op_seq: u64,
         partition: usize,
     ) -> usize {
-        let mut spans = self.inner.spans.lock();
+        let mut spans = self.spans.lock();
         let mut tagged = 0;
         for s in spans.iter_mut().skip(mark) {
             if s.stage_id == stage_id && s.op_seq == op_seq && s.partition == partition {
@@ -333,70 +189,6 @@ impl MetricsRegistry {
             }
         }
         tagged
-    }
-
-    /// Adds `by` to the named counter.
-    pub fn inc_counter(&self, name: &str, by: u64) {
-        *self
-            .inner
-            .scalars
-            .lock()
-            .counters
-            .entry(name.to_string())
-            .or_insert(0) += by;
-    }
-
-    /// Current value of the named counter (0 if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.inner
-            .scalars
-            .lock()
-            .counters
-            .get(name)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Sets the named gauge.
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        self.inner
-            .scalars
-            .lock()
-            .gauges
-            .insert(name.to_string(), value);
-    }
-
-    /// Current value of the named gauge.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.inner.scalars.lock().gauges.get(name).copied()
-    }
-
-    /// Records an observation into the named histogram, creating it with
-    /// `bounds` on first use. Later calls ignore `bounds`.
-    pub fn observe(&self, name: &str, bounds: &[f64], value: f64) {
-        let mut scalars = self.inner.scalars.lock();
-        scalars
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds.to_vec()))
-            .observe(value);
-    }
-
-    /// Copy of the named histogram.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.inner.scalars.lock().histograms.get(name).cloned()
-    }
-
-    /// Mergeable snapshot of counters, gauges and histograms.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.inner.scalars.lock().clone()
-    }
-
-    /// Clears spans and scalar metrics (the epoch is unchanged, so span
-    /// timestamps stay comparable across resets).
-    pub fn reset(&self) {
-        self.inner.spans.lock().clear();
-        *self.inner.scalars.lock() = MetricsSnapshot::default();
     }
 
     /// Per-stage skew and utilization over the recorded spans, in first-seen
@@ -411,7 +203,7 @@ impl MetricsRegistry {
     /// [`MetricsRegistry::stage_skew`] over the spans recorded at index
     /// `mark` onward only.
     pub fn stage_skew_from(&self, mark: usize) -> Vec<StageSkew> {
-        let spans = self.inner.spans.lock();
+        let spans = self.spans.lock();
         let mut order: Vec<(Option<u64>, String)> = Vec::new();
         let mut groups: HashMap<(Option<u64>, String), Vec<&TaskSpan>> = HashMap::new();
         for s in spans.iter().skip(mark) {
@@ -608,237 +400,6 @@ pub fn current_task_scope() -> Option<TaskScope> {
     SCOPES.with(|s| s.borrow().last().cloned())
 }
 
-/// One argument value on a [`ChromeExtra`] event.
-#[derive(Debug, Clone)]
-pub enum ChromeArg {
-    /// A JSON number.
-    Num(f64),
-    /// A JSON string.
-    Str(String),
-}
-
-/// A caller-supplied complete (`"ph":"X"`) event rendered on the third
-/// process group (`pid 3`, "serving (virtual)") of
-/// [`chrome_trace_json_with`]. The node-level tracer in `keystone-core`
-/// lives above this crate, so events it owns — serve batch waves, admission
-/// rejects — are lowered into this carrier type and handed to the exporter
-/// (see `keystone_core::export::chrome_trace_json`).
-#[derive(Debug, Clone)]
-pub struct ChromeExtra {
-    /// Thread name within the virtual process (e.g. `serve:batches`);
-    /// lanes are assigned tids in first-seen order.
-    pub lane: String,
-    /// Event name.
-    pub name: String,
-    /// Start, microseconds of *virtual* time.
-    pub start_us: u64,
-    /// Duration, microseconds of virtual time (0 renders as an instant).
-    pub dur_us: u64,
-    /// `args` payload, in the given order.
-    pub args: Vec<(String, ChromeArg)>,
-}
-
-/// Serializes the registry's task spans and a [`SimClock`] ledger as a
-/// Chrome trace-event JSON array, loadable in `chrome://tracing` and
-/// Perfetto.
-///
-/// Two process groups:
-/// * `pid 1` — **measured worker lanes**: one thread per logical worker
-///   lane, one complete (`"ph":"X"`) event per [`TaskSpan`], at real
-///   wall-clock microseconds.
-/// * `pid 2` — **simulated cluster**: the `SimClock` ledger laid out
-///   sequentially (entry `i` starts where `i-1` ended), one thread per
-///   stage prefix — including the `recovery:`/`speculative:` stages the
-///   executor books for retries and speculation and the `serve:` stages
-///   the serving layer charges — so paper-scale estimated stage times sit
-///   next to the measured lanes.
-///
-/// Metadata (`"ph":"M"`) events name both processes and every thread.
-pub fn chrome_trace_json(registry: &MetricsRegistry, sim: &SimClock) -> String {
-    chrome_trace_json_with(registry, sim, &[])
-}
-
-/// [`chrome_trace_json`] plus a third process group (`pid 3`, "serving
-/// (virtual)") of caller-supplied [`ChromeExtra`] events on virtual-time
-/// lanes — how `ServeBatch`/`ServeReject` trace events reach Perfetto.
-pub fn chrome_trace_json_with(
-    registry: &MetricsRegistry,
-    sim: &SimClock,
-    extras: &[ChromeExtra],
-) -> String {
-    let spans = registry.spans();
-    let mut out = String::with_capacity(256 + spans.len() * 160);
-    out.push('[');
-    let mut first = true;
-    let mut push = |out: &mut String, ev: String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&ev);
-    };
-
-    push(
-        &mut out,
-        meta_event("process_name", 1, None, "workers (measured)"),
-    );
-    let mut lanes: Vec<usize> = spans.iter().map(|s| s.worker).collect();
-    lanes.sort_unstable();
-    lanes.dedup();
-    for lane in &lanes {
-        push(
-            &mut out,
-            meta_event(
-                "thread_name",
-                1,
-                Some(*lane as u64),
-                &format!("worker-{lane}"),
-            ),
-        );
-    }
-    for s in &spans {
-        let mut ev = String::with_capacity(160);
-        ev.push_str("{\"name\":");
-        write_string(&mut ev, &format!("{}[p{}]", s.stage, s.partition));
-        ev.push_str(",\"cat\":");
-        write_string(&mut ev, s.op);
-        ev.push_str(",\"ph\":\"X\",\"pid\":1,\"tid\":");
-        ev.push_str(&s.worker.to_string());
-        ev.push_str(",\"ts\":");
-        ev.push_str(&s.start_us.to_string());
-        ev.push_str(",\"dur\":");
-        ev.push_str(&s.end_us.saturating_sub(s.start_us).to_string());
-        ev.push_str(",\"args\":{\"partition\":");
-        ev.push_str(&s.partition.to_string());
-        ev.push_str(",\"items_in\":");
-        ev.push_str(&s.items_in.to_string());
-        ev.push_str(",\"items_out\":");
-        ev.push_str(&s.items_out.to_string());
-        ev.push_str(",\"bytes\":");
-        ev.push_str(&s.bytes.to_string());
-        ev.push_str(",\"retries\":");
-        ev.push_str(&s.retries.to_string());
-        ev.push_str(",\"speculative\":");
-        ev.push_str(if s.speculative { "true" } else { "false" });
-        ev.push_str("}}");
-        push(&mut out, ev);
-    }
-
-    push(
-        &mut out,
-        meta_event("process_name", 2, None, "simulated cluster"),
-    );
-    let timeline = sim.timeline();
-    // One simulated thread per stage prefix, in first-seen order.
-    let mut sim_tids: Vec<String> = Vec::new();
-    let tid_of = |stage: &str, sim_tids: &mut Vec<String>| -> u64 {
-        let prefix = stage.split(':').next().unwrap_or(stage).to_string();
-        match sim_tids.iter().position(|p| p == &prefix) {
-            Some(i) => i as u64,
-            None => {
-                sim_tids.push(prefix);
-                (sim_tids.len() - 1) as u64
-            }
-        }
-    };
-    let mut sim_events = Vec::with_capacity(timeline.len());
-    for (start_secs, e) in &timeline {
-        let tid = tid_of(&e.stage, &mut sim_tids);
-        let cursor_us = (start_secs * 1e6).max(0.0) as u64;
-        let dur_us = ((e.exec_secs + e.coord_secs) * 1e6).max(0.0) as u64;
-        let mut ev = String::with_capacity(160);
-        ev.push_str("{\"name\":");
-        write_string(&mut ev, &e.stage);
-        ev.push_str(",\"cat\":\"sim\",\"ph\":\"X\",\"pid\":2,\"tid\":");
-        ev.push_str(&tid.to_string());
-        ev.push_str(",\"ts\":");
-        ev.push_str(&cursor_us.to_string());
-        ev.push_str(",\"dur\":");
-        ev.push_str(&dur_us.to_string());
-        ev.push_str(",\"args\":{\"exec_secs\":");
-        write_f64(&mut ev, e.exec_secs);
-        ev.push_str(",\"coord_secs\":");
-        write_f64(&mut ev, e.coord_secs);
-        ev.push_str("}}");
-        sim_events.push(ev);
-    }
-    for (i, prefix) in sim_tids.iter().enumerate() {
-        push(
-            &mut out,
-            meta_event("thread_name", 2, Some(i as u64), &format!("sim:{prefix}")),
-        );
-    }
-    for ev in sim_events {
-        push(&mut out, ev);
-    }
-
-    if !extras.is_empty() {
-        push(
-            &mut out,
-            meta_event("process_name", 3, None, "serving (virtual)"),
-        );
-        let mut lanes: Vec<&str> = Vec::new();
-        let mut lane_events = Vec::with_capacity(extras.len());
-        for e in extras {
-            let tid = match lanes.iter().position(|l| *l == e.lane) {
-                Some(i) => i as u64,
-                None => {
-                    lanes.push(&e.lane);
-                    (lanes.len() - 1) as u64
-                }
-            };
-            let mut ev = String::with_capacity(160);
-            ev.push_str("{\"name\":");
-            write_string(&mut ev, &e.name);
-            ev.push_str(",\"cat\":\"serve\",\"ph\":\"X\",\"pid\":3,\"tid\":");
-            ev.push_str(&tid.to_string());
-            ev.push_str(",\"ts\":");
-            ev.push_str(&e.start_us.to_string());
-            ev.push_str(",\"dur\":");
-            ev.push_str(&e.dur_us.to_string());
-            ev.push_str(",\"args\":{");
-            for (i, (k, v)) in e.args.iter().enumerate() {
-                if i > 0 {
-                    ev.push(',');
-                }
-                write_string(&mut ev, k);
-                ev.push(':');
-                match v {
-                    ChromeArg::Num(n) => write_f64(&mut ev, *n),
-                    ChromeArg::Str(s) => write_string(&mut ev, s),
-                }
-            }
-            ev.push_str("}}");
-            lane_events.push(ev);
-        }
-        for (i, lane) in lanes.iter().enumerate() {
-            push(&mut out, meta_event("thread_name", 3, Some(i as u64), lane));
-        }
-        for ev in lane_events {
-            push(&mut out, ev);
-        }
-    }
-
-    out.push(']');
-    out
-}
-
-fn meta_event(name: &str, pid: u64, tid: Option<u64>, value: &str) -> String {
-    let mut ev = String::with_capacity(96);
-    ev.push_str("{\"name\":");
-    write_string(&mut ev, name);
-    ev.push_str(",\"ph\":\"M\",\"pid\":");
-    ev.push_str(&pid.to_string());
-    if let Some(tid) = tid {
-        ev.push_str(",\"tid\":");
-        ev.push_str(&tid.to_string());
-    }
-    ev.push_str(",\"args\":{\"name\":");
-    write_string(&mut ev, value);
-    ev.push_str("}}");
-    ev
-}
-
 /// The parser lives in [`crate::json`]; `perf/` (frozen by
 /// `BENCHMARK.json`) imports it by this path.
 #[doc(hidden)]
@@ -871,139 +432,8 @@ mod tests {
         let r = MetricsRegistry::new();
         let c = r.clone();
         c.record_span(span("s", 0, 0, 0, 10));
-        c.inc_counter("x", 2);
         assert_eq!(r.span_count(), 1);
-        assert_eq!(r.counter("x"), 2);
-        r.reset();
-        assert_eq!(c.span_count(), 0);
-        assert_eq!(c.counter("x"), 0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_merge() {
-        let mut h = Histogram::new(vec![1.0, 10.0]);
-        h.observe(0.5);
-        h.observe(5.0);
-        h.observe(50.0);
-        assert_eq!(h.bucket_counts(), &[1, 1, 1]);
-        assert_eq!(h.count(), 3);
-        let mut other = Histogram::new(vec![1.0, 10.0]);
-        other.observe(0.1);
-        h.merge(&other);
-        assert_eq!(h.bucket_counts(), &[2, 1, 1]);
-        assert!((h.mean() - 55.6 / 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantile_on_empty_histogram_is_none() {
-        let h = Histogram::new(vec![1.0, 10.0]);
-        assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.p50(), None);
-        assert_eq!(h.p99(), None);
-    }
-
-    #[test]
-    fn quantile_on_one_sample_is_its_bucket_for_every_q() {
-        let mut h = Histogram::new(vec![1.0, 10.0, 100.0]);
-        h.observe(5.0);
-        // Every quantile of a single observation is that observation's
-        // bucket bound — including q=0.0, which must not underflow to an
-        // imaginary rank-0 observation.
-        for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), Some(10.0), "q={q}");
-        }
-    }
-
-    #[test]
-    fn quantile_on_two_samples_splits_at_the_median() {
-        let mut h = Histogram::new(vec![1.0, 10.0, 100.0]);
-        h.observe(0.5);
-        h.observe(50.0);
-        // Nearest rank: ceil(0.5·2) = 1 → the lower observation.
-        assert_eq!(h.p50(), Some(1.0));
-        // ceil(0.99·2) = 2 → the upper observation.
-        assert_eq!(h.p99(), Some(100.0));
-        assert_eq!(h.quantile(1.0), Some(100.0));
-        assert_eq!(h.quantile(0.0), Some(1.0));
-    }
-
-    #[test]
-    fn quantile_clamps_out_of_range_and_rejects_nan() {
-        let mut h = Histogram::new(vec![1.0, 10.0, 100.0]);
-        h.observe(0.5); // bucket bound 1.0
-        h.observe(50.0); // bucket bound 100.0
-                         // Out-of-range q saturates to the nearest valid quantile.
-        assert_eq!(h.quantile(-0.1), h.quantile(0.0), "q=-0.1 clamps to 0.0");
-        assert_eq!(h.quantile(-0.1), Some(1.0));
-        assert_eq!(h.quantile(0.0), Some(1.0));
-        assert_eq!(h.quantile(1.0), Some(100.0));
-        assert_eq!(h.quantile(1.5), h.quantile(1.0), "q=1.5 clamps to 1.0");
-        assert_eq!(h.quantile(1.5), Some(100.0));
-        // NaN has no rank: it must be rejected, not silently treated as
-        // q≈0 (which is what `NaN as u64 == 0` used to produce).
-        assert_eq!(h.quantile(f64::NAN), None);
-    }
-
-    #[test]
-    fn quantile_saturates_in_the_overflow_bucket() {
-        let mut h = Histogram::new(vec![1.0, 10.0]);
-        h.observe(1e9);
-        assert_eq!(h.p50(), Some(10.0), "overflow reports the largest bound");
-    }
-
-    #[test]
-    fn merge_then_quantile_equals_quantile_of_merged() {
-        let bounds = vec![0.001, 0.01, 0.1, 1.0, 10.0];
-        let mut a = Histogram::new(bounds.clone());
-        let mut b = Histogram::new(bounds.clone());
-        let mut all = Histogram::new(bounds.clone());
-        // Deterministic pseudo-random split of one observation stream.
-        let mut x = 0x9E37_79B9u64;
-        for i in 0..257 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let v = (x >> 33) as f64 / 1e8;
-            all.observe(v);
-            if i % 3 == 0 {
-                a.observe(v);
-            } else {
-                b.observe(v);
-            }
-        }
-        a.merge(&b);
-        for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(
-                a.quantile(q),
-                all.quantile(q),
-                "merge-then-quantile diverged at q={q}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "bounds mismatch")]
-    fn histogram_merge_rejects_different_bounds() {
-        let mut a = Histogram::new(vec![1.0]);
-        let b = Histogram::new(vec![2.0]);
-        a.merge(&b);
-    }
-
-    #[test]
-    fn snapshots_merge_associatively() {
-        let a = MetricsRegistry::new();
-        a.inc_counter("items", 5);
-        a.set_gauge("mem", 1.0);
-        a.observe("lat", &[1.0], 0.5);
-        let b = MetricsRegistry::new();
-        b.inc_counter("items", 3);
-        b.set_gauge("mem", 2.0);
-        b.observe("lat", &[1.0], 2.0);
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.counters["items"], 8);
-        assert_eq!(merged.gauges["mem"], 2.0);
-        assert_eq!(merged.histograms["lat"].count(), 2);
+        assert_eq!(r.spans_from(1), Vec::new());
     }
 
     fn with_task_scope<T>(
@@ -1083,119 +513,5 @@ mod tests {
         b.stage_id = Some(2);
         r.record_spans(vec![a, b]);
         assert_eq!(r.stage_skew().len(), 2);
-    }
-
-    #[test]
-    fn chrome_trace_is_parseable_with_both_process_groups() {
-        let r = MetricsRegistry::new();
-        r.record_spans(vec![
-            span("transform:x", 0, 0, 0, 1_000),
-            span("transform:x", 1, 1, 0, 2_000),
-        ]);
-        let sim = SimClock::new();
-        sim.charge_seconds("solve:iter0", 1.5, 0.5);
-        sim.charge_seconds("featurize", 1.0, 0.0);
-        let json = chrome_trace_json(&r, &sim);
-        let doc = microjson::parse(&json).expect("trace must parse");
-        let events = doc.as_arr().expect("trace is an array");
-        let xs: Vec<_> = events
-            .iter()
-            .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
-            .collect();
-        assert_eq!(xs.len(), 4, "two spans + two sim entries");
-        for e in &xs {
-            for key in ["pid", "tid", "ts", "dur"] {
-                assert!(
-                    e.get(key).and_then(|v| v.as_f64()).is_some(),
-                    "X event missing numeric {key}: {e:?}"
-                );
-            }
-            assert!(e.get("name").and_then(|v| v.as_str()).is_some());
-        }
-        // Both process groups present.
-        let pids: std::collections::HashSet<i64> = xs
-            .iter()
-            .map(|e| e.get("pid").and_then(|v| v.as_f64()).expect("pid") as i64)
-            .collect();
-        assert_eq!(pids, [1i64, 2].into_iter().collect());
-        // Sim entries are laid out sequentially: 2.0s then 1.0s.
-        let sim_events: Vec<_> = xs
-            .iter()
-            .filter(|e| e.get("pid").and_then(|v| v.as_f64()) == Some(2.0))
-            .collect();
-        assert_eq!(sim_events[0].get("ts").and_then(|v| v.as_f64()), Some(0.0));
-        assert_eq!(
-            sim_events[1].get("ts").and_then(|v| v.as_f64()),
-            Some(2_000_000.0)
-        );
-    }
-
-    #[test]
-    fn chrome_trace_extras_render_as_third_process() {
-        let r = MetricsRegistry::new();
-        r.record_span(span("transform:x", 0, 0, 0, 1_000));
-        let sim = SimClock::new();
-        sim.charge_seconds("serve:execute", 1.0, 0.0);
-        sim.charge_seconds("recovery:solve", 0.5, 0.0);
-        sim.charge_seconds("speculative:solve", 0.25, 0.0);
-        let extras = vec![
-            ChromeExtra {
-                lane: "serve:batches".into(),
-                name: "batch 0".into(),
-                start_us: 100,
-                dur_us: 900,
-                args: vec![
-                    ("size".into(), ChromeArg::Num(4.0)),
-                    ("kind".into(), ChromeArg::Str("wave".into())),
-                ],
-            },
-            ChromeExtra {
-                lane: "serve:rejects".into(),
-                name: "reject 7".into(),
-                start_us: 250,
-                dur_us: 0,
-                args: vec![("queue_depth".into(), ChromeArg::Num(8.0))],
-            },
-        ];
-        let json = chrome_trace_json_with(&r, &sim, &extras);
-        let doc = microjson::parse(&json).expect("trace must parse");
-        let events = doc.as_arr().expect("array");
-        // The virtual-serving process is named and carries both lanes.
-        let names: Vec<&str> = events
-            .iter()
-            .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("M"))
-            .filter_map(|e| e.get("args")?.get("name")?.as_str())
-            .collect();
-        assert!(names.contains(&"serving (virtual)"), "{names:?}");
-        assert!(names.contains(&"serve:batches"));
-        assert!(names.contains(&"serve:rejects"));
-        // Sim lanes exist for serve/recovery/speculative stage prefixes, so
-        // the full run — not just fit-path stages — shows in Perfetto.
-        for lane in ["sim:serve", "sim:recovery", "sim:speculative"] {
-            assert!(names.contains(&lane), "missing {lane} in {names:?}");
-        }
-        let pid3: Vec<_> = events
-            .iter()
-            .filter(|e| {
-                e.get("ph").and_then(|p| p.as_str()) == Some("X")
-                    && e.get("pid").and_then(|v| v.as_f64()) == Some(3.0)
-            })
-            .collect();
-        assert_eq!(pid3.len(), 2);
-        assert_eq!(
-            pid3[0]
-                .get("args")
-                .and_then(|a| a.get("size"))
-                .and_then(|v| v.as_f64()),
-            Some(4.0)
-        );
-        assert_eq!(
-            pid3[0]
-                .get("args")
-                .and_then(|a| a.get("kind"))
-                .and_then(|v| v.as_str()),
-            Some("wave")
-        );
-        assert_eq!(pid3[1].get("dur").and_then(|v| v.as_f64()), Some(0.0));
     }
 }

@@ -131,10 +131,20 @@ impl SimClock {
         self.entries.lock().clone()
     }
 
+    /// A detached clock holding only the entries charged at `mark` onward
+    /// ([`SimClock::mark`] taken earlier) — how one run on a reused context
+    /// reads its own part of the ledger.
+    pub fn since(&self, mark: usize) -> SimClock {
+        let entries = self.entries.lock();
+        SimClock {
+            entries: Arc::new(Mutex::new(entries[mark.min(entries.len())..].to_vec())),
+            prefix: Arc::default(),
+        }
+    }
+
     /// Entries paired with cumulative start offsets (seconds): entry `i`
     /// starts where entry `i-1` ended. This is the sequential layout trace
-    /// renderers use (see
-    /// [`metrics::chrome_trace_json`](crate::metrics::chrome_trace_json)) —
+    /// renderers use (see `keystone_core::export::chrome_trace_json`) —
     /// the ledger records durations, not timestamps, so the timeline is the
     /// canonical reconstruction.
     ///
@@ -232,6 +242,10 @@ mod tests {
         assert_eq!(clock.seconds_since(mark), 0.0);
         clock.charge_seconds("during", 2.0, 0.5);
         assert!((clock.seconds_since(mark) - 2.5).abs() < 1e-12);
+        assert!((clock.total_seconds() - 3.5).abs() < 1e-12);
+        let window = clock.since(mark);
+        assert_eq!(window.by_stage(), vec![("during".to_string(), 2.5)]);
+        window.charge_seconds("detached", 1.0, 0.0);
         assert!((clock.total_seconds() - 3.5).abs() < 1e-12);
     }
 

@@ -1,17 +1,17 @@
 //! The [`RunArtifact`]: one self-describing, versioned JSON bundle per
 //! fit/apply/serve run.
 //!
-//! A run today produces telemetry in five places — the tracer's event
-//! stream, per-partition [`TaskSpan`]s in the metrics registry, scalar
-//! counters/gauges/histograms, the predicted-vs-actual
-//! [`PipelineReport`], and (for serving runs) per-request latency splits
-//! — all of which evaporate at process exit. The artifact joins them
-//! into one bundle keyed by plan-node id, so every datum points back at
-//! graph structure, and persists it as deterministic JSON: sorted object
-//! keys, shortest-roundtrip floats, and (in the default deterministic
-//! capture mode) only *virtual* quantities, so two identical seeded runs
-//! serialize byte-identically. The diagnosis engine
-//! ([`crate::diagnose`]) and the regression comparator
+//! A run records its telemetry in four places — the tracer's event
+//! stream, per-partition [`TaskSpan`]s in the metrics registry, the
+//! simulated-clock ledger, and (for serving runs) the serve outcome's
+//! per-request latency splits — plus the predicted-vs-actual
+//! [`PipelineReport`] folded from them, all of which evaporate at process
+//! exit. The artifact joins them into one bundle keyed by plan-node id,
+//! so every datum points back at graph structure, and persists it as
+//! deterministic JSON: sorted object keys, shortest-roundtrip floats, and
+//! (in the default deterministic capture mode) only *virtual* quantities,
+//! so two identical seeded runs serialize byte-identically. The diagnosis
+//! engine ([`crate::diagnose`]) and the regression comparator
 //! ([`crate::regress`]) both consume this type; ROADMAP item 3
 //! (adaptive re-optimization) is its intended third consumer.
 //!
@@ -34,21 +34,29 @@
 //! measured wave median). `examples/diagnose.rs` and the round-trip
 //! tests follow exactly this recipe.
 //!
-//! [`TaskSpan`]: keystone_dataflow::metrics::TaskSpan
-//! [`PipelineReport`]: keystone_core::report::PipelineReport
+//! A fit artifact reads the ledgers from the window its report folded
+//! ([`PipelineReport::window`]), so a fit on a reused `ExecContext`
+//! captures that fit alone. Apply and serve captures read the whole
+//! context, like the reports they build.
+//!
+//! Every value the artifact shares with another document — task spans,
+//! cache counters, recovery totals, tenant rows, the adaptation summary —
+//! is rendered by that type's own `to_jval`.
+//!
+//! [`PipelineReport::window`]: keystone_core::report::PipelineReport::window
 
 use std::collections::HashMap;
 
 use keystone_core::context::ExecContext;
 use keystone_core::graph::{Graph, NodeId, NodeKind};
+use keystone_core::optimizer::AdaptationReport;
 use keystone_core::pipeline::{ExecutablePlan, FitReport};
 use keystone_core::profiler::PipelineProfile;
-use keystone_core::report::PipelineReport;
+use keystone_core::report::{PipelineReport, TenantRow};
 use keystone_core::trace::{CacheCounters, RecoveryStats, TraceEvent, TracedEvent};
 use keystone_dataflow::json::{self, JVal};
-use keystone_dataflow::metrics::{Histogram, TaskSpan};
+use keystone_dataflow::metrics::TaskSpan;
 use keystone_dataflow::simclock::SimEntry;
-use keystone_serve::loadgen::percentile;
 use keystone_serve::server::ServeOutcome;
 
 /// Version stamped into every artifact; bump on any change to the JSON
@@ -59,8 +67,10 @@ use keystone_serve::server::ServeOutcome;
 /// `adapt` flags, the top-level `adaptation` section (fit runs), and the
 /// `recalibrate` / `plan_revision` event types; v3 — multi-tenant forest
 /// fits: the top-level `tenants` section (per-tenant attribution rows) and
-/// the `cross_cse_merge` event type.
-pub const SCHEMA_VERSION: u32 = 3;
+/// the `cross_cse_merge` event type; v4 — the `counters`, `gauges` and
+/// `histograms` sections are gone (every value in them re-counted trace
+/// events or the `serve` section).
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// What kind of run the artifact records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,38 +190,6 @@ pub struct NodeRow {
     pub adapt: Option<String>,
 }
 
-/// One per-partition task span row (wall fields optional — nulled in
-/// deterministic mode).
-#[derive(Debug, Clone)]
-pub struct SpanRow {
-    /// Stage label.
-    pub stage: String,
-    /// Executor node id, when the scope owner set one.
-    pub stage_id: Option<u64>,
-    /// Collection operation (`map`, `aggregate`, ...).
-    pub op: &'static str,
-    /// Operation sequence number within its scope.
-    pub op_seq: u64,
-    /// Partition index.
-    pub partition: usize,
-    /// Worker lane (`None` in deterministic mode — pool assignment races).
-    pub worker: Option<usize>,
-    /// Items read.
-    pub items_in: u64,
-    /// Items produced.
-    pub items_out: u64,
-    /// Bytes read (shallow estimate).
-    pub bytes: u64,
-    /// Failed attempts absorbed.
-    pub retries: u32,
-    /// Lost a speculative race.
-    pub speculative: bool,
-    /// Wall start/end, microseconds (`None` in deterministic mode).
-    pub start_us: Option<u64>,
-    /// See [`SpanRow::start_us`].
-    pub end_us: Option<u64>,
-}
-
 /// Serving-run latency splits, payload-free.
 #[derive(Debug, Clone, Default)]
 pub struct ServeSection {
@@ -240,7 +218,6 @@ pub struct ServeSection {
 impl ServeSection {
     /// Summarizes a [`ServeOutcome`], dropping payloads.
     pub fn from_outcome<B>(o: &ServeOutcome<B>) -> ServeSection {
-        let totals: Vec<f64> = o.responses.iter().map(|r| r.timing.total_secs()).collect();
         ServeSection {
             admitted: o.responses.len() as u64,
             rejected: o.rejects.len() as u64,
@@ -250,41 +227,8 @@ impl ServeSection {
             queue_secs_total: o.responses.iter().map(|r| r.timing.queue_secs).sum(),
             linger_secs_total: o.responses.iter().map(|r| r.timing.batch_secs).sum(),
             execute_secs_total: o.responses.iter().map(|r| r.timing.execute_secs).sum(),
-            p50_latency_secs: percentile(&totals, 50.0),
-            p99_latency_secs: percentile(&totals, 99.0),
-        }
-    }
-}
-
-/// A named histogram's full state.
-#[derive(Debug, Clone)]
-pub struct HistogramRow {
-    /// Metric name.
-    pub name: String,
-    /// Bucket upper bounds.
-    pub bounds: Vec<f64>,
-    /// Bucket counts (last is overflow).
-    pub counts: Vec<u64>,
-    /// Sum of observations.
-    pub sum: f64,
-    /// Observation count.
-    pub count: u64,
-    /// Nearest-rank median (bucket-edge estimate).
-    pub p50: Option<f64>,
-    /// Nearest-rank p99 (bucket-edge estimate).
-    pub p99: Option<f64>,
-}
-
-impl HistogramRow {
-    fn from(name: &str, h: &Histogram) -> HistogramRow {
-        HistogramRow {
-            name: name.to_string(),
-            bounds: h.bounds().to_vec(),
-            counts: h.bucket_counts().to_vec(),
-            sum: h.sum(),
-            count: h.count(),
-            p50: h.p50(),
-            p99: h.p99(),
+            p50_latency_secs: o.latency_percentile(50.0),
+            p99_latency_secs: o.latency_percentile(99.0),
         }
     }
 }
@@ -314,26 +258,22 @@ pub struct RunArtifact {
     pub sim_total_secs: f64,
     /// Ledger grouped by stage prefix, first-seen order.
     pub sim_by_stage: Vec<(String, f64)>,
-    /// Counters, sorted by name at serialization.
-    pub counters: HashMap<String, u64>,
-    /// Gauges, sorted by name at serialization.
-    pub gauges: HashMap<String, f64>,
-    /// Histograms with full bucket state.
-    pub histograms: Vec<HistogramRow>,
     /// The trace event stream, in recording order.
     pub events: Vec<TracedEvent>,
-    /// Per-partition task spans (sorted deterministically).
-    pub spans: Vec<SpanRow>,
+    /// Per-partition task spans, sorted by identity (their recording order
+    /// races under a parallel pool); wall fields are nulled at
+    /// serialization in deterministic mode.
+    pub spans: Vec<TaskSpan>,
     /// Aggregate recovery statistics.
     pub recovery: RecoveryStats,
     /// Serving latency splits (serve runs only).
     pub serve: Option<ServeSection>,
     /// Adaptive re-optimization summary (fit runs only; `None` elsewhere
     /// and on fits where adaptation was disabled before schema v2).
-    pub adaptation: Option<keystone_core::optimizer::AdaptationReport>,
+    pub adaptation: Option<AdaptationReport>,
     /// Per-tenant attribution rows when the run was a multi-tenant forest
     /// fit (`fit_forest`); empty for ordinary runs. Schema v3.
-    pub tenants: Vec<keystone_core::report::TenantRow>,
+    pub tenants: Vec<TenantRow>,
 }
 
 fn kind_name(kind: &NodeKind) -> &'static str {
@@ -425,49 +365,12 @@ fn node_rows(report: &PipelineReport, spans: &[TaskSpan], deterministic: bool) -
             partitions: n.partitions,
             time_skew: if deterministic { None } else { n.skew_ratio },
             record_skew: record_skew.get(&(n.node as u64)).copied(),
-            retries: n.retries,
-            speculative_wins: n.speculative_wins,
-            recovery_secs: n.recovery_secs,
+            retries: n.recovery.retries,
+            speculative_wins: n.recovery.speculative_wins,
+            recovery_secs: n.recovery.recovery_secs,
             adapt: n.adapt.clone(),
         })
         .collect()
-}
-
-fn span_rows(spans: Vec<TaskSpan>, deterministic: bool) -> Vec<SpanRow> {
-    let mut rows: Vec<SpanRow> = spans
-        .into_iter()
-        .map(|s| SpanRow {
-            stage_id: s.stage_id,
-            op_seq: s.op_seq,
-            partition: s.partition,
-            op: s.op,
-            items_in: s.items_in,
-            items_out: s.items_out,
-            bytes: s.bytes,
-            retries: s.retries,
-            speculative: s.speculative,
-            worker: if deterministic { None } else { Some(s.worker) },
-            start_us: if deterministic {
-                None
-            } else {
-                Some(s.start_us)
-            },
-            end_us: if deterministic { None } else { Some(s.end_us) },
-            stage: s.stage,
-        })
-        .collect();
-    // Recording order races under a parallel pool; the artifact orders
-    // spans by identity instead.
-    rows.sort_by(|a, b| {
-        (a.stage_id, &a.stage, a.op_seq, a.partition, a.op).cmp(&(
-            b.stage_id,
-            &b.stage,
-            b.op_seq,
-            b.partition,
-            b.op,
-        ))
-    });
-    rows
 }
 
 impl RunArtifact {
@@ -479,15 +382,18 @@ impl RunArtifact {
         opts: &CaptureOptions,
         serve: Option<ServeSection>,
     ) -> RunArtifact {
-        let spans = ctx.metrics.spans();
-        let nodes = node_rows(report, &spans, opts.deterministic);
-        let snapshot = ctx.metrics.snapshot();
-        let mut histograms: Vec<HistogramRow> = snapshot
-            .histograms
-            .iter()
-            .map(|(name, h)| HistogramRow::from(name, h))
-            .collect();
-        histograms.sort_by(|a, b| a.name.cmp(&b.name));
+        let window = report.window;
+        let mut spans = ctx.metrics.spans_from(window.spans);
+        spans.sort_by(|a, b| {
+            (a.stage_id, &a.stage, a.op_seq, a.partition, a.op).cmp(&(
+                b.stage_id,
+                &b.stage,
+                b.op_seq,
+                b.partition,
+                b.op,
+            ))
+        });
+        let sim = ctx.sim.since(window.sim);
         RunArtifact {
             schema_version: SCHEMA_VERSION,
             kind,
@@ -495,16 +401,13 @@ impl RunArtifact {
             label: opts.label.clone(),
             optimize_secs: None,
             plan,
-            nodes,
-            sim_entries: ctx.sim.entries(),
-            sim_total_secs: ctx.sim.total_seconds(),
-            sim_by_stage: ctx.sim.by_stage(),
-            counters: snapshot.counters,
-            gauges: snapshot.gauges,
-            histograms,
-            events: ctx.tracer.events(),
-            spans: span_rows(spans, opts.deterministic),
-            recovery: ctx.tracer.recovery_stats(),
+            nodes: node_rows(report, &spans, opts.deterministic),
+            sim_entries: sim.entries(),
+            sim_total_secs: sim.total_seconds(),
+            sim_by_stage: sim.by_stage(),
+            events: ctx.tracer.since(window.events).events(),
+            spans,
+            recovery: report.recovery,
             serve,
             adaptation: None,
             tenants: report.tenants.clone(),
@@ -512,7 +415,8 @@ impl RunArtifact {
     }
 
     /// Captures a fit run: the [`FitReport`]'s optimizer decisions and
-    /// predicted-vs-actual join, plus everything on the context.
+    /// predicted-vs-actual join, plus the context's ledgers from the
+    /// window that report folded.
     pub fn capture_fit(
         report: &FitReport,
         plan: &ExecutablePlan,
@@ -668,12 +572,6 @@ impl RunArtifact {
                     ),
                 ]),
             ),
-            ("counters", json::uint_map(&self.counters)),
-            ("gauges", json::num_map(&self.gauges)),
-            (
-                "histograms",
-                JVal::Arr(self.histograms.iter().map(histogram_jval).collect()),
-            ),
             (
                 "events",
                 JVal::Arr(
@@ -685,20 +583,14 @@ impl RunArtifact {
             ),
             (
                 "spans",
-                JVal::Arr(self.spans.iter().map(span_jval).collect()),
+                JVal::Arr(
+                    self.spans
+                        .iter()
+                        .map(|s| s.to_jval(self.deterministic))
+                        .collect(),
+                ),
             ),
-            (
-                "recovery",
-                JVal::obj(vec![
-                    ("retries", JVal::UInt(self.recovery.retries)),
-                    (
-                        "speculative_wins",
-                        JVal::UInt(self.recovery.speculative_wins),
-                    ),
-                    ("cache_losses", JVal::UInt(self.recovery.cache_losses)),
-                    ("recovery_secs", JVal::Num(self.recovery.recovery_secs)),
-                ]),
-            ),
+            ("recovery", self.recovery.to_jval()),
             (
                 "serve",
                 match &self.serve {
@@ -708,33 +600,13 @@ impl RunArtifact {
             ),
             (
                 "adaptation",
-                match &self.adaptation {
-                    Some(a) => adaptation_jval(a),
-                    None => JVal::Null,
-                },
+                self.adaptation
+                    .as_ref()
+                    .map_or(JVal::Null, AdaptationReport::to_jval),
             ),
             (
                 "tenants",
-                JVal::Arr(
-                    self.tenants
-                        .iter()
-                        .map(|t| {
-                            JVal::obj(vec![
-                                ("tenant", JVal::UInt(t.tenant as u64)),
-                                ("output", JVal::UInt(t.output as u64)),
-                                (
-                                    "fit_roots",
-                                    JVal::Arr(
-                                        t.fit_roots.iter().map(|&n| JVal::UInt(n as u64)).collect(),
-                                    ),
-                                ),
-                                ("shared_nodes", JVal::UInt(t.shared_nodes as u64)),
-                                ("sim_secs", JVal::Num(t.sim_secs)),
-                                ("solo_secs", JVal::Num(t.solo_secs)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                JVal::Arr(self.tenants.iter().map(TenantRow::to_jval).collect()),
             ),
         ])
     }
@@ -808,16 +680,7 @@ fn node_row_jval(n: &NodeRow) -> JVal {
         ("actual_sim_secs", JVal::Num(n.actual_sim_secs)),
         ("actual_out_bytes", JVal::UInt(n.actual_out_bytes)),
         ("execs", JVal::UInt(n.execs)),
-        (
-            "cache",
-            JVal::obj(vec![
-                ("hits", JVal::UInt(n.cache.hits)),
-                ("misses", JVal::UInt(n.cache.misses)),
-                ("admissions", JVal::UInt(n.cache.admissions)),
-                ("evictions", JVal::UInt(n.cache.evictions)),
-                ("rejections", JVal::UInt(n.cache.rejections)),
-            ]),
-        ),
+        ("cache", n.cache.to_jval()),
         ("task_spans", JVal::UInt(n.task_spans)),
         ("partitions", JVal::UInt(n.partitions)),
         ("time_skew", JVal::opt_num(n.time_skew)),
@@ -829,78 +692,6 @@ fn node_row_jval(n: &NodeRow) -> JVal {
             "adapt",
             n.adapt.as_deref().map(JVal::str).unwrap_or(JVal::Null),
         ),
-    ])
-}
-
-fn adaptation_jval(a: &keystone_core::optimizer::AdaptationReport) -> JVal {
-    JVal::obj(vec![
-        ("recalibrations", JVal::UInt(a.recalibrations)),
-        (
-            "revisions",
-            JVal::Arr(
-                a.revisions
-                    .iter()
-                    .map(|r| {
-                        JVal::obj(vec![
-                            ("wave", JVal::UInt(r.wave)),
-                            (
-                                "promoted",
-                                JVal::Arr(
-                                    r.promoted.iter().map(|&n| JVal::UInt(n as u64)).collect(),
-                                ),
-                            ),
-                            (
-                                "evicted",
-                                JVal::Arr(
-                                    r.evicted.iter().map(|&n| JVal::UInt(n as u64)).collect(),
-                                ),
-                            ),
-                            ("predicted_saving_secs", JVal::Num(r.predicted_saving_secs)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("decision_secs", JVal::Num(a.decision_secs)),
-    ])
-}
-
-fn histogram_jval(h: &HistogramRow) -> JVal {
-    JVal::obj(vec![
-        ("name", JVal::str(&h.name)),
-        (
-            "bounds",
-            JVal::Arr(h.bounds.iter().map(|&b| JVal::Num(b)).collect()),
-        ),
-        (
-            "counts",
-            JVal::Arr(h.counts.iter().map(|&c| JVal::UInt(c)).collect()),
-        ),
-        ("sum", JVal::Num(h.sum)),
-        ("count", JVal::UInt(h.count)),
-        ("p50", JVal::opt_num(h.p50)),
-        ("p99", JVal::opt_num(h.p99)),
-    ])
-}
-
-fn span_jval(s: &SpanRow) -> JVal {
-    JVal::obj(vec![
-        ("stage", JVal::str(&s.stage)),
-        ("stage_id", s.stage_id.map(JVal::UInt).unwrap_or(JVal::Null)),
-        ("op", JVal::str(s.op)),
-        ("op_seq", JVal::UInt(s.op_seq)),
-        ("partition", JVal::UInt(s.partition as u64)),
-        (
-            "worker",
-            s.worker.map(|w| JVal::UInt(w as u64)).unwrap_or(JVal::Null),
-        ),
-        ("items_in", JVal::UInt(s.items_in)),
-        ("items_out", JVal::UInt(s.items_out)),
-        ("bytes", JVal::UInt(s.bytes)),
-        ("retries", JVal::UInt(s.retries as u64)),
-        ("speculative", JVal::Bool(s.speculative)),
-        ("start_us", s.start_us.map(JVal::UInt).unwrap_or(JVal::Null)),
-        ("end_us", s.end_us.map(JVal::UInt).unwrap_or(JVal::Null)),
     ])
 }
 
@@ -1149,8 +940,6 @@ mod tests {
     fn artifact_json_has_meta_and_parses() {
         let ctx = ExecContext::default_cluster();
         ctx.sim.charge_seconds("stage:a", 1.0, 0.5);
-        ctx.metrics.inc_counter("c", 3);
-        ctx.metrics.observe("h", &[1.0, 2.0], 1.5);
         let report = empty_report();
         let artifact = capture_test(&report, &ctx);
         let json = artifact.to_json();
@@ -1168,12 +957,9 @@ mod tests {
                 .and_then(|v| v.as_f64()),
             Some(1.5)
         );
-        assert_eq!(
-            doc.get("counters")
-                .and_then(|c| c.get("c"))
-                .and_then(|v| v.as_f64()),
-            Some(3.0)
-        );
+        for gone in ["counters", "gauges", "histograms"] {
+            assert!(doc.get(gone).is_none(), "schema v4 dropped `{gone}`");
+        }
     }
 
     fn capture_test(report: &PipelineReport, ctx: &ExecContext) -> RunArtifact {

@@ -515,7 +515,7 @@ impl Diagnosis {
 mod tests {
     use super::*;
     use crate::artifact::{
-        CaptureOptions, HistogramRow, NodeRow, PlanNode, PlanSection, ServeSection, SCHEMA_VERSION,
+        CaptureOptions, NodeRow, PlanNode, PlanSection, ServeSection, SCHEMA_VERSION,
     };
     use keystone_core::trace::{CacheCounters, RecoveryStats, TracedEvent};
 
@@ -601,9 +601,6 @@ mod tests {
             sim_entries: vec![],
             sim_total_secs: 4.0,
             sim_by_stage: vec![],
-            counters: Default::default(),
-            gauges: Default::default(),
-            histograms: Vec::<HistogramRow>::new(),
             events,
             spans: vec![],
             recovery: RecoveryStats {

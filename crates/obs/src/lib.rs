@@ -1,8 +1,8 @@
 //! # keystone-obs — flight recorder, diagnosis engine, regression gate
 //!
 //! The observability layer over the KeystoneML reproduction: everything a
-//! run already emits (trace events, task spans, metrics, the
-//! predicted-vs-actual pipeline report, recovery stats, serve telemetry)
+//! run already emits (trace events, task spans, the simulated-clock
+//! ledger, the predicted-vs-actual pipeline report, serve telemetry)
 //! is joined into one versioned, self-describing [`RunArtifact`] keyed by
 //! plan-node id, then consumed two ways:
 //!
@@ -27,8 +27,8 @@ pub mod diagnose;
 pub mod regress;
 
 pub use artifact::{
-    schema_version_of, CaptureOptions, HistogramRow, NodeRow, PlanNode, PlanSection, RunArtifact,
-    RunKind, ServeSection, SpanRow, SCHEMA_VERSION,
+    schema_version_of, CaptureOptions, NodeRow, PlanNode, PlanSection, RunArtifact, RunKind,
+    ServeSection, SCHEMA_VERSION,
 };
 pub use diagnose::{
     diagnose, diagnose_with, replanner_hints, DiagnoseOptions, Diagnosis, Finding, Severity,

@@ -129,14 +129,15 @@ fn golden_is_reparsable_and_self_describing() {
         "plan",
         "nodes",
         "sim",
-        "counters",
-        "gauges",
-        "histograms",
         "events",
         "spans",
         "recovery",
         "adaptation",
+        "tenants",
     ] {
         assert!(doc.get(key).is_some(), "missing top-level `{key}`");
+    }
+    for gone in ["counters", "gauges", "histograms"] {
+        assert!(doc.get(gone).is_none(), "schema v4 dropped `{gone}`");
     }
 }

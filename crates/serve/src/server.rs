@@ -13,11 +13,10 @@
 //! the deterministic quantities (per-wave execution cost from
 //! `ExecutablePlan::est_apply_secs` under `serve:execute`, batch linger
 //! under `serve:linger`), while wall time is measured only for the
-//! sustained-QPS figure. Per-request latency splits, counters
-//! (`serve.admitted`, `serve.rejected`, `serve.batches`,
-//! `serve.responses`), the `serve.latency_secs` histogram, and
-//! `ServeBatch`/`ServeReject` trace events surface through the context's
-//! `MetricsRegistry` and `Tracer`.
+//! sustained-QPS figure. Per-request latency splits, admission and batch
+//! counts live in the returned [`ServeOutcome`]; each wave and each reject
+//! is also recorded once as a `ServeBatch`/`ServeReject` event on the
+//! context's `Tracer`.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -34,9 +33,6 @@ use keystone_dataflow::collection::DistCollection;
 use crate::batcher::{Arrival, MicroBatcher, Rejection, RequestTiming};
 use crate::loadgen::percentile;
 use crate::policy::BatchPolicy;
-
-/// Latency-histogram bucket bounds (virtual seconds).
-const LATENCY_BOUNDS: [f64; 8] = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0];
 
 /// One single-record apply call entering the front-end.
 #[derive(Debug, Clone)]
@@ -217,8 +213,6 @@ impl<A: Record, B: Record> Server<A, B> {
             ctx.sim.charge_seconds("serve:execute", execute_secs, 0.0);
             ctx.sim
                 .charge_seconds("serve:linger", batch.linger_secs, 0.0);
-            ctx.metrics.inc_counter("serve.batches", 1);
-            ctx.metrics.inc_counter("serve.responses", n as u64);
             ctx.tracer.record(TraceEvent::ServeBatch {
                 batch: batch.index,
                 size: n,
@@ -229,16 +223,6 @@ impl<A: Record, B: Record> Server<A, B> {
             execute_secs
         });
 
-        ctx.metrics
-            .inc_counter("serve.admitted", schedule.timings.len() as u64);
-        ctx.metrics
-            .inc_counter("serve.rejected", schedule.rejects.len() as u64);
-        ctx.metrics
-            .set_gauge("serve.max_queue_depth", schedule.max_queue_depth as f64);
-        for t in &schedule.timings {
-            ctx.metrics
-                .observe("serve.latency_secs", &LATENCY_BOUNDS, t.total_secs());
-        }
         for r in &schedule.rejects {
             ctx.tracer.record(TraceEvent::ServeReject {
                 request: r.id,

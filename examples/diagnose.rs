@@ -168,7 +168,7 @@ fn main() {
     // Chrome trace: worker lanes (pid 1) next to the simulated-cluster
     // stage timeline (pid 2), with the recovery stages of the seeded cache
     // loss on their own lanes.
-    let trace = keystoneml::core::export::chrome_trace_json(&ctx);
+    let trace = chrome_trace_json(&ctx);
     std::fs::create_dir_all("target").expect("create target/");
     std::fs::write("target/run_artifact.json", artifact.to_json()).expect("write artifact");
     std::fs::write("target/diagnosis.json", diagnosis.to_json()).expect("write diagnosis");

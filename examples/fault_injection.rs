@@ -149,9 +149,9 @@ fn main() {
     }
 
     println!("\n== recovery summary (seed {SEED:#x}) ==");
-    println!("retries:          {}", obs.retries);
-    println!("speculative wins: {}", obs.speculative_wins);
-    println!("cache losses:     {}", obs.cache_losses);
+    println!("retries:          {}", obs.recovery.retries);
+    println!("speculative wins: {}", obs.recovery.speculative_wins);
+    println!("cache losses:     {}", obs.recovery.cache_losses);
     println!("backoff charged:  {backoff_secs:.3}s (simulated)");
     println!(
         "output checksum:  {:#018x} (clean run: {:#018x})",
@@ -164,9 +164,9 @@ fn main() {
     let json = format!(
         "{{\n  \"seed\": {SEED},\n  \"retries\": {},\n  \"speculative_wins\": {},\n  \
          \"cache_losses\": {},\n  \"backoff_secs\": {:.6},\n  \"output_checksum\": \"{:#018x}\"\n}}\n",
-        obs.retries,
-        obs.speculative_wins,
-        obs.cache_losses,
+        obs.recovery.retries,
+        obs.recovery.speculative_wins,
+        obs.recovery.cache_losses,
         backoff_secs,
         checksum(&faulted_out)
     );

@@ -4,9 +4,9 @@
 //! `keystone-serve` front-end with a seeded load generator across a
 //! batch-size × linger sweep. Writes `target/serving_report.json` with the
 //! *virtual* quantities only — per-config p50/p99 latency, wave counts,
-//! makespan, admission counters, and the latency histogram — so two runs of
-//! this example are byte-identical (CI compares them with `cmp`). Measured
-//! wall QPS goes to stdout only.
+//! makespan and admission counts — so two runs of this example are
+//! byte-identical (CI compares them with `cmp`). Measured wall QPS goes to
+//! stdout only.
 //!
 //! Asserts, as the CI smoke floor:
 //! * zero dropped responses in every configuration,
@@ -119,25 +119,18 @@ fn main() {
                 outcome.batches.len()
             );
 
-            let hist = serve_ctx
-                .metrics
-                .histogram("serve.latency_secs")
-                .expect("serve records its latency histogram");
-            let buckets: Vec<String> = hist.bucket_counts().iter().map(|c| c.to_string()).collect();
             // Virtual quantities only: wall QPS would differ between runs.
             let _ = write!(
                 rows,
                 "{}    {{\"fusion\": {fusion}, \"batch\": {max_batch}, \"linger_secs\": {linger:e}, \
                  \"p50_secs\": {:.17e}, \"p99_secs\": {:.17e}, \"waves\": {}, \
-                 \"makespan_secs\": {:.17e}, \"admitted\": {}, \"rejected\": 0, \
-                 \"latency_buckets\": [{}]}}",
+                 \"makespan_secs\": {:.17e}, \"admitted\": {}, \"rejected\": 0}}",
                 if rows.is_empty() { "" } else { ",\n" },
                 outcome.latency_percentile(50.0),
                 outcome.latency_percentile(99.0),
                 outcome.batches.len(),
                 outcome.makespan_secs,
-                outcome.responses.len(),
-                buckets.join(", ")
+                outcome.responses.len()
             );
         }
     }

@@ -91,7 +91,7 @@ fn main() {
             }
 
             // Worker lanes next to the simulated-cluster stage timeline.
-            let trace = chrome_trace_json(&ctx.metrics, &ctx.sim);
+            let trace = chrome_trace_json(&ctx);
             std::fs::create_dir_all("target").expect("create target/");
             std::fs::write("target/trace.json", &trace).expect("write trace");
             println!(

@@ -36,6 +36,7 @@ pub use keystone_workloads as workloads;
 /// Commonly used items for building and running pipelines.
 pub mod prelude {
     pub use keystone_core::context::ExecContext;
+    pub use keystone_core::export::chrome_trace_json;
     pub use keystone_core::operator::{
         ColumnarFn, Estimator, LabelEstimator, OptimizableEstimator, OptimizableLabelEstimator,
         OptimizableTransformer, Transformer,
@@ -53,7 +54,7 @@ pub mod prelude {
     pub use keystone_dataflow::collection::DistCollection;
     pub use keystone_dataflow::columnar::ColumnarBatch;
     pub use keystone_dataflow::faults::{FaultPlan, FaultSpec};
-    pub use keystone_dataflow::metrics::{chrome_trace_json, MetricsRegistry, StageSkew, TaskSpan};
+    pub use keystone_dataflow::metrics::{MetricsRegistry, StageSkew, TaskSpan};
     pub use keystone_linalg::{DenseMatrix, SparseVector};
     pub use keystone_obs::{
         diagnose, replanner_hints, BenchSnapshot, CaptureOptions, Diagnosis, Finding,

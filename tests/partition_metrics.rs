@@ -138,7 +138,7 @@ fn every_instrumented_node_has_a_span_per_partition() {
 #[test]
 fn chrome_trace_from_fit_is_valid_trace_event_json() {
     let (ctx, _report) = fit_pipeline();
-    let trace = chrome_trace_json(&ctx.metrics, &ctx.sim);
+    let trace = chrome_trace_json(&ctx);
     let doc =
         microjson::parse(&trace).unwrap_or_else(|off| panic!("trace JSON invalid at byte {off}"));
     let events = doc.as_arr().expect("trace is a JSON array");

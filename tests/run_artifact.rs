@@ -5,9 +5,14 @@
 //!    JSON, byte for byte (deterministic capture nulls every wall field);
 //! 2. **diagnosability**: the diagnosis engine surfaces the straggler and
 //!    cache-thrash findings the run was engineered to contain, with the
-//!    evidence pointing at the right plan nodes.
+//!    evidence pointing at the right plan nodes;
+//!
+//! plus two properties of how it is assembled: a fit artifact covers that
+//! fit alone even on a reused context, and every section it shares with
+//! the report is that value's own `to_jval`.
 
 use keystone_obs::{diagnose, CaptureOptions, RunArtifact, RunKind, ServeSection, SCHEMA_VERSION};
+use keystoneml::dataflow::json::{parse, JVal, Value};
 use keystoneml::prelude::*;
 use keystoneml::serve::LoadGen;
 
@@ -231,4 +236,121 @@ fn serve_capture_carries_latency_splits_and_virtual_batches() {
         .any(|e| matches!(e.event, TraceEvent::ServeBatch { .. })));
     // Identical seeded load => byte-identical serve artifact.
     assert_eq!(artifact.to_json(), run().to_json());
+}
+
+/// The shared-trunk ridge sweep of `examples/multi_tenant.rs`, fitted as a
+/// forest (the shared plan wins) and captured from the one fit report.
+fn shared_forest_fit() -> (RunArtifact, FitReport) {
+    use keystoneml::solvers::logistic::one_hot;
+    use keystoneml::workloads::dense_gen::TimitLike;
+    use keystoneml::workloads::sweep::{sweep_pipelines, SweepConfig};
+    let train = TimitLike {
+        n: 96,
+        dim: 8,
+        classes: 4,
+        separation: 2.0,
+        seed: 2611,
+        stream: 0,
+        partitions: 4,
+        quantize: Some(64),
+    }
+    .generate();
+    let tenants = sweep_pipelines(
+        &SweepConfig::default(),
+        &train.data,
+        &one_hot(&train.labels, 4),
+    );
+    let opts = PipelineOptions {
+        profile: ProfileOptions {
+            sizes: vec![8, 16],
+            seed: 7,
+            select_operators: false,
+            deterministic_timing: true,
+        },
+        ..PipelineOptions::pipe_only()
+    }
+    .with_budget(1 << 30);
+    let ctx = ExecContext::default_cluster();
+    let (fitted, forest) = fit_forest(&tenants, &ctx, &opts);
+    assert!(forest.shared, "fixture must take the shared forest path");
+    let report = forest.fit.expect("shared path fit report");
+    let artifact =
+        RunArtifact::capture_fit(&report, &fitted[0].plan(), &ctx, &CaptureOptions::default());
+    (artifact, report)
+}
+
+/// The artifact's `adaptation`, `tenants`, per-node `cache` and `recovery`
+/// objects are exactly the `to_jval` of the report values they came from.
+fn assert_one_writer(artifact: &RunArtifact, report: &FitReport) {
+    let doc = parse(&artifact.to_json()).expect("artifact parses");
+    let jval = |v: JVal| parse(&v.render()).expect("to_jval parses");
+    let obs = &report.observability;
+    let tenants = JVal::Arr(obs.tenants.iter().map(TenantRow::to_jval).collect());
+    for (section, value) in [
+        ("adaptation", report.adaptation.to_jval()),
+        ("tenants", tenants),
+        ("recovery", obs.recovery.to_jval()),
+    ] {
+        assert_eq!(doc.get(section), Some(&jval(value)), "`{section}` drifted");
+    }
+    let rows = doc.get("nodes").and_then(Value::as_arr).expect("nodes");
+    assert_eq!(rows.len(), obs.nodes.len());
+    for (row, n) in rows.iter().zip(&obs.nodes) {
+        assert_eq!(
+            row.get("cache"),
+            Some(&jval(n.cache.to_jval())),
+            "{}",
+            n.label
+        );
+    }
+}
+
+#[test]
+fn shared_sections_have_one_writer_on_forest_and_faulted_fits() {
+    let (forest, forest_report) = shared_forest_fit();
+    assert!(!forest.tenants.is_empty(), "forest fit carries tenant rows");
+    assert_one_writer(&forest, &forest_report);
+
+    let (faulted, faulted_report) = skewed_faulted_fit();
+    assert!(
+        faulted.recovery.cache_losses > 0,
+        "fixture loses cache entries"
+    );
+    assert!(
+        faulted
+            .nodes
+            .iter()
+            .any(|n| n.cache.hits + n.cache.misses > 0),
+        "fixture exercises the cache"
+    );
+    assert_one_writer(&faulted, &faulted_report);
+}
+
+#[test]
+fn a_fit_artifact_on_a_reused_context_covers_its_own_fit_only() {
+    let fit_on = |ctx: &ExecContext| {
+        let train = DistCollection::from_vec((0..64).map(|i| vec![i as f64]).collect(), 4);
+        let pipe = Pipeline::<Vec<f64>, Vec<f64>>::input()
+            .and_then(Scale(3.0))
+            .and_then_est(MultiPassMean { passes: 3 }, &train);
+        let opts = PipelineOptions {
+            profile: ProfileOptions {
+                sizes: vec![16, 32],
+                seed: 5,
+                select_operators: false,
+                deterministic_timing: true,
+            },
+            ..Default::default()
+        };
+        let (fitted, report) = pipe.fit(ctx, &opts);
+        RunArtifact::capture_fit(&report, &fitted.plan(), ctx, &CaptureOptions::default()).to_json()
+    };
+    let fresh = fit_on(&ExecContext::default_cluster());
+    let reused = ExecContext::default_cluster();
+    assert_eq!(fit_on(&reused), fresh);
+    assert_eq!(
+        fit_on(&reused),
+        fresh,
+        "a second fit's artifact must not carry the first fit's events, spans or sim entries"
+    );
 }
