@@ -21,6 +21,22 @@ pub struct CseResult {
     pub eliminated: usize,
 }
 
+impl CseResult {
+    /// Every merged group (a kept node and the duplicates dropped into it) as
+    /// its `CseMerge` event, ascending by kept id; duplicates sum to `eliminated`.
+    pub fn merge_groups(&self) -> Vec<crate::trace::TraceEvent> {
+        let mut sizes = vec![0usize; self.graph.len()];
+        self.remap.values().for_each(|&new| sizes[new] += 1);
+        let kept = (0..sizes.len()).filter(|&k| sizes[k] > 1);
+        kept.map(|kept| crate::trace::TraceEvent::CseMerge {
+            kept,
+            label: self.graph.nodes[kept].label.clone(),
+            duplicates: sizes[kept] - 1,
+        })
+        .collect()
+    }
+}
+
 /// Merges structurally identical nodes. Structural identity is defined by
 /// the node kind tag, the operator/data `Arc` identity, and the (merged)
 /// input ids — exactly the sharing that prefix cloning preserves.
@@ -52,6 +68,7 @@ mod tests {
     use super::*;
     use crate::graph::NodeKind;
     use crate::operator::{AnyData, ErasedTransformer, Transformer, TypedTransformer};
+    use crate::trace::TraceEvent;
     use keystone_dataflow::collection::DistCollection;
     use std::sync::Arc;
 
@@ -130,6 +147,21 @@ mod tests {
         assert_eq!(r.eliminated, 6);
         assert_eq!(r.remap[&last[0]], r.remap[&last[1]]);
         assert_eq!(r.remap[&last[1]], r.remap[&last[2]]);
+        // Three copies of a, b, c each collapse to one kept node.
+        let groups: Vec<_> = r
+            .merge_groups()
+            .into_iter()
+            .map(|e| match e {
+                TraceEvent::CseMerge {
+                    kept,
+                    label,
+                    duplicates,
+                } => (kept, label, duplicates),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        let expect = [(1, "a"), (2, "b"), (3, "c")].map(|(k, l)| (k, l.to_string(), 2));
+        assert_eq!(groups, expect);
     }
 
     #[test]
@@ -152,6 +184,7 @@ mod proptests {
     use super::*;
     use crate::graph::NodeKind;
     use crate::operator::{AnyData, ErasedTransformer, Transformer, TypedTransformer};
+    use crate::trace::TraceEvent;
     use keystone_dataflow::collection::DistCollection;
     use proptest::prelude::*;
     use std::sync::Arc;
@@ -226,6 +259,16 @@ mod proptests {
             let r = eliminate_common_subexpressions(&g);
             prop_assert!(r.graph.len() <= g.len());
             prop_assert_eq!(g.len() - r.graph.len(), r.eliminated);
+            let groups: Vec<(NodeId, usize)> = r
+                .merge_groups()
+                .into_iter()
+                .filter_map(|e| match e {
+                    TraceEvent::CseMerge { kept, duplicates, .. } => Some((kept, duplicates)),
+                    _ => None,
+                })
+                .collect();
+            prop_assert_eq!(groups.iter().map(|&(_, d)| d).sum::<usize>(), r.eliminated);
+            prop_assert!(groups.windows(2).all(|w| w[0].0 < w[1].0));
         }
     }
 

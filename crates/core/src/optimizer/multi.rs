@@ -84,6 +84,8 @@ pub struct ForestMerge {
     pub outputs: Vec<NodeId>,
     /// Nodes removed by cross-pipeline CSE.
     pub eliminated: usize,
+    /// The CSE's `CseMerge` events, labelled before any operator selection.
+    pub cse_merges: Vec<TraceEvent>,
     /// Computation nodes shared by ≥ 2 tenants, ascending node id.
     pub merges: Vec<CrossMerge>,
 }
@@ -162,6 +164,7 @@ pub fn merge_forest(graphs: &[(Graph, NodeId)]) -> ForestMerge {
         }
     }
     ForestMerge {
+        cse_merges: r.merge_groups(),
         graph: r.graph,
         outputs,
         eliminated: r.eliminated,
@@ -314,7 +317,7 @@ impl ForestReport {
 /// same precondition Algorithm 1's picks have. When sharing is declined the
 /// merged profile has still run on `ctx`: its `OperatorChoice` events and
 /// whatever sample-scale charges self-charging estimators made stay there
-/// (`forest_secs` includes them), but no `CrossCseMerge` or forest-wide
+/// (`forest_secs` includes them), but no merge event or forest-wide
 /// `MaterializePick` is recorded for a plan that never ran.
 ///
 /// Three configurations are not priced and fit every tenant alone:
@@ -359,6 +362,7 @@ pub fn fit_forest<A: Record, B: Record>(
         mut graph,
         outputs,
         eliminated,
+        cse_merges,
         merges,
     } = merge_forest(&graphs);
     let tenant_roots: Vec<Vec<NodeId>> = outputs.iter().map(|&o| fit_roots(&graph, o)).collect();
@@ -397,8 +401,9 @@ pub fn fit_forest<A: Record, B: Record>(
         return fit_solo(tenants, ctx, opts, window.sim, Some(estimate));
     }
 
-    // The shared plan runs: from here on the context is told about it.
-    // `merges` is in ascending node-id order by construction.
+    // The shared plan runs: from here on the context is told about it, so
+    // its merge events (each list ascending by node id) follow the profile's.
+    cse_merges.into_iter().for_each(|e| ctx.tracer.record(e));
     for m in &merges {
         ctx.tracer.record(TraceEvent::CrossCseMerge {
             node: m.node,
@@ -752,6 +757,23 @@ mod tests {
                 .count();
             assert_eq!(merges, report.cross_merges.len(), "{name}");
             assert_eq!(merges > 0, shared, "{name}");
+            // Every node CSE removed is traced as a `CseMerge` duplicate by
+            // whichever plan ran.
+            let duplicates: usize = ctx
+                .tracer
+                .events()
+                .iter()
+                .map(|e| match &e.event {
+                    TraceEvent::CseMerge { duplicates, .. } => *duplicates,
+                    _ => 0,
+                })
+                .sum();
+            let eliminated = match &report.fit {
+                Some(fit) => fit.eliminated_nodes,
+                None => report.solo_reports.iter().map(|r| r.eliminated_nodes).sum(),
+            };
+            assert_eq!(duplicates, eliminated, "{name}");
+            assert!(!shared || eliminated > 0, "{name}");
         }
     }
 }

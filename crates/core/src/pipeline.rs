@@ -226,24 +226,10 @@ impl<A: Record, B: Record> Pipeline<A, B> {
             (snapshot, self.output, 0)
         } else {
             let r = eliminate_common_subexpressions(&snapshot);
-            let out = r.remap[&self.output];
-            // Trace each merge: group old nodes by their canonical image.
-            // Sorted by kept id so the event stream is deterministic.
-            let mut group_sizes: HashMap<NodeId, usize> = HashMap::new();
-            for &new in r.remap.values() {
-                *group_sizes.entry(new).or_insert(0) += 1;
+            for event in r.merge_groups() {
+                ctx.tracer.record(event);
             }
-            let mut merges: Vec<(NodeId, usize)> =
-                group_sizes.into_iter().filter(|&(_, n)| n > 1).collect();
-            merges.sort_unstable();
-            for (kept, size) in merges {
-                ctx.tracer.record(crate::trace::TraceEvent::CseMerge {
-                    kept,
-                    label: r.graph.nodes[kept].label.clone(),
-                    duplicates: size - 1,
-                });
-            }
-            (r.graph, out, r.eliminated)
+            (r.graph, r.remap[&self.output], r.eliminated)
         };
 
         let roots = fit_roots(&graph, output);

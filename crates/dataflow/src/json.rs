@@ -2,16 +2,16 @@
 //! parser.
 //!
 //! There is no `serde` — the build environment is offline — so every
-//! report, run artifact, trace export and benchmark snapshot is built as a
-//! [`JVal`] and read back with [`parse`].
+//! report, run artifact and trace export is built as a [`JVal`] and read
+//! back with [`parse`].
 //!
 //! * [`JVal`] — a document tree whose object keys are sorted at write
 //!   time, so two identical runs serialize to *byte-identical* JSON.
 //!   Floats render shortest-roundtrip, integral finite values keep a
 //!   trailing `.0` (a value's JSON type never flips between runs) and
 //!   non-finite values collapse to `null`.
-//! * [`Value`] / [`parse`] — a DOM parser, used by the regression gate to
-//!   read committed baselines and by tests to verify exports.
+//! * [`Value`] / [`parse`] — a DOM parser, used to read an artifact's
+//!   schema version back and by tests to verify exports.
 
 use std::collections::HashMap;
 

@@ -11,9 +11,8 @@
 //! deterministic JSON: sorted object keys, shortest-roundtrip floats, and
 //! (in the default deterministic capture mode) only *virtual* quantities,
 //! so two identical seeded runs serialize byte-identically. The diagnosis
-//! engine ([`crate::diagnose`]) and the regression comparator
-//! ([`crate::regress`]) both consume this type; ROADMAP item 3
-//! (adaptive re-optimization) is its intended third consumer.
+//! engine ([`crate::diagnose`]) consumes this type, and adaptive
+//! re-optimization reads its diagnosis through [`crate::replanner_hints`].
 //!
 //! # Determinism contract
 //!
@@ -486,18 +485,6 @@ impl RunArtifact {
         );
         let section = plan_section(plan.graph(), plan.output_node(), &[]);
         Self::capture_common(RunKind::Serve, section, &report, ctx, opts, Some(serve))
-    }
-
-    /// The cache hit ratio over all nodes (`hits / (hits + misses)`),
-    /// `None` when there were no lookups.
-    pub fn cache_hit_ratio(&self) -> Option<f64> {
-        let hits: u64 = self.nodes.iter().map(|n| n.cache.hits).sum();
-        let misses: u64 = self.nodes.iter().map(|n| n.cache.misses).sum();
-        if hits + misses == 0 {
-            None
-        } else {
-            Some(hits as f64 / (hits + misses) as f64)
-        }
     }
 
     /// The node row for `id`.

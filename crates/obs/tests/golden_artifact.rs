@@ -1,7 +1,7 @@
 //! Golden-file test for the [`RunArtifact`] wire format.
 //!
-//! The artifact JSON is a compatibility surface: the regression gate, the
-//! diagnosis CLI flow, and any external tooling parse it. This test fits a
+//! The artifact JSON is a compatibility surface: the diagnosis CLI flow and
+//! any external tooling parse it. This test fits a
 //! small fully-deterministic pipeline, captures it, and compares the JSON
 //! byte-for-byte against a checked-in golden file — so any change to the
 //! schema (key set, layout, number formatting) is a conscious decision.

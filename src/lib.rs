@@ -57,8 +57,7 @@ pub mod prelude {
     pub use keystone_dataflow::metrics::{MetricsRegistry, StageSkew, TaskSpan};
     pub use keystone_linalg::{DenseMatrix, SparseVector};
     pub use keystone_obs::{
-        diagnose, replanner_hints, BenchSnapshot, CaptureOptions, Diagnosis, Finding,
-        RegressionGate, RunArtifact, Severity,
+        diagnose, replanner_hints, CaptureOptions, Diagnosis, Finding, RunArtifact, Severity,
     };
     pub use keystone_ops::eval::{accuracy, top_k_error};
     pub use keystone_serve::{BatchPolicy, Request, Response, ServeOutcome, Server};
