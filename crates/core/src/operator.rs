@@ -878,7 +878,7 @@ impl ErasedTransformer for GatherConcat {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     struct Doubler;
@@ -1012,7 +1012,8 @@ mod tests {
         }
     }
 
-    struct PickScale;
+    /// Two physical options; the cost model prefers `x100`.
+    pub(crate) struct PickScale;
     impl OptimizableTransformer<f64, f64> for PickScale {
         fn options(&self) -> Vec<TransformerOption<f64, f64>> {
             vec![

@@ -1,5 +1,5 @@
-//! Adaptive re-optimization from observed traces (ROADMAP item 4, after
-//! Boehm et al.'s online what-if costing of generated runtime plans).
+//! Adaptive re-optimization from observed traces (after Boehm et al.'s
+//! online what-if costing of generated runtime plans).
 //!
 //! The optimizer's materialization picks come from subsample-extrapolated
 //! estimates and *declared* iteration weights. Both can be wrong: an

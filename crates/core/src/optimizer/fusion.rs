@@ -67,15 +67,9 @@ pub struct FusedMap {
 }
 
 impl FusedMap {
-    /// Fuses `members` (head first) into one operator on the record path.
-    /// Returns `None` for chains shorter than two or when any member lacks
-    /// a record kernel.
-    pub fn try_fuse(members: &[(String, Arc<dyn ErasedTransformer>)]) -> Option<FusedMap> {
-        Self::try_fuse_with(members, false)
-    }
-
-    /// Like [`FusedMap::try_fuse`], optionally lowering the chain to the
-    /// columnar path. With `columnar` set, the chain executes columnar iff
+    /// Fuses `members` (head first) into one operator. Returns `None` for
+    /// chains shorter than two or when any member lacks a record kernel.
+    /// With `columnar` set, the chain executes columnar iff
     /// *every* member supplies a
     /// [`columnar_kernel`](ErasedTransformer::columnar_kernel); any member
     /// without one (non-vector record types, or operators that never opted
@@ -187,7 +181,7 @@ pub struct FusedChain {
     pub labels: Vec<String>,
 }
 
-/// Result of [`fuse_chains`].
+/// Result of [`fuse_chains_multi`].
 pub struct FusionResult {
     /// The rewritten graph (chain tails replaced by [`FusedMap`] nodes).
     pub graph: Graph,
@@ -196,24 +190,11 @@ pub struct FusionResult {
     /// Number of nodes absorbed into some downstream tail.
     pub absorbed: usize,
     /// How many of `chains` lowered to the columnar path (0 unless
-    /// requested via [`fuse_chains_with`]).
+    /// `columnar` was requested).
     pub columnar_chains: usize,
 }
 
-/// Greedily fuses maximal per-record transformer chains in the subgraph
-/// feeding `output`. `picks` is the materialization set chosen by the
-/// greedy algorithm — every pick is a fusion barrier (see module docs).
-/// Chains execute on the record path; see [`fuse_chains_with`] for the
-/// columnar variant.
-pub fn fuse_chains(graph: &Graph, output: NodeId, picks: &HashSet<NodeId>) -> FusionResult {
-    fuse_chains_with(graph, output, picks, false)
-}
-
-/// [`fuse_chains`] with an explicit columnar toggle: when `columnar` is
-/// set, each chain whose members all provide columnar kernels executes on
-/// the [`ColumnarBatch`] path (chains with any non-columnar member keep
-/// the record path — chain *shape* is identical either way, so picks,
-/// profiles, and predictions are unaffected by the toggle).
+/// [`fuse_chains_multi`] over the subgraph feeding one `output`.
 pub fn fuse_chains_with(
     graph: &Graph,
     output: NodeId,
@@ -223,12 +204,15 @@ pub fn fuse_chains_with(
     fuse_chains_multi(graph, &[output], picks, columnar)
 }
 
-/// Multi-output generalization of [`fuse_chains_with`] for forest fits
-/// (`keystone_core::optimizer::multi`): the live subgraph is the ancestor
-/// set of *all* tenant outputs, and every output is a fusion barrier (each
-/// tenant's result must materialize under its own node id). With a single
-/// output this is exactly [`fuse_chains_with`] — the single-output path
-/// delegates here, so both produce bit-identical rewrites.
+/// Greedily fuses maximal per-record transformer chains in the subgraph
+/// feeding `outputs` (one per forest tenant; every output is a fusion
+/// barrier, since each result must materialize under its own node id).
+/// `picks` is the materialization set chosen by the greedy algorithm —
+/// every pick is a fusion barrier too (see module docs). When `columnar` is
+/// set, each chain whose members all provide columnar kernels executes on
+/// the [`ColumnarBatch`] path (chains with any non-columnar member keep
+/// the record path — chain *shape* is identical either way, so picks,
+/// profiles, and predictions are unaffected by the toggle).
 pub fn fuse_chains_multi(
     graph: &Graph,
     outputs: &[NodeId],
@@ -406,7 +390,7 @@ mod tests {
         let a = g.add(t(AddC(1.0)), vec![src], "add1");
         let b = g.add(t(MulC(2.0)), vec![a], "mul2");
         let c = g.add(t(AddC(3.0)), vec![b], "add3");
-        let res = fuse_chains(&g, c, &HashSet::new());
+        let res = fuse_chains_with(&g, c, &HashSet::new(), false);
         assert_eq!(res.chains.len(), 1);
         assert_eq!(res.chains[0].members, vec![a, b, c]);
         assert_eq!(res.chains[0].tail, c);
@@ -435,7 +419,7 @@ mod tests {
         let b = g.add(t(AddC(2.0)), vec![a], "b");
         let c = g.add(t(AddC(3.0)), vec![b], "c");
         let picks: HashSet<NodeId> = [b].into_iter().collect();
-        let res = fuse_chains(&g, c, &picks);
+        let res = fuse_chains_with(&g, c, &picks, false);
         // b may terminate a chain (its output still materializes under its
         // own id) but never sit inside one, so c is left alone.
         assert_eq!(res.chains.len(), 1);
@@ -456,7 +440,7 @@ mod tests {
             vec![left, right],
             "gather",
         );
-        let res = fuse_chains(&g, out, &HashSet::new());
+        let res = fuse_chains_with(&g, out, &HashSet::new(), false);
         assert!(
             res.chains.is_empty(),
             "shared feeds two consumers and the branches are single nodes"
@@ -598,9 +582,9 @@ mod tests {
         let src = g.add(source(4), vec![], "src");
         let a = g.add(t(AddC(1.0)), vec![src], "a");
         let b = g.add(t(MulC(2.0)), vec![a], "b");
-        let res = fuse_chains(&g, b, &HashSet::new());
+        let res = fuse_chains_with(&g, b, &HashSet::new(), false);
         assert_eq!(res.chains.len(), 1);
-        let again = fuse_chains(&res.graph, b, &HashSet::new());
+        let again = fuse_chains_with(&res.graph, b, &HashSet::new(), false);
         assert!(again.chains.is_empty(), "a FusedMap exposes no kernel");
         assert_eq!(again.graph.summary(), res.graph.summary());
     }
@@ -611,7 +595,7 @@ mod tests {
             "a".into(),
             Arc::new(TypedTransformer::new(AddC(1.0))) as Arc<dyn ErasedTransformer>,
         )];
-        assert!(FusedMap::try_fuse(&one).is_none());
+        assert!(FusedMap::try_fuse_with(&one, false).is_none());
         let with_gather: Vec<(String, Arc<dyn ErasedTransformer>)> = vec![
             (
                 "a".into(),
@@ -622,7 +606,7 @@ mod tests {
                 Arc::new(crate::operator::GatherConcat) as Arc<dyn ErasedTransformer>,
             ),
         ];
-        assert!(FusedMap::try_fuse(&with_gather).is_none());
+        assert!(FusedMap::try_fuse_with(&with_gather, false).is_none());
     }
 
     #[test]

@@ -10,12 +10,16 @@ pub mod multi;
 
 use std::collections::HashSet;
 use std::sync::Arc;
+use std::time::Instant;
 
 use keystone_dataflow::cache::{CacheManager, CachePolicy};
 
 use crate::context::ExecContext;
+use crate::executor::Executor;
 use crate::graph::{Graph, NodeId, NodeKind};
-use crate::profiler::{PipelineProfile, ProfileOptions};
+use crate::pipeline::{ExecutablePlan, FitReport};
+use crate::profiler::{profile_and_select, PipelineProfile, ProfileOptions};
+use crate::report::{LedgerWindow, PipelineReport};
 use crate::trace::TraceEvent;
 
 pub use adaptive::{
@@ -23,8 +27,7 @@ pub use adaptive::{
 };
 pub use cse::{eliminate_common_subexpressions, CseResult};
 pub use fusion::{
-    fuse_chains, fuse_chains_multi, fuse_chains_with, merge_profiles, FusedChain, FusedMap,
-    FusionResult,
+    fuse_chains_multi, fuse_chains_with, merge_profiles, FusedChain, FusedMap, FusionResult,
 };
 pub use materialize::{MatNode, MatProblem};
 pub use multi::{
@@ -59,7 +62,7 @@ pub enum CachingStrategy {
     RuleBased,
 }
 
-/// Options controlling `Pipeline::fit`.
+/// Options controlling `Pipeline::fit` and `fit_forest`.
 #[derive(Debug, Clone)]
 pub struct PipelineOptions {
     /// Optimization level.
@@ -195,93 +198,216 @@ impl PipelineOptions {
     pub(crate) fn pins_greedy_set(&self) -> bool {
         self.level != OptLevel::None && self.caching == CachingStrategy::Greedy
     }
+
+    /// Algorithm 1 on `problem` under `budget` when the fit pins a greedy
+    /// set, with its picks in order; otherwise the empty set.
+    pub(crate) fn solve(
+        &self,
+        problem: &MatProblem,
+        budget: u64,
+    ) -> (HashSet<NodeId>, Vec<materialize::MatPick>) {
+        if self.pins_greedy_set() {
+            problem.greedy_cache_set_traced(budget)
+        } else {
+            Default::default()
+        }
+    }
 }
 
-/// Fit step 3, shared by [`Pipeline::fit`](crate::pipeline::Pipeline::fit)
-/// and the forest's shared path: the fit-time cache for an already-solved
-/// materialization. Greedy pins `cache_set` (empty unless
-/// [`PipelineOptions::pins_greedy_set`]) and traces `picks` in the order
-/// Algorithm 1 made them; LRU admits at run time; rule-based and
-/// [`OptLevel::None`] cache no data.
-pub(crate) fn fit_cache(
-    ctx: &ExecContext,
-    opts: &PipelineOptions,
-    budget: u64,
-    cache_set: &HashSet<NodeId>,
+/// Steps 2–4 of a fit, written once for [`Pipeline::fit`] (one output) and
+/// [`fit_forest`]'s shared plan (one output per tenant). [`FitPlan::new`]
+/// profiles and solves Algorithm 1; between it and [`FitPlan::execute`] the
+/// caller may read the plan (the forest prices its alternative there).
+///
+/// [`Pipeline::fit`]: crate::pipeline::Pipeline::fit
+pub(crate) struct FitPlan {
+    pub graph: Graph,
+    pub outputs: Vec<NodeId>,
+    /// Each output's fit roots, topological.
+    pub roots: Vec<Vec<NodeId>>,
+    profile: PipelineProfile,
+    pub budget: u64,
+    /// Over the union of `roots`.
+    pub problem: MatProblem,
+    pub cache_set: HashSet<NodeId>,
     picks: Vec<materialize::MatPick>,
-) -> CacheManager {
-    for pick in picks {
-        ctx.tracer.record(TraceEvent::MaterializePick {
-            node: pick.node,
-            label: pick.label,
-            est_saving_secs: pick.est_saving_secs,
-            size_bytes: pick.size_bytes,
-        });
-    }
-    let cache = match (opts.level, opts.caching) {
-        (OptLevel::None, _) | (_, CachingStrategy::RuleBased) => {
-            CacheManager::new(0, CachePolicy::Pinned(HashSet::new()))
-        }
-        (_, CachingStrategy::Lru { admission_fraction }) => {
-            CacheManager::new(budget, CachePolicy::Lru { admission_fraction })
-        }
-        (_, CachingStrategy::Greedy) => {
-            let keys: HashSet<u64> = cache_set.iter().map(|&v| v as u64).collect();
-            CacheManager::new(budget, CachePolicy::Pinned(keys))
-        }
-    };
-    cache.with_observer(Arc::new(crate::trace::TraceCacheObserver(
-        ctx.tracer.clone(),
-    )))
 }
 
-/// What whole-stage fusion did to a fit's graph (the fusion fields of
-/// [`FitReport`](crate::pipeline::FitReport)).
-#[derive(Default)]
-pub(crate) struct FusionOutcome {
-    pub fused: Vec<(NodeId, Vec<String>)>,
-    pub fused_nodes: usize,
-    pub columnar_chains: usize,
-}
-
-/// Fit step 3b, shared like [`fit_cache`]: whole-stage fusion after
-/// materialization, so every pick (and every entry of `outputs`) acts as a
-/// barrier. The rewrite is id-stable (chains collapse onto their tail's
-/// node id), so the cache key set, fit roots and output ids all apply to
-/// the fused graph unchanged. A no-op unless
-/// [`PipelineOptions::fusion_enabled`].
-pub(crate) fn fuse_for_fit(
-    graph: &mut Graph,
-    profile: &mut PipelineProfile,
-    outputs: &[NodeId],
-    cache_set: &HashSet<NodeId>,
-    ctx: &ExecContext,
-    opts: &PipelineOptions,
-) -> FusionOutcome {
-    if !opts.fusion_enabled() {
-        return FusionOutcome::default();
+impl FitPlan {
+    /// Step 2, execution subsampling with operator selection at
+    /// [`OptLevel::Full`] (nothing at [`OptLevel::None`]); step 3,
+    /// Algorithm 1 under the budget when the fit pins a greedy set.
+    pub(crate) fn new(
+        mut graph: Graph,
+        outputs: Vec<NodeId>,
+        ctx: &ExecContext,
+        opts: &PipelineOptions,
+    ) -> Self {
+        let roots: Vec<Vec<NodeId>> = outputs.iter().map(|&o| fit_roots(&graph, o)).collect();
+        let mut all_roots = roots.concat();
+        all_roots.sort_unstable();
+        all_roots.dedup();
+        let profile = if opts.level == OptLevel::None {
+            PipelineProfile::default()
+        } else {
+            let popts = ProfileOptions {
+                select_operators: opts.level == OptLevel::Full,
+                ..opts.profile.clone()
+            };
+            profile_and_select(&mut graph, &all_roots, ctx, &popts)
+        };
+        let budget = opts.budget_on(ctx);
+        let problem = build_mat_problem(&graph, &profile, &all_roots);
+        let (cache_set, picks) = opts.solve(&problem, budget);
+        FitPlan {
+            graph,
+            outputs,
+            roots,
+            profile,
+            budget,
+            problem,
+            cache_set,
+            picks,
+        }
     }
-    let result = fuse_chains_multi(graph, outputs, cache_set, opts.columnar_enabled());
-    *graph = result.graph;
-    merge_profiles(profile, &result.chains);
-    // Chains arrive in ascending tail-id order, so the event stream is
-    // deterministic (same discipline as the CseMerge emission).
-    let fused = result
-        .chains
-        .into_iter()
-        .map(|chain| {
-            ctx.tracer.record(TraceEvent::FusionMerge {
-                node: chain.tail,
-                label: graph.nodes[chain.tail].label.clone(),
-                members: chain.labels.clone(),
+
+    /// Step 4: traces the picks, builds the fit-time cache, fuses, runs the
+    /// estimator waves and folds the report, returning one plan per output.
+    /// `window` and `started` mark where the caller's fit began.
+    pub(crate) fn execute(
+        self,
+        ctx: &ExecContext,
+        opts: &PipelineOptions,
+        eliminated: usize,
+        window: LedgerWindow,
+        started: Instant,
+    ) -> (FitReport, Vec<Arc<ExecutablePlan>>) {
+        let FitPlan {
+            mut graph,
+            outputs,
+            roots,
+            mut profile,
+            budget,
+            problem,
+            cache_set,
+            picks,
+        } = self;
+        for pick in picks {
+            ctx.tracer.record(TraceEvent::MaterializePick {
+                node: pick.node,
+                label: pick.label,
+                est_saving_secs: pick.est_saving_secs,
+                size_bytes: pick.size_bytes,
             });
-            (chain.tail, chain.labels)
-        })
-        .collect();
-    FusionOutcome {
-        fused,
-        fused_nodes: result.absorbed,
-        columnar_chains: result.columnar_chains,
+        }
+        // Greedy pins `cache_set`; LRU admits at run time; rule-based and
+        // `OptLevel::None` cache no data.
+        let cache = match (opts.level, opts.caching) {
+            (OptLevel::None, _) | (_, CachingStrategy::RuleBased) => {
+                CacheManager::new(0, CachePolicy::Pinned(HashSet::new()))
+            }
+            (_, CachingStrategy::Lru { admission_fraction }) => {
+                CacheManager::new(budget, CachePolicy::Lru { admission_fraction })
+            }
+            (_, CachingStrategy::Greedy) => {
+                let keys: HashSet<u64> = cache_set.iter().map(|&v| v as u64).collect();
+                CacheManager::new(budget, CachePolicy::Pinned(keys))
+            }
+        }
+        .with_observer(Arc::new(crate::trace::TraceCacheObserver(
+            ctx.tracer.clone(),
+        )));
+        // Adaptive re-optimization watches one pipeline's demand against the
+        // problem's predictions; mid-fit cache revisions are per-pipeline, so
+        // a forest keeps its static plan. Fault-injected runs do too: cache-
+        // loss probes fire per resident entry, so mid-fit membership changes
+        // would perturb the injected draw sequence rather than just the cost.
+        let several = outputs.len() > 1;
+        let adapts =
+            !several && opts.pins_greedy_set() && opts.adaptive_enabled() && ctx.faults.is_none();
+        let adaptive = adapts.then(|| {
+            Arc::new(AdaptiveController::new(
+                problem,
+                cache_set.clone(),
+                budget,
+                ctx.resources.workers,
+                ctx.tracer.clone(),
+                ctx.sim.clone(),
+                opts.adaptive_hints.clone(),
+            ))
+        });
+        // Resolved before fusion relabels chain tails to `Fused[...]`.
+        let choices = profile
+            .choices
+            .iter()
+            .map(|(id, name)| (graph.nodes[*id].label.clone(), name.clone()))
+            .collect();
+
+        // 3b. Whole-stage fusion after materialization, so every pick and
+        // every output is a barrier. The rewrite is id-stable (chains collapse
+        // onto their tail's id), so cache keys, roots and outputs still hold.
+        let (mut fused, mut fused_nodes, mut columnar_chains) = (Vec::new(), 0, 0);
+        if opts.fusion_enabled() {
+            let result = fuse_chains_multi(&graph, &outputs, &cache_set, opts.columnar_enabled());
+            graph = result.graph;
+            merge_profiles(&mut profile, &result.chains);
+            (fused_nodes, columnar_chains) = (result.absorbed, result.columnar_chains);
+            // Chains arrive in ascending tail-id order, so the events do too.
+            for chain in result.chains {
+                ctx.tracer.record(TraceEvent::FusionMerge {
+                    node: chain.tail,
+                    label: graph.nodes[chain.tail].label.clone(),
+                    members: chain.labels.clone(),
+                });
+                fused.push((chain.tail, chain.labels));
+            }
+        }
+        let optimize_secs = started.elapsed().as_secs_f64();
+
+        // 4. Every output's estimator waves, interleaved on one executor. A
+        // root shared by several outputs is computed by the first wave that
+        // reaches it (charged to that output's `tenant{i}` lane, so operators'
+        // own charges land there too) and memoized for the rest.
+        let profiles = Arc::new(profile.nodes.clone());
+        let mut executor =
+            Executor::new(&graph, ctx.clone(), Arc::new(cache)).with_profiles(profiles.clone());
+        if let Some(ad) = &adaptive {
+            executor = executor.with_adaptive(ad.clone());
+        }
+        for (tenant, node) in multi::interleave_waves(&roots) {
+            if several {
+                ctx.sim
+                    .in_lane(format!("tenant{tenant}"), || executor.eval(node));
+            } else {
+                executor.eval(node);
+            }
+        }
+        let models = executor.models();
+
+        let report = FitReport {
+            optimize_secs,
+            eliminated_nodes: eliminated,
+            choices,
+            fused,
+            fused_nodes,
+            columnar_chains,
+            cache_set_labels: labels_of(&graph, &cache_set),
+            dot: graph.to_dot(&cache_set),
+            cache_set,
+            adaptation: adaptive.map(|ad| ad.report()).unwrap_or_default(),
+            observability: PipelineReport::build_since(
+                &graph,
+                &profile,
+                &ctx.tracer,
+                Some(&ctx.metrics),
+                window,
+            ),
+            profile,
+        };
+        let graph = Arc::new(graph);
+        let plan = |out| ExecutablePlan::new(graph.clone(), out, models.clone(), profiles.clone());
+        let plans = outputs.iter().map(|&out| Arc::new(plan(out))).collect();
+        (report, plans)
     }
 }
 
@@ -367,8 +493,8 @@ mod tests {
         (fitted.graph().summary(), report, events)
     }
 
-    /// `fuse_for_fit` returns before reading the columnar toggle when fusion
-    /// is off, so an unfused fit is the same fit whatever the toggle says —
+    /// [`FitPlan::execute`] reads the columnar toggle only when fusion is
+    /// on, so an unfused fit is the same fit whatever the toggle says —
     /// which is why the differential oracle has no unfused-columnar cells.
     #[test]
     fn columnar_toggle_is_a_no_op_without_fusion() {

@@ -1,10 +1,12 @@
-//! Multi-tenant forest optimization (ROADMAP item 5): Algorithm 1 and the
+//! Multi-tenant forest optimization: Algorithm 1 and the
 //! whole-pipeline passes generalized from one DAG to a *forest* of tenant
 //! pipelines fitted together — the hyperparameter-sweep / per-segment
 //! regime where SystemML-style plan costing pays for itself across many
 //! near-identical plans rather than a single one.
 //!
-//! [`fit_forest`] plans, decides, then executes exactly one plan:
+//! [`fit_forest`] plans, decides, then executes exactly one plan. Steps 2
+//! and 4 are the fit driver [`Pipeline::fit`] runs too, over every tenant
+//! output at once; this module adds the merge, the decision and the lanes:
 //!
 //! 1. **Cross-pipeline CSE** ([`merge_forest`]): tenant graph snapshots are
 //!    concatenated (input ids offset) and run through the existing
@@ -25,7 +27,7 @@
 //!    §4: the optimizer picks from estimates.
 //! 4. **Round-robin wave execution**: the chosen shared plan runs once, the
 //!    tenants' estimator waves interleaved position-wise on one executor.
-//!    Each wave runs under a `tenant{i}` stage prefix, so
+//!    Each wave runs in a `tenant{i}` lane, so
 //!    [`SimClock`](keystone_dataflow::simclock::SimClock) charges land in
 //!    per-tenant lanes (rendered as separate tracks by the Chrome-trace
 //!    exporter) and per-tenant rows appear in `PipelineReport`/`RunArtifact`.
@@ -42,18 +44,15 @@
 //! mislead Algorithm 1's picks.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::context::ExecContext;
-use crate::executor::Executor;
 use crate::graph::{Graph, NodeId, NodeKind};
 use crate::optimizer::{
-    build_mat_problem, eliminate_common_subexpressions, fit_cache, fit_roots, fuse_for_fit,
-    labels_of, CachingStrategy, MatProblem, OptLevel, PipelineOptions,
+    eliminate_common_subexpressions, fit_roots, CachingStrategy, FitPlan, MatProblem, OptLevel,
+    PipelineOptions,
 };
-use crate::pipeline::{ExecutablePlan, FitReport, FittedPipeline, Pipeline};
-use crate::profiler::{profile_and_select, ProfileOptions};
+use crate::pipeline::{FitReport, FittedPipeline, Pipeline};
 use crate::record::Record;
 use crate::report::{LedgerWindow, TenantRow};
 use crate::trace::TraceEvent;
@@ -208,8 +207,8 @@ pub fn tenant_subproblem(problem: &MatProblem, sinks: &[usize]) -> MatProblem {
 /// permutation of the input that keeps each lane's order (work-conserving),
 /// puts at most N−1 other waves between two consecutive waves of a lane with
 /// work left (starvation-free), is a pure function of the input, and with
-/// one lane is the input order — today's single-pipeline wave order.
-fn interleave_waves(per_tenant: &[Vec<NodeId>]) -> Vec<(usize, NodeId)> {
+/// one lane is the input order — a single-output fit's wave order.
+pub(super) fn interleave_waves(per_tenant: &[Vec<NodeId>]) -> Vec<(usize, NodeId)> {
     let rounds = per_tenant.iter().map(Vec::len).max().unwrap_or(0);
     (0..rounds)
         .flat_map(|r| {
@@ -309,9 +308,9 @@ impl ForestReport {
 
 /// Optimizes and fits N tenant pipelines as one forest.
 ///
-/// Mirrors [`Pipeline::fit`] stage for stage, generalized to multiple
-/// outputs, with one decision in the middle: the merged graph is profiled
-/// once and the forest-wide [`MatProblem`] prices both candidate plans (see
+/// Runs [`Pipeline::fit`]'s driver over the merged graph with one output
+/// per tenant, and makes one decision between profiling and execution: the
+/// forest-wide [`MatProblem`] prices both candidate plans (see
 /// [`ForestEstimate`]); only the cheaper one is executed, once, on `ctx`.
 /// How good the choice is depends on how truthful the profiles are — the
 /// same precondition Algorithm 1's picks have. When sharing is declined the
@@ -353,48 +352,29 @@ pub fn fit_forest<A: Record, B: Record>(
     }
     let t0 = Instant::now();
 
-    // 1. Cross-pipeline CSE over the concatenated snapshots.
+    // 1. Cross-pipeline CSE over the concatenated snapshots; 2–3. one
+    // profile of the merged graph and Algorithm 1 under the one shared
+    // budget, over the union of the tenants' fit roots.
     let graphs: Vec<(Graph, NodeId)> = tenants
         .iter()
         .map(|t| (t.graph_snapshot(), t.output_node()))
         .collect();
     let ForestMerge {
-        mut graph,
+        graph,
         outputs,
         eliminated,
         cse_merges,
         merges,
     } = merge_forest(&graphs);
-    let tenant_roots: Vec<Vec<NodeId>> = outputs.iter().map(|&o| fit_roots(&graph, o)).collect();
-    let mut all_roots: Vec<NodeId> = tenant_roots.iter().flatten().copied().collect();
-    all_roots.sort_unstable();
-    all_roots.dedup();
+    let plan = FitPlan::new(graph, outputs, ctx, opts);
 
-    // 2. One profiling pass over the union of fit-relevant subgraphs.
-    let popts = ProfileOptions {
-        select_operators: opts.level == OptLevel::Full,
-        ..opts.profile.clone()
-    };
-    let mut profile = profile_and_select(&mut graph, &all_roots, ctx, &popts);
-
-    // 3. Global greedy materialization under the one shared budget, the
-    // same problem restricted to each tenant under the full budget, and the
-    // choice between the two plans.
-    let budget = opts.budget_on(ctx);
-    let solve = |p: &MatProblem| {
-        if opts.pins_greedy_set() {
-            p.greedy_cache_set_traced(budget)
-        } else {
-            Default::default()
-        }
-    };
-    let problem = build_mat_problem(&graph, &profile, &all_roots);
-    let (cache_set, picks) = solve(&problem);
+    // The same problem restricted to each tenant under the full budget
+    // prices the alternative; the cheaper plan runs.
     let estimate = ForestEstimate::price(
-        &problem,
-        &cache_set,
-        &tenant_roots,
-        |solo| solve(solo).0,
+        &plan.problem,
+        &plan.cache_set,
+        &plan.roots,
+        |solo| opts.solve(solo, plan.budget).0,
         ctx.resources.workers.max(1) as f64,
     );
     if !estimate.favours_sharing() {
@@ -412,103 +392,45 @@ pub fn fit_forest<A: Record, B: Record>(
             signature: m.signature,
         });
     }
-    let cache = fit_cache(ctx, opts, budget, &cache_set, picks);
-    let choices = profile.choice_labels(&graph);
-    // Per-tenant shared-node counts, taken before fusion rewrites the graph.
-    let shared_counts: Vec<usize> = outputs
-        .iter()
-        .map(|&o| {
-            let anc = graph.ancestors(&[o]);
-            merges.iter().filter(|m| anc.contains(&m.node)).count()
+    // Per-tenant rows: shared-node counts before fusion rewrites the graph,
+    // lane seconds once the waves have run.
+    let mut rows: Vec<TenantRow> = (0..tenants.len())
+        .map(|i| {
+            let anc = plan.graph.ancestors(&[plan.outputs[i]]);
+            TenantRow {
+                tenant: i,
+                output: plan.outputs[i],
+                fit_roots: plan.roots[i].clone(),
+                shared_nodes: merges.iter().filter(|m| anc.contains(&m.node)).count(),
+                sim_secs: 0.0,
+                solo_secs: estimate.solo_secs[i],
+            }
         })
         .collect();
 
-    // 3b. Whole-stage fusion with every tenant output as a barrier.
-    let fusion = fuse_for_fit(&mut graph, &mut profile, &outputs, &cache_set, ctx, opts);
-    let optimize_secs = t0.elapsed().as_secs_f64();
-
-    // 4. Every tenant's estimator waves interleave on one executor. A shared
-    // root appears in several tenants' wave lists; the first wave computes
-    // it (charged to that tenant's lane) and later waves hit the model memo
-    // — that asymmetry is the saving being reported, not an accounting bug.
-    // The adaptive controller is not threaded through the shared path:
-    // mid-fit cache revisions are a per-pipeline feature and would break the
-    // bit-identity invariant.
-    let profiles = Arc::new(profile.nodes.clone());
-    let executor =
-        Executor::new(&graph, ctx.clone(), Arc::new(cache)).with_profiles(profiles.clone());
-    for (tenant, node) in interleave_waves(&tenant_roots) {
-        // The clock's ambient prefix scopes every charge the wave makes —
-        // the executor's own (`fit:...`) and the ones operators issue
-        // themselves (a solver's `solve:lbfgs`) — into the tenant's lane.
-        ctx.sim.set_stage_prefix(Some(format!("tenant{tenant}")));
-        let _ = executor.eval(node);
-    }
-    ctx.sim.set_stage_prefix(None);
-    let models = executor.models();
-
-    // 5. Per-tenant attribution rows from the SimClock lanes the stage
-    // prefixes produced during this fit.
+    // 4. The tenants' waves interleave on one executor, each in its lane.
+    let (mut fit, plans) = plan.execute(ctx, opts, eliminated, window, t0);
     let lanes: HashMap<String, f64> = ctx.sim.since(window.sim).by_stage().into_iter().collect();
-    let rows: Vec<TenantRow> = (0..tenants.len())
-        .map(|i| TenantRow {
-            tenant: i,
-            output: outputs[i],
-            fit_roots: tenant_roots[i].clone(),
-            shared_nodes: shared_counts[i],
-            sim_secs: lanes.get(&format!("tenant{i}")).copied().unwrap_or(0.0),
-            solo_secs: estimate.solo_secs[i],
-        })
-        .collect();
-
-    let mut observability = crate::report::PipelineReport::build_since(
-        &graph,
-        &profile,
-        &ctx.tracer,
-        Some(&ctx.metrics),
-        window,
-    );
-    observability.tenants = rows.clone();
-    let fit_report = FitReport {
-        optimize_secs,
-        eliminated_nodes: eliminated,
-        choices,
-        fused: fusion.fused,
-        fused_nodes: fusion.fused_nodes,
-        columnar_chains: fusion.columnar_chains,
-        cache_set_labels: labels_of(&graph, &cache_set),
-        dot: graph.to_dot(&cache_set),
-        cache_set,
-        adaptation: crate::optimizer::AdaptationReport::default(),
-        profile,
-        observability,
-    };
-
-    // 6. Every tenant gets a typed plan over the one shared graph, rooted at
-    // its own output. Models and profiles are shared Arcs — sharing the
-    // artifact, not just the fit.
-    let graph = Arc::new(graph);
-    let fitted: Vec<FittedPipeline<A, B>> = outputs
-        .iter()
-        .map(|&out| {
-            FittedPipeline::from_plan(Arc::new(ExecutablePlan::new(
-                graph.clone(),
-                out,
-                models.clone(),
-                profiles.clone(),
-            )))
-        })
-        .collect();
+    for row in &mut rows {
+        row.sim_secs = lanes
+            .get(&format!("tenant{}", row.tenant))
+            .copied()
+            .unwrap_or(0.0);
+    }
+    fit.observability.tenants = rows.clone();
     let report = ForestReport {
         shared: true,
         estimate: Some(estimate),
         forest_secs: ctx.sim.seconds_since(window.sim),
         cross_merges: merges,
         tenants: rows,
-        fit: Some(fit_report),
+        fit: Some(fit),
         solo_reports: Vec::new(),
     };
-    (fitted, report)
+    (
+        plans.into_iter().map(FittedPipeline::from_plan).collect(),
+        report,
+    )
 }
 
 /// Fits every tenant independently on `ctx`, in tenant order.
@@ -553,9 +475,12 @@ fn fit_solo<A: Record, B: Record>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operator::tests::PickScale;
     use crate::operator::{Estimator, Transformer};
     use crate::optimizer::MatNode;
+    use crate::profiler::ProfileOptions;
     use keystone_dataflow::collection::DistCollection;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn interleave_round_robins_and_drains_unequal_lanes() {
@@ -666,16 +591,115 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn report_values_are_finite_and_defined_on_every_path() {
-        let profiled = |opts: PipelineOptions| PipelineOptions {
+    /// Options with a small deterministic profile (samples of 8 and 16).
+    fn profiled(opts: PipelineOptions) -> PipelineOptions {
+        PipelineOptions {
             profile: ProfileOptions {
                 sizes: vec![8, 16],
                 deterministic_timing: true,
                 ..ProfileOptions::default()
             },
             ..opts
+        }
+    }
+
+    /// Fails when fitted on more records than the largest profiling sample,
+    /// so profiling succeeds and the real fit panics on the driving thread.
+    struct FailsAtScale;
+    impl Estimator<f64, f64> for FailsAtScale {
+        fn fit(
+            &self,
+            data: &DistCollection<f64>,
+            ctx: &ExecContext,
+        ) -> Box<dyn Transformer<f64, f64>> {
+            assert!(data.count() <= 16, "fit at full scale");
+            Center.fit(data, ctx)
+        }
+    }
+
+    /// A tenant wave that panics must not leave its lane on the context's
+    /// clock, where every later charge (from any clone) would land in it.
+    #[test]
+    fn a_panicking_tenant_wave_ends_its_lane() {
+        let train = DistCollection::from_vec((0..32).map(f64::from).collect(), 2);
+        let trunk = Pipeline::input()
+            .and_then(Halve)
+            .and_then_est(FailsAtScale, &train);
+        let tenants: Vec<Pipeline<f64, f64>> = (0..2)
+            .map(|_| trunk.and_then(Halve).and_then_est(Center, &train))
+            .collect();
+        let ctx = ExecContext::default_cluster();
+        let opts = profiled(PipelineOptions::pipe_only());
+        let fit = catch_unwind(AssertUnwindSafe(|| fit_forest(&tenants, &ctx, &opts)));
+        assert!(fit.is_err(), "the trunk estimator must fail at scale");
+        let shared = ctx
+            .tracer
+            .events()
+            .iter()
+            .any(|e| matches!(e.event, TraceEvent::CrossCseMerge { .. }));
+        assert!(shared, "the failure must come from the shared plan's waves");
+        ctx.sim.charge_seconds("probe", 1.0, 0.0);
+        assert_eq!(
+            ctx.sim.entries().last().map(|e| e.stage.as_str()),
+            Some("probe")
+        );
+    }
+
+    /// Two copies of one pipeline merge completely, so the shared path runs
+    /// exactly the plan `Pipeline::fit` runs: same decisions, the same
+    /// ledger in tenant 0's lane, the same predictions for both tenants.
+    #[test]
+    fn identical_tenants_share_the_single_fit_plan() {
+        let train = DistCollection::from_vec((0..32).map(f64::from).collect(), 2);
+        let p = Pipeline::input()
+            .and_then_optimizable(PickScale)
+            .and_then_est(Center, &train)
+            .and_then(Halve)
+            .and_then(Halve)
+            .and_then_est(Center, &train);
+        let opts = profiled(PipelineOptions::full().with_adaptive(false));
+        let held_out = DistCollection::from_vec(vec![1.5, -4.0, 9.25], 2);
+        let bits = |out: DistCollection<f64>| -> Vec<u64> {
+            out.collect().iter().map(|v| v.to_bits()).collect()
         };
+
+        let solo_ctx = ExecContext::default_cluster();
+        let (solo, single) = p.fit(&solo_ctx, &opts);
+        let ctx = ExecContext::default_cluster();
+        let (fitted, report) = fit_forest(&[p.clone(), p.clone()], &ctx, &opts);
+        assert!(report.shared);
+        let forest = report.fit.expect("shared plan ran");
+
+        assert_eq!(forest.choices, single.choices);
+        assert_eq!(forest.cache_set_labels, single.cache_set_labels);
+        assert_eq!(forest.fused, single.fused);
+        assert_eq!(forest.fused_nodes, single.fused_nodes);
+        assert_eq!(forest.columnar_chains, single.columnar_chains);
+        // Not vacuous: the plan has a choice, a pick and a fused chain.
+        assert!(!single.choices.is_empty() && !single.cache_set_labels.is_empty());
+        assert!(single.fused_nodes > 0);
+
+        let unlaned: Vec<_> = ctx
+            .sim
+            .entries()
+            .into_iter()
+            .map(|mut e| {
+                if let Some(stage) = e.stage.strip_prefix("tenant0:") {
+                    e.stage = stage.to_string();
+                }
+                e
+            })
+            .collect();
+        assert_eq!(unlaned, solo_ctx.sim.entries());
+
+        let expected = bits(solo.apply(&held_out, &solo_ctx));
+        for tenant in &fitted {
+            assert_eq!(bits(tenant.apply(&held_out, &ctx)), expected);
+        }
+    }
+
+    #[test]
+    fn report_values_are_finite_and_defined_on_every_path() {
         let lru = CachingStrategy::Lru {
             admission_fraction: 1.0,
         };
@@ -787,6 +811,7 @@ mod proptests {
     };
     use keystone_dataflow::collection::DistCollection;
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     struct Id;
     impl Transformer<f64, f64> for Id {

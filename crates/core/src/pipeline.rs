@@ -24,11 +24,8 @@ use crate::operator::{
     TypedLabelEstimator, TypedOptimizableEstimator, TypedOptimizableLabelEstimator,
     TypedOptimizableTransformer, TypedTransformer,
 };
-use crate::optimizer::{
-    build_mat_problem, eliminate_common_subexpressions, fit_cache, fit_roots, fuse_for_fit,
-    labels_of, AdaptiveController, OptLevel, PipelineOptions,
-};
-use crate::profiler::{profile_and_select, PipelineProfile, ProfileOptions};
+use crate::optimizer::{eliminate_common_subexpressions, FitPlan, OptLevel, PipelineOptions};
+use crate::profiler::PipelineProfile;
 use crate::record::Record;
 use parking_lot::Mutex;
 
@@ -221,8 +218,8 @@ impl<A: Record, B: Record> Pipeline<A, B> {
         let window = crate::report::LedgerWindow::open(ctx);
         let t0 = Instant::now();
 
-        // 1. Common sub-expression elimination.
-        let (mut graph, output, eliminated) = if opts.level == OptLevel::None {
+        // 1. Common sub-expression elimination; steps 2–4 are the driver's.
+        let (graph, output, eliminated) = if opts.level == OptLevel::None {
             (snapshot, self.output, 0)
         } else {
             let r = eliminate_common_subexpressions(&snapshot);
@@ -231,98 +228,9 @@ impl<A: Record, B: Record> Pipeline<A, B> {
             }
             (r.graph, r.remap[&self.output], r.eliminated)
         };
-
-        let roots = fit_roots(&graph, output);
-
-        // 2. Execution subsampling + (at Full) operator selection.
-        let mut profile = if opts.level == OptLevel::None {
-            PipelineProfile::default()
-        } else {
-            let popts = ProfileOptions {
-                select_operators: opts.level == OptLevel::Full,
-                ..opts.profile.clone()
-            };
-            profile_and_select(&mut graph, &roots, ctx, &popts)
-        };
-
-        // 3. Automatic materialization.
-        let budget = opts.budget_on(ctx);
-        let problem = opts
-            .pins_greedy_set()
-            .then(|| build_mat_problem(&graph, &profile, &roots));
-        let (cache_set, picks) = problem
-            .as_ref()
-            .map(|p| p.greedy_cache_set_traced(budget))
-            .unwrap_or_default();
-        let cache = fit_cache(ctx, opts, budget, &cache_set, picks);
-        // Adaptive re-optimization watches this fit's demand against the
-        // problem's predictions. Fault-injected runs keep the static plan:
-        // cache-loss probes fire per resident entry, so mid-fit membership
-        // changes would perturb the injected draw sequence rather than just
-        // the cost.
-        let adaptive = problem
-            .filter(|_| opts.adaptive_enabled() && ctx.faults.is_none())
-            .map(|problem| {
-                Arc::new(AdaptiveController::new(
-                    problem,
-                    cache_set.clone(),
-                    budget,
-                    ctx.resources.workers,
-                    ctx.tracer.clone(),
-                    ctx.sim.clone(),
-                    opts.adaptive_hints.clone(),
-                ))
-            });
-        let choices = profile.choice_labels(&graph);
-
-        // 3b. Whole-stage fusion.
-        let fusion = fuse_for_fit(&mut graph, &mut profile, &[output], &cache_set, ctx, opts);
-        let optimize_secs = t0.elapsed().as_secs_f64();
-
-        // 4. Fit every estimator feeding the output.
-        let profiles = Arc::new(profile.nodes.clone());
-        let mut executor =
-            Executor::new(&graph, ctx.clone(), Arc::new(cache)).with_profiles(profiles.clone());
-        if let Some(ad) = &adaptive {
-            executor = executor.with_adaptive(ad.clone());
-        }
-        for &est in &roots {
-            let _ = executor.eval(est);
-        }
-        let models = executor.models();
-        let adaptation = adaptive.map(|ad| ad.report()).unwrap_or_default();
-
-        let observability = crate::report::PipelineReport::build_since(
-            &graph,
-            &profile,
-            &ctx.tracer,
-            Some(&ctx.metrics),
-            window,
-        );
-        let report = FitReport {
-            optimize_secs,
-            eliminated_nodes: eliminated,
-            choices,
-            fused: fusion.fused,
-            fused_nodes: fusion.fused_nodes,
-            columnar_chains: fusion.columnar_chains,
-            cache_set_labels: labels_of(&graph, &cache_set),
-            cache_set: cache_set.clone(),
-            adaptation,
-            dot: graph.to_dot(&cache_set),
-            profile,
-            observability,
-        };
-        let fitted = FittedPipeline {
-            plan: Arc::new(ExecutablePlan::new(
-                Arc::new(graph),
-                output,
-                models,
-                profiles,
-            )),
-            _ph: PhantomData,
-        };
-        (fitted, report)
+        let (report, mut plans) =
+            FitPlan::new(graph, vec![output], ctx, opts).execute(ctx, opts, eliminated, window, t0);
+        (FittedPipeline::from_plan(plans.remove(0)), report)
     }
 }
 
@@ -609,6 +517,7 @@ impl<A: Record, B: Record> FittedPipeline<A, B> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::profiler::ProfileOptions;
     use keystone_dataflow::cluster::ClusterProfile;
 
     pub(crate) struct Inc;

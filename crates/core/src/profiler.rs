@@ -58,17 +58,6 @@ pub struct PipelineProfile {
     pub choices: Vec<(NodeId, String)>,
 }
 
-impl PipelineProfile {
-    /// `(node label, chosen physical operator)` pairs for a fit report.
-    /// Resolve them before fusion relabels chain tails to `Fused[...]`.
-    pub(crate) fn choice_labels(&self, graph: &Graph) -> Vec<(String, String)> {
-        self.choices
-            .iter()
-            .map(|(id, name)| (graph.nodes[*id].label.clone(), name.clone()))
-            .collect()
-    }
-}
-
 /// Profiling options.
 #[derive(Debug, Clone)]
 pub struct ProfileOptions {
@@ -76,7 +65,9 @@ pub struct ProfileOptions {
     pub sizes: Vec<usize>,
     /// Sampling seed.
     pub seed: u64,
-    /// Whether to perform operator-level (physical) selection.
+    /// Whether to perform operator-level (physical) selection. `Pipeline::fit`
+    /// and `fit_forest` ignore this field and derive it from
+    /// `PipelineOptions::level` (on exactly at `OptLevel::Full`).
     pub select_operators: bool,
     /// Replace wall-clock measurements with a synthetic clock that is a
     /// pure function of (operator label, input records). Real timings make

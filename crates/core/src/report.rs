@@ -832,7 +832,7 @@ mod tests {
             ("Inc".into(), Arc::new(TypedTransformer::new(Inc))),
             ("Dbl".into(), Arc::new(TypedTransformer::new(Dbl))),
         ];
-        let fused = crate::optimizer::FusedMap::try_fuse(&members).expect("fusable");
+        let fused = crate::optimizer::FusedMap::try_fuse_with(&members, false).expect("fusable");
         let mut g = Graph::new();
         let src = g.add(
             NodeKind::DataSource(AnyData::wrap(DistCollection::from_vec(vec![1.0f64], 1))),

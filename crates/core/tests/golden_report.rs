@@ -85,7 +85,7 @@ fn synthetic_report() -> PipelineReport {
         ),
         ("Center".into(), Arc::new(TypedTransformer::new(Center))),
     ];
-    let fused_op = FusedMap::try_fuse(&members).expect("per-record members fuse");
+    let fused_op = FusedMap::try_fuse_with(&members, false).expect("per-record members fuse");
     let fused = g.add(
         NodeKind::Transform(Arc::new(fused_op)),
         vec![solve],

@@ -27,11 +27,9 @@ pub struct SimEntry {
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
     entries: Arc<Mutex<Vec<SimEntry>>>,
-    /// Ambient lane prefix prepended (as `prefix:`) to every charged stage
-    /// label while set. The multi-tenant forest executor scopes each wave
-    /// with a `tenant{i}` prefix so charges operators make *themselves*
-    /// (e.g. a solver's `solve:lbfgs`) land in the right per-tenant lane,
-    /// not just the charges the executor issues.
+    /// Ambient lane prepended (as `lane:`) to every charged stage label
+    /// inside [`SimClock::in_lane`], so charges operators make themselves
+    /// (a solver's `solve:lbfgs`) land in the lane too.
     prefix: Arc<Mutex<Option<String>>>,
 }
 
@@ -41,10 +39,17 @@ impl SimClock {
         Self::default()
     }
 
-    /// Sets (or clears, with `None`) the ambient lane prefix. Shared by all
-    /// clones of this clock, like the ledger itself.
-    pub fn set_stage_prefix(&self, prefix: Option<String>) {
-        *self.prefix.lock() = prefix;
+    /// Runs `f` with every charge on this clock and its clones scoped into
+    /// lane `name`, then restores the previous lane — also when `f` panics.
+    pub fn in_lane<R>(&self, name: String, f: impl FnOnce() -> R) -> R {
+        struct Restore<'a>(&'a Mutex<Option<String>>, Option<String>);
+        impl Drop for Restore<'_> {
+            fn drop(&mut self) {
+                *self.0.lock() = self.1.take();
+            }
+        }
+        let _restore = Restore(&self.prefix, self.prefix.lock().replace(name));
+        f()
     }
 
     fn labeled(&self, stage: &str) -> String {
@@ -206,19 +211,26 @@ mod tests {
     }
 
     #[test]
-    fn ambient_prefix_scopes_charges_into_a_lane() {
+    fn a_lane_scopes_charges_and_restores_the_previous_one() {
         let clock = SimClock::new();
         clock.charge_seconds("fit:a", 1.0, 0.0);
-        clock.set_stage_prefix(Some("tenant0".to_string()));
-        clock.charge_seconds("solve:lbfgs", 2.0, 0.0);
-        // The prefix is shared by clones, like the ledger.
-        clock.clone().charge_seconds("fit:b", 4.0, 0.0);
-        clock.set_stage_prefix(None);
-        clock.charge_seconds("fit:c", 8.0, 0.0);
-        let stages = clock.by_stage();
+        clock.in_lane("tenant0".to_string(), || {
+            clock.charge_seconds("solve:lbfgs", 2.0, 0.0);
+            // The lane is shared by clones, like the ledger.
+            clock.clone().charge_seconds("fit:b", 4.0, 0.0);
+            // A nested lane restores the outer one when it ends.
+            clock.in_lane("tenant1".to_string(), || ());
+            clock.charge_seconds("fit:c", 8.0, 0.0);
+        });
+        // A panic unwinding out of a lane ends it too.
+        let unwound = std::panic::catch_unwind(|| {
+            clock.in_lane("tenant2".to_string(), || panic!("tenant failed"))
+        });
+        assert!(unwound.is_err());
+        clock.charge_seconds("fit:d", 16.0, 0.0);
         assert_eq!(
-            stages,
-            vec![("fit".to_string(), 9.0), ("tenant0".to_string(), 6.0)]
+            clock.by_stage(),
+            vec![("fit".to_string(), 17.0), ("tenant0".to_string(), 14.0)]
         );
     }
 

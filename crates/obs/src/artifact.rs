@@ -27,8 +27,8 @@
 //!   `items_in`, which is seed-pure) rather than time skew.
 //!
 //! Byte-identity additionally requires the run itself to be seed-pure:
-//! profile with `ProfileOptions::deterministic_timing` (otherwise sim
-//! charges for unprofiled nodes fall back to measured wall time) and
+//! profile with `ProfileOptions::deterministic_timing` (profiled nodes
+//! otherwise carry measured wall time into their sim charges) and
 //! avoid straggler fault injection (speculative copies are priced at the
 //! measured wave median). `examples/diagnose.rs` and the round-trip
 //! tests follow exactly this recipe.

@@ -15,7 +15,7 @@
 //! * **unpaid-materialization** — an Algorithm-1 pick whose output was
 //!   never hit: budget spent for zero reuse (§4.3).
 //! * **misprediction** — the largest predicted-vs-actual runtime errors,
-//!   the signal adaptive re-optimization (ROADMAP item 3) will consume.
+//!   the signal adaptive re-optimization reads via [`crate::replanner_hints`].
 //! * **fusion-barrier** — unfused multi-span stages adjacent to fusion
 //!   barriers (materialization picks, multi-consumer nodes): where span
 //!   count — and per-record dispatch overhead — concentrates.

@@ -55,7 +55,7 @@ pub struct MatrixCell {
     pub fused: bool,
     /// Whether columnar lowering of fused chains is forced on (vs forced
     /// off). Only set together with `fused`: without fusion the toggle is
-    /// never read (pinned by a unit test beside `fuse_for_fit`), so an
+    /// never read (pinned by a unit test beside `FitPlan`), so an
     /// unfused columnar cell would re-run its unfused sibling.
     pub col: bool,
     /// Whether mid-fit adaptive re-optimization is forced on (vs forced

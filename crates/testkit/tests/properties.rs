@@ -139,7 +139,7 @@ fn cse_is_idempotent_and_preserves_fit_roots() {
 #[test]
 fn fusion_respects_barriers_and_cost_model() {
     use keystone_core::context::ExecContext;
-    use keystone_core::optimizer::{build_mat_problem, fuse_chains, merge_profiles};
+    use keystone_core::optimizer::{build_mat_problem, fuse_chains_with, merge_profiles};
     use keystone_core::profiler::{profile_and_select, ProfileOptions};
 
     let mut chains_seen = 0usize;
@@ -168,7 +168,7 @@ fn fusion_respects_barriers_and_cost_model() {
 
         let relevant = graph.ancestors(&[output]);
         let successors = graph.successors();
-        let result = fuse_chains(&graph, output, &picks);
+        let result = fuse_chains_with(&graph, output, &picks, false);
         chains_seen += result.chains.len();
 
         // Barriers: absorbed members were single-consumer, un-picked nodes.
@@ -232,7 +232,7 @@ fn fusion_respects_barriers_and_cost_model() {
         );
 
         // Idempotence: a second pass finds nothing and changes nothing.
-        let second = fuse_chains(&result.graph, output, &picks);
+        let second = fuse_chains_with(&result.graph, output, &picks, false);
         assert_eq!(
             second.chains.len(),
             0,
