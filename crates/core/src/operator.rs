@@ -8,9 +8,16 @@
 //! * `Optimizable*` — logical operators with multiple physical
 //!   implementations, each carrying a [`CostFn`] used by the operator-level
 //!   optimizer (§3).
-//! * `Erased*` — object-safe wrappers that downcast whole collections once
-//!   per node execution (never per item), so the DAG can hold heterogeneous
-//!   operators while the public API stays fully typed.
+//! * The erased layer the DAG stores, three types behind the object-safe
+//!   [`ErasedTransformer`] / [`ErasedEstimator`] traits, so the DAG holds
+//!   heterogeneous operators while the public API stays fully typed.
+//!   [`TypedTransformer`] and [`TypedEstimator`] (which also erases a
+//!   [`LabelEstimator`]: its labels are the node's second input) downcast
+//!   whole collections once per node execution, never per item.
+//!   [`LogicalOperator`] is a logical operator's name, its erased physical
+//!   options and its default index. The options are built once, when the
+//!   pipeline adds the operator; the default one runs until operator
+//!   selection replaces the node with its pick.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -411,24 +418,15 @@ impl NodeOutput {
 // Erased operator layer
 // ---------------------------------------------------------------------------
 
-/// Erased physical option of a transformer node.
-pub struct ErasedTransformerOption {
+/// One erased physical implementation of a logical operator: `Op` is
+/// `Arc<dyn ErasedTransformer>` or `Arc<dyn ErasedEstimator>`.
+pub struct ErasedOption<Op> {
     /// Physical operator name.
     pub name: String,
     /// Cost model over the node's input statistics.
     pub cost: ErasedCostFn,
     /// The erased implementation.
-    pub op: Arc<dyn ErasedTransformer>,
-}
-
-/// Erased physical option of an estimator node.
-pub struct ErasedEstimatorOption {
-    /// Physical operator name.
-    pub name: String,
-    /// Cost model over the node's input statistics.
-    pub cost: ErasedCostFn,
-    /// The erased implementation.
-    pub op: Arc<dyn ErasedEstimator>,
+    pub op: Op,
 }
 
 /// Object-safe transformer over erased collections. May take several data
@@ -440,8 +438,8 @@ pub trait ErasedTransformer: Send + Sync {
     /// Applies to erased inputs.
     fn apply_any(&self, inputs: &[AnyData], ctx: &ExecContext) -> AnyData;
 
-    /// Physical alternatives, when this is an optimizable logical operator.
-    fn physical_options(&self) -> Option<Vec<ErasedTransformerOption>> {
+    /// Physical alternatives, when this is a logical operator.
+    fn physical_options(&self) -> Option<&[ErasedOption<Arc<dyn ErasedTransformer>>]> {
         None
     }
 
@@ -494,8 +492,8 @@ pub trait ErasedEstimator: Send + Sync {
     fn fit_any(&self, inputs: &[&dyn InputHandle], ctx: &ExecContext)
         -> Arc<dyn ErasedTransformer>;
 
-    /// Physical alternatives, when this is an optimizable logical operator.
-    fn physical_options(&self) -> Option<Vec<ErasedEstimatorOption>> {
+    /// Physical alternatives, when this is a logical operator.
+    fn physical_options(&self) -> Option<&[ErasedOption<Arc<dyn ErasedEstimator>>]> {
         None
     }
 }
@@ -616,30 +614,61 @@ impl<A: Record, B: Record> ErasedTransformer for TypedTransformer<A, B> {
     }
 }
 
-/// Erases a typed [`Estimator`].
+/// A fit from lazy training data plus the node's remaining inputs: the one
+/// shape [`TypedEstimator`] erases both estimator traits to.
+type FitFn<A, B> = Box<
+    dyn Fn(
+            &dyn Fn() -> DistCollection<A>,
+            &[&dyn InputHandle],
+            &ExecContext,
+        ) -> Box<dyn Transformer<A, B>>
+        + Send
+        + Sync,
+>;
+
+/// Erases a typed [`Estimator`] or [`LabelEstimator`], reading its name and
+/// weight once. `inputs[0]` is the lazy training data; a supervised
+/// estimator's labels are `inputs[1]`, fetched once per fit.
 pub struct TypedEstimator<A: Record, B: Record> {
-    op: Arc<dyn Estimator<A, B>>,
+    name: String,
+    weight: u32,
+    fit: FitFn<A, B>,
 }
 
 impl<A: Record, B: Record> TypedEstimator<A, B> {
     /// Wraps a typed estimator.
     pub fn new(op: impl Estimator<A, B>) -> Self {
-        TypedEstimator { op: Arc::new(op) }
+        Self::from_box(Box::new(op))
     }
 
     /// Wraps an already-boxed estimator.
     pub fn from_box(op: Box<dyn Estimator<A, B>>) -> Self {
-        TypedEstimator { op: Arc::from(op) }
+        TypedEstimator {
+            name: op.name(),
+            weight: op.weight(),
+            fit: Box::new(move |data, _, ctx| op.fit_lazy(data, ctx)),
+        }
+    }
+
+    /// Wraps a boxed supervised estimator.
+    pub fn from_label_box<L: Record>(op: Box<dyn LabelEstimator<A, L, B>>) -> Self {
+        TypedEstimator {
+            name: op.name(),
+            weight: op.weight(),
+            fit: Box::new(move |data, rest, ctx| {
+                op.fit_lazy(data, &rest[0].get().downcast::<L>(), ctx)
+            }),
+        }
     }
 }
 
 impl<A: Record, B: Record> ErasedEstimator for TypedEstimator<A, B> {
     fn name(&self) -> String {
-        self.op.name()
+        self.name.clone()
     }
 
     fn weight(&self) -> u32 {
-        self.op.weight()
+        self.weight
     }
 
     fn fit_any(
@@ -648,132 +677,101 @@ impl<A: Record, B: Record> ErasedEstimator for TypedEstimator<A, B> {
         ctx: &ExecContext,
     ) -> Arc<dyn ErasedTransformer> {
         let handle = inputs[0];
-        let model = self.op.fit_lazy(&|| handle.get().downcast::<A>(), ctx);
+        let model = (self.fit)(&|| handle.get().downcast::<A>(), &inputs[1..], ctx);
         Arc::new(TypedTransformer::from_box(model))
     }
 }
 
-/// Erases a typed [`LabelEstimator`]. Labels (`inputs[1]`) are fetched once.
-pub struct TypedLabelEstimator<A: Record, L: Record, B: Record> {
-    op: Arc<dyn LabelEstimator<A, L, B>>,
-}
-
-impl<A: Record, L: Record, B: Record> TypedLabelEstimator<A, L, B> {
-    /// Wraps a typed supervised estimator.
-    pub fn new(op: impl LabelEstimator<A, L, B>) -> Self {
-        TypedLabelEstimator { op: Arc::new(op) }
-    }
-
-    /// Wraps an already-boxed supervised estimator.
-    pub fn from_box(op: Box<dyn LabelEstimator<A, L, B>>) -> Self {
-        TypedLabelEstimator { op: Arc::from(op) }
-    }
-}
-
-impl<A: Record, L: Record, B: Record> ErasedEstimator for TypedLabelEstimator<A, L, B> {
-    fn name(&self) -> String {
-        self.op.name()
-    }
-
-    fn weight(&self) -> u32 {
-        self.op.weight()
-    }
-
-    fn fit_any(
-        &self,
-        inputs: &[&dyn InputHandle],
-        ctx: &ExecContext,
-    ) -> Arc<dyn ErasedTransformer> {
-        let data_handle = inputs[0];
-        let labels = inputs[1].get().downcast::<L>();
-        let model = self
-            .op
-            .fit_lazy(&|| data_handle.get().downcast::<A>(), &labels, ctx);
-        Arc::new(TypedTransformer::from_box(model))
-    }
-}
-
-/// The physical option a logical operator runs when operator selection is
-/// off: `options[default_index]`, clamped to the last option.
-///
-/// # Panics
-/// Panics when the logical operator offers no physical options.
-fn default_option<O>(
-    mut options: Vec<O>,
+/// A logical operator (§3) as the DAG stores it: its name, its physical
+/// options, and the one it runs until operator selection replaces the node
+/// with its pick (`default_index`, clamped to the last option). `Op` is
+/// `Arc<dyn ErasedTransformer>` or `Arc<dyn ErasedEstimator>`. The options
+/// are built once, by the constructor `Pipeline::and_then_optimizable*`
+/// calls. It offers no fusion kernels, so an unselected logical node is a
+/// fusion barrier.
+pub struct LogicalOperator<Op> {
+    name: String,
+    options: Vec<ErasedOption<Op>>,
     default_index: usize,
-    name: impl FnOnce() -> String,
-) -> O {
-    assert!(
-        !options.is_empty(),
-        "logical operator {} has no physical options",
-        name()
-    );
-    let idx = default_index.min(options.len() - 1);
-    options.swap_remove(idx)
 }
 
-/// Erases an [`OptimizableTransformer`]: applies via the default option and
-/// exposes erased physical options to the operator-level optimizer.
-pub struct TypedOptimizableTransformer<A: Record, B: Record> {
-    op: Arc<dyn OptimizableTransformer<A, B>>,
-}
+impl<Op> LogicalOperator<Op> {
+    /// # Panics
+    /// Panics when the logical operator offers no physical options.
+    fn new(name: String, default_index: usize, options: Vec<ErasedOption<Op>>) -> Self {
+        assert!(
+            !options.is_empty(),
+            "logical operator {name} has no physical options"
+        );
+        LogicalOperator {
+            name,
+            default_index: default_index.min(options.len() - 1),
+            options,
+        }
+    }
 
-impl<A: Record, B: Record> TypedOptimizableTransformer<A, B> {
-    /// Wraps an optimizable logical transformer.
-    pub fn new(op: impl OptimizableTransformer<A, B>) -> Self {
-        TypedOptimizableTransformer { op: Arc::new(op) }
+    fn default_op(&self) -> &Op {
+        &self.options[self.default_index].op
     }
 }
 
-impl<A: Record, B: Record> ErasedTransformer for TypedOptimizableTransformer<A, B> {
+impl LogicalOperator<Arc<dyn ErasedTransformer>> {
+    /// Erases an [`OptimizableTransformer`].
+    pub fn transformer<A: Record, B: Record>(t: impl OptimizableTransformer<A, B>) -> Self {
+        let options = t.options().into_iter().map(|o| ErasedOption {
+            name: o.name,
+            cost: Arc::from(o.cost),
+            op: Arc::new(TypedTransformer::from_box(o.op)) as Arc<dyn ErasedTransformer>,
+        });
+        LogicalOperator::new(t.name(), t.default_index(), options.collect())
+    }
+}
+
+impl LogicalOperator<Arc<dyn ErasedEstimator>> {
+    /// Erases an [`OptimizableEstimator`].
+    pub fn estimator<A: Record, B: Record>(e: impl OptimizableEstimator<A, B>) -> Self {
+        let options = e.options().into_iter().map(|o| ErasedOption {
+            name: o.name,
+            cost: Arc::from(o.cost),
+            op: Arc::new(TypedEstimator::from_box(o.op)) as Arc<dyn ErasedEstimator>,
+        });
+        LogicalOperator::new(e.name(), e.default_index(), options.collect())
+    }
+
+    /// Erases an [`OptimizableLabelEstimator`].
+    pub fn label_estimator<A: Record, L: Record, B: Record>(
+        e: impl OptimizableLabelEstimator<A, L, B>,
+    ) -> Self {
+        let options = e.options().into_iter().map(|o| ErasedOption {
+            name: o.name,
+            cost: Arc::from(o.cost),
+            op: Arc::new(TypedEstimator::from_label_box(o.op)) as Arc<dyn ErasedEstimator>,
+        });
+        LogicalOperator::new(e.name(), e.default_index(), options.collect())
+    }
+}
+
+impl ErasedTransformer for LogicalOperator<Arc<dyn ErasedTransformer>> {
     fn name(&self) -> String {
-        self.op.name()
+        self.name.clone()
     }
 
     fn apply_any(&self, inputs: &[AnyData], ctx: &ExecContext) -> AnyData {
-        let chosen = default_option(self.op.options(), self.op.default_index(), || {
-            self.op.name()
-        });
-        let input = inputs[0].downcast::<A>();
-        AnyData::wrap(chosen.op.apply_collection(&input, ctx))
+        self.default_op().apply_any(inputs, ctx)
     }
 
-    fn physical_options(&self) -> Option<Vec<ErasedTransformerOption>> {
-        Some(
-            self.op
-                .options()
-                .into_iter()
-                .map(|o| ErasedTransformerOption {
-                    name: o.name,
-                    cost: Arc::new(o.cost),
-                    op: Arc::new(TypedTransformer::from_box(o.op)),
-                })
-                .collect(),
-        )
+    fn physical_options(&self) -> Option<&[ErasedOption<Arc<dyn ErasedTransformer>>]> {
+        Some(&self.options)
     }
 }
 
-/// Erases an [`OptimizableEstimator`].
-pub struct TypedOptimizableEstimator<A: Record, B: Record> {
-    op: Arc<dyn OptimizableEstimator<A, B>>,
-}
-
-impl<A: Record, B: Record> TypedOptimizableEstimator<A, B> {
-    /// Wraps an optimizable logical estimator.
-    pub fn new(op: impl OptimizableEstimator<A, B>) -> Self {
-        TypedOptimizableEstimator { op: Arc::new(op) }
-    }
-}
-
-impl<A: Record, B: Record> ErasedEstimator for TypedOptimizableEstimator<A, B> {
+impl ErasedEstimator for LogicalOperator<Arc<dyn ErasedEstimator>> {
     fn name(&self) -> String {
-        self.op.name()
+        self.name.clone()
     }
 
     fn weight(&self) -> u32 {
-        let options = self.op.options();
-        let idx = self.op.default_index().min(options.len().saturating_sub(1));
-        options.get(idx).map_or(1, |o| o.op.weight())
+        self.default_op().weight()
     }
 
     fn fit_any(
@@ -781,73 +779,11 @@ impl<A: Record, B: Record> ErasedEstimator for TypedOptimizableEstimator<A, B> {
         inputs: &[&dyn InputHandle],
         ctx: &ExecContext,
     ) -> Arc<dyn ErasedTransformer> {
-        let chosen = default_option(self.op.options(), self.op.default_index(), || {
-            self.op.name()
-        });
-        TypedEstimator::from_box(chosen.op).fit_any(inputs, ctx)
+        self.default_op().fit_any(inputs, ctx)
     }
 
-    fn physical_options(&self) -> Option<Vec<ErasedEstimatorOption>> {
-        Some(
-            self.op
-                .options()
-                .into_iter()
-                .map(|o| ErasedEstimatorOption {
-                    name: o.name,
-                    cost: Arc::new(o.cost),
-                    op: Arc::new(TypedEstimator::from_box(o.op)),
-                })
-                .collect(),
-        )
-    }
-}
-
-/// Erases an [`OptimizableLabelEstimator`].
-pub struct TypedOptimizableLabelEstimator<A: Record, L: Record, B: Record> {
-    op: Arc<dyn OptimizableLabelEstimator<A, L, B>>,
-}
-
-impl<A: Record, L: Record, B: Record> TypedOptimizableLabelEstimator<A, L, B> {
-    /// Wraps an optimizable supervised logical estimator.
-    pub fn new(op: impl OptimizableLabelEstimator<A, L, B>) -> Self {
-        TypedOptimizableLabelEstimator { op: Arc::new(op) }
-    }
-}
-
-impl<A: Record, L: Record, B: Record> ErasedEstimator for TypedOptimizableLabelEstimator<A, L, B> {
-    fn name(&self) -> String {
-        self.op.name()
-    }
-
-    fn weight(&self) -> u32 {
-        let options = self.op.options();
-        let idx = self.op.default_index().min(options.len().saturating_sub(1));
-        options.get(idx).map_or(1, |o| o.op.weight())
-    }
-
-    fn fit_any(
-        &self,
-        inputs: &[&dyn InputHandle],
-        ctx: &ExecContext,
-    ) -> Arc<dyn ErasedTransformer> {
-        let chosen = default_option(self.op.options(), self.op.default_index(), || {
-            self.op.name()
-        });
-        TypedLabelEstimator::from_box(chosen.op).fit_any(inputs, ctx)
-    }
-
-    fn physical_options(&self) -> Option<Vec<ErasedEstimatorOption>> {
-        Some(
-            self.op
-                .options()
-                .into_iter()
-                .map(|o| ErasedEstimatorOption {
-                    name: o.name,
-                    cost: Arc::new(o.cost),
-                    op: Arc::new(TypedLabelEstimator::from_box(o.op)),
-                })
-                .collect(),
-        )
+    fn physical_options(&self) -> Option<&[ErasedOption<Arc<dyn ErasedEstimator>>]> {
+        Some(&self.options)
     }
 }
 
@@ -1033,7 +969,7 @@ pub(crate) mod tests {
 
     #[test]
     fn optimizable_transformer_exposes_options_and_default() {
-        let erased = TypedOptimizableTransformer::new(PickScale);
+        let erased = LogicalOperator::transformer(PickScale);
         let opts = erased.physical_options().expect("optimizable");
         assert_eq!(opts.len(), 2);
         assert_eq!(opts[0].name, "x10");
@@ -1045,7 +981,7 @@ pub(crate) mod tests {
     }
 
     /// A logical operator with nothing to run is a caller bug, reported by
-    /// name.
+    /// name when the pipeline adds it.
     #[test]
     #[should_panic(expected = "logical operator NoOptions has no physical options")]
     fn optimizable_transformer_without_options_panics_by_name() {
@@ -1055,14 +991,45 @@ pub(crate) mod tests {
                 Vec::new()
             }
         }
-        let input = AnyData::wrap(DistCollection::from_vec(vec![1.0], 1));
-        let _ = TypedOptimizableTransformer::new(NoOptions).apply_any(&[input], &ctx());
+        let _ = crate::pipeline::Pipeline::<f64, f64>::input().and_then_optimizable(NoOptions);
     }
 
+    /// Declares `self.0` passes over its input; fits the identity.
+    struct Passes(u32);
+    impl Estimator<f64, f64> for Passes {
+        fn fit(&self, _: &DistCollection<f64>, _: &ExecContext) -> Box<dyn Transformer<f64, f64>> {
+            Box::new(ScaleBy(1.0))
+        }
+        fn weight(&self) -> u32 {
+            self.0
+        }
+    }
+
+    /// Options of weight 2 and 5, and a chosen default index.
+    struct PickPasses(usize);
+    impl OptimizableEstimator<f64, f64> for PickPasses {
+        fn options(&self) -> Vec<EstimatorOption<f64, f64>> {
+            [2, 5]
+                .map(|passes| EstimatorOption {
+                    name: format!("w{passes}"),
+                    cost: Box::new(|_stats, _r| CostProfile::compute(1.0)),
+                    op: Box::new(Passes(passes)),
+                })
+                .into()
+        }
+        fn default_index(&self) -> usize {
+            self.0
+        }
+    }
+
+    /// An unselected logical estimator weighs its default option, clamped
+    /// to the last: the weight Algorithm 1 reads below `OptLevel::Full`.
     #[test]
-    fn default_option_clamps_to_the_last() {
-        assert_eq!(default_option(vec!['a', 'b', 'c'], 1, String::new), 'b');
-        assert_eq!(default_option(vec!['a', 'b', 'c'], 9, String::new), 'c');
+    fn unselected_logical_estimator_weighs_its_default_option() {
+        let weight = |default_index| LogicalOperator::estimator(PickPasses(default_index)).weight();
+        assert_eq!(weight(0), 2);
+        assert_eq!(weight(1), 5);
+        assert_eq!(weight(9), 5);
     }
 
     #[test]

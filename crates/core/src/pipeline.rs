@@ -19,10 +19,9 @@ use crate::context::ExecContext;
 use crate::executor::Executor;
 use crate::graph::{Graph, NodeId, NodeKind};
 use crate::operator::{
-    AnyData, ErasedTransformer, Estimator, GatherConcat, LabelEstimator, OptimizableEstimator,
-    OptimizableLabelEstimator, OptimizableTransformer, Transformer, TypedEstimator,
-    TypedLabelEstimator, TypedOptimizableEstimator, TypedOptimizableLabelEstimator,
-    TypedOptimizableTransformer, TypedTransformer,
+    AnyData, ErasedTransformer, Estimator, GatherConcat, LabelEstimator, LogicalOperator,
+    OptimizableEstimator, OptimizableLabelEstimator, OptimizableTransformer, Transformer,
+    TypedEstimator, TypedTransformer,
 };
 use crate::optimizer::{eliminate_common_subexpressions, FitPlan, OptLevel, PipelineOptions};
 use crate::profiler::PipelineProfile;
@@ -74,15 +73,7 @@ impl<A: Record, B: Record> Pipeline<A, B> {
 
     /// Chains a transformer (`andThen`).
     pub fn and_then<C: Record>(&self, t: impl Transformer<B, C>) -> Pipeline<A, C> {
-        let label = t.name();
-        let mut g = self.graph.lock();
-        let id = g.add(
-            NodeKind::Transform(Arc::new(TypedTransformer::new(t))),
-            vec![self.output],
-            label,
-        );
-        drop(g);
-        self.derive(id)
+        self.append_transformer(Arc::new(TypedTransformer::new(t)), vec![self.output])
     }
 
     /// Chains an optimizable transformer (multiple physical options).
@@ -90,15 +81,8 @@ impl<A: Record, B: Record> Pipeline<A, B> {
         &self,
         t: impl OptimizableTransformer<B, C>,
     ) -> Pipeline<A, C> {
-        let label = t.name();
-        let mut g = self.graph.lock();
-        let id = g.add(
-            NodeKind::Transform(Arc::new(TypedOptimizableTransformer::new(t))),
-            vec![self.output],
-            label,
-        );
-        drop(g);
-        self.derive(id)
+        let op = Arc::new(LogicalOperator::transformer(t));
+        self.append_transformer(op, vec![self.output])
     }
 
     /// Chains an unsupervised estimator fit on `data` passed through the
@@ -108,9 +92,7 @@ impl<A: Record, B: Record> Pipeline<A, B> {
         est: impl Estimator<B, C>,
         data: &DistCollection<A>,
     ) -> Pipeline<A, C> {
-        let label = est.name();
-        let erased = Arc::new(TypedEstimator::new(est));
-        self.append_estimator(erased, label, data, None)
+        self.append_estimator(Arc::new(TypedEstimator::new(est)), data, None)
     }
 
     /// Chains an optimizable unsupervised estimator.
@@ -119,9 +101,7 @@ impl<A: Record, B: Record> Pipeline<A, B> {
         est: impl OptimizableEstimator<B, C>,
         data: &DistCollection<A>,
     ) -> Pipeline<A, C> {
-        let label = est.name();
-        let erased = Arc::new(TypedOptimizableEstimator::new(est));
-        self.append_estimator(erased, label, data, None)
+        self.append_estimator(Arc::new(LogicalOperator::estimator(est)), data, None)
     }
 
     /// Chains a supervised estimator (`andThen (est, data, labels)`).
@@ -131,9 +111,8 @@ impl<A: Record, B: Record> Pipeline<A, B> {
         data: &DistCollection<A>,
         labels: &DistCollection<L>,
     ) -> Pipeline<A, C> {
-        let label = est.name();
-        let erased = Arc::new(TypedLabelEstimator::new(est));
-        self.append_estimator(erased, label, data, Some(AnyData::wrap(labels.clone())))
+        let erased = Arc::new(TypedEstimator::from_label_box(Box::new(est)));
+        self.append_estimator(erased, data, Some(AnyData::wrap(labels.clone())))
     }
 
     /// Chains an optimizable supervised estimator.
@@ -143,18 +122,35 @@ impl<A: Record, B: Record> Pipeline<A, B> {
         data: &DistCollection<A>,
         labels: &DistCollection<L>,
     ) -> Pipeline<A, C> {
-        let label = est.name();
-        let erased = Arc::new(TypedOptimizableLabelEstimator::new(est));
-        self.append_estimator(erased, label, data, Some(AnyData::wrap(labels.clone())))
+        let erased = Arc::new(LogicalOperator::label_estimator(est));
+        self.append_estimator(erased, data, Some(AnyData::wrap(labels.clone())))
     }
 
+    /// Appends a transformer node over `inputs`, labelled with the
+    /// operator's name.
+    fn append_transformer<C: Record>(
+        &self,
+        op: Arc<dyn ErasedTransformer>,
+        inputs: Vec<NodeId>,
+    ) -> Pipeline<A, C> {
+        let label = op.name();
+        let id = self
+            .graph
+            .lock()
+            .add(NodeKind::Transform(op), inputs, label);
+        self.derive(id)
+    }
+
+    /// Binds the training data (and labels), clones the prefix over it and
+    /// appends the estimator and the application of its model, labelled
+    /// with the estimator's name.
     fn append_estimator<C: Record>(
         &self,
         erased: Arc<dyn crate::operator::ErasedEstimator>,
-        label: String,
         data: &DistCollection<A>,
         labels: Option<AnyData>,
     ) -> Pipeline<A, C> {
+        let label = erased.name();
         let mut g = self.graph.lock();
         let src = g.add(
             NodeKind::DataSource(AnyData::wrap(data.clone())),
@@ -251,19 +247,7 @@ pub fn gather<A: Record>(branches: &[Pipeline<A, Vec<f64>>]) -> Pipeline<A, Vec<
         );
     }
     let inputs: Vec<NodeId> = branches.iter().map(|b| b.output).collect();
-    let mut g = first.graph.lock();
-    let id = g.add(
-        NodeKind::Transform(Arc::new(GatherConcat)),
-        inputs,
-        "Gather",
-    );
-    drop(g);
-    Pipeline {
-        graph: first.graph.clone(),
-        input: first.input,
-        output: id,
-        _ph: PhantomData,
-    }
+    first.append_transformer(Arc::new(GatherConcat), inputs)
 }
 
 /// What the optimizer did during `fit`.
@@ -519,6 +503,8 @@ pub(crate) mod tests {
     use super::*;
     use crate::profiler::ProfileOptions;
     use keystone_dataflow::cluster::ClusterProfile;
+    use keystone_dataflow::cost::CostProfile;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     pub(crate) struct Inc;
     impl Transformer<f64, f64> for Inc {
@@ -660,6 +646,60 @@ pub(crate) mod tests {
         );
         let out = fitted.apply(&DistCollection::from_vec(vec![5.0], 1), &ctx);
         assert_eq!(out.collect(), vec![15.0]);
+    }
+
+    /// A logical `Scale` that counts its `options()` calls.
+    struct CountedScale(Arc<AtomicUsize>);
+    impl OptimizableTransformer<f64, f64> for CountedScale {
+        fn options(&self) -> Vec<crate::operator::TransformerOption<f64, f64>> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            vec![crate::operator::TransformerOption {
+                name: "x3".into(),
+                cost: Box::new(|_, _| CostProfile::compute(1.0)),
+                op: Box::new(Scale),
+            }]
+        }
+    }
+
+    /// A logical `OffsetFit` that counts its `options()` calls.
+    struct CountedOffset(Arc<AtomicUsize>);
+    impl OptimizableLabelEstimator<f64, f64, f64> for CountedOffset {
+        fn options(&self) -> Vec<crate::operator::LabelEstimatorOption<f64, f64, f64>> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            vec![crate::operator::LabelEstimatorOption {
+                name: "offset".into(),
+                cost: Box::new(|_, _| CostProfile::compute(1.0)),
+                op: Box::new(OffsetFit),
+            }]
+        }
+    }
+
+    /// A logical operator builds its physical options once, when the
+    /// pipeline adds it: fits with and without operator selection, and the
+    /// applies after them, reuse that one set.
+    #[test]
+    fn logical_operators_build_their_options_once() {
+        let calls = [Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0))];
+        let counts = || calls.clone().map(|c| c.load(Ordering::SeqCst));
+        let train = DistCollection::from_vec(vec![1.0, 2.0, 3.0], 2);
+        let labels = DistCollection::from_vec(vec![11.0, 12.0, 13.0], 2);
+        let pipe = Pipeline::<f64, f64>::input()
+            .and_then_optimizable(CountedScale(calls[0].clone()))
+            .and_then_optimizable_label_est(CountedOffset(calls[1].clone()), &train, &labels);
+        assert_eq!(counts(), [1, 1], "after construction");
+        let ctx = ctx();
+        let full = PipelineOptions {
+            profile: small_profile(),
+            ..PipelineOptions::full()
+        };
+        pipe.fit(&ctx, &full);
+        let (fitted, _) = pipe.fit(&ctx, &PipelineOptions::none());
+        for _ in 0..3 {
+            // Offset 12 - mean(3, 6, 9) = 6 after scaling by 3.
+            let out = fitted.apply(&DistCollection::from_vec(vec![5.0], 1), &ctx);
+            assert_eq!(out.collect(), vec![21.0]);
+        }
+        assert_eq!(counts(), [1, 1], "after two fits and three applies");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use crate::context::ExecContext;
 use crate::graph::{Graph, NodeId, NodeKind};
-use crate::operator::{AnyData, ErasedCostFn, ErasedTransformer, InputHandle};
+use crate::operator::{AnyData, ErasedOption, ErasedTransformer, InputHandle};
 use crate::record::DataStats;
 
 /// Extrapolated profile of one node.
@@ -171,7 +171,26 @@ pub fn profile_and_select(
             if skip.contains(&id) {
                 continue;
             }
-            let node = graph.nodes[id].clone();
+            let mut node = graph.nodes[id].clone();
+            // Operator selection on the first pass only; later passes see
+            // the swapped-in operator through `graph`.
+            if pass == 0 && opts.select_operators {
+                let stats = || full_scale_inputs(&node.inputs, &outputs, &scales, &full_counts);
+                let chosen = match &node.kind {
+                    NodeKind::Transform(op) => op.physical_options().map(|options| {
+                        let kind = NodeKind::Transform;
+                        select_operator(options, kind, &stats(), id, graph, &mut profile, ctx)
+                    }),
+                    NodeKind::Estimate(op) => op.physical_options().map(|options| {
+                        let kind = NodeKind::Estimate;
+                        select_operator(options, kind, &stats(), id, graph, &mut profile, ctx)
+                    }),
+                    _ => None,
+                };
+                if let Some(kind) = chosen {
+                    node.kind = kind;
+                }
+            }
             match &node.kind {
                 NodeKind::RuntimeInput => {}
                 NodeKind::DataSource(data) => {
@@ -187,34 +206,7 @@ pub fn profile_and_select(
                     // A fitted model applies like a transformer over its
                     // data input (input 1; input 0 is the model).
                     let (op, data_ids) = match &node.kind {
-                        NodeKind::Transform(op) => {
-                            // Operator selection on the first pass only; later
-                            // passes see the swapped-in operator through `node`.
-                            let options = (pass == 0 && opts.select_operators)
-                                .then(|| op.physical_options())
-                                .flatten();
-                            let op = match options {
-                                Some(options) if !options.is_empty() => {
-                                    let stats = full_scale_inputs(
-                                        &node.inputs,
-                                        &outputs,
-                                        &scales,
-                                        &full_counts,
-                                    );
-                                    select_operator(
-                                        options.into_iter().map(|o| (o.name, o.cost, o.op)),
-                                        &stats,
-                                        NodeKind::Transform,
-                                        id,
-                                        graph,
-                                        &mut profile,
-                                        ctx,
-                                    )
-                                }
-                                _ => op.clone(),
-                            };
-                            (op, &node.inputs[..])
-                        }
+                        NodeKind::Transform(op) => (op.clone(), &node.inputs[..]),
                         _ => (models[&node.inputs[0]].clone(), &node.inputs[1..]),
                     };
                     let scale = scales.get(&data_ids[0]).copied().unwrap_or(1.0);
@@ -231,25 +223,6 @@ pub fn profile_and_select(
                     outputs.insert(id, out);
                 }
                 NodeKind::Estimate(op) => {
-                    let options = (pass == 0 && opts.select_operators)
-                        .then(|| op.physical_options())
-                        .flatten();
-                    let op = match options {
-                        Some(options) if !options.is_empty() => {
-                            let stats =
-                                full_scale_inputs(&node.inputs, &outputs, &scales, &full_counts);
-                            select_operator(
-                                options.into_iter().map(|o| (o.name, o.cost, o.op)),
-                                &stats,
-                                NodeKind::Estimate,
-                                id,
-                                graph,
-                                &mut profile,
-                                ctx,
-                            )
-                        }
-                        _ => op.clone(),
-                    };
                     let handles: Vec<SampleHandle> = node
                         .inputs
                         .iter()
@@ -353,36 +326,36 @@ fn full_scale_inputs(
         .collect()
 }
 
-/// Operator selection (§3) for one node: prices every physical option
-/// `(name, cost model, implementation)` at the node's full-scale input
-/// statistics and picks the cheapest. The pick goes into `profile.choices`
-/// and an [`OperatorChoice`](crate::trace::TraceEvent::OperatorChoice)
-/// event carrying every candidate's cost profile — winners and losers — so
+/// Operator selection (§3) for one logical node: prices every physical
+/// option at the node's full-scale input statistics and picks the cheapest.
+/// The pick goes into `profile.choices` and an
+/// [`OperatorChoice`](crate::trace::TraceEvent::OperatorChoice) event
+/// carrying every candidate's cost profile — winners and losers — so
 /// reports can show what the optimizer rejected and why; graph node `id` is
-/// relabelled `label[chosen]` and its kind becomes `kind(chosen)`. Returns
-/// the chosen implementation.
+/// relabelled `label[chosen]` and its kind becomes `kind(chosen)`, which is
+/// returned.
 fn select_operator<Op: Clone>(
-    options: impl Iterator<Item = (String, ErasedCostFn, Op)>,
-    stats: &[DataStats],
+    options: &[ErasedOption<Op>],
     kind: fn(Op) -> NodeKind,
+    stats: &[DataStats],
     id: NodeId,
     graph: &mut Graph,
     profile: &mut PipelineProfile,
     ctx: &ExecContext,
-) -> Op {
-    let (mut candidates, mut ops) = (Vec::new(), Vec::new());
-    for (name, cost, op) in options {
-        let cost = cost(stats, &ctx.resources);
-        candidates.push(crate::trace::OperatorCandidate {
-            name,
-            est_secs: cost.estimated_seconds(&ctx.resources),
-            cost,
-        });
-        ops.push(op);
-    }
+) -> NodeKind {
+    let candidates: Vec<_> = options
+        .iter()
+        .map(|o| {
+            let cost = (o.cost)(stats, &ctx.resources);
+            crate::trace::OperatorCandidate {
+                name: o.name.clone(),
+                est_secs: cost.estimated_seconds(&ctx.resources),
+                cost,
+            }
+        })
+        .collect();
     let best = pick_min(&candidates, |c| c.est_secs);
     let chosen = candidates[best].name.clone();
-    let op = ops.swap_remove(best);
     let node = &mut graph.nodes[id];
     profile.choices.push((id, chosen.clone()));
     ctx.tracer.record(crate::trace::TraceEvent::OperatorChoice {
@@ -392,8 +365,8 @@ fn select_operator<Op: Clone>(
         candidates,
     });
     node.label = format!("{}[{}]", node.label, chosen);
-    node.kind = kind(op.clone());
-    op
+    node.kind = kind(options[best].op.clone());
+    node.kind.clone()
 }
 
 fn pick_min<T>(items: &[T], score: impl Fn(&T) -> f64) -> usize {
@@ -595,7 +568,7 @@ mod tests {
         let mut g = Graph::new();
         let src = g.add(source(1000), vec![], "src");
         let t = g.add(
-            NodeKind::Transform(Arc::new(crate::operator::TypedOptimizableTransformer::new(
+            NodeKind::Transform(Arc::new(crate::operator::LogicalOperator::transformer(
                 TwoWay,
             ))),
             vec![src],
@@ -619,7 +592,7 @@ mod tests {
         let mut g = Graph::new();
         let src = g.add(source(1000), vec![], "src");
         let t = g.add(
-            NodeKind::Transform(Arc::new(crate::operator::TypedOptimizableTransformer::new(
+            NodeKind::Transform(Arc::new(crate::operator::LogicalOperator::transformer(
                 TwoWay,
             ))),
             vec![src],
