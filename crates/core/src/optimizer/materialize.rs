@@ -744,6 +744,37 @@ mod proptests {
             }
         }
 
+        /// The premise behind pricing a terminal estimator instead of
+        /// timing it: an always-cached node executes once under every cache
+        /// set, so its `t(v)` adds one constant to every candidate's
+        /// runtime. Rescaling those times, by 0 included, leaves Algorithm
+        /// 1's picks and their order unchanged. Times are integers, so
+        /// every sum is exact.
+        #[test]
+        fn prop_always_cached_times_do_not_move_picks(
+            n in 3usize..11,
+            seed in 1u64..4000,
+            cached_mask in 0u64..1024,
+            factors in proptest::collection::vec(0u32..4, 11..12),
+            budget in 0u64..4000,
+        ) {
+            let mut p = random_problem(n, seed);
+            for (i, node) in p.nodes.iter_mut().enumerate().skip(1) {
+                node.t_secs = (node.t_secs * 10.0).round();
+                node.always_cached = cached_mask >> (i - 1) & 1 == 1;
+            }
+            let picks = |p: &MatProblem| -> Vec<usize> {
+                p.greedy_cache_set_traced(budget).1.iter().map(|m| m.node).collect()
+            };
+            let before = picks(&p);
+            for (node, &f) in p.nodes.iter_mut().zip(&factors) {
+                if node.always_cached {
+                    node.t_secs = (node.t_secs + 1.0) * f as f64;
+                }
+            }
+            prop_assert_eq!(picks(&p), before);
+        }
+
         /// Unbounded memory: greedy equals the optimum (cache everything
         /// useful), and exec counts collapse to at most one per node.
         #[test]

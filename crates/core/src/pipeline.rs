@@ -961,6 +961,44 @@ pub(crate) mod tests {
         }
     }
 
+    /// Charges `solve:{name}` once per fit, as the solvers charge
+    /// themselves, and fits a `MeanCenter`.
+    struct SelfCharging(&'static str);
+    impl Estimator<f64, f64> for SelfCharging {
+        fn fit(
+            &self,
+            data: &DistCollection<f64>,
+            ctx: &ExecContext,
+        ) -> Box<dyn Transformer<f64, f64>> {
+            ctx.sim
+                .charge_seconds(&format!("solve:{}", self.0), 1.0, 0.0);
+            MeanCenter.fit(data, ctx)
+        }
+    }
+
+    /// Profiling's sample fits charge the `profile` lane, so outside it the
+    /// ledger books one solve per estimator node: here a self-charging
+    /// estimator whose model feeds a second one.
+    #[test]
+    fn sample_fits_charge_the_profile_lane() {
+        let train = DistCollection::from_vec((0..32).map(f64::from).collect(), 2);
+        let pipe = Pipeline::<f64, f64>::input()
+            .and_then_est(SelfCharging("first"), &train)
+            .and_then_est(SelfCharging("second"), &train);
+        let ctx = ctx();
+        let opts = PipelineOptions {
+            profile: small_profile(),
+            ..PipelineOptions::full()
+        };
+        pipe.fit(&ctx, &opts);
+        let stages: Vec<String> = ctx.sim.entries().into_iter().map(|e| e.stage).collect();
+        for name in ["first", "second"] {
+            let count = |stage: String| stages.iter().filter(|s| **s == stage).count();
+            assert_eq!(count(format!("solve:{name}")), 1, "{stages:?}");
+            assert_eq!(count(format!("profile:solve:{name}")), 2, "{stages:?}");
+        }
+    }
+
     #[test]
     fn fit_report_contains_dot() {
         let train = DistCollection::from_vec(vec![1.0, 2.0], 1);

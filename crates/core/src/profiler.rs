@@ -9,8 +9,22 @@
 //! each node is optimized using statistics derived from the sample outputs
 //! of its (already optimized) predecessors, then executed on the sample so
 //! its successors can be optimized in turn.
+//!
+//! One kind of node is priced rather than measured: a *terminal*
+//! estimator, whose model no profiled node reads, once operator selection
+//! has chosen its physical option. Algorithm 1 marks estimators
+//! always-cached, so such a node's time adds the same constant to every
+//! candidate cache set, and sample fits of it would decide nothing. Its
+//! profile, and with it the node's predicted time in reports, is the chosen
+//! option's §3 estimate instead, in the seconds [`SimClock::charge`] books.
+//! Every other estimator (one whose model a profiled node reads, or a plain
+//! one with no physical options) is still fit once per sample size. The
+//! sample runs charge the simulated clock in the `profile` lane, apart from
+//! the fit's own charges.
+//!
+//! [`SimClock::charge`]: keystone_dataflow::simclock::SimClock::charge
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -19,7 +33,9 @@ use crate::graph::{Graph, NodeId, NodeKind};
 use crate::operator::{AnyData, ErasedOption, ErasedTransformer, InputHandle};
 use crate::record::DataStats;
 
-/// Extrapolated profile of one node.
+/// Extrapolated profile of one node. A priced terminal estimator (see the
+/// module docs) has no measurement to extrapolate: its profile is the §3
+/// estimate, spread evenly over `records_hint`.
 #[derive(Debug, Clone, Default)]
 pub struct NodeProfile {
     /// Marginal seconds per input record (slope of the linear fit).
@@ -158,103 +174,127 @@ pub fn profile_and_select(
         .map(|r| graph.dependents(r))
         .unwrap_or_default();
     let topo = graph.topo_ancestors(roots);
+    // Inputs of profiled nodes: an estimator outside this set is terminal.
+    let read: HashSet<NodeId> = topo
+        .iter()
+        .filter(|id| !skip.contains(id))
+        .flat_map(|&id| graph.nodes[id].inputs.iter().copied())
+        .collect();
+    // Terminal estimators that selection priced: the chosen option's estimate.
+    let mut priced: HashMap<NodeId, f64> = HashMap::new();
     let mut measurements: HashMap<NodeId, Vec<Measurement>> = HashMap::new();
     let mut scales: HashMap<NodeId, f64> = HashMap::new();
     let mut full_counts: HashMap<NodeId, usize> = HashMap::new();
     let mut sample_stats: HashMap<NodeId, DataStats> = HashMap::new();
 
-    for (pass, &size) in opts.sizes.iter().enumerate() {
-        let mut outputs: HashMap<NodeId, AnyData> = HashMap::new();
-        let mut models: HashMap<NodeId, Arc<dyn ErasedTransformer>> = HashMap::new();
+    ctx.sim.in_lane("profile".into(), || {
+        for (pass, &size) in opts.sizes.iter().enumerate() {
+            let mut outputs: HashMap<NodeId, AnyData> = HashMap::new();
+            let mut models: HashMap<NodeId, Arc<dyn ErasedTransformer>> = HashMap::new();
 
-        for &id in &topo {
-            if skip.contains(&id) {
-                continue;
-            }
-            let mut node = graph.nodes[id].clone();
-            // Operator selection on the first pass only; later passes see
-            // the swapped-in operator through `graph`.
-            if pass == 0 && opts.select_operators {
-                let stats = || full_scale_inputs(&node.inputs, &outputs, &scales, &full_counts);
-                let chosen = match &node.kind {
-                    NodeKind::Transform(op) => op.physical_options().map(|options| {
-                        let kind = NodeKind::Transform;
-                        select_operator(options, kind, &stats(), id, graph, &mut profile, ctx)
-                    }),
-                    NodeKind::Estimate(op) => op.physical_options().map(|options| {
-                        let kind = NodeKind::Estimate;
-                        select_operator(options, kind, &stats(), id, graph, &mut profile, ctx)
-                    }),
-                    _ => None,
-                };
-                if let Some(kind) = chosen {
-                    node.kind = kind;
+            for &id in &topo {
+                if skip.contains(&id) {
+                    continue;
                 }
-            }
-            match &node.kind {
-                NodeKind::RuntimeInput => {}
-                NodeKind::DataSource(data) => {
-                    let full = data.stats().count;
-                    let sampled = sample_anydata(data, size, opts.seed);
-                    let got = sampled.stats().count.max(1);
-                    scales.insert(id, full as f64 / got as f64);
-                    full_counts.insert(id, full);
-                    sample_stats.insert(id, *sampled.stats());
-                    outputs.insert(id, sampled);
-                }
-                NodeKind::Transform(_) | NodeKind::ModelApply => {
-                    // A fitted model applies like a transformer over its
-                    // data input (input 1; input 0 is the model).
-                    let (op, data_ids) = match &node.kind {
-                        NodeKind::Transform(op) => (op.clone(), &node.inputs[..]),
-                        _ => (models[&node.inputs[0]].clone(), &node.inputs[1..]),
+                let mut node = graph.nodes[id].clone();
+                // Operator selection on the first pass only; later passes see
+                // the swapped-in operator through `graph`.
+                if pass == 0 && opts.select_operators {
+                    let stats = || full_scale_inputs(&node.inputs, &outputs, &scales, &full_counts);
+                    let chosen = match &node.kind {
+                        NodeKind::Transform(op) => op.physical_options().map(|options| {
+                            let kind = NodeKind::Transform;
+                            select_operator(options, kind, &stats(), id, graph, &mut profile, ctx)
+                        }),
+                        NodeKind::Estimate(op) => op.physical_options().map(|options| {
+                            let kind = NodeKind::Estimate;
+                            select_operator(options, kind, &stats(), id, graph, &mut profile, ctx)
+                        }),
+                        _ => None,
                     };
-                    let scale = scales.get(&data_ids[0]).copied().unwrap_or(1.0);
-                    let inputs: Vec<AnyData> =
-                        data_ids.iter().map(|i| outputs[i].clone()).collect();
-                    let in_records = inputs[0].stats().count;
-                    let start = Instant::now();
-                    let out = op.apply_any(&inputs, ctx);
-                    let secs = sample_secs(opts, &graph.nodes[id].label, in_records, start);
-                    record_measurement(&mut measurements, id, in_records, secs, &out);
-                    scales.insert(id, scale);
-                    full_counts.insert(id, (out.stats().count as f64 * scale).round() as usize);
-                    sample_stats.insert(id, *out.stats());
-                    outputs.insert(id, out);
+                    if let Some((kind, est_secs)) = chosen {
+                        if matches!(kind, NodeKind::Estimate(_)) && !read.contains(&id) {
+                            priced.insert(id, est_secs);
+                        }
+                        node.kind = kind;
+                    }
                 }
-                NodeKind::Estimate(op) => {
-                    let handles: Vec<SampleHandle> = node
-                        .inputs
-                        .iter()
-                        .map(|i| SampleHandle(outputs[i].clone()))
-                        .collect();
-                    let handle_refs: Vec<&dyn InputHandle> =
-                        handles.iter().map(|h| h as &dyn InputHandle).collect();
-                    let in_records = outputs[&node.inputs[0]].stats().count;
-                    let start = Instant::now();
-                    let model = op.fit_any(&handle_refs, ctx);
-                    let secs = sample_secs(opts, &graph.nodes[id].label, in_records, start);
-                    measurements.entry(id).or_default().push(Measurement {
-                        in_records,
-                        secs,
-                        out_records: 1,
-                        out_bytes_per_record: 1024.0,
-                    });
-                    let scale = scales.get(&node.inputs[0]).copied().unwrap_or(1.0);
-                    scales.insert(id, scale);
-                    full_counts.insert(id, (in_records as f64 * scale).round() as usize);
-                    models.insert(id, model);
+                match &node.kind {
+                    NodeKind::RuntimeInput => {}
+                    NodeKind::DataSource(data) => {
+                        let full = data.stats().count;
+                        let sampled = sample_anydata(data, size, opts.seed);
+                        let got = sampled.stats().count.max(1);
+                        scales.insert(id, full as f64 / got as f64);
+                        full_counts.insert(id, full);
+                        sample_stats.insert(id, *sampled.stats());
+                        outputs.insert(id, sampled);
+                    }
+                    NodeKind::Transform(_) | NodeKind::ModelApply => {
+                        // A fitted model applies like a transformer over its
+                        // data input (input 1; input 0 is the model).
+                        let (op, data_ids) = match &node.kind {
+                            NodeKind::Transform(op) => (op.clone(), &node.inputs[..]),
+                            _ => (models[&node.inputs[0]].clone(), &node.inputs[1..]),
+                        };
+                        let scale = scales.get(&data_ids[0]).copied().unwrap_or(1.0);
+                        let inputs: Vec<AnyData> =
+                            data_ids.iter().map(|i| outputs[i].clone()).collect();
+                        let in_records = inputs[0].stats().count;
+                        let start = Instant::now();
+                        let out = op.apply_any(&inputs, ctx);
+                        let secs = sample_secs(opts, &graph.nodes[id].label, in_records, start);
+                        record_measurement(&mut measurements, id, in_records, secs, &out);
+                        scales.insert(id, scale);
+                        full_counts.insert(id, (out.stats().count as f64 * scale).round() as usize);
+                        sample_stats.insert(id, *out.stats());
+                        outputs.insert(id, out);
+                    }
+                    NodeKind::Estimate(op) => {
+                        let in_records = outputs[&node.inputs[0]].stats().count;
+                        // A priced node is not fit; its measured time is
+                        // replaced by the estimate below.
+                        let secs = if priced.contains_key(&id) {
+                            0.0
+                        } else {
+                            let handles: Vec<SampleHandle> = node
+                                .inputs
+                                .iter()
+                                .map(|i| SampleHandle(outputs[i].clone()))
+                                .collect();
+                            let handle_refs: Vec<&dyn InputHandle> =
+                                handles.iter().map(|h| h as &dyn InputHandle).collect();
+                            let start = Instant::now();
+                            models.insert(id, op.fit_any(&handle_refs, ctx));
+                            sample_secs(opts, &graph.nodes[id].label, in_records, start)
+                        };
+                        measurements.entry(id).or_default().push(Measurement {
+                            in_records,
+                            secs,
+                            out_records: 1,
+                            out_bytes_per_record: 1024.0,
+                        });
+                        let scale = scales.get(&node.inputs[0]).copied().unwrap_or(1.0);
+                        scales.insert(id, scale);
+                        full_counts.insert(id, (in_records as f64 * scale).round() as usize);
+                    }
                 }
             }
         }
-    }
+    });
 
-    // Extrapolate each node's measurements to full scale.
+    // Extrapolate each node's measurements to full scale; a priced node's
+    // estimate is spread over its full input, so that
+    // `est_secs(records_hint)` is the estimate.
     for (id, ms) in &measurements {
-        let (slope, intercept) = linear_fit(ms);
         let last = ms.last().expect("at least one measurement");
         let scale = scales.get(id).copied().unwrap_or(1.0);
         let records_hint = (last.in_records as f64 * scale).round() as usize;
+        let (slope, intercept) = match priced.get(id) {
+            Some(&est) if records_hint > 0 => (est / records_hint as f64, 0.0),
+            Some(&est) => (0.0, est),
+            None => linear_fit(ms),
+        };
         let out_full = full_counts.get(id).copied().unwrap_or(records_hint);
         let out_stats = sample_stats
             .get(id)
@@ -333,7 +373,7 @@ fn full_scale_inputs(
 /// carrying every candidate's cost profile — winners and losers — so
 /// reports can show what the optimizer rejected and why; graph node `id` is
 /// relabelled `label[chosen]` and its kind becomes `kind(chosen)`, which is
-/// returned.
+/// returned with the chosen candidate's `est_secs`.
 fn select_operator<Op: Clone>(
     options: &[ErasedOption<Op>],
     kind: fn(Op) -> NodeKind,
@@ -342,7 +382,7 @@ fn select_operator<Op: Clone>(
     graph: &mut Graph,
     profile: &mut PipelineProfile,
     ctx: &ExecContext,
-) -> NodeKind {
+) -> (NodeKind, f64) {
     let candidates: Vec<_> = options
         .iter()
         .map(|o| {
@@ -355,7 +395,7 @@ fn select_operator<Op: Clone>(
         })
         .collect();
     let best = pick_min(&candidates, |c| c.est_secs);
-    let chosen = candidates[best].name.clone();
+    let (chosen, est_secs) = (candidates[best].name.clone(), candidates[best].est_secs);
     let node = &mut graph.nodes[id];
     profile.choices.push((id, chosen.clone()));
     ctx.tracer.record(crate::trace::TraceEvent::OperatorChoice {
@@ -366,7 +406,7 @@ fn select_operator<Op: Clone>(
     });
     node.label = format!("{}[{}]", node.label, chosen);
     node.kind = kind(options[best].op.clone());
-    node.kind.clone()
+    (node.kind.clone(), est_secs)
 }
 
 fn pick_min<T>(items: &[T], score: impl Fn(&T) -> f64) -> usize {
@@ -425,9 +465,14 @@ impl AnyData {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::{Transformer, TypedTransformer};
+    use crate::operator::{
+        CostFn, Estimator, EstimatorOption, LabelEstimator, LabelEstimatorOption,
+        OptimizableEstimator, OptimizableLabelEstimator, Transformer, TypedTransformer,
+    };
+    use crate::pipeline::Pipeline;
     use keystone_dataflow::collection::DistCollection;
     use keystone_dataflow::cost::CostProfile;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     struct SlowId(u64);
     impl Transformer<Vec<f64>, Vec<f64>> for SlowId {
@@ -612,5 +657,150 @@ mod tests {
         if let NodeKind::Transform(op) = &g.nodes[t].kind {
             assert!(op.physical_options().is_some(), "node must stay logical");
         }
+    }
+
+    /// Identity model.
+    struct Same;
+    impl Transformer<f64, f64> for Same {
+        fn apply(&self, x: &f64) -> f64 {
+            *x
+        }
+    }
+
+    /// Counts its fits, with or without labels.
+    struct CountedFit(Arc<AtomicUsize>);
+    impl CountedFit {
+        fn fit_once(&self) -> Box<dyn Transformer<f64, f64>> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Box::new(Same)
+        }
+    }
+    impl Estimator<f64, f64> for CountedFit {
+        fn fit(&self, _: &DistCollection<f64>, _: &ExecContext) -> Box<dyn Transformer<f64, f64>> {
+            self.fit_once()
+        }
+    }
+    impl LabelEstimator<f64, f64, f64> for CountedFit {
+        fn fit(
+            &self,
+            _: &DistCollection<f64>,
+            _: &DistCollection<f64>,
+            _: &ExecContext,
+        ) -> Box<dyn Transformer<f64, f64>> {
+            self.fit_once()
+        }
+    }
+
+    /// A logical `CountedFit` whose options cost 10⁶ and 1 per record.
+    struct TwoFits(Arc<AtomicUsize>);
+    fn per_record(secs: f64) -> CostFn {
+        Box::new(move |stats, _| CostProfile::compute(stats[0].count as f64 * secs))
+    }
+    impl OptimizableEstimator<f64, f64> for TwoFits {
+        fn options(&self) -> Vec<EstimatorOption<f64, f64>> {
+            [("pricey", 1e6), ("cheap", 1.0)]
+                .map(|(name, secs)| EstimatorOption {
+                    name: name.into(),
+                    cost: per_record(secs),
+                    op: Box::new(CountedFit(self.0.clone())),
+                })
+                .into()
+        }
+    }
+    impl OptimizableLabelEstimator<f64, f64, f64> for TwoFits {
+        fn options(&self) -> Vec<LabelEstimatorOption<f64, f64, f64>> {
+            [("pricey", 1e6), ("cheap", 1.0)]
+                .map(|(name, secs)| LabelEstimatorOption {
+                    name: name.into(),
+                    cost: per_record(secs),
+                    op: Box::new(CountedFit(self.0.clone())),
+                })
+                .into()
+        }
+    }
+
+    const N: usize = 1000;
+
+    fn counted_source() -> DistCollection<f64> {
+        DistCollection::from_vec((0..N).map(|i| i as f64).collect(), 4)
+    }
+
+    fn counted_profile() -> ProfileOptions {
+        ProfileOptions {
+            sizes: vec![64, 128],
+            seed: 5,
+            select_operators: true,
+            deterministic_timing: true,
+        }
+    }
+
+    /// Profiles `pipe`'s fit roots with operator selection on, returning
+    /// the profile and the context it traced to.
+    fn profile_pipeline(pipe: &Pipeline<f64, f64>) -> (PipelineProfile, ExecContext) {
+        let mut g = pipe.graph_snapshot();
+        let roots = crate::optimizer::fit_roots(&g, pipe.output_node());
+        let ctx = ExecContext::default_cluster();
+        let profile = profile_and_select(&mut g, &roots, &ctx, &counted_profile());
+        (profile, ctx)
+    }
+
+    /// A terminal estimator operator selection chose an option for is
+    /// priced, not fit: its profile is the chosen candidate's estimate over
+    /// the full input, and the fit itself runs it once.
+    #[test]
+    fn a_selected_terminal_estimator_is_priced_not_fit() {
+        let fits = Arc::new(AtomicUsize::new(0));
+        let pipe = Pipeline::<f64, f64>::input().and_then_optimizable_label_est(
+            TwoFits(fits.clone()),
+            &counted_source(),
+            &counted_source(),
+        );
+        let (profile, ctx) = profile_pipeline(&pipe);
+        assert_eq!(fits.load(Ordering::SeqCst), 0, "fit during profiling");
+
+        let (id, chosen) = &profile.choices[0];
+        assert_eq!(chosen, "cheap");
+        let chosen_est = ctx
+            .tracer
+            .events()
+            .into_iter()
+            .find_map(|e| match e.event {
+                crate::trace::TraceEvent::OperatorChoice { candidates, .. } => candidates
+                    .into_iter()
+                    .find(|c| &c.name == chosen)
+                    .map(|c| c.est_secs),
+                _ => None,
+            })
+            .expect("an OperatorChoice event");
+        let p = &profile.nodes[id];
+        assert_eq!(p.records_hint, N);
+        let priced = p.est_secs(p.records_hint);
+        assert!(
+            (priced - chosen_est).abs() <= 1e-12 * chosen_est,
+            "priced {priced} vs chosen estimate {chosen_est}"
+        );
+
+        let opts = crate::optimizer::PipelineOptions {
+            profile: counted_profile(),
+            ..crate::optimizer::PipelineOptions::full()
+        };
+        pipe.fit(&ExecContext::default_cluster(), &opts);
+        assert_eq!(fits.load(Ordering::SeqCst), 1, "fits in total");
+    }
+
+    /// An estimator whose model a profiled node reads is still fit on every
+    /// sample, selected or not, and so is a plain terminal estimator: its
+    /// profile is the only price the executor charges it by.
+    #[test]
+    fn read_and_plain_estimators_are_still_fit_per_sample() {
+        let (read, plain) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let pipe = Pipeline::<f64, f64>::input()
+            .and_then_optimizable_est(TwoFits(read.clone()), &counted_source())
+            .and_then_est(CountedFit(plain.clone()), &counted_source());
+        let (profile, _) = profile_pipeline(&pipe);
+        assert_eq!(profile.choices.len(), 1, "the read estimator was selected");
+        let sizes = counted_profile().sizes.len();
+        assert_eq!(read.load(Ordering::SeqCst), sizes);
+        assert_eq!(plain.load(Ordering::SeqCst), sizes);
     }
 }

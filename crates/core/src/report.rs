@@ -30,7 +30,9 @@ pub struct NodeReport {
     /// Node label.
     pub label: String,
     /// Profiler-predicted seconds for one full-scale execution, if the node
-    /// was profiled.
+    /// was profiled. For a priced terminal estimator (see
+    /// [`crate::profiler`]) this is the chosen option's §3 estimate, not an
+    /// extrapolated measurement.
     pub predicted_secs: Option<f64>,
     /// Profiler-predicted output bytes at full scale.
     pub predicted_out_bytes: Option<f64>,
