@@ -9,18 +9,17 @@
 //!
 //! ## Fault tolerance
 //!
-//! When the context carries a [`FaultPlan`], the executor provides the
-//! recovery guarantees the paper inherits from Spark's RDD lineage:
+//! The executor provides the recovery guarantees the paper inherits from
+//! Spark's RDD lineage:
 //!
-//! * **Task retry** — injected per-partition failures surface as `retries`
-//!   on task spans; the executor charges each retry's exponential backoff to
-//!   the simulated clock (under a `recovery:` stage) and emits a
-//!   [`TraceEvent::TaskRetry`](crate::trace::TraceEvent) per attempt. A task
-//!   exceeding the retry limit fails the job, as on a real cluster.
-//! * **Speculative re-execution** — partitions whose measured busy time
-//!   straggles past 2× the stage median get a simulated median-speed copy:
-//!   the original span is tagged `speculative` (it lost the race) and the
-//!   copy's runtime is charged under a `speculative:` stage.
+//! * **Task retry** — a partition attempt that panics, or that the
+//!   context's [`FaultPlan`] fails, is re-run by the collection layer; the
+//!   span records how many attempts failed. The executor charges each
+//!   retry's exponential backoff to the simulated clock (under a
+//!   `recovery:` stage) and emits a
+//!   [`TraceEvent::TaskRetry`](crate::trace::TraceEvent) per failed
+//!   attempt. A task that fails past the retry limit fails the job with its
+//!   own panic.
 //! * **Lineage recompute** — a cache entry that is lost (or holds a foreign
 //!   value) is invalidated and the node recomputed from its DAG ancestry
 //!   instead of panicking; losses surface as `CacheLost` events.
@@ -29,12 +28,12 @@
 //! own work completes, in deterministic span order, so two runs with the
 //! same fault seed produce identical event streams.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use keystone_dataflow::cache::CacheManager;
-use keystone_dataflow::faults::FaultPlan;
+use keystone_dataflow::faults::{backoff_secs, FaultPlan};
 use keystone_dataflow::metrics::{enter_task_scope, TaskScope};
 
 use crate::context::ExecContext;
@@ -291,8 +290,8 @@ impl<'g> Executor<'g> {
     /// operator kind shares: `NodeStart`, the work under a fault-aware task
     /// scope (every `DistCollection` operation inside it emits
     /// per-partition spans attributed to this node), the simulated-clock
-    /// charge, `NodeEnd` carrying wall and simulated seconds, then recovery
-    /// accounting for the spans the work recorded.
+    /// charge, `NodeEnd` carrying wall and simulated seconds, then retry
+    /// accounting when a span the work recorded retried.
     fn run_node(
         &self,
         node: NodeId,
@@ -304,6 +303,7 @@ impl<'g> Executor<'g> {
         self.ctx.tracer.node_start(node, label);
         let sim_mark = self.ctx.sim.mark();
         let span_mark = self.ctx.metrics.span_count();
+        let retry_mark = self.ctx.metrics.retries_recorded();
         let start = std::time::Instant::now();
         let scope = TaskScope::new(
             &self.ctx.metrics,
@@ -335,7 +335,9 @@ impl<'g> Executor<'g> {
             wall_secs,
             self.ctx.sim.seconds_since(sim_mark),
         );
-        self.apply_recovery(node, label, span_mark);
+        if self.ctx.metrics.retries_recorded() != retry_mark {
+            self.account_retries(node, label, span_mark);
+        }
         out
     }
 
@@ -364,106 +366,34 @@ impl<'g> Executor<'g> {
         }
     }
 
-    /// Accounts for the recovery work a node's execution incurred, reading
-    /// the task spans recorded since `span_mark`. Runs on the driving thread
-    /// after the node's own work (and its `NodeEnd` event), so the charges
-    /// land in deterministic span order and never perturb the node's own
-    /// `sim_secs`.
-    ///
-    /// Two recovery mechanisms are accounted here:
-    ///
-    /// * **Retries** — each failed attempt a task absorbed is charged its
-    ///   exponential backoff under a `recovery:` sim stage and emitted as a
-    ///   [`TraceEvent::TaskRetry`].
-    /// * **Speculation** — within each parallel wave (spans sharing an
-    ///   `op_seq`), per-partition busy time is compared against the wave
-    ///   median; a partition past 2× the median (and past the plan's noise
-    ///   floor) is assumed beaten by a median-speed speculative copy: its
-    ///   spans are tagged `speculative` and the copy's runtime is charged
-    ///   under a `speculative:` stage. Waves, not node-lifetime totals,
-    ///   because a straggler in one pass of an iterative estimator washes
-    ///   out when summed over the node's other passes.
-    fn apply_recovery(&self, node: NodeId, label: &str, span_mark: usize) {
-        let Some(faults) = self.active_faults() else {
-            return;
-        };
-        let spans: Vec<_> = self
-            .ctx
-            .metrics
-            .spans_from(span_mark)
-            .into_iter()
-            .filter(|s| s.stage_id == Some(node as u64))
-            .collect();
-        if spans.is_empty() {
-            return;
-        }
-
-        // Retries: charge each failed attempt's backoff.
+    /// Accounts for the retries a node's execution absorbed, reading the
+    /// task spans recorded since `span_mark`: each failed attempt is charged
+    /// its exponential backoff under a `recovery:` sim stage and emitted as
+    /// a [`TraceEvent::TaskRetry`]. Runs on the driving thread after the
+    /// node's own work (and its `NodeEnd` event), so the charges land in
+    /// deterministic span order and never perturb the node's own
+    /// `sim_secs`; [`Executor::run_node`] calls it only when some span
+    /// recorded during the work retried.
+    fn account_retries(&self, node: NodeId, label: &str, span_mark: usize) {
         let mut backoff_total = 0.0;
-        for s in &spans {
+        for s in self.ctx.metrics.spans_from(span_mark) {
+            if s.stage_id != Some(node as u64) {
+                continue;
+            }
             for attempt in 0..s.retries {
-                let backoff_secs = faults.backoff_secs(attempt);
-                backoff_total += backoff_secs;
+                backoff_total += backoff_secs(attempt);
                 self.ctx.tracer.record(TraceEvent::TaskRetry {
                     node,
                     partition: s.partition,
                     attempt,
-                    backoff_secs,
+                    backoff_secs: backoff_secs(attempt),
                 });
             }
         }
-        if spans.iter().any(|s| s.retries > 0) {
+        if backoff_total > 0.0 {
             self.ctx
                 .sim
                 .charge_seconds(&format!("recovery:{label}"), backoff_total, 0.0);
-        }
-
-        // Speculation: within each parallel wave (one `op_seq` = one
-        // collection operation fanned out over partitions), compare each
-        // partition's busy time to that wave's median.
-        let mut waves: BTreeMap<u64, BTreeMap<usize, f64>> = BTreeMap::new();
-        for s in &spans {
-            *waves
-                .entry(s.op_seq)
-                .or_default()
-                .entry(s.partition)
-                .or_insert(0.0) += s.duration_secs();
-        }
-        let floor_secs = faults.speculation_threshold_us() as f64 / 1e6;
-        let mut copies_total = 0.0;
-        let mut wins = 0u64;
-        for (&op_seq, busy) in &waves {
-            if busy.len() < 2 {
-                continue;
-            }
-            let mut sorted: Vec<f64> = busy.values().copied().collect();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-            // Nearest-rank median, matching `MetricsRegistry::stage_skew`.
-            let median = sorted[sorted.len().div_ceil(2) - 1];
-            for (&partition, &original_secs) in busy {
-                if original_secs > 2.0 * median && original_secs >= floor_secs {
-                    let tagged = self.ctx.metrics.mark_speculative(
-                        span_mark,
-                        Some(node as u64),
-                        op_seq,
-                        partition,
-                    );
-                    debug_assert!(tagged > 0, "straggler partition has no spans");
-                    copies_total += median;
-                    wins += 1;
-                    self.ctx.tracer.record(TraceEvent::SpeculativeWin {
-                        node,
-                        partition,
-                        original_secs,
-                        copy_secs: median,
-                    });
-                }
-            }
-        }
-        if wins > 0 {
-            self.ctx
-                .sim
-                .charge_seconds(&format!("speculative:{label}"), copies_total, 0.0);
         }
     }
 }
@@ -844,20 +774,66 @@ mod tests {
         assert_eq!(losses, 2);
     }
 
-    #[test]
-    fn injected_failures_surface_as_retries_with_backoff() {
-        use keystone_dataflow::faults::FaultSpec;
-        let calls = Arc::new(AtomicU64::new(0));
-        let (g, _src, t) = chain_graph(calls.clone());
-        // Certain failure: every task absorbs the per-task cap (2 failures).
-        let ctx = ExecContext::default_cluster()
-            .with_faults(FaultSpec::new(5).with_task_failures(1.0).into_plan());
-        let exec = Executor::new(&g, ctx.clone(), no_cache());
-        let v: DistCollection<f64> = exec.eval(t).data().downcast();
-        assert_eq!(v.collect(), vec![2.0, 4.0, 6.0], "faults changed results");
-        // 2 partitions × 2 failed attempts each.
-        let retry_events: Vec<_> = ctx
-            .tracer
+    /// Doubles each record, one partition at a time: every partition
+    /// attempt bumps `attempts`, and attempts on the partition holding
+    /// `3.0` panic while `panics_left` lasts.
+    struct Flaky {
+        attempts: Arc<AtomicU64>,
+        panics_left: AtomicU64,
+    }
+    impl Transformer<f64, f64> for Flaky {
+        fn apply(&self, x: &f64) -> f64 {
+            x * 2.0
+        }
+        fn apply_collection(
+            &self,
+            input: &DistCollection<f64>,
+            _ctx: &ExecContext,
+        ) -> DistCollection<f64> {
+            input.map_partitions(|p| {
+                self.attempts.fetch_add(1, Ordering::SeqCst);
+                let poisoned = p.contains(&3.0)
+                    && self
+                        .panics_left
+                        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                        .is_ok();
+                if poisoned {
+                    panic!("partition {p:?} is poison");
+                }
+                p.iter().map(|x| x * 2.0).collect()
+            })
+        }
+    }
+
+    /// `[1, 2, 3]` in `partitions` partitions through a [`Flaky`] that
+    /// panics `panics` times; returns the graph, its transform node and
+    /// the attempt counter.
+    fn flaky_graph(partitions: usize, panics: u64) -> (Graph, NodeId, Arc<AtomicU64>) {
+        let attempts = Arc::new(AtomicU64::new(0));
+        let mut g = Graph::new();
+        let src = g.add(
+            NodeKind::DataSource(AnyData::wrap(DistCollection::from_vec(
+                vec![1.0, 2.0, 3.0],
+                partitions,
+            ))),
+            vec![],
+            "src",
+        );
+        let flaky = Flaky {
+            attempts: attempts.clone(),
+            panics_left: AtomicU64::new(panics),
+        };
+        let t = g.add(
+            NodeKind::Transform(Arc::new(TypedTransformer::new(flaky))),
+            vec![src],
+            "flaky",
+        );
+        (g, t, attempts)
+    }
+
+    /// `(attempt, backoff_secs)` of every `TaskRetry` the context traced.
+    fn retry_events(ctx: &ExecContext) -> Vec<(u32, f64)> {
+        ctx.tracer
             .events()
             .into_iter()
             .filter_map(|e| match e.event {
@@ -868,11 +844,28 @@ mod tests {
                 } => Some((attempt, backoff_secs)),
                 _ => None,
             })
-            .collect();
-        assert_eq!(retry_events.len(), 4);
+            .collect()
+    }
+
+    #[test]
+    fn injected_failures_surface_as_retries_with_backoff() {
+        use keystone_dataflow::faults::{FaultSpec, MAX_INJECTED_FAILURES};
+        let (g, t, attempts) = flaky_graph(2, 0);
+        // Certain failure: every task absorbs the per-task cap of injected
+        // failures.
+        let ctx = ExecContext::default_cluster()
+            .with_faults(FaultSpec::new(5).with_task_failures(1.0).into_plan());
+        let exec = Executor::new(&g, ctx.clone(), no_cache());
+        let v: DistCollection<f64> = exec.eval(t).data().downcast();
+        assert_eq!(v.collect(), vec![2.0, 4.0, 6.0], "faults changed results");
+        let retries = retry_events(&ctx);
+        assert_eq!(retries.len() as u32, 2 * MAX_INJECTED_FAILURES);
+        // Each failed attempt really re-ran the work: one attempt per
+        // partition, plus one per retry.
+        assert_eq!(attempts.load(Ordering::SeqCst), 2 + retries.len() as u64);
         // Exponential backoff: attempt 0 charges base, attempt 1 charges 2×.
-        assert!(retry_events.iter().any(|(a, b)| *a == 0 && *b == 1.0));
-        assert!(retry_events.iter().any(|(a, b)| *a == 1 && *b == 2.0));
+        assert!(retries.iter().any(|(a, b)| *a == 0 && *b == 1.0));
+        assert!(retries.iter().any(|(a, b)| *a == 1 && *b == 2.0));
         // Backoff landed on the simulated clock under a recovery stage.
         let recovery_secs: f64 = ctx
             .sim
@@ -884,7 +877,63 @@ mod tests {
         assert!((recovery_secs - 6.0).abs() < 1e-9, "got {recovery_secs}");
         // Spans carry the retry counts.
         let spans = ctx.metrics.spans();
-        assert_eq!(spans.iter().map(|s| u64::from(s.retries)).sum::<u64>(), 4);
+        assert_eq!(
+            spans.iter().map(|s| u64::from(s.retries)).sum::<u64>(),
+            retries.len() as u64
+        );
+    }
+
+    /// With no fault plan installed, a partition whose first attempt
+    /// panics is re-run, accounted as one retry, and yields exactly the
+    /// clean run's output.
+    #[test]
+    fn a_panicking_partition_is_retried_without_a_fault_plan() {
+        let run = |panics: u64| {
+            let (g, t, attempts) = flaky_graph(2, panics);
+            let ctx = ExecContext::default_cluster();
+            let exec = Executor::new(&g, ctx.clone(), no_cache());
+            let v: DistCollection<f64> = exec.eval(t).data().downcast();
+            let bits: Vec<u64> = v.collect().iter().map(|x| x.to_bits()).collect();
+            (
+                bits,
+                retry_events(&ctx),
+                attempts.load(Ordering::SeqCst),
+                ctx,
+            )
+        };
+        let (clean, clean_retries, clean_attempts, _) = run(0);
+        assert!(clean_retries.is_empty());
+        let (bits, retries, attempts, ctx) = run(1);
+        assert_eq!(bits, clean, "a retried partition changed the output");
+        assert_eq!(retries, [(0, 1.0)]);
+        assert_eq!(attempts, clean_attempts + 1);
+        assert_eq!(ctx.tracer.recovery_stats().retries, 1);
+        let recovery: Vec<_> = ctx
+            .sim
+            .entries()
+            .into_iter()
+            .filter(|e| e.stage.starts_with("recovery:"))
+            .map(|e| (e.stage, e.exec_secs))
+            .collect();
+        assert_eq!(recovery, [("recovery:transform:flaky".to_string(), 1.0)]);
+    }
+
+    /// An operator that always panics fails the job with its own message
+    /// once `1 + RETRY_LIMIT` attempts have failed.
+    #[test]
+    fn an_always_panicking_partition_fails_with_its_own_message() {
+        use keystone_dataflow::faults::RETRY_LIMIT;
+        let (g, t, attempts) = flaky_graph(1, u64::MAX);
+        let exec = Executor::new(&g, ExecContext::default_cluster(), no_cache());
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = exec.eval(t);
+        }))
+        .expect_err("every attempt panicked");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("partition [1.0, 2.0, 3.0] is poison")
+        );
+        assert_eq!(attempts.load(Ordering::SeqCst), 1 + u64::from(RETRY_LIMIT));
     }
 
     #[test]

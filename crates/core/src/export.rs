@@ -77,7 +77,7 @@ impl Process {
 /// * `pid 1` — measured worker lanes: one thread per pool lane, one
 ///   complete (`"ph":"X"`) event per `TaskSpan` at wall-clock microseconds;
 /// * `pid 2` — the simulated cluster: the `SimClock` timeline, one thread
-///   per stage prefix (`recovery:`, `speculative:` and `serve:` included);
+///   per stage prefix (`recovery:` and `serve:` included);
 /// * `pid 3` — serving (virtual), only when the tracer holds serving
 ///   events: each [`ServeBatch`](TraceEvent::ServeBatch) wave from its open
 ///   on `serve:batches`, each [`ServeReject`](TraceEvent::ServeReject) as an
@@ -97,7 +97,6 @@ pub fn chrome_trace_json(ctx: &ExecContext) -> String {
             ("items_out", JVal::UInt(s.items_out)),
             ("bytes", JVal::UInt(s.bytes)),
             ("retries", JVal::UInt(u64::from(s.retries))),
-            ("speculative", JVal::Bool(s.speculative)),
         ];
         workers.push(lane, name, s.op, span, args);
     }
@@ -178,7 +177,6 @@ mod tests {
             items_out: 10,
             bytes: 80,
             retries: 0,
-            speculative: false,
         }
     }
 

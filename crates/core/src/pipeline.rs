@@ -908,14 +908,11 @@ pub(crate) mod tests {
             let pipe = Pipeline::<f64, f64>::input()
                 .and_then(Inc)
                 .and_then_est(ThricePulled, &train);
-            // Failures and cache losses only, and a speculation floor no
-            // task reaches: recovery then charges nothing measured.
             let ctx = if faulted {
                 ctx().with_faults(
                     FaultSpec::new(11)
                         .with_task_failures(0.3)
                         .with_cache_loss(0.3)
-                        .with_straggler_min_delay_us(u64::MAX)
                         .into_plan(),
                 )
             } else {

@@ -61,8 +61,8 @@ pub struct NodeReport {
     pub skew_ratio: Option<f64>,
     /// Busy wall time ÷ (lanes × stage span), clamped to 1.0.
     pub utilization: Option<f64>,
-    /// Recovery work this node's executions absorbed: retries, speculative
-    /// wins, lost cache entries and their simulated seconds.
+    /// Recovery work this node's executions absorbed: retries, lost cache
+    /// entries and their simulated seconds.
     pub recovery: RecoveryStats,
     /// Member labels when this node is a whole-stage fused chain
     /// (execution order); empty for ordinary nodes.
@@ -114,7 +114,6 @@ impl NodeReport {
             ("skew_ratio", JVal::opt_num(self.skew_ratio)),
             ("utilization", JVal::opt_num(self.utilization)),
             ("retries", JVal::UInt(r.retries)),
-            ("speculative_wins", JVal::UInt(r.speculative_wins)),
             ("recovery_secs", JVal::Num(r.recovery_secs)),
             ("fused_members", JVal::Arr(members.collect())),
             ("adapt", self.adapt.as_deref().map_or(JVal::Null, JVal::str)),
@@ -391,7 +390,6 @@ impl PipelineReport {
             ("cache_hits", JVal::UInt(self.cache_hits)),
             ("cache_misses", JVal::UInt(self.cache_misses)),
             ("retries", JVal::UInt(r.retries)),
-            ("speculative_wins", JVal::UInt(r.speculative_wins)),
             ("cache_losses", JVal::UInt(r.cache_losses)),
             ("recovery_secs", JVal::Num(r.recovery_secs)),
             ("tenants", JVal::Arr(tenants.collect())),
@@ -403,7 +401,7 @@ impl PipelineReport {
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<28} {:>6} {:>11} {:>11} {:>7} {:>6} {:>6} {:>6} {:>6} {:>6} {:>5} {:>8} {:>8} {}\n",
+            "{:<28} {:>6} {:>11} {:>11} {:>7} {:>6} {:>6} {:>6} {:>6} {:>6} {:>8} {:>8} {}\n",
             "node",
             "execs",
             "pred(s)",
@@ -414,7 +412,6 @@ impl PipelineReport {
             "skew",
             "util%",
             "retry",
-            "spec",
             "rec(s)",
             "adapt",
             "fused"
@@ -449,7 +446,7 @@ impl PipelineReport {
             };
             let adapt = n.adapt.as_deref().unwrap_or("-");
             out.push_str(&format!(
-                "{:<28} {:>6} {:>11} {:>11.5} {:>7} {:>6} {:>6} {:>6} {:>6} {:>6} {:>5} {:>8} {:>8} {}\n",
+                "{:<28} {:>6} {:>11} {:>11.5} {:>7} {:>6} {:>6} {:>6} {:>6} {:>6} {:>8} {:>8} {}\n",
                 label,
                 n.execs,
                 pred,
@@ -460,20 +457,18 @@ impl PipelineReport {
                 skew,
                 util,
                 n.recovery.retries,
-                n.recovery.speculative_wins,
                 rec,
                 adapt,
                 fused
             ));
         }
         out.push_str(&format!(
-            "events: {}, cache hits: {}, misses: {}, retries: {}, speculative wins: {}, \
-             cache losses: {}, recovery: {:.3}s\n",
+            "events: {}, cache hits: {}, misses: {}, retries: {}, cache losses: {}, \
+             recovery: {:.3}s\n",
             self.events,
             self.cache_hits,
             self.cache_misses,
             self.recovery.retries,
-            self.recovery.speculative_wins,
             self.recovery.cache_losses,
             self.recovery.recovery_secs
         ));
@@ -606,7 +601,6 @@ mod tests {
                 items_out: 1,
                 bytes: 8,
                 retries: 0,
-                speculative: false,
             });
         }
         let r = PipelineReport::build_with_metrics(&g, &profile, &t, Some(&m));
@@ -688,7 +682,6 @@ mod tests {
                 items_out: 1,
                 bytes: 8,
                 retries: 0,
-                speculative: false,
             });
         }
         let r = PipelineReport::build_with_metrics(&g, &profile, &t, Some(&m));
@@ -787,31 +780,28 @@ mod tests {
             attempt: 0,
             backoff_secs: 1.0,
         });
-        t.record(TraceEvent::SpeculativeWin {
+        t.record(TraceEvent::TaskRetry {
             node: 1,
-            partition: 2,
-            original_secs: 5.0,
-            copy_secs: 0.5,
+            partition: 0,
+            attempt: 1,
+            backoff_secs: 2.0,
         });
         t.record(TraceEvent::CacheLost { node: 1 });
         let r = PipelineReport::build_with_metrics(&g, &profile, &t, None);
         let row = r.node("op").expect("row");
-        assert_eq!(row.recovery.retries, 1);
-        assert_eq!(row.recovery.speculative_wins, 1);
-        assert!((row.recovery.recovery_secs - 1.5).abs() < 1e-12);
-        assert_eq!(r.recovery.retries, 1);
-        assert_eq!(r.recovery.speculative_wins, 1);
+        assert_eq!(row.recovery.retries, 2);
+        assert!((row.recovery.recovery_secs - 3.0).abs() < 1e-12);
+        assert_eq!(r.recovery.retries, 2);
         assert_eq!(r.recovery.cache_losses, 1);
-        assert!((r.recovery.recovery_secs - 1.5).abs() < 1e-12);
+        assert!((r.recovery.recovery_secs - 3.0).abs() < 1e-12);
         let json = r.to_json();
         assert!(json::parse(&json).is_ok(), "invalid JSON: {json}");
-        assert!(json.contains("\"retries\":1"));
-        assert!(json.contains("\"speculative_wins\":1"));
+        assert!(json.contains("\"retries\":2"));
         assert!(json.contains("\"cache_losses\":1"));
-        assert!(json.contains("\"recovery_secs\":1.5"));
+        assert!(json.contains("\"recovery_secs\":3.0"));
         let table = r.render_table();
         assert!(table.contains("retry"));
-        assert!(table.contains("recovery: 1.500s"));
+        assert!(table.contains("recovery: 3.000s"));
     }
 
     #[test]

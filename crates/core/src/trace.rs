@@ -138,9 +138,9 @@ pub enum TraceEvent {
         /// Output size charged against the memory budget, bytes.
         size_bytes: u64,
     },
-    /// A partition task absorbed one injected failure and was retried
-    /// (attempt `attempt` failed; the retry's backoff is charged to the
-    /// simulated clock).
+    /// A partition task's attempt failed (it panicked, or the fault plan
+    /// failed it) and was re-run; the retry's backoff is charged to the
+    /// simulated clock.
     TaskRetry {
         /// Node whose work the failed task belonged to.
         node: NodeId,
@@ -150,19 +150,6 @@ pub enum TraceEvent {
         attempt: u32,
         /// Backoff charged before the retry, simulated seconds.
         backoff_secs: f64,
-    },
-    /// A straggler partition lost to its speculative copy: the copy's
-    /// (estimated, median-speed) runtime replaces the straggler's on the
-    /// simulated clock, and the original span is tagged `speculative`.
-    SpeculativeWin {
-        /// Node whose work straggled.
-        node: NodeId,
-        /// The straggler partition.
-        partition: usize,
-        /// The straggler's measured busy seconds.
-        original_secs: f64,
-        /// The winning copy's charged seconds (stage median).
-        copy_secs: f64,
     },
     /// A cache entry was found lost (or was explicitly invalidated); the
     /// executor recomputes the node from its DAG ancestry.
@@ -264,12 +251,9 @@ pub enum TraceEvent {
 pub struct RecoveryStats {
     /// Failed attempts absorbed as retries.
     pub retries: u64,
-    /// Straggler partitions beaten by a speculative copy.
-    pub speculative_wins: u64,
     /// Cache entries lost and recomputed from lineage.
     pub cache_losses: u64,
-    /// Simulated seconds spent on recovery: retry backoff plus the
-    /// speculative copies' charged runtimes.
+    /// Simulated seconds spent on recovery: retry backoff.
     pub recovery_secs: f64,
 }
 
@@ -280,10 +264,6 @@ impl RecoveryStats {
                 self.retries += 1;
                 self.recovery_secs += backoff_secs;
             }
-            TraceEvent::SpeculativeWin { copy_secs, .. } => {
-                self.speculative_wins += 1;
-                self.recovery_secs += copy_secs;
-            }
             TraceEvent::CacheLost { .. } => self.cache_losses += 1,
             _ => {}
         }
@@ -293,7 +273,6 @@ impl RecoveryStats {
     pub fn to_jval(&self) -> JVal {
         JVal::obj(vec![
             ("retries", JVal::UInt(self.retries)),
-            ("speculative_wins", JVal::UInt(self.speculative_wins)),
             ("cache_losses", JVal::UInt(self.cache_losses)),
             ("recovery_secs", JVal::Num(self.recovery_secs)),
         ])
@@ -484,9 +463,7 @@ impl Tracer {
         let mut out: HashMap<NodeId, RecoveryStats> = HashMap::new();
         for e in self.events.lock().iter() {
             let node = match e {
-                TraceEvent::TaskRetry { node, .. }
-                | TraceEvent::SpeculativeWin { node, .. }
-                | TraceEvent::CacheLost { node } => *node,
+                TraceEvent::TaskRetry { node, .. } | TraceEvent::CacheLost { node } => *node,
                 _ => continue,
             };
             out.entry(node).or_default().absorb(e);
@@ -616,24 +593,23 @@ mod tests {
             attempt: 1,
             backoff_secs: 2.0,
         });
-        t.record(TraceEvent::SpeculativeWin {
+        t.record(TraceEvent::TaskRetry {
             node: 2,
             partition: 3,
-            original_secs: 9.0,
-            copy_secs: 1.5,
+            attempt: 0,
+            backoff_secs: 1.0,
         });
         t.record(TraceEvent::CacheLost { node: 1 });
         let total = t.recovery_stats();
-        assert_eq!(total.retries, 2);
-        assert_eq!(total.speculative_wins, 1);
+        assert_eq!(total.retries, 3);
         assert_eq!(total.cache_losses, 1);
-        assert!((total.recovery_secs - 4.5).abs() < 1e-12);
+        assert!((total.recovery_secs - 4.0).abs() < 1e-12);
         let per = t.recovery_by_node();
         assert_eq!(per[&1].retries, 2);
         assert_eq!(per[&1].cache_losses, 1);
         assert!((per[&1].recovery_secs - 3.0).abs() < 1e-12);
-        assert_eq!(per[&2].speculative_wins, 1);
-        assert!((per[&2].recovery_secs - 1.5).abs() < 1e-12);
+        assert_eq!(per[&2].retries, 1);
+        assert!((per[&2].recovery_secs - 1.0).abs() < 1e-12);
     }
 
     #[test]

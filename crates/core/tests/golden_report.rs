@@ -2,7 +2,7 @@
 //!
 //! The table and JSON forms are consumed by scripts and by CI artifact
 //! diffing, so their exact shape — key set (JSON keys render sorted), column
-//! set (including the `retry`/`spec`/`rec(s)` recovery columns), number
+//! set (including the `retry`/`rec(s)` recovery columns), number
 //! formatting — is a compatibility surface. These tests render a fully
 //! synthetic, fully deterministic report and compare byte-for-byte against
 //! checked-in golden files.
@@ -52,7 +52,7 @@ fn assert_matches_golden(name: &str, actual: &str) {
 }
 
 /// A synthetic report exercising every column: a profiled, cache-hit node;
-/// a node with retries, a speculative win, and a lost cache entry; and a
+/// a node with two retries of one partition and a lost cache entry; and a
 /// whole-stage fused node whose row carries its member list.
 fn synthetic_report() -> PipelineReport {
     let mut g = Graph::new();
@@ -131,11 +131,11 @@ fn synthetic_report() -> PipelineReport {
         attempt: 0,
         backoff_secs: 1.0,
     });
-    t.record(TraceEvent::SpeculativeWin {
+    t.record(TraceEvent::TaskRetry {
         node: solve,
-        partition: 3,
-        original_secs: 5.0,
-        copy_secs: 0.5,
+        partition: 1,
+        attempt: 1,
+        backoff_secs: 2.0,
     });
     t.record(TraceEvent::CacheLost { node: featurize });
 
@@ -162,7 +162,6 @@ fn synthetic_report() -> PipelineReport {
                 items_out: 1,
                 bytes: 8,
                 retries: 0,
-                speculative: false,
             });
         }
     }

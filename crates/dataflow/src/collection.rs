@@ -12,16 +12,19 @@
 //!
 //! Every per-partition operation runs through one private bracket,
 //! `DistCollection::run_region`: ambient [`TaskScope`] lookup, one `op_seq`
-//! draw on the driving thread, the file's only parallel fan-out, fault
-//! landing and [`TaskSpan`] measurement per partition, one batched span
-//! commit. The public ops only say what a partition's work is. Anything
-//! that changes how a region runs — a persistent pool in place of the
-//! per-region thread spawn, a "don't fork below N records" rule, turning a
-//! worker panic into a typed error — is an edit to that one function.
+//! draw on the driving thread, the file's only parallel fan-out, per
+//! partition the re-run of failed attempts and [`TaskSpan`] measurement,
+//! one batched span commit. The public ops only say what a partition's work
+//! is. Anything that changes how a region runs — a persistent pool in place
+//! of the per-region thread spawn, a "don't fork below N records" rule,
+//! turning an exhausted retry into a typed error — is an edit to that one
+//! function.
 
 use rayon::prelude::*;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
+use crate::faults::RETRY_LIMIT;
 use crate::metrics::{current_task_scope, TaskScope, TaskSpan};
 use crate::rng_util::split_seed;
 
@@ -38,21 +41,26 @@ fn counted<U>(out: Vec<U>) -> (Arc<Vec<U>>, u64) {
     (Arc::new(out), n)
 }
 
-/// Runs one partition's work, measuring a [`TaskSpan`] when a task scope is
-/// active. `f` returns the result plus the number of items produced. This is
-/// called on the pool's worker threads, so timestamps bracket the real
-/// per-partition work; the scope itself is captured (and `op_seq` drawn) on
-/// the driving thread before the fan-out.
+/// Runs one partition's work, re-running a failed attempt, and measures a
+/// [`TaskSpan`] when a task scope is active. `f` returns the result plus the
+/// number of items produced. This is called on the pool's worker threads, so
+/// timestamps bracket the real per-partition work of every attempt; the
+/// scope itself is captured (and `op_seq` drawn) on the driving thread
+/// before the fan-out.
 ///
-/// When the scope carries a [`FaultPlan`](crate::faults::FaultPlan), this is
-/// also where injected faults land: the task absorbs its scheduled failures
-/// as `retries` on the span (recovery charges their backoff upstream), and a
-/// task picked as a straggler sleeps its injected delay before the end
-/// timestamp, so the slowdown is real wall time that skew detection sees.
+/// An attempt fails when `f` panics, or when the scope's
+/// [`FaultPlan`](crate::faults::FaultPlan) schedules it to: then the work
+/// runs and the attempt raises through `resume_unwind`, which skips the
+/// panic hook. A failed attempt is re-run up to [`RETRY_LIMIT`] times;
+/// operators are deterministic, so the attempt that succeeds returns what a
+/// clean run would. The span's `retries` counts the failed attempts
+/// (recovery charges their backoff upstream). A task the plan picks as a
+/// straggler sleeps its injected delay before the end timestamp, so the
+/// slowdown is real wall time that skew detection sees.
 ///
 /// # Panics
-/// Panics when the injected failure count exceeds the plan's retry limit —
-/// a permanently failing task fails the job, as on the real cluster.
+/// Resumes the last attempt's panic when all `1 + RETRY_LIMIT` attempts
+/// fail, so the operator's own message fails the job.
 fn measure_partition<R>(
     scope: &Option<TaskScope>,
     op: &'static str,
@@ -60,54 +68,53 @@ fn measure_partition<R>(
     partition: usize,
     items_in: usize,
     bytes: u64,
-    f: impl FnOnce() -> (R, u64),
+    f: impl Fn() -> (R, u64),
 ) -> (R, Option<TaskSpan>) {
-    match scope {
-        None => (f().0, None),
-        Some(sc) => {
-            let retries = match &sc.faults {
-                Some(fp) => {
-                    let fails = fp.injected_failures(sc.fault_key(), op_seq, partition);
-                    assert!(
-                        fails <= fp.retry_limit(),
-                        "stage {:?} partition {partition}: task failed {fails} times, \
-                         exceeding the retry limit of {}",
-                        sc.stage,
-                        fp.retry_limit()
-                    );
-                    fails
-                }
-                None => 0,
-            };
-            let start_us = sc.registry.now_micros();
-            let (out, items_out) = f();
-            if let Some(fp) = &sc.faults {
-                let busy_us = sc.registry.now_micros().saturating_sub(start_us);
-                if let Some(extra_us) =
-                    fp.straggler_extra_us(sc.fault_key(), op_seq, partition, busy_us)
-                {
-                    std::thread::sleep(std::time::Duration::from_micros(extra_us));
-                }
+    let injected = scope.as_ref().map_or(0, |sc| {
+        sc.faults.as_ref().map_or(0, |fp| {
+            fp.injected_failures(sc.fault_key(), op_seq, partition)
+        })
+    });
+    let start_us = scope.as_ref().map_or(0, |sc| sc.registry.now_micros());
+    let mut retries = 0;
+    let (out, items_out) = loop {
+        let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
+            let out = f();
+            if retries < injected {
+                panic::resume_unwind(Box::new("injected task failure"));
             }
-            let end_us = sc.registry.now_micros();
-            let span = TaskSpan {
-                stage: sc.stage.to_string(),
-                op,
-                op_seq,
-                stage_id: sc.stage_id,
-                partition,
-                worker: rayon::current_thread_index().unwrap_or(partition % sc.workers.max(1)),
-                start_us,
-                end_us,
-                items_in: items_in as u64,
-                items_out,
-                bytes,
-                retries,
-                speculative: false,
-            };
-            (out, Some(span))
+            out
+        }));
+        match attempt {
+            Ok(out) => break out,
+            Err(payload) if retries == RETRY_LIMIT => panic::resume_unwind(payload),
+            Err(_) => retries += 1,
+        }
+    };
+    let Some(sc) = scope else {
+        return (out, None);
+    };
+    if let Some(fp) = &sc.faults {
+        let busy_us = sc.registry.now_micros().saturating_sub(start_us);
+        if let Some(extra_us) = fp.straggler_extra_us(sc.fault_key(), op_seq, partition, busy_us) {
+            std::thread::sleep(std::time::Duration::from_micros(extra_us));
         }
     }
+    let span = TaskSpan {
+        stage: sc.stage.to_string(),
+        op,
+        op_seq,
+        stage_id: sc.stage_id,
+        partition,
+        worker: rayon::current_thread_index().unwrap_or(partition % sc.workers.max(1)),
+        start_us,
+        end_us: sc.registry.now_micros(),
+        items_in: items_in as u64,
+        items_out,
+        bytes,
+        retries,
+    };
+    (out, Some(span))
 }
 
 /// An immutable, partitioned collection of `T`.
@@ -642,7 +649,7 @@ mod tests {
                 // partition's real lane never exceeds its own index.
                 assert!(s.worker <= s.partition, "lane {} > p{partition}", s.worker);
                 assert!(s.end_us >= s.start_us, "negative duration");
-                assert_eq!((s.retries, s.speculative), (0, false), "no fault plan");
+                assert_eq!(s.retries, 0, "no fault plan");
             }
         }
         assert!(next.next().is_none(), "more spans than visited partitions");
@@ -705,6 +712,44 @@ mod tests {
             spans.iter().map(key).collect::<Vec<_>>(),
             run().iter().map(key).collect::<Vec<_>>()
         );
+    }
+
+    /// A panicking attempt is re-run for real, whether or not a scope is
+    /// active, and an attempt that always panics fails the op with its own
+    /// message after `1 + RETRY_LIMIT` tries.
+    #[test]
+    fn a_panicking_attempt_is_re_run_until_the_retry_limit() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let c = ragged();
+        // Partition 2 (`[4, 5]`) panics on its first `fails` attempts.
+        let run = |fails: u32| {
+            let tries = AtomicU32::new(0);
+            let out = panic::catch_unwind(AssertUnwindSafe(|| {
+                c.map_partitions(|p| {
+                    if p.contains(&4) && tries.fetch_add(1, Ordering::SeqCst) < fails {
+                        panic!("partition {p:?} is poison");
+                    }
+                    p.to_vec()
+                })
+                .collect()
+            }));
+            (out, tries.into_inner())
+        };
+        let (out, tries) = run(1);
+        assert_eq!((out.ok(), tries), (Some(vec![1, 2, 3, 4, 5]), 2));
+        let (out, tries) = run(u32::MAX);
+        let payload = out.expect_err("every attempt panicked");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("partition [4, 5] is poison")
+        );
+        assert_eq!(tries, 1 + RETRY_LIMIT);
+
+        let r = MetricsRegistry::new();
+        let (out, _) = enter_task_scope(TaskScope::new(&r, "stage", Some(7), 2), || run(1));
+        assert!(out.is_ok());
+        let retries: Vec<u32> = r.spans().iter().map(|s| s.retries).collect();
+        assert_eq!(retries, [0, 0, 1]);
     }
 
     #[test]

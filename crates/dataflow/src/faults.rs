@@ -1,12 +1,12 @@
 //! Deterministic, seeded fault injection for the dataflow substrate.
 //!
 //! The paper's pipelines inherit fault tolerance from Spark's RDD lineage:
-//! failed tasks are retried, stragglers are speculatively re-executed, and
-//! lost partitions are recomputed from their lineage. This from-scratch
-//! engine has to provide (and *test*) that machinery itself, so this module
-//! supplies the adversary: a [`FaultPlan`] that decides — as a pure function
-//! of a seed and the task's identity — which partition tasks fail, which
-//! become stragglers, and which cache entries go missing.
+//! failed tasks are re-run and lost partitions are recomputed from their
+//! lineage. This from-scratch engine has to provide (and *test*) that
+//! machinery itself, so this module supplies the adversary: a [`FaultPlan`]
+//! that decides — as a pure function of a seed and the task's identity —
+//! which partition tasks fail, which become stragglers, and which cache
+//! entries go missing.
 //!
 //! Determinism is the point. Every decision is keyed on
 //! `(seed, stage, op, partition, attempt)` via splitmix64, so two runs with
@@ -14,59 +14,54 @@
 //! are reproducible in CI, and a failing run can be replayed exactly.
 //!
 //! The plan only *decides*; the machinery that reacts to it lives where the
-//! work happens: per-partition retry accounting in
-//! [`collection`](crate::collection), backoff and speculative-copy charges on
-//! the [`SimClock`](crate::simclock::SimClock), and lineage recompute of lost
-//! cache entries in the `keystone-core` executor.
+//! work happens. [`collection`](crate::collection) re-runs a failed partition
+//! attempt — injected or a real panic — up to [`RETRY_LIMIT`] times and
+//! sleeps a straggler's delay; the `keystone-core` executor charges each
+//! retry's [`backoff_secs`] to the [`SimClock`](crate::simclock::SimClock)
+//! and recomputes lost cache entries from their lineage.
 
 use crate::rng_util::split_seed;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// What to inject, and how recovery is bounded. Probabilities are per
-/// decision point (per partition task, per cache lookup).
+/// Failed attempts of one partition task that are re-run. The next failure
+/// fails the job with that attempt's own panic.
+pub const RETRY_LIMIT: u32 = 4;
+
+/// Most injected failures one partition task takes, so a hostile seed can
+/// never exhaust [`RETRY_LIMIT`]: a task that fails for good is a panicking
+/// operator, not a plan setting.
+pub const MAX_INJECTED_FAILURES: u32 = 2;
+const _: () = assert!(MAX_INJECTED_FAILURES < RETRY_LIMIT);
+
+/// First retry's backoff in simulated seconds; see [`backoff_secs`].
+pub const BACKOFF_BASE_SECS: f64 = 1.0;
+
+/// A straggler runs this many times its natural duration.
+const STRAGGLER_MULTIPLIER: f64 = 4.0;
+
+/// Simulated seconds the `attempt`-th retry waits before relaunching:
+/// `BACKOFF_BASE_SECS × 2^attempt` (exponential backoff).
+pub fn backoff_secs(attempt: u32) -> f64 {
+    BACKOFF_BASE_SECS * f64::from(2u32.saturating_pow(attempt.min(30)))
+}
+
+/// What to inject. Probabilities are per decision point (per partition
+/// task, per cache lookup).
 #[derive(Debug, Clone)]
 pub struct FaultSpec {
     /// Seed all decisions derive from; same seed ⇒ same fault schedule.
     pub seed: u64,
     /// Probability that a partition task's next attempt fails.
     pub task_failure_prob: f64,
-    /// At most this many consecutive injected failures per task — keeps a
-    /// hostile seed from failing a task forever. Raise it past
-    /// `retry_limit` to simulate a permanently failing task (which panics).
-    pub max_failures_per_task: u32,
-    /// Retries the engine tolerates per task before giving up.
-    pub retry_limit: u32,
-    /// First retry's backoff in simulated seconds; attempt `k` waits
-    /// `backoff_base_secs × 2^k` (exponential backoff).
-    pub backoff_base_secs: f64,
     /// Probability that a partition task is delayed into a straggler.
     pub straggler_prob: f64,
-    /// A straggler runs this many times its natural duration.
-    pub straggler_multiplier: f64,
-    /// Floor on the injected delay, microseconds. Also the detection
-    /// threshold: recovery only speculates on partitions at least this
-    /// busy, so micro-scale timer noise never looks like a straggler.
+    /// Floor on a straggler's injected delay, microseconds, so even
+    /// microsecond-scale tasks stall visibly.
     pub straggler_min_delay_us: u64,
     /// Probability that a cache lookup finds its entry lost (per lookup).
     pub cache_loss_prob: f64,
-}
-
-impl Default for FaultSpec {
-    fn default() -> Self {
-        FaultSpec {
-            seed: 0,
-            task_failure_prob: 0.0,
-            max_failures_per_task: 2,
-            retry_limit: 4,
-            backoff_base_secs: 1.0,
-            straggler_prob: 0.0,
-            straggler_multiplier: 4.0,
-            straggler_min_delay_us: 2_000,
-            cache_loss_prob: 0.0,
-        }
-    }
 }
 
 impl FaultSpec {
@@ -74,7 +69,10 @@ impl FaultSpec {
     pub fn new(seed: u64) -> Self {
         FaultSpec {
             seed,
-            ..Default::default()
+            task_failure_prob: 0.0,
+            straggler_prob: 0.0,
+            straggler_min_delay_us: 2_000,
+            cache_loss_prob: 0.0,
         }
     }
 
@@ -96,15 +94,9 @@ impl FaultSpec {
         self
     }
 
-    /// Overrides the straggler delay floor (and detection threshold).
+    /// Overrides the straggler delay floor.
     pub fn with_straggler_min_delay_us(mut self, us: u64) -> Self {
         self.straggler_min_delay_us = us;
-        self
-    }
-
-    /// Overrides the exponential-backoff base.
-    pub fn with_backoff_base_secs(mut self, secs: f64) -> Self {
-        self.backoff_base_secs = secs;
         self
     }
 
@@ -139,11 +131,6 @@ impl FaultPlan {
         }
     }
 
-    /// The underlying spec.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
-    }
-
     /// Seeded Bernoulli trial: folds `words` into the seed and compares a
     /// 53-bit uniform draw against `prob`.
     fn chance(&self, words: &[u64], prob: f64) -> bool {
@@ -161,12 +148,12 @@ impl FaultPlan {
         u < prob
     }
 
-    /// How many times the task `(stage_key, op_seq, partition)` fails before
-    /// succeeding, capped at `max_failures_per_task`. Pure: recomputing the
-    /// same task reports the same failure count.
+    /// How many attempts of the task `(stage_key, op_seq, partition)` fail
+    /// before one succeeds, capped at [`MAX_INJECTED_FAILURES`]. Pure:
+    /// recomputing the same task reports the same failure count.
     pub fn injected_failures(&self, stage_key: u64, op_seq: u64, partition: usize) -> u32 {
         let mut fails = 0u32;
-        while fails < self.spec.max_failures_per_task
+        while fails < MAX_INJECTED_FAILURES
             && self.chance(
                 &[
                     DOMAIN_FAILURE,
@@ -184,8 +171,8 @@ impl FaultPlan {
     }
 
     /// Extra microseconds of injected delay when this task is chosen as a
-    /// straggler: the larger of `busy_us × (multiplier − 1)` and the delay
-    /// floor, so even microsecond-scale tasks stall visibly.
+    /// straggler: the larger of `busy_us × (STRAGGLER_MULTIPLIER − 1)` and
+    /// the delay floor, so even microsecond-scale tasks stall visibly.
     pub fn straggler_extra_us(
         &self,
         stage_key: u64,
@@ -197,7 +184,7 @@ impl FaultPlan {
             &[DOMAIN_STRAGGLER, stage_key, op_seq, partition as u64],
             self.spec.straggler_prob,
         ) {
-            let scaled = (busy_us as f64 * (self.spec.straggler_multiplier - 1.0)).round() as u64;
+            let scaled = (busy_us as f64 * (STRAGGLER_MULTIPLIER - 1.0)).round() as u64;
             Some(scaled.max(self.spec.straggler_min_delay_us))
         } else {
             None
@@ -217,23 +204,6 @@ impl FaultPlan {
             p
         };
         self.chance(&[DOMAIN_CACHE, key, probe], self.spec.cache_loss_prob)
-    }
-
-    /// Simulated seconds the `attempt`-th retry waits before relaunching:
-    /// `backoff_base_secs × 2^attempt`.
-    pub fn backoff_secs(&self, attempt: u32) -> f64 {
-        self.spec.backoff_base_secs * f64::from(2u32.saturating_pow(attempt.min(30)))
-    }
-
-    /// Retries tolerated per task before the engine gives up.
-    pub fn retry_limit(&self) -> u32 {
-        self.spec.retry_limit
-    }
-
-    /// Minimum per-partition busy microseconds before recovery will
-    /// speculate on a straggler (filters timer-floor noise).
-    pub fn speculation_threshold_us(&self) -> u64 {
-        self.spec.straggler_min_delay_us
     }
 }
 
@@ -293,7 +263,7 @@ mod tests {
     #[test]
     fn failure_counts_respect_the_cap() {
         let p = plan(FaultSpec::new(7).with_task_failures(1.0));
-        assert_eq!(p.injected_failures(0, 0, 0), p.spec().max_failures_per_task);
+        assert_eq!(p.injected_failures(0, 0, 0), MAX_INJECTED_FAILURES);
         let none = plan(FaultSpec::new(7));
         assert_eq!(none.injected_failures(0, 0, 0), 0);
     }
@@ -337,10 +307,9 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential() {
-        let p = plan(FaultSpec::new(0).with_backoff_base_secs(0.5));
-        assert_eq!(p.backoff_secs(0), 0.5);
-        assert_eq!(p.backoff_secs(1), 1.0);
-        assert_eq!(p.backoff_secs(3), 4.0);
+        assert_eq!(backoff_secs(0), BACKOFF_BASE_SECS);
+        assert_eq!(backoff_secs(1), 2.0 * BACKOFF_BASE_SECS);
+        assert_eq!(backoff_secs(3), 8.0 * BACKOFF_BASE_SECS);
     }
 
     #[test]

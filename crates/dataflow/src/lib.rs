@@ -29,9 +29,10 @@
 //!   builder and a parser) every report, artifact and trace export goes
 //!   through;
 //! * [`faults::FaultPlan`] — deterministic, seeded fault injection (task
-//!   failures, stragglers, cache-entry loss) that the executor's recovery
-//!   machinery — bounded retry, speculative re-execution, lineage
-//!   recompute — is tested against.
+//!   failures, stragglers, cache-entry loss) that the recovery machinery is
+//!   tested against: a failed partition attempt, injected or a real panic,
+//!   is re-run by [`collection`], and a lost cache entry is recomputed from
+//!   its lineage by the executor.
 
 pub mod cache;
 pub mod cluster;

@@ -13,10 +13,11 @@
 //!   worker lane that actually executed it (the pool thread's index,
 //!   falling back to `partition % workers` when no pool is active), and
 //!   item/byte throughput.
-//! * [`MetricsRegistry`] — a cheaply-cloneable, append-only span ledger.
-//!   It holds nothing else: every other run fact (retries, cache traffic,
-//!   serving admissions) is a trace event in `keystone-core` or a field of
-//!   the serving outcome, recorded once there.
+//! * [`MetricsRegistry`] — a cheaply-cloneable, append-only span ledger,
+//!   plus a running total of the failed attempts its spans carry so a
+//!   reader can skip the ledger when nothing retried. Every other run fact
+//!   (retry events, cache traffic, serving admissions) is a trace event in
+//!   `keystone-core` or a field of the serving outcome, recorded once there.
 //! * [`TaskScope`] — an ambient, thread-local attribution scope. The
 //!   executor pushes a scope around each node's work; every instrumented
 //!   [`DistCollection`](crate::collection::DistCollection) operation invoked
@@ -69,12 +70,9 @@ pub struct TaskSpan {
     pub items_out: u64,
     /// Bytes read, estimated shallowly as `items_in × size_of::<T>()`.
     pub bytes: u64,
-    /// Failed attempts this task absorbed before succeeding (fault
-    /// injection; 0 on healthy runs).
+    /// Failed attempts (a panic, or one the fault plan injected) that were
+    /// re-run before one succeeded; 0 on healthy runs.
     pub retries: u32,
-    /// This span lost a speculative race: it straggled, a re-execution's
-    /// result was taken instead. Tagged after the fact by recovery.
-    pub speculative: bool,
 }
 
 impl TaskSpan {
@@ -105,7 +103,6 @@ impl TaskSpan {
             ("items_out", JVal::UInt(self.items_out)),
             ("bytes", JVal::UInt(self.bytes)),
             ("retries", JVal::UInt(self.retries as u64)),
-            ("speculative", JVal::Bool(self.speculative)),
             ("start_us", wall(self.start_us)),
             ("end_us", wall(self.end_us)),
         ])
@@ -119,6 +116,8 @@ impl TaskSpan {
 pub struct MetricsRegistry {
     epoch: Instant,
     spans: Arc<Mutex<Vec<TaskSpan>>>,
+    /// Sum of `retries` over every recorded span.
+    retries: Arc<AtomicU64>,
 }
 
 impl Default for MetricsRegistry {
@@ -133,6 +132,7 @@ impl MetricsRegistry {
         MetricsRegistry {
             epoch: Instant::now(),
             spans: Arc::new(Mutex::new(Vec::new())),
+            retries: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -143,14 +143,26 @@ impl MetricsRegistry {
 
     /// Appends one task span.
     pub fn record_span(&self, span: TaskSpan) {
-        self.spans.lock().push(span);
+        self.record_spans(vec![span]);
     }
 
     /// Appends a batch of task spans (one lock acquisition).
     pub fn record_spans(&self, spans: Vec<TaskSpan>) {
-        if !spans.is_empty() {
-            self.spans.lock().extend(spans);
+        if spans.is_empty() {
+            return;
         }
+        let retries: u64 = spans.iter().map(|s| u64::from(s.retries)).sum();
+        if retries > 0 {
+            self.retries.fetch_add(retries, Ordering::Relaxed);
+        }
+        self.spans.lock().extend(spans);
+    }
+
+    /// Failed attempts carried by all spans recorded so far. A reader takes
+    /// it as a mark before some work and compares after: unchanged means no
+    /// span recorded in between retried.
+    pub fn retries_recorded(&self) -> u64 {
+        self.retries.load(Ordering::Relaxed)
     }
 
     /// Snapshot of all recorded spans.
@@ -168,27 +180,6 @@ impl MetricsRegistry {
     /// window of the ledger to one node execution.
     pub fn spans_from(&self, mark: usize) -> Vec<TaskSpan> {
         self.spans.lock().iter().skip(mark).cloned().collect()
-    }
-
-    /// Tags spans of `(stage_id, op_seq, partition)` recorded at `mark`
-    /// onward as speculative losers (their straggling result was replaced by
-    /// a re-execution's). Returns how many spans were tagged.
-    pub fn mark_speculative(
-        &self,
-        mark: usize,
-        stage_id: Option<u64>,
-        op_seq: u64,
-        partition: usize,
-    ) -> usize {
-        let mut spans = self.spans.lock();
-        let mut tagged = 0;
-        for s in spans.iter_mut().skip(mark) {
-            if s.stage_id == stage_id && s.op_seq == op_seq && s.partition == partition {
-                s.speculative = true;
-                tagged += 1;
-            }
-        }
-        tagged
     }
 
     /// Per-stage skew and utilization over the recorded spans, in first-seen
@@ -423,7 +414,6 @@ mod tests {
             items_out: 10,
             bytes: 80,
             retries: 0,
-            speculative: false,
         }
     }
 

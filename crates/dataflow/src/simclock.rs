@@ -154,10 +154,10 @@ impl SimClock {
     /// canonical reconstruction.
     ///
     /// Note the layout is strictly sequential: charges that would overlap
-    /// wall-clock time on a real cluster — e.g. `recovery:`/`speculative:`
-    /// stages the executor books for retry backoff and speculative copies,
-    /// which run concurrently with other partitions — are laid end to end
-    /// here. The timeline is a cost ledger, not a schedule.
+    /// wall-clock time on a real cluster — e.g. the `recovery:` stages the
+    /// executor books for retry backoff, which on a cluster a task waits out
+    /// while other partitions run — are laid end to end here. The timeline
+    /// is a cost ledger, not a schedule.
     pub fn timeline(&self) -> Vec<(f64, SimEntry)> {
         let mut t = 0.0;
         self.entries

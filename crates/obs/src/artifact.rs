@@ -18,9 +18,9 @@
 //!
 //! With [`CaptureOptions::deterministic`] set (the default):
 //!
-//! * wall-clock fields are nulled (`NodeEnd.wall_secs`,
-//!   `SpeculativeWin.original_secs`, span start/end/worker, skew ratios
-//!   and utilization derived from wall time, `FitReport::optimize_secs`);
+//! * wall-clock fields are nulled (`NodeEnd.wall_secs`, span
+//!   start/end/worker, skew ratios and utilization derived from wall time,
+//!   `FitReport::optimize_secs`);
 //! * task spans are sorted by `(stage_id, stage, op_seq, partition, op)`
 //!   — their recording order can race under a parallel pool;
 //! * straggler evidence comes from *record* skew (per-partition
@@ -28,10 +28,10 @@
 //!
 //! Byte-identity additionally requires the run itself to be seed-pure:
 //! profile with `ProfileOptions::deterministic_timing` (profiled nodes
-//! otherwise carry measured wall time into their sim charges) and
-//! avoid straggler fault injection (speculative copies are priced at the
-//! measured wave median). `examples/diagnose.rs` and the round-trip
-//! tests follow exactly this recipe.
+//! otherwise carry measured wall time into their sim charges). Injected
+//! faults are seed-pure — a retry's backoff is a function of its attempt
+//! number, and a straggler's delay is wall time only. `examples/diagnose.rs`
+//! and the round-trip tests follow exactly this recipe.
 //!
 //! A fit artifact reads the ledgers from the window its report folded
 //! ([`PipelineReport::window`]), so a fit on a reused `ExecContext`
@@ -68,8 +68,10 @@ use keystone_serve::server::ServeOutcome;
 /// fits: the top-level `tenants` section (per-tenant attribution rows) and
 /// the `cross_cse_merge` event type; v4 — the `counters`, `gauges` and
 /// `histograms` sections are gone (every value in them re-counted trace
-/// events or the `serve` section).
-pub const SCHEMA_VERSION: u32 = 4;
+/// events or the `serve` section); v5 — straggler copies are no longer
+/// priced: the copy-win counts in node rows and the `recovery` section, the
+/// lost-race flag on task spans and the copy-win event type are gone.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// What kind of run the artifact records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,8 +181,6 @@ pub struct NodeRow {
     pub record_skew: Option<f64>,
     /// Failed attempts absorbed as retries.
     pub retries: u64,
-    /// Straggler partitions beaten by a speculative copy.
-    pub speculative_wins: u64,
     /// Simulated seconds of recovery work charged against this node.
     pub recovery_secs: f64,
     /// Adaptive re-optimization flags (`"recalibrated"` / `"promoted"` /
@@ -365,7 +365,6 @@ fn node_rows(report: &PipelineReport, spans: &[TaskSpan], deterministic: bool) -
             time_skew: if deterministic { None } else { n.skew_ratio },
             record_skew: record_skew.get(&(n.node as u64)).copied(),
             retries: n.recovery.retries,
-            speculative_wins: n.recovery.speculative_wins,
             recovery_secs: n.recovery.recovery_secs,
             adapt: n.adapt.clone(),
         })
@@ -673,7 +672,6 @@ fn node_row_jval(n: &NodeRow) -> JVal {
         ("time_skew", JVal::opt_num(n.time_skew)),
         ("record_skew", JVal::opt_num(n.record_skew)),
         ("retries", JVal::UInt(n.retries)),
-        ("speculative_wins", JVal::UInt(n.speculative_wins)),
         ("recovery_secs", JVal::Num(n.recovery_secs)),
         (
             "adapt",
@@ -807,25 +805,6 @@ fn event_jval(e: &TracedEvent, deterministic: bool) -> JVal {
             pairs.push(("partition", JVal::UInt(*partition as u64)));
             pairs.push(("attempt", JVal::UInt(*attempt as u64)));
             pairs.push(("backoff_secs", JVal::Num(*backoff_secs)));
-        }
-        TraceEvent::SpeculativeWin {
-            node,
-            partition,
-            original_secs,
-            copy_secs,
-        } => {
-            pairs.push(("type", JVal::str("speculative_win")));
-            pairs.push(("node", JVal::UInt(*node as u64)));
-            pairs.push(("partition", JVal::UInt(*partition as u64)));
-            pairs.push((
-                "original_secs",
-                if deterministic {
-                    JVal::Null
-                } else {
-                    JVal::Num(*original_secs)
-                },
-            ));
-            pairs.push(("copy_secs", JVal::Num(*copy_secs)));
         }
         TraceEvent::CacheLost { node } => {
             pairs.push(("type", JVal::str("cache_lost")));
@@ -978,7 +957,6 @@ mod tests {
             items_out: 5,
             bytes: 40,
             retries: 0,
-            speculative: false,
         });
         let artifact = capture_test(&empty_report(), &ctx);
         let json = artifact.to_json();
@@ -1019,7 +997,6 @@ mod tests {
                 items_out: 1,
                 bytes: 8,
                 retries: 0,
-                speculative: false,
             });
         }
         let artifact = capture_test(&empty_report(), &ctx);
@@ -1044,7 +1021,6 @@ mod tests {
                 items_out: items,
                 bytes: items * 8,
                 retries: 0,
-                speculative: false,
             })
             .collect();
         let skew = record_skew_by_node(&spans);

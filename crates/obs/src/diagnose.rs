@@ -21,8 +21,8 @@
 //!   count — and per-record dispatch overhead — concentrates.
 //! * **serve-linger** — serving latency dominated by batch formation
 //!   rather than execution: the linger knob is mis-tuned for the load.
-//! * **recovery-overhead** — injected-fault recovery consuming an outsized
-//!   share of the simulated clock.
+//! * **recovery-overhead** — retry backoff (injected failures or panicking
+//!   operators) consuming an outsized share of the simulated clock.
 
 use keystone_core::graph::NodeId;
 use keystone_core::trace::TraceEvent;
@@ -418,11 +418,10 @@ fn detect_recovery_overhead(
         node: None,
         label: None,
         summary: format!(
-            "recovery (retries + speculation) consumed {:.0}% of the simulated clock \
-             ({} retries, {} speculative wins, {} cache losses)",
+            "recovery (retry backoff) consumed {:.0}% of the simulated clock \
+             ({} retries, {} cache losses)",
             share * 100.0,
             artifact.recovery.retries,
-            artifact.recovery.speculative_wins,
             artifact.recovery.cache_losses
         ),
         evidence: vec![
@@ -555,7 +554,6 @@ mod tests {
             time_skew: None,
             record_skew: Some(1.0),
             retries: 0,
-            speculative_wins: 0,
             recovery_secs: 0.0,
             adapt: None,
         };
@@ -605,7 +603,6 @@ mod tests {
             spans: vec![],
             recovery: RecoveryStats {
                 retries: 3,
-                speculative_wins: 0,
                 cache_losses: 1,
                 recovery_secs: 1.0,
             },

@@ -32,7 +32,8 @@ pub fn current_thread_index() -> Option<usize> {
     POOL_INDEX.with(|c| c.get())
 }
 
-/// Evaluates `f` over `items` in parallel, preserving order.
+/// Evaluates `f` over `items` in parallel, preserving order. A panic in `f`
+/// reaches the caller with its own payload, as with real rayon.
 fn parallel_process<I, O, F>(items: Vec<I>, f: F) -> Vec<O>
 where
     I: Send,
@@ -68,7 +69,7 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("parallel worker panicked"))
+            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
             .collect()
     });
     results.into_iter().flatten().collect()
@@ -302,6 +303,19 @@ mod tests {
         let v: Vec<u64> = Vec::new();
         let out: Vec<u64> = v.par_iter().map(|x| *x).collect();
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_with_its_message() {
+        let v: Vec<u64> = (0..64).collect();
+        let payload = std::panic::catch_unwind(|| {
+            v.par_iter()
+                .map(|&x| if x == 63 { panic!("item {x} is poison") } else { x })
+                .collect::<Vec<u64>>()
+        })
+        .expect_err("the closure panicked");
+        let msg = payload.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(msg, Some("item 63 is poison"));
     }
 
     #[test]

@@ -21,9 +21,7 @@
 //!
 //! The capture is deterministic: wall-clock fields are nulled, spans are
 //! sorted by identity, skew is measured in *records* (seed-pure), and the
-//! fault plan injects cache loss but **no stragglers or speculation** (a
-//! speculative win is priced at the measured wave median, which would leak
-//! wall time into the artifact).
+//! fault plan's cache losses are a pure function of its seed.
 //!
 //! Exit status: nonzero when any finding reaches the threshold in
 //! `KEYSTONE_DIAGNOSE_FAIL_ON` (`info`|`warning`|`critical`; default
@@ -98,14 +96,8 @@ fn main() {
         .and_then(BusyWork(12))
         .and_then_est(MultiPassMean { passes: 6 }, &train);
 
-    // Faults: seeded cache-entry loss only. No stragglers, and the
-    // speculation threshold is pushed out of reach: a speculative win is
-    // priced at the measured wave median, which would leak wall time into
-    // the artifact and break byte-identical reruns (see module docs).
-    let faults = FaultSpec::new(0xD1A6)
-        .with_cache_loss(0.35)
-        .with_straggler_min_delay_us(1 << 40)
-        .into_plan();
+    // Faults: seeded cache-entry loss only.
+    let faults = FaultSpec::new(0xD1A6).with_cache_loss(0.35).into_plan();
     let ctx = ExecContext::default_cluster().with_faults(faults);
     // Fusion off keeps the two BusyWork stages separate cache entries; the
     // LRU budget fits one of them but not both, so admitting the second

@@ -61,8 +61,10 @@ impl Estimator<Vec<f64>, Vec<f64>> for MultiPassMean {
 }
 
 /// The diagnose example's run shape, miniaturized: 6x record skew, an LRU
-/// budget that fits one intermediate but not both, seeded cache loss, no
-/// stragglers/speculation (their charges are wall-priced).
+/// budget that fits one intermediate but not both, and seeded cache loss,
+/// task failures and stragglers. Every recovery charge is seed-pure: a
+/// failed attempt re-runs for real and is charged its backoff, and a
+/// straggler costs wall time only.
 fn skewed_faulted_fit() -> (RunArtifact, FitReport) {
     let skewed: Vec<Vec<Vec<f64>>> = vec![
         (0..50).map(|i| vec![i as f64, 1.0]).collect(),
@@ -77,7 +79,9 @@ fn skewed_faulted_fit() -> (RunArtifact, FitReport) {
         .and_then_est(MultiPassMean { passes: 6 }, &train);
     let faults = FaultSpec::new(0xD1A6)
         .with_cache_loss(0.35)
-        .with_straggler_min_delay_us(1 << 40)
+        .with_task_failures(0.2)
+        .with_stragglers(0.1)
+        .with_straggler_min_delay_us(200)
         .into_plan();
     let ctx = ExecContext::default_cluster().with_faults(faults);
     let opts = PipelineOptions {
@@ -313,8 +317,8 @@ fn shared_sections_have_one_writer_on_forest_and_faulted_fits() {
 
     let (faulted, faulted_report) = skewed_faulted_fit();
     assert!(
-        faulted.recovery.cache_losses > 0,
-        "fixture loses cache entries"
+        faulted.recovery.cache_losses > 0 && faulted.recovery.retries > 0,
+        "fixture loses cache entries and retries tasks"
     );
     assert!(
         faulted
