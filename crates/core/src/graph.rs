@@ -41,6 +41,18 @@ impl NodeKind {
         }
     }
 
+    /// Kind name (`input`/`source`/`transform`/`estimate`/`apply`), as
+    /// [`Graph::summary`] and the run artifact's plan section print it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            NodeKind::RuntimeInput => "input",
+            NodeKind::DataSource(_) => "source",
+            NodeKind::Transform(_) => "transform",
+            NodeKind::Estimate(_) => "estimate",
+            NodeKind::ModelApply => "apply",
+        }
+    }
+
     /// Identity of the operator/data for structural keys: `Arc` pointer
     /// identity, which is exactly what prefix-cloning preserves.
     pub(crate) fn identity(&self) -> usize {
@@ -210,14 +222,7 @@ impl Graph {
     pub fn summary(&self) -> String {
         let mut out = String::with_capacity(self.nodes.len() * 32);
         for (id, node) in self.nodes.iter().enumerate() {
-            let kind = match node.kind {
-                NodeKind::RuntimeInput => "input",
-                NodeKind::DataSource(_) => "source",
-                NodeKind::Transform(_) => "transform",
-                NodeKind::Estimate(_) => "estimate",
-                NodeKind::ModelApply => "apply",
-            };
-            out.push_str(&format!("{id}: {kind} {}", node.label));
+            out.push_str(&format!("{id}: {} {}", node.kind.name(), node.label));
             if !node.inputs.is_empty() {
                 out.push_str(" <- ");
                 for (i, input) in node.inputs.iter().enumerate() {

@@ -443,6 +443,11 @@ pub trait ErasedTransformer: Send + Sync {
         None
     }
 
+    /// The alternative a logical operator runs until selection replaces it.
+    fn default_physical(&self) -> Option<&ErasedOption<Arc<dyn ErasedTransformer>>> {
+        None
+    }
+
     /// The per-record fusion surface, when this operator is a pure
     /// record-wise map (see [`Transformer::per_record`]). `None` marks the
     /// operator as a fusion barrier.
@@ -762,6 +767,10 @@ impl ErasedTransformer for LogicalOperator<Arc<dyn ErasedTransformer>> {
 
     fn physical_options(&self) -> Option<&[ErasedOption<Arc<dyn ErasedTransformer>>]> {
         Some(&self.options)
+    }
+
+    fn default_physical(&self) -> Option<&ErasedOption<Arc<dyn ErasedTransformer>>> {
+        Some(&self.options[self.default_index])
     }
 }
 

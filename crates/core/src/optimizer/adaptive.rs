@@ -53,7 +53,7 @@ use crate::trace::{TraceEvent, Tracer};
 pub const ADAPT_DECISION_SECS: f64 = 1e-9;
 
 /// External evidence the re-planner may consume, typically derived from a
-/// prior run's diagnosis findings (`keystone_obs::replanner_hints`).
+/// prior run's diagnosis findings ([`crate::report::replanner_hints`]).
 #[derive(Debug, Clone, Default)]
 pub struct AdaptiveHints {
     /// `(node, observed sim seconds per execution)` overrides — measured

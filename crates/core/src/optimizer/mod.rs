@@ -88,7 +88,7 @@ pub struct PipelineOptions {
     /// membership changes would perturb the injected draw sequence).
     pub adaptive: Option<bool>,
     /// External evidence for the adaptive re-planner, typically distilled
-    /// from a prior run's diagnosis (`keystone_obs::replanner_hints`).
+    /// from a prior run's diagnosis ([`crate::report::replanner_hints`]).
     pub adaptive_hints: AdaptiveHints,
 }
 

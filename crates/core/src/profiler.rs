@@ -186,6 +186,9 @@ pub fn profile_and_select(
     let mut scales: HashMap<NodeId, f64> = HashMap::new();
     let mut full_counts: HashMap<NodeId, usize> = HashMap::new();
     let mut sample_stats: HashMap<NodeId, DataStats> = HashMap::new();
+    // Selected logical transformers by operator identity: the kind and
+    // label each was rewritten to.
+    let mut chosen_for: HashMap<usize, (NodeKind, String)> = HashMap::new();
 
     ctx.sim.in_lane("profile".into(), || {
         for (pass, &size) in opts.sizes.iter().enumerate() {
@@ -215,6 +218,10 @@ pub fn profile_and_select(
                     if let Some((kind, est_secs)) = chosen {
                         if matches!(kind, NodeKind::Estimate(_)) && !read.contains(&id) {
                             priced.insert(id, est_secs);
+                        }
+                        if let NodeKind::Transform(_) = &node.kind {
+                            let label = graph.nodes[id].label.clone();
+                            chosen_for.insert(node.kind.identity(), (kind.clone(), label));
                         }
                         node.kind = kind;
                     }
@@ -282,6 +289,31 @@ pub fn profile_and_select(
             }
         }
     });
+
+    // Under selection no logical transformer stays in the plan. An
+    // apply-path node runs the option chosen for its training-path twin,
+    // the clone `Graph::clone_rerooted` made of it, which holds the same
+    // `Arc`. With no twin it has no sample to be priced on and keeps the
+    // option it ran anyway.
+    if opts.select_operators {
+        for &id in &skip {
+            let node = &mut graph.nodes[id];
+            let NodeKind::Transform(op) = &node.kind else {
+                continue;
+            };
+            let resolved = match chosen_for.get(&node.kind.identity()) {
+                Some(twin) => Some(twin.clone()),
+                None => op.default_physical().map(|o| {
+                    let label = format!("{}[{}]", node.label, o.name);
+                    (NodeKind::Transform(o.op.clone()), label)
+                }),
+            };
+            if let Some((kind, label)) = resolved {
+                node.kind = kind;
+                node.label = label;
+            }
+        }
+    }
 
     // Extrapolate each node's measurements to full scale; a priced node's
     // estimate is spread over its full input, so that
@@ -657,6 +689,61 @@ mod tests {
         if let NodeKind::Transform(op) = &g.nodes[t].kind {
             assert!(op.physical_options().is_some(), "node must stay logical");
         }
+    }
+
+    /// Scales by 10 (the default option) or by 100 (the cheaper one).
+    struct PickScale;
+    impl crate::operator::OptimizableTransformer<f64, f64> for PickScale {
+        fn options(&self) -> Vec<crate::operator::TransformerOption<f64, f64>> {
+            [("x10", 10.0, 1e6), ("x100", 100.0, 1.0)]
+                .map(|(name, c, secs)| crate::operator::TransformerOption {
+                    name: name.into(),
+                    cost: per_record(secs),
+                    op: Box::new(Scale(c)),
+                })
+                .into()
+        }
+        fn name(&self) -> String {
+            "PickScale".into()
+        }
+    }
+    struct Scale(f64);
+    impl Transformer<f64, f64> for Scale {
+        fn apply(&self, x: &f64) -> f64 {
+            x * self.0
+        }
+    }
+
+    /// Selection rewrites a logical transformer's apply-path twin along
+    /// with its training-path node, so `apply` runs the option the fit
+    /// chose rather than the default.
+    #[test]
+    fn the_apply_path_runs_the_option_the_fit_chose() {
+        let pipe = Pipeline::<f64, f64>::input()
+            .and_then_optimizable(PickScale)
+            .and_then_est(CountedFit(Arc::new(AtomicUsize::new(0))), &counted_source());
+        let opts = crate::optimizer::PipelineOptions {
+            profile: counted_profile(),
+            ..crate::optimizer::PipelineOptions::full()
+        };
+        let ctx = ExecContext::default_cluster();
+        let (fitted, report) = pipe.fit(&ctx, &opts);
+        let choice = ("PickScale[x100]".to_string(), "x100".to_string());
+        assert_eq!(report.choices, vec![choice]);
+        let plan = fitted.plan();
+        for id in plan.apply_path() {
+            let node = &plan.graph().nodes[id];
+            if let NodeKind::Transform(op) = &node.kind {
+                assert!(
+                    op.physical_options().is_none(),
+                    "{} stayed logical",
+                    node.label
+                );
+                assert_eq!(node.label, "PickScale[x100]");
+            }
+        }
+        let test = DistCollection::from_vec(vec![1.0, 2.0], 1);
+        assert_eq!(fitted.apply(&test, &ctx).collect(), vec![100.0, 200.0]);
     }
 
     /// Identity model.

@@ -15,7 +15,7 @@
 //! * **unpaid-materialization** — an Algorithm-1 pick whose output was
 //!   never hit: budget spent for zero reuse (§4.3).
 //! * **misprediction** — the largest predicted-vs-actual runtime errors,
-//!   the signal adaptive re-optimization reads via [`crate::replanner_hints`].
+//!   the signal adaptive re-optimization reads via [`replanner_hints`].
 //! * **fusion-barrier** — unfused multi-span stages adjacent to fusion
 //!   barriers (materialization picks, multi-consumer nodes): where span
 //!   count — and per-record dispatch overhead — concentrates.
@@ -24,11 +24,15 @@
 //! * **recovery-overhead** — retry backoff (injected failures or panicking
 //!   operators) consuming an outsized share of the simulated clock.
 
-use keystone_core::graph::NodeId;
-use keystone_core::trace::TraceEvent;
+use std::collections::HashMap;
 
-use crate::artifact::{RunArtifact, RunKind};
 use keystone_dataflow::json::JVal;
+
+use super::artifact::{RunArtifact, RunKind};
+use super::NodeReport;
+use crate::graph::NodeId;
+use crate::optimizer::AdaptiveHints;
+use crate::trace::TraceEvent;
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -137,11 +141,10 @@ pub fn diagnose_with(artifact: &RunArtifact, opts: &DiagnoseOptions) -> Diagnosi
 /// observe → diagnose → re-plan loop: feed the result to
 /// [`PipelineOptions::with_adaptive_hints`].
 ///
-/// [`AdaptiveHints`]: keystone_core::optimizer::AdaptiveHints
 /// [`PipelineOptions::with_adaptive_hints`]:
-///     keystone_core::optimizer::PipelineOptions::with_adaptive_hints
-pub fn replanner_hints(diagnosis: &Diagnosis) -> keystone_core::optimizer::AdaptiveHints {
-    let mut hints = keystone_core::optimizer::AdaptiveHints::default();
+///     crate::optimizer::PipelineOptions::with_adaptive_hints
+pub fn replanner_hints(diagnosis: &Diagnosis) -> AdaptiveHints {
+    let mut hints = AdaptiveHints::default();
     for f in &diagnosis.findings {
         let Some(node) = f.node else { continue };
         match f.rule {
@@ -169,10 +172,11 @@ pub fn replanner_hints(diagnosis: &Diagnosis) -> keystone_core::optimizer::Adapt
 }
 
 fn detect_stragglers(artifact: &RunArtifact, opts: &DiagnoseOptions, out: &mut Vec<Finding>) {
-    for n in &artifact.nodes {
+    for n in &artifact.report.nodes {
         // Prefer the deterministic record-skew signal; fall back to busy
         // time when records are balanced but time is not (wall captures).
-        let (metric, ratio) = match (n.record_skew, n.time_skew) {
+        let time_skew = n.skew_ratio.filter(|_| !artifact.deterministic);
+        let (metric, ratio) = match (n.record_skew, time_skew) {
             (Some(r), _) if r > opts.skew_threshold => ("record_skew", r),
             (_, Some(t)) if t > opts.skew_threshold => ("time_skew", t),
             _ => continue,
@@ -200,8 +204,8 @@ fn detect_stragglers(artifact: &RunArtifact, opts: &DiagnoseOptions, out: &mut V
 fn detect_cache_thrash(artifact: &RunArtifact, out: &mut Vec<Finding>) {
     // Walk the event stream: a key that misses *after* being evicted was
     // thrashed — the eviction converted a future hit into a recompute.
-    let mut evicted: std::collections::HashMap<NodeId, u64> = std::collections::HashMap::new();
-    let mut thrash: std::collections::HashMap<NodeId, u64> = std::collections::HashMap::new();
+    let mut evicted: HashMap<NodeId, u64> = HashMap::new();
+    let mut thrash: HashMap<NodeId, u64> = HashMap::new();
     for e in &artifact.events {
         match &e.event {
             TraceEvent::CacheEvict { node } => {
@@ -242,8 +246,7 @@ fn detect_cache_thrash(artifact: &RunArtifact, out: &mut Vec<Finding>) {
 
 fn detect_unpaid_materialization(artifact: &RunArtifact, out: &mut Vec<Finding>) {
     // Saving estimates live on the pick events; hits live on the rows.
-    let mut est_saving: std::collections::HashMap<NodeId, (f64, u64)> =
-        std::collections::HashMap::new();
+    let mut est_saving: HashMap<NodeId, (f64, u64)> = HashMap::new();
     for e in &artifact.events {
         if let TraceEvent::MaterializePick {
             node,
@@ -255,7 +258,7 @@ fn detect_unpaid_materialization(artifact: &RunArtifact, out: &mut Vec<Finding>)
             est_saving.insert(*node, (*est_saving_secs, *size_bytes));
         }
     }
-    for &node in &artifact.plan.cache_set {
+    for &node in &artifact.cache_set {
         let hits = artifact.node(node).map(|n| n.cache.hits).unwrap_or(0);
         if hits > 0 {
             continue;
@@ -284,8 +287,8 @@ fn detect_mispredictions(artifact: &RunArtifact, opts: &DiagnoseOptions, out: &m
     // Compare the profiler's full-scale estimate against the charged
     // simulated seconds per execution — both virtual, so the signal
     // survives deterministic capture.
-    let mut missed: Vec<(f64, &crate::artifact::NodeRow, f64, f64)> = Vec::new();
-    for n in &artifact.nodes {
+    let mut missed: Vec<(f64, &NodeReport, f64, f64)> = Vec::new();
+    for n in &artifact.report.nodes {
         let (Some(pred), true) = (n.predicted_secs, n.execs > 0) else {
             continue;
         };
@@ -329,18 +332,18 @@ fn detect_fusion_barriers(artifact: &RunArtifact, out: &mut Vec<Finding>) {
     // as is every materialization pick. Rank barriers by the spans their
     // stage emitted — that's the per-record dispatch overhead fusion
     // could not remove.
-    let mut consumers: std::collections::HashMap<NodeId, u64> = std::collections::HashMap::new();
-    for n in &artifact.plan.nodes {
+    let mut consumers: HashMap<NodeId, u64> = HashMap::new();
+    for n in &artifact.graph.nodes {
         for &i in &n.inputs {
             *consumers.entry(i).or_insert(0) += 1;
         }
     }
     let mut worst: Option<(u64, NodeId, &'static str)> = None;
-    for n in &artifact.nodes {
+    for n in &artifact.report.nodes {
         if n.task_spans == 0 {
             continue;
         }
-        let reason = if artifact.plan.cache_set.contains(&n.node) {
+        let reason = if artifact.cache_set.contains(&n.node) {
             "materialization pick"
         } else if consumers.get(&n.node).copied().unwrap_or(0) > 1 {
             "multi-consumer output"
@@ -401,10 +404,10 @@ fn detect_recovery_overhead(
     opts: &DiagnoseOptions,
     out: &mut Vec<Finding>,
 ) {
-    if artifact.sim_total_secs <= 0.0 || artifact.recovery.recovery_secs <= 0.0 {
+    if artifact.sim_total_secs <= 0.0 || artifact.report.recovery.recovery_secs <= 0.0 {
         return;
     }
-    let share = artifact.recovery.recovery_secs / artifact.sim_total_secs;
+    let share = artifact.report.recovery.recovery_secs / artifact.sim_total_secs;
     if share <= opts.recovery_share_threshold {
         return;
     }
@@ -421,12 +424,12 @@ fn detect_recovery_overhead(
             "recovery (retry backoff) consumed {:.0}% of the simulated clock \
              ({} retries, {} cache losses)",
             share * 100.0,
-            artifact.recovery.retries,
-            artifact.recovery.cache_losses
+            artifact.report.recovery.retries,
+            artifact.report.recovery.cache_losses
         ),
         evidence: vec![
             ("recovery_share", share),
-            ("recovery_secs", artifact.recovery.recovery_secs),
+            ("recovery_secs", artifact.report.recovery.recovery_secs),
             ("sim_total_secs", artifact.sim_total_secs),
         ],
     });
@@ -513,55 +516,44 @@ impl Diagnosis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::{
-        CaptureOptions, NodeRow, PlanNode, PlanSection, ServeSection, SCHEMA_VERSION,
-    };
-    use keystone_core::trace::{CacheCounters, RecoveryStats, TracedEvent};
+    use crate::context::ExecContext;
+    use crate::graph::{Graph, NodeKind};
+    use crate::pipeline::ExecutablePlan;
+    use crate::report::{CaptureOptions, LedgerWindow, ServeSection};
+    use crate::trace::{CacheCounters, RecoveryStats, TracedEvent};
+    use std::sync::Arc;
 
     /// A hand-built artifact with a straggler, a thrashing cache key, an
     /// unpaid pick, and a fat misprediction — the synthetic run the
     /// acceptance criteria require the engine to diagnose.
     fn synthetic_artifact() -> RunArtifact {
-        let plan = PlanSection {
-            nodes: (0..4)
-                .map(|id| PlanNode {
-                    id,
-                    label: format!("n{id}"),
-                    kind: "transform",
-                    inputs: if id == 0 { vec![] } else { vec![id - 1] },
-                    fused_members: vec![],
-                    cached: id == 2,
-                })
-                .collect(),
-            output: 3,
-            cache_set: vec![2],
-            choices: vec![],
-            eliminated_nodes: 0,
-            fused_nodes: 0,
-        };
-        let row = |node: usize| NodeRow {
-            node,
-            label: format!("n{node}"),
-            predicted_secs: None,
-            predicted_out_bytes: None,
-            actual_wall_secs: None,
-            actual_sim_secs: 1.0,
-            actual_out_bytes: 0,
-            execs: 1,
-            cache: CacheCounters::default(),
-            task_spans: 4,
-            partitions: 4,
-            time_skew: None,
-            record_skew: Some(1.0),
-            retries: 0,
-            recovery_secs: 0.0,
-            adapt: None,
-        };
-        let mut nodes = vec![row(0), row(1), row(2), row(3)];
+        let mut g = Graph::new();
+        for id in 0..4 {
+            let inputs = if id == 0 { vec![] } else { vec![id - 1] };
+            g.add(NodeKind::RuntimeInput, inputs, format!("n{id}"));
+        }
+        let plan = ExecutablePlan::new(Arc::new(g), 3, HashMap::new(), Arc::new(HashMap::new()));
+        let ctx = ExecContext::default_cluster();
+        let opts = CaptureOptions::default();
+        let mut a = RunArtifact::capture_apply(&plan, LedgerWindow::default(), None, &ctx, &opts);
+        a.kind = RunKind::Fit;
+        a.cache_set = vec![2];
+        a.report.nodes = (0..4)
+            .map(|node| NodeReport {
+                node,
+                label: format!("n{node}"),
+                actual_sim_secs: 1.0,
+                execs: 1,
+                task_spans: 4,
+                partitions: 4,
+                record_skew: Some(1.0),
+                ..NodeReport::default()
+            })
+            .collect();
         // Node 1: 10x record skew — straggler (critical: > 4× threshold).
-        nodes[1].record_skew = Some(10.0);
+        a.report.nodes[1].record_skew = Some(10.0);
         // Node 2: materialization pick with zero hits — unpaid.
-        nodes[2].cache = CacheCounters {
+        a.report.nodes[2].cache = CacheCounters {
             hits: 0,
             misses: 3,
             admissions: 2,
@@ -569,10 +561,10 @@ mod tests {
             rejections: 0,
         };
         // Node 3: predicted 0.1s, charged 1.0s per exec — 90% off.
-        nodes[3].predicted_secs = Some(0.1);
+        a.report.nodes[3].predicted_secs = Some(0.1);
         // Event stream: node 2 admitted, evicted, then missed again (twice)
         // — cache thrash.
-        let events: Vec<TracedEvent> = [
+        a.events = [
             TraceEvent::CacheMiss { node: 2 },
             TraceEvent::CacheAdmit { node: 2, bytes: 64 },
             TraceEvent::CacheEvict { node: 2 },
@@ -588,28 +580,13 @@ mod tests {
             event,
         })
         .collect();
-        RunArtifact {
-            schema_version: SCHEMA_VERSION,
-            kind: RunKind::Fit,
-            deterministic: true,
-            label: "synthetic".into(),
-            optimize_secs: None,
-            plan,
-            nodes,
-            sim_entries: vec![],
-            sim_total_secs: 4.0,
-            sim_by_stage: vec![],
-            events,
-            spans: vec![],
-            recovery: RecoveryStats {
-                retries: 3,
-                cache_losses: 1,
-                recovery_secs: 1.0,
-            },
-            serve: None,
-            adaptation: None,
-            tenants: vec![],
-        }
+        a.sim_total_secs = 4.0;
+        a.report.recovery = RecoveryStats {
+            retries: 3,
+            cache_losses: 1,
+            recovery_secs: 1.0,
+        };
+        a
     }
 
     #[test]
@@ -637,6 +614,7 @@ mod tests {
         let thrash = d.rule("cache-thrash");
         assert_eq!(thrash.len(), 1, "{}", d.render_text());
         assert_eq!(thrash[0].node, Some(2));
+        assert_eq!(thrash[0].label.as_deref(), Some("n2"));
         assert_eq!(thrash[0].evidence[0], ("evict_then_miss", 2.0));
 
         let miss = d.rule("misprediction");
@@ -655,6 +633,17 @@ mod tests {
     }
 
     #[test]
+    fn deterministic_captures_ignore_wall_skew() {
+        let mut a = synthetic_artifact();
+        a.report.nodes[1].record_skew = Some(1.0);
+        a.report.nodes[1].skew_ratio = Some(10.0);
+        assert!(diagnose(&a).rule("straggler").is_empty());
+        a.deterministic = false;
+        let d = diagnose(&a);
+        assert_eq!(d.rule("straggler")[0].evidence[0], ("time_skew", 10.0));
+    }
+
+    #[test]
     fn findings_order_is_severity_then_rule_then_node() {
         let d = diagnose(&synthetic_artifact());
         let severities: Vec<Severity> = d.findings.iter().map(|f| f.severity).collect();
@@ -670,10 +659,10 @@ mod tests {
     #[test]
     fn healthy_artifact_yields_no_findings() {
         let mut a = synthetic_artifact();
-        a.nodes = vec![];
-        a.plan.cache_set.clear();
+        a.report.nodes = vec![];
+        a.cache_set.clear();
         a.events.clear();
-        a.recovery = RecoveryStats::default();
+        a.report.recovery = RecoveryStats::default();
         let d = diagnose(&a);
         assert!(d.findings.is_empty(), "{}", d.render_text());
         assert!(d.render_text().contains("healthy"));
@@ -684,10 +673,10 @@ mod tests {
     fn serve_linger_fires_when_waiting_dominates() {
         let mut a = synthetic_artifact();
         a.kind = RunKind::Serve;
-        a.nodes = vec![];
-        a.plan.cache_set.clear();
+        a.report.nodes = vec![];
+        a.cache_set.clear();
         a.events.clear();
-        a.recovery = RecoveryStats::default();
+        a.report.recovery = RecoveryStats::default();
         a.serve = Some(ServeSection {
             admitted: 100,
             rejected: 0,
@@ -722,7 +711,5 @@ mod tests {
         assert!(text.contains("record_skew"));
         let json = d.to_json();
         assert!(keystone_dataflow::json::parse(&json).is_ok());
-        // Silence the unused-import lint for CaptureOptions in this module.
-        let _ = CaptureOptions::default();
     }
 }

@@ -1,16 +1,43 @@
-//! The [`PipelineReport`]: optimizer predictions joined against executor
-//! actuals.
+//! The account of a run: predictions joined against actuals, the
+//! flight-recorder artifact, and the diagnosis over it.
 //!
 //! The paper's §4.1 claims execution subsampling predicts memory "nearly
-//! perfectly" and runtimes within ~15%. This module makes that claim
-//! checkable on every fit: each node's profiled estimate
+//! perfectly" and runtimes within ~15%. The [`PipelineReport`] makes that
+//! claim checkable on every fit: each node's profiled estimate
 //! ([`NodeProfile::est_secs`] / [`NodeProfile::est_output_bytes`]) is joined
-//! against what the [`Tracer`](crate::trace::Tracer) actually observed —
-//! wall/simulated seconds, execution counts, output bytes, and cache
-//! hit/miss counters — with per-node relative errors.
+//! against what the [`Tracer`] actually observed —
+//! wall/simulated seconds, execution counts, output bytes, cache hit/miss
+//! counters and the task spans' skew — with per-node relative errors, one
+//! [`NodeReport`] per node.
 //!
-//! Reports serialize to JSON as one [`JVal`] document and render as a
-//! fixed-width table for terminals.
+//! A [`RunArtifact`] persists one fit, apply or serving run as versioned,
+//! deterministic JSON: the plan's graph, those same [`NodeReport`] rows,
+//! the trace events, task spans and simulated-clock ledger, keyed by plan
+//! node id. [`diagnose()`] runs rule-based detectors over it and emits
+//! structured [`Finding`]s — stragglers, cache thrash, unpaid
+//! materialization picks, mispredictions, fusion barriers, linger-bound
+//! serving, recovery overhead — each with severity and evidence.
+//!
+//! The invariant, inherited from the dual-clock design: **virtual
+//! quantities are deterministic, wall quantities are not.** Captured in
+//! deterministic mode (the default), two identical seeded runs serialize
+//! to byte-identical JSON, which is what lets CI verify an artifact by
+//! re-running and comparing bytes, and the goldens pin its simulated
+//! seconds across commits. Wall-clock performance is gated by
+//! `scripts/perf_smoke.sh` over the `perf/` benchmark, not here.
+//!
+//! [`NodeProfile::est_secs`]: crate::profiler::NodeProfile::est_secs
+//! [`NodeProfile::est_output_bytes`]: crate::profiler::NodeProfile::est_output_bytes
+
+pub mod artifact;
+pub mod diagnose;
+
+pub use artifact::{
+    schema_version_of, CaptureOptions, RunArtifact, RunKind, ServeSection, SCHEMA_VERSION,
+};
+pub use diagnose::{
+    diagnose, diagnose_with, replanner_hints, DiagnoseOptions, Diagnosis, Finding, Severity,
+};
 
 use std::collections::HashMap;
 
@@ -22,8 +49,9 @@ use crate::graph::{Graph, NodeId};
 use crate::profiler::PipelineProfile;
 use crate::trace::{CacheCounters, RecoveryStats, Tracer};
 
-/// One node's predicted-vs-actual row.
-#[derive(Debug, Clone)]
+/// One node's predicted-vs-actual row: the report's and the run
+/// artifact's one per-node row.
+#[derive(Debug, Clone, Default)]
 pub struct NodeReport {
     /// Node id in the executed graph.
     pub node: NodeId,
@@ -59,6 +87,9 @@ pub struct NodeReport {
     /// Max / median per-partition busy time across the node's spans.
     /// `None` when the node emitted no spans.
     pub skew_ratio: Option<f64>,
+    /// Max / median per-partition input records across the same spans —
+    /// the seed-pure skew signal.
+    pub record_skew: Option<f64>,
     /// Busy wall time ÷ (lanes × stage span), clamped to 1.0.
     pub utilization: Option<f64>,
     /// Recovery work this node's executions absorbed: retries, lost cache
@@ -93,7 +124,11 @@ impl NodeReport {
         }
     }
 
-    fn to_jval(&self) -> JVal {
+    /// The one JSON form of a row (the report's and the run artifact's
+    /// `nodes`). `deterministic` nulls the wall-derived fields:
+    /// `actual_wall_secs`, `time_rel_error`, `skew_ratio`, `utilization`.
+    pub fn to_jval(&self, deterministic: bool) -> JVal {
+        let wall = |v: Option<f64>| JVal::opt_num(v.filter(|_| !deterministic));
         let members = self.fused_members.iter().map(|m| JVal::str(m));
         let predicted_out_bytes = JVal::opt_num(self.predicted_out_bytes);
         let r = &self.recovery;
@@ -102,17 +137,18 @@ impl NodeReport {
             ("label", JVal::str(&self.label)),
             ("predicted_secs", JVal::opt_num(self.predicted_secs)),
             ("predicted_out_bytes", predicted_out_bytes),
-            ("actual_wall_secs", JVal::Num(self.actual_wall_secs)),
+            ("actual_wall_secs", wall(Some(self.actual_wall_secs))),
             ("actual_sim_secs", JVal::Num(self.actual_sim_secs)),
             ("actual_out_bytes", JVal::UInt(self.actual_out_bytes)),
             ("execs", JVal::UInt(self.execs)),
             ("cache", self.cache.to_jval()),
-            ("time_rel_error", JVal::opt_num(self.time_rel_error)),
+            ("time_rel_error", wall(self.time_rel_error)),
             ("bytes_rel_error", JVal::opt_num(self.bytes_rel_error)),
             ("task_spans", JVal::UInt(self.task_spans)),
             ("partitions", JVal::UInt(self.partitions)),
-            ("skew_ratio", JVal::opt_num(self.skew_ratio)),
-            ("utilization", JVal::opt_num(self.utilization)),
+            ("skew_ratio", wall(self.skew_ratio)),
+            ("record_skew", JVal::opt_num(self.record_skew)),
+            ("utilization", wall(self.utilization)),
             ("retries", JVal::UInt(r.retries)),
             ("recovery_secs", JVal::Num(r.recovery_secs)),
             ("fused_members", JVal::Arr(members.collect())),
@@ -175,8 +211,9 @@ pub struct LedgerWindow {
 }
 
 impl LedgerWindow {
-    /// Opens a window at the context's current ledger ends.
-    pub(crate) fn open(ctx: &ExecContext) -> Self {
+    /// Opens a window at the context's current ledger ends: open one before
+    /// a run to capture that run alone from a reused context.
+    pub fn open(ctx: &ExecContext) -> Self {
         LedgerWindow {
             events: ctx.tracer.len(),
             spans: ctx.metrics.span_count(),
@@ -324,6 +361,7 @@ impl PipelineReport {
                 task_spans: skew.map_or(0, |s| s.tasks as u64),
                 partitions: skew.map_or(0, |s| s.partitions as u64),
                 skew_ratio: skew.map(|s| s.skew_ratio),
+                record_skew: skew.map(|s| s.record_skew),
                 utilization: skew.map(|s| s.utilization),
                 recovery: recovery.get(&id).copied().unwrap_or_default(),
                 fused_members,
@@ -384,7 +422,7 @@ impl PipelineReport {
     fn to_jval(&self) -> JVal {
         let r = &self.recovery;
         let tenants = self.tenants.iter().map(TenantRow::to_jval);
-        let nodes = self.nodes.iter().map(NodeReport::to_jval);
+        let nodes = self.nodes.iter().map(|n| n.to_jval(false));
         JVal::obj(vec![
             ("events", JVal::UInt(self.events as u64)),
             ("cache_hits", JVal::UInt(self.cache_hits)),
@@ -624,24 +662,16 @@ mod tests {
     #[test]
     fn miss_diagnosis_classifies_uniform_and_accurate_rows() {
         let base = NodeReport {
-            node: 0,
             label: "x".into(),
             predicted_secs: Some(1.0),
-            predicted_out_bytes: None,
             actual_wall_secs: 2.0,
-            actual_sim_secs: 0.0,
-            actual_out_bytes: 0,
             execs: 1,
-            cache: CacheCounters::default(),
             time_rel_error: Some(0.5),
-            bytes_rel_error: None,
             task_spans: 4,
             partitions: 4,
             skew_ratio: Some(1.1),
             utilization: Some(0.9),
-            recovery: RecoveryStats::default(),
-            fused_members: Vec::new(),
-            adapt: None,
+            ..NodeReport::default()
         };
         // Even load but 50% off → uniform mis-estimate.
         assert_eq!(base.miss_diagnosis(0.15), Some("uniform"));

@@ -246,6 +246,197 @@ pub enum TraceEvent {
     },
 }
 
+impl TraceEvent {
+    /// The one JSON form of an event (a run artifact's `events` rows): a
+    /// `type` tag plus the variant's fields. `deterministic` nulls the one
+    /// wall-clock field, `NodeEnd.wall_secs`.
+    pub fn to_jval(&self, deterministic: bool) -> JVal {
+        let id = |n: &NodeId| JVal::UInt(*n as u64);
+        let ids = |ns: &[NodeId]| JVal::Arr(ns.iter().map(id).collect());
+        let (kind, mut pairs) = match self {
+            TraceEvent::NodeStart { node, label } => (
+                "node_start",
+                vec![("node", id(node)), ("label", JVal::str(label))],
+            ),
+            TraceEvent::NodeEnd {
+                node,
+                label,
+                records,
+                out_bytes,
+                wall_secs,
+                sim_secs,
+            } => (
+                "node_end",
+                vec![
+                    ("node", id(node)),
+                    ("label", JVal::str(label)),
+                    ("records", JVal::UInt(*records as u64)),
+                    ("out_bytes", JVal::UInt(*out_bytes)),
+                    (
+                        "wall_secs",
+                        JVal::opt_num((!deterministic).then_some(*wall_secs)),
+                    ),
+                    ("sim_secs", JVal::Num(*sim_secs)),
+                ],
+            ),
+            TraceEvent::CacheHit { node } => ("cache_hit", vec![("node", id(node))]),
+            TraceEvent::CacheMiss { node } => ("cache_miss", vec![("node", id(node))]),
+            TraceEvent::CacheAdmit { node, bytes } => (
+                "cache_admit",
+                vec![("node", id(node)), ("bytes", JVal::UInt(*bytes))],
+            ),
+            TraceEvent::CacheEvict { node } => ("cache_evict", vec![("node", id(node))]),
+            TraceEvent::CacheReject { node } => ("cache_reject", vec![("node", id(node))]),
+            TraceEvent::CacheLost { node } => ("cache_lost", vec![("node", id(node))]),
+            TraceEvent::OperatorChoice {
+                node,
+                label,
+                chosen,
+                candidates,
+            } => {
+                let candidates = candidates.iter().map(|c| {
+                    JVal::obj(vec![
+                        ("name", JVal::str(&c.name)),
+                        ("est_secs", JVal::Num(c.est_secs)),
+                    ])
+                });
+                let fields = vec![
+                    ("node", id(node)),
+                    ("label", JVal::str(label)),
+                    ("chosen", JVal::str(chosen)),
+                    ("candidates", JVal::Arr(candidates.collect())),
+                ];
+                ("operator_choice", fields)
+            }
+            TraceEvent::CseMerge {
+                kept,
+                label,
+                duplicates,
+            } => (
+                "cse_merge",
+                vec![
+                    ("node", id(kept)),
+                    ("label", JVal::str(label)),
+                    ("duplicates", JVal::UInt(*duplicates as u64)),
+                ],
+            ),
+            TraceEvent::MaterializePick {
+                node,
+                label,
+                est_saving_secs,
+                size_bytes,
+            } => (
+                "materialize_pick",
+                vec![
+                    ("node", id(node)),
+                    ("label", JVal::str(label)),
+                    ("est_saving_secs", JVal::Num(*est_saving_secs)),
+                    ("size_bytes", JVal::UInt(*size_bytes)),
+                ],
+            ),
+            TraceEvent::TaskRetry {
+                node,
+                partition,
+                attempt,
+                backoff_secs,
+            } => (
+                "task_retry",
+                vec![
+                    ("node", id(node)),
+                    ("partition", JVal::UInt(*partition as u64)),
+                    ("attempt", JVal::UInt(*attempt as u64)),
+                    ("backoff_secs", JVal::Num(*backoff_secs)),
+                ],
+            ),
+            TraceEvent::FusionMerge {
+                node,
+                label,
+                members,
+            } => {
+                let members = members.iter().map(|m| JVal::str(m));
+                let fields = vec![
+                    ("node", id(node)),
+                    ("label", JVal::str(label)),
+                    ("members", JVal::Arr(members.collect())),
+                ];
+                ("fusion_merge", fields)
+            }
+            TraceEvent::ServeBatch {
+                batch,
+                size,
+                dispatch_secs,
+                linger_secs,
+                execute_secs,
+            } => (
+                "serve_batch",
+                vec![
+                    ("batch", JVal::UInt(*batch)),
+                    ("size", JVal::UInt(*size as u64)),
+                    ("dispatch_secs", JVal::Num(*dispatch_secs)),
+                    ("linger_secs", JVal::Num(*linger_secs)),
+                    ("execute_secs", JVal::Num(*execute_secs)),
+                ],
+            ),
+            TraceEvent::ServeReject {
+                request,
+                at_secs,
+                queue_depth,
+            } => (
+                "serve_reject",
+                vec![
+                    ("request", JVal::UInt(*request)),
+                    ("at_secs", JVal::Num(*at_secs)),
+                    ("queue_depth", JVal::UInt(*queue_depth as u64)),
+                ],
+            ),
+            TraceEvent::Recalibrate {
+                node,
+                label,
+                observed_requests,
+                predicted_requests,
+            } => (
+                "recalibrate",
+                vec![
+                    ("node", id(node)),
+                    ("label", JVal::str(label)),
+                    ("observed_requests", JVal::UInt(*observed_requests)),
+                    ("predicted_requests", JVal::Num(*predicted_requests)),
+                ],
+            ),
+            TraceEvent::PlanRevision {
+                wave,
+                promoted,
+                evicted,
+                predicted_saving_secs,
+            } => (
+                "plan_revision",
+                vec![
+                    ("wave", JVal::UInt(*wave)),
+                    ("promoted", ids(promoted)),
+                    ("evicted", ids(evicted)),
+                    ("predicted_saving_secs", JVal::Num(*predicted_saving_secs)),
+                ],
+            ),
+            TraceEvent::CrossCseMerge {
+                node,
+                label,
+                tenants,
+                signature,
+            } => (
+                "cross_cse_merge",
+                vec![
+                    ("node", id(node)),
+                    ("label", JVal::str(label)),
+                    ("tenants", JVal::UInt(*tenants as u64)),
+                    ("signature", JVal::UInt(*signature)),
+                ],
+            ),
+        };
+        pairs.push(("type", JVal::str(kind)));
+        JVal::obj(pairs)
+    }
+}
+
 /// Aggregate recovery statistics derived from the event stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RecoveryStats {
@@ -287,6 +478,17 @@ pub struct TracedEvent {
     pub seq: u64,
     /// The event.
     pub event: TraceEvent,
+}
+
+impl TracedEvent {
+    /// [`TraceEvent::to_jval`] plus the event's `seq`.
+    pub fn to_jval(&self, deterministic: bool) -> JVal {
+        let mut row = self.event.to_jval(deterministic);
+        if let JVal::Obj(pairs) = &mut row {
+            pairs.push(("seq".to_string(), JVal::UInt(self.seq)));
+        }
+        row
+    }
 }
 
 /// Per-node cache counters derived from the event stream.

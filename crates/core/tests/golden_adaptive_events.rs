@@ -10,7 +10,7 @@
 //! To regenerate after an intentional format change:
 //!
 //! ```text
-//! GOLDEN_UPDATE=1 cargo test -p keystone-obs --test golden_adaptive_events
+//! GOLDEN_UPDATE=1 cargo test -p keystone-core --test golden_adaptive_events
 //! ```
 
 use keystone_core::context::ExecContext;
@@ -18,8 +18,8 @@ use keystone_core::operator::{Estimator, Transformer};
 use keystone_core::optimizer::PipelineOptions;
 use keystone_core::pipeline::{gather, Pipeline};
 use keystone_core::profiler::ProfileOptions;
+use keystone_core::report::{CaptureOptions, RunArtifact};
 use keystone_dataflow::collection::DistCollection;
-use keystone_obs::{CaptureOptions, RunArtifact};
 
 struct WideLift;
 impl Transformer<Vec<f64>, Vec<f64>> for WideLift {
@@ -165,7 +165,7 @@ fn adaptive_fit_artifact_matches_golden_bytes() {
         expected, actual,
         "adaptive artifact drifted from its golden file; if intentional, bump \
          SCHEMA_VERSION when the layout changed shape and regenerate with \
-         GOLDEN_UPDATE=1 cargo test -p keystone-obs --test golden_adaptive_events"
+         GOLDEN_UPDATE=1 cargo test -p keystone-core --test golden_adaptive_events"
     );
 }
 

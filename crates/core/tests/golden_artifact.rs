@@ -10,7 +10,7 @@
 //! [`SCHEMA_VERSION`] if the layout changed shape):
 //!
 //! ```text
-//! GOLDEN_UPDATE=1 cargo test -p keystone-obs --test golden_artifact
+//! GOLDEN_UPDATE=1 cargo test -p keystone-core --test golden_artifact
 //! ```
 
 use keystone_core::context::ExecContext;
@@ -18,8 +18,8 @@ use keystone_core::operator::{Estimator, Transformer};
 use keystone_core::optimizer::PipelineOptions;
 use keystone_core::pipeline::Pipeline;
 use keystone_core::profiler::ProfileOptions;
+use keystone_core::report::{schema_version_of, CaptureOptions, RunArtifact, SCHEMA_VERSION};
 use keystone_dataflow::collection::DistCollection;
-use keystone_obs::{schema_version_of, CaptureOptions, RunArtifact, SCHEMA_VERSION};
 
 struct Double;
 impl Transformer<f64, f64> for Double {
@@ -97,7 +97,7 @@ fn fit_artifact_matches_golden_bytes() {
         expected, actual,
         "RunArtifact JSON drifted from its golden file. If the change is \
          intentional, bump SCHEMA_VERSION when the layout changed shape and \
-         regenerate: GOLDEN_UPDATE=1 cargo test -p keystone-obs --test golden_artifact"
+         regenerate: GOLDEN_UPDATE=1 cargo test -p keystone-core --test golden_artifact"
     );
 }
 

@@ -238,6 +238,9 @@ pub struct StageSkew {
     pub p99_secs: f64,
     /// `max / median` partition time — 1.0 is perfectly balanced.
     pub skew_ratio: f64,
+    /// `max / median` per-partition input records (`items_in`): the
+    /// seed-pure skew signal, where `skew_ratio` reads the wall clock.
+    pub record_skew: f64,
     /// Straggler flag: the slowest partition took more than twice the
     /// median, the regime where "slowest worker" pricing diverges from
     /// uniform-split pricing.
@@ -250,12 +253,14 @@ pub struct StageSkew {
 impl StageSkew {
     fn from_spans(stage: String, stage_id: Option<u64>, spans: &[&TaskSpan]) -> StageSkew {
         let mut per_partition: HashMap<usize, f64> = HashMap::new();
+        let mut records: HashMap<usize, u64> = HashMap::new();
         let mut lanes: std::collections::HashSet<usize> = std::collections::HashSet::new();
         let mut start = u64::MAX;
         let mut end = 0u64;
         let mut total = 0.0;
         for s in spans {
             *per_partition.entry(s.partition).or_insert(0.0) += s.duration_secs();
+            *records.entry(s.partition).or_insert(0) += s.items_in;
             lanes.insert(s.worker);
             start = start.min(s.start_us);
             end = end.max(s.end_us);
@@ -277,6 +282,10 @@ impl StageSkew {
         } else {
             1.0
         };
+        let mut counts: Vec<u64> = records.into_values().collect();
+        counts.sort_unstable();
+        let record_skew =
+            counts[counts.len() - 1] as f64 / counts[(counts.len() - 1) / 2].max(1) as f64;
         let span_secs = end.saturating_sub(start) as f64 / 1e6;
         let utilization = if span_secs > 0.0 && !lanes.is_empty() {
             (total / (lanes.len() as f64 * span_secs)).min(1.0)
@@ -294,6 +303,7 @@ impl StageSkew {
             median_secs,
             p99_secs,
             skew_ratio,
+            record_skew,
             straggler: median_secs > 0.0 && max_secs > 2.0 * median_secs,
             utilization,
         }
@@ -483,6 +493,25 @@ mod tests {
         assert!(s.straggler);
         // Busy 0.08s over 2 lanes × 0.06s span.
         assert!((s.utilization - 0.08 / 0.12).abs() < 1e-9);
+    }
+
+    #[test]
+    fn record_skew_flags_the_fat_partition_from_counts_alone() {
+        let r = MetricsRegistry::new();
+        // Equal busy time, but partition 0 reads 8x the records.
+        r.record_spans(
+            [80u64, 10, 10, 10]
+                .into_iter()
+                .enumerate()
+                .map(|(p, items)| TaskSpan {
+                    items_in: items,
+                    ..span("s", p, 0, 0, 10)
+                })
+                .collect(),
+        );
+        let s = &r.stage_skew()[0];
+        assert!((s.record_skew - 8.0).abs() < 1e-12);
+        assert!((s.skew_ratio - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -26,6 +26,7 @@ use keystone_core::context::ExecContext;
 use keystone_core::operator::AnyData;
 use keystone_core::pipeline::{ExecutablePlan, FittedPipeline};
 use keystone_core::record::Record;
+use keystone_core::report::ServeSection;
 use keystone_core::trace::TraceEvent;
 use keystone_dataflow::cache::{CacheManager, CachePolicy};
 use keystone_dataflow::collection::DistCollection;
@@ -113,6 +114,23 @@ impl<B> ServeOutcome<B> {
     /// The outputs in id order.
     pub fn outputs(&self) -> Vec<&B> {
         self.responses.iter().map(|r| &r.output).collect()
+    }
+
+    /// The run artifact's latency section: this outcome, payloads dropped.
+    pub fn section(&self) -> ServeSection {
+        let total = |part: fn(&Response<B>) -> f64| self.responses.iter().map(part).sum();
+        ServeSection {
+            admitted: self.responses.len() as u64,
+            rejected: self.rejects.len() as u64,
+            batches: self.batches.len() as u64,
+            max_queue_depth: self.max_queue_depth as u64,
+            makespan_secs: self.makespan_secs,
+            queue_secs_total: total(|r| r.timing.queue_secs),
+            linger_secs_total: total(|r| r.timing.batch_secs),
+            execute_secs_total: total(|r| r.timing.execute_secs),
+            p50_latency_secs: self.latency_percentile(50.0),
+            p99_latency_secs: self.latency_percentile(99.0),
+        }
     }
 }
 

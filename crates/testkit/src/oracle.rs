@@ -16,12 +16,15 @@
 //! static twin: adaptation is *cost-only*, so it may never increase the
 //! simulated fit cost beyond the charged decision overhead, and when no
 //! revision fires the two twins must agree to the last bit of the clock.
+//! After every `OptLevel::Full` fit no apply-path node may still be a
+//! logical operator: the apply path runs what operator selection chose.
 //! Any divergence produces a report carrying the seed, the generated
 //! recipe, the DAG summary, and the one-command repro.
 
 use std::collections::{HashMap, HashSet};
 
 use keystone_core::context::ExecContext;
+use keystone_core::graph::NodeKind;
 use keystone_core::optimizer::{
     build_mat_problem, fit_roots, CachingStrategy, OptLevel, PipelineOptions, ADAPT_DECISION_SECS,
 };
@@ -196,6 +199,9 @@ pub struct CellRun {
     pub sim_fit_secs: f64,
     /// Applied (non-empty) mid-fit plan revisions.
     pub revisions: u64,
+    /// Apply-path nodes that still expose physical options after an
+    /// `OptLevel::Full` fit: each must run the option selection chose.
+    pub logical_on_apply_path: Vec<String>,
 }
 
 /// Fits the seed's pipeline under `cell` and returns the held-out
@@ -211,6 +217,15 @@ pub fn run_cell(seed: u64, cell: &MatrixCell) -> CellRun {
     let sim_fit_secs = ctx.sim.total_seconds();
     let mut mat_picks: Vec<usize> = report.cache_set.iter().copied().collect();
     mat_picks.sort_unstable();
+    let plan = fitted.plan();
+    let selected = cell.opts.level == OptLevel::Full;
+    let logical_on_apply_path = plan
+        .apply_path()
+        .into_iter()
+        .map(|id| &plan.graph().nodes[id])
+        .filter(|n| matches!(&n.kind, NodeKind::Transform(op) if selected && op.physical_options().is_some()))
+        .map(|n| n.label.clone())
+        .collect();
     let bits = fitted
         .apply(&test, &ctx)
         .collect()
@@ -222,6 +237,7 @@ pub fn run_cell(seed: u64, cell: &MatrixCell) -> CellRun {
         mat_picks,
         sim_fit_secs,
         revisions: report.adaptation.revisions.len() as u64,
+        logical_on_apply_path,
     }
 }
 
@@ -250,6 +266,14 @@ pub fn check_seed(seed: u64) -> Result<SeedReport, String> {
     let mut static_twins: HashMap<String, (&str, f64, Vec<usize>)> = HashMap::new();
     for cell in &cells {
         let run = run_cell(seed, cell);
+        if !run.logical_on_apply_path.is_empty() {
+            return Err(format!(
+                "`{}` applies logical operators {:?} instead of the fit's choice\n{}",
+                cell.name,
+                run.logical_on_apply_path,
+                failure_report(seed, &cell.name, &cell.name)
+            ));
+        }
         match &baseline {
             None => baseline = Some((&cell.name, run.bits)),
             Some((base_name, base_out)) => {

@@ -27,7 +27,6 @@
 //! `KEYSTONE_DIAGNOSE_FAIL_ON` (`info`|`warning`|`critical`; default
 //! `critical`) — which is how CI uses this example as a health gate.
 
-use keystone_obs::{diagnose, CaptureOptions, RunArtifact, Severity};
 use keystoneml::prelude::*;
 
 /// Busy-waits per record so partition runtime tracks partition size.

@@ -25,9 +25,10 @@
 //! ```
 
 pub use keystone_core as core;
+/// The run report, flight recorder and diagnosis ([`keystone_core::report`]).
+pub use keystone_core::report as obs;
 pub use keystone_dataflow as dataflow;
 pub use keystone_linalg as linalg;
-pub use keystone_obs as obs;
 pub use keystone_ops as ops;
 pub use keystone_serve as serve;
 pub use keystone_solvers as solvers;
@@ -48,7 +49,10 @@ pub mod prelude {
     pub use keystone_core::pipeline::{gather, FitReport, FittedPipeline, Pipeline};
     pub use keystone_core::profiler::ProfileOptions;
     pub use keystone_core::record::{DataStats, Record};
-    pub use keystone_core::report::{NodeReport, PipelineReport, TenantRow};
+    pub use keystone_core::report::{
+        diagnose, replanner_hints, CaptureOptions, Diagnosis, Finding, NodeReport, PipelineReport,
+        RunArtifact, Severity, TenantRow,
+    };
     pub use keystone_core::trace::{RecoveryStats, TraceEvent, TracedEvent, Tracer};
     pub use keystone_dataflow::cluster::{ClusterProfile, ResourceDesc};
     pub use keystone_dataflow::collection::DistCollection;
@@ -56,9 +60,6 @@ pub mod prelude {
     pub use keystone_dataflow::faults::{FaultPlan, FaultSpec};
     pub use keystone_dataflow::metrics::{MetricsRegistry, StageSkew, TaskSpan};
     pub use keystone_linalg::{DenseMatrix, SparseVector};
-    pub use keystone_obs::{
-        diagnose, replanner_hints, CaptureOptions, Diagnosis, Finding, RunArtifact, Severity,
-    };
     pub use keystone_ops::eval::{accuracy, top_k_error};
     pub use keystone_serve::{BatchPolicy, Request, Response, ServeOutcome, Server};
     pub use keystone_solvers::solver_op::LinearSolverOp;

@@ -1,6 +1,7 @@
 //! End-to-end integration tests: the VOC-style Fisher-vector pipeline and
 //! the CIFAR-style convolutional pipeline on synthetic texture classes.
 
+use keystoneml::core::graph::NodeKind;
 use keystoneml::prelude::*;
 use keystoneml::solvers::logistic::one_hot;
 use keystoneml::workloads::image_gen::ImageDatasetSpec;
@@ -68,6 +69,27 @@ fn cifar_pipeline_learns_and_selects_convolver() {
         matches!(conv_choice.as_deref(), Some("blas") | Some("fft")),
         "unexpected convolver choice {:?} (random filters are not separable)",
         conv_choice
+    );
+    // The apply path runs that choice, not the default option (fused or
+    // not: a fused node's members carry their own labels).
+    let plan = fitted.plan();
+    let conv_apply = plan
+        .apply_path()
+        .into_iter()
+        .flat_map(|id| {
+            let node = &plan.graph().nodes[id];
+            match &node.kind {
+                NodeKind::Transform(op) => op.fused_members(),
+                _ => None,
+            }
+            .unwrap_or_else(|| vec![node.label.clone()])
+        })
+        .find(|l| l.contains("Convolver"))
+        .expect("an apply-path Convolver");
+    let suffix = format!("[{}]", conv_choice.expect("a Convolver choice"));
+    assert!(
+        conv_apply.ends_with(&suffix),
+        "apply-path node `{conv_apply}` does not run the fit's choice {suffix}"
     );
     let acc = accuracy(
         &predictions(&fitted.apply(&test.images, &ctx)),

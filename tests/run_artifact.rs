@@ -7,12 +7,14 @@
 //!    cache-thrash findings the run was engineered to contain, with the
 //!    evidence pointing at the right plan nodes;
 //!
-//! plus two properties of how it is assembled: a fit artifact covers that
-//! fit alone even on a reused context, and every section it shares with
-//! the report is that value's own `to_jval`.
+//! plus two properties of how it is assembled: an artifact covers its own
+//! run alone even on a reused context, and every section and node row it
+//! shares with the report is that value's own `to_jval`.
 
-use keystone_obs::{diagnose, CaptureOptions, RunArtifact, RunKind, ServeSection, SCHEMA_VERSION};
 use keystoneml::dataflow::json::{parse, JVal, Value};
+use keystoneml::obs::{
+    diagnose, schema_version_of, CaptureOptions, LedgerWindow, RunArtifact, RunKind, SCHEMA_VERSION,
+};
 use keystoneml::prelude::*;
 use keystoneml::serve::LoadGen;
 
@@ -114,7 +116,7 @@ fn two_identical_seeded_runs_are_byte_identical() {
         ja, jb,
         "deterministic capture must serialize identical runs to identical bytes"
     );
-    assert_eq!(keystone_obs::schema_version_of(&ja), Some(SCHEMA_VERSION));
+    assert_eq!(schema_version_of(&ja), Some(SCHEMA_VERSION));
 }
 
 #[test]
@@ -143,7 +145,7 @@ fn diagnosis_surfaces_straggler_and_cache_thrash_on_a_real_fit() {
     // a real plan node.
     for f in &d.findings {
         if let Some(n) = f.node {
-            assert!(n < artifact.plan.nodes.len(), "finding points off-plan");
+            assert!(n < artifact.graph.len(), "finding points off-plan");
         }
     }
 }
@@ -188,18 +190,21 @@ fn apply_capture_joins_plan_nodes_without_a_fit_report() {
 
     let apply_ctx = ExecContext::default_cluster();
     let test = DistCollection::from_vec((0..16).map(|i| vec![i as f64]).collect(), 2);
+    let window = LedgerWindow::open(&apply_ctx);
     let _ = fitted.apply(&test, &apply_ctx);
-    let artifact =
-        RunArtifact::capture_apply(&fitted.plan(), &apply_ctx, &CaptureOptions::default());
+    let capture = || {
+        let opts = CaptureOptions::default();
+        RunArtifact::capture_apply(&fitted.plan(), window, None, &apply_ctx, &opts)
+    };
+    let artifact = capture();
     assert_eq!(artifact.kind, RunKind::Apply);
     assert!(artifact.sim_total_secs > 0.0, "apply charges the sim clock");
     assert!(
-        artifact.nodes.iter().any(|n| n.execs > 0),
+        artifact.report.nodes.iter().any(|n| n.execs > 0),
         "apply-path nodes executed"
     );
     // Capture is repeatable from the same context.
-    let again = RunArtifact::capture_apply(&fitted.plan(), &apply_ctx, &CaptureOptions::default());
-    assert_eq!(artifact.to_json(), again.to_json());
+    assert_eq!(artifact.to_json(), capture().to_json());
 }
 
 #[test]
@@ -214,10 +219,13 @@ fn serve_capture_carries_latency_splits_and_virtual_batches() {
 
     let run = || {
         let ctx = ExecContext::default_cluster();
+        let window = LedgerWindow::open(&ctx);
         let outcome = server.run(LoadGen::new(9).requests_from_pool(64, 1e-5, &pool), &ctx);
-        RunArtifact::capture_serve(
+        let serve = Some(outcome.section());
+        RunArtifact::capture_apply(
             &fitted.plan(),
-            ServeSection::from_outcome(&outcome),
+            window,
+            serve,
             &ctx,
             &CaptureOptions::default(),
         )
@@ -283,8 +291,9 @@ fn shared_forest_fit() -> (RunArtifact, FitReport) {
     (artifact, report)
 }
 
-/// The artifact's `adaptation`, `tenants`, per-node `cache` and `recovery`
-/// objects are exactly the `to_jval` of the report values they came from.
+/// The artifact's `adaptation`, `tenants` and `recovery` objects, and each
+/// of its node rows, are exactly the `to_jval` of the report values they
+/// came from (the rows under deterministic capture).
 fn assert_one_writer(artifact: &RunArtifact, report: &FitReport) {
     let doc = parse(&artifact.to_json()).expect("artifact parses");
     let jval = |v: JVal| parse(&v.render()).expect("to_jval parses");
@@ -300,28 +309,27 @@ fn assert_one_writer(artifact: &RunArtifact, report: &FitReport) {
     let rows = doc.get("nodes").and_then(Value::as_arr).expect("nodes");
     assert_eq!(rows.len(), obs.nodes.len());
     for (row, n) in rows.iter().zip(&obs.nodes) {
-        assert_eq!(
-            row.get("cache"),
-            Some(&jval(n.cache.to_jval())),
-            "{}",
-            n.label
-        );
+        assert_eq!(*row, jval(n.to_jval(true)), "{}", n.label);
     }
 }
 
 #[test]
 fn shared_sections_have_one_writer_on_forest_and_faulted_fits() {
     let (forest, forest_report) = shared_forest_fit();
-    assert!(!forest.tenants.is_empty(), "forest fit carries tenant rows");
+    assert!(
+        !forest.report.tenants.is_empty(),
+        "forest fit carries tenant rows"
+    );
     assert_one_writer(&forest, &forest_report);
 
     let (faulted, faulted_report) = skewed_faulted_fit();
     assert!(
-        faulted.recovery.cache_losses > 0 && faulted.recovery.retries > 0,
+        faulted.report.recovery.cache_losses > 0 && faulted.report.recovery.retries > 0,
         "fixture loses cache entries and retries tasks"
     );
     assert!(
         faulted
+            .report
             .nodes
             .iter()
             .any(|n| n.cache.hits + n.cache.misses > 0),
@@ -357,4 +365,42 @@ fn a_fit_artifact_on_a_reused_context_covers_its_own_fit_only() {
         fresh,
         "a second fit's artifact must not carry the first fit's events, spans or sim entries"
     );
+}
+
+#[test]
+fn an_apply_artifact_on_a_reused_context_covers_its_own_apply_only() {
+    let train = DistCollection::from_vec((0..64).map(|i| vec![i as f64]).collect(), 4);
+    let pipe = Pipeline::<Vec<f64>, Vec<f64>>::input()
+        .and_then(Scale(3.0))
+        .and_then_est(MultiPassMean { passes: 2 }, &train);
+    let opts = PipelineOptions {
+        profile: ProfileOptions {
+            sizes: vec![16, 32],
+            seed: 5,
+            select_operators: false,
+            deterministic_timing: true,
+        },
+        ..Default::default()
+    };
+    let test = DistCollection::from_vec((0..16).map(|i| vec![i as f64]).collect(), 2);
+    let apply_on = |fitted: &FittedPipeline<Vec<f64>, Vec<f64>>, ctx: &ExecContext| {
+        let window = LedgerWindow::open(ctx);
+        let _ = fitted.apply(&test, ctx);
+        let opts = CaptureOptions::default();
+        RunArtifact::capture_apply(&fitted.plan(), window, None, ctx, &opts)
+    };
+    // The README quickstart's pattern: fit and apply on one context.
+    let reused = ExecContext::default_cluster();
+    let (fitted, _) = pipe.fit(&reused, &opts);
+    let after_fit = apply_on(&fitted, &reused);
+    let fresh = apply_on(&fitted, &ExecContext::default_cluster());
+    let execs = |a: &RunArtifact| -> Vec<(usize, u64)> {
+        a.report.nodes.iter().map(|n| (n.node, n.execs)).collect()
+    };
+    assert_eq!(
+        execs(&after_fit),
+        execs(&fresh),
+        "the apply artifact must not count the fit's node executions"
+    );
+    assert_eq!(after_fit.sim_total_secs, fresh.sim_total_secs);
 }
