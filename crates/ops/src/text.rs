@@ -3,6 +3,7 @@
 //! NGramsFeaturizer andThen TermFrequency andThen CommonSparseFeatures`).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use keystone_core::context::ExecContext;
 use keystone_core::operator::{Estimator, Transformer};
@@ -28,7 +29,11 @@ pub struct LowerCase;
 
 impl Transformer<String, String> for LowerCase {
     fn apply(&self, s: &String) -> String {
-        s.to_lowercase()
+        if s.is_ascii() {
+            s.to_ascii_lowercase()
+        } else {
+            s.to_lowercase()
+        }
     }
     fn name(&self) -> String {
         "LowerCase".into()
@@ -41,10 +46,29 @@ pub struct Tokenizer;
 
 impl Transformer<String, Vec<String>> for Tokenizer {
     fn apply(&self, s: &String) -> Vec<String> {
-        s.split(|c: char| !c.is_alphanumeric())
-            .filter(|t| !t.is_empty())
-            .map(|t| t.to_string())
-            .collect()
+        if !s.is_ascii() {
+            return s
+                .split(|c: char| !c.is_alphanumeric())
+                .filter(|t| !t.is_empty())
+                .map(|t| t.to_string())
+                .collect();
+        }
+        // On ASCII text every byte is a char, and `is_ascii_alphanumeric`
+        // agrees with `char::is_alphanumeric`.
+        let mut out = Vec::new();
+        let mut start = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if !b.is_ascii_alphanumeric() {
+                if i > start {
+                    out.push(s[start..i].to_string());
+                }
+                start = i + 1;
+            }
+        }
+        if s.len() > start {
+            out.push(s[start..].to_string());
+        }
+        out
     }
     fn name(&self) -> String {
         "Tokenizer".into()
@@ -71,13 +95,23 @@ impl NGrams {
 
 impl Transformer<Vec<String>, Vec<String>> for NGrams {
     fn apply(&self, tokens: &Vec<String>) -> Vec<String> {
-        let mut out = Vec::new();
-        for n in self.min_n..=self.max_n {
-            if tokens.len() < n {
-                break;
+        let len = tokens.len();
+        let ns = self.min_n..=self.max_n.min(len);
+        let mut out = Vec::with_capacity(ns.clone().map(|n| len + 1 - n).sum());
+        for n in ns {
+            if n == 1 {
+                out.extend(tokens.iter().cloned());
+                continue;
             }
             for window in tokens.windows(n) {
-                out.push(window.join(" "));
+                let mut gram =
+                    String::with_capacity(window.iter().map(String::len).sum::<usize>() + n - 1);
+                gram.push_str(&window[0]);
+                for t in &window[1..] {
+                    gram.push(' ');
+                    gram.push_str(t);
+                }
+                out.push(gram);
             }
         }
         out
@@ -101,24 +135,52 @@ pub struct HashingTF {
 impl HashingTF {
     /// Count-valued hashing featurizer.
     pub fn new(dim: usize) -> Self {
+        assert!(dim > 0, "HashingTF dimension must be positive");
         HashingTF { dim, binary: false }
     }
 
     /// Presence-valued hashing featurizer.
     pub fn binary(dim: usize) -> Self {
-        HashingTF { dim, binary: true }
+        HashingTF {
+            binary: true,
+            ..HashingTF::new(dim)
+        }
     }
 
     fn hash(&self, term: &str) -> u32 {
-        // FNV-1a over the term bytes.
-        let mut h = 0xcbf29ce484222325u64;
-        for b in term.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        (h % self.dim as u64) as u32
+        let mut h = Fnv1a::default();
+        h.write(term.as_bytes());
+        (h.finish() % self.dim as u64) as u32
     }
 }
+
+/// FNV-1a over the bytes written, and the `HashMap` hasher for terms:
+/// term keys are short, and SipHash's per-key setup cost more than the
+/// lookup it guards. Unkeyed, so a corpus built to collide could slow a
+/// fit, the same exposure [`HashingTF`]'s term hash has always had;
+/// vocabulary ids come from the sorted counts, never from hash order.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf29ce484222325)
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by term, hashed with [`Fnv1a`].
+type TermMap<V> = HashMap<String, V, BuildHasherDefault<Fnv1a>>;
 
 impl Transformer<Vec<String>, SparseVector> for HashingTF {
     fn apply(&self, terms: &Vec<String>) -> SparseVector {
@@ -138,7 +200,7 @@ impl Transformer<Vec<String>, SparseVector> for HashingTF {
 /// produced by [`CommonSparseFeatures`]).
 #[derive(Clone)]
 pub struct VocabTermFrequency {
-    vocab: HashMap<String, u32>,
+    vocab: TermMap<u32>,
     dim: usize,
     binary: bool,
 }
@@ -193,10 +255,15 @@ impl Estimator<Vec<String>, SparseVector> for CommonSparseFeatures {
         let counts = data
             .map_reduce_partitions(
                 |part| {
-                    let mut m: HashMap<String, u64> = HashMap::new();
+                    let mut m: TermMap<u64> = TermMap::default();
                     for doc in part {
                         for t in doc {
-                            *m.entry(t.clone()).or_insert(0) += 1;
+                            match m.get_mut(t.as_str()) {
+                                Some(c) => *c += 1,
+                                None => {
+                                    m.insert(t.clone(), 1);
+                                }
+                            }
                         }
                     }
                     m
@@ -214,7 +281,7 @@ impl Estimator<Vec<String>, SparseVector> for CommonSparseFeatures {
         by_freq.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         by_freq.truncate(self.max_features);
         let dim = by_freq.len();
-        let vocab: HashMap<String, u32> = by_freq
+        let vocab: TermMap<u32> = by_freq
             .into_iter()
             .enumerate()
             .map(|(i, (t, _))| (t, i as u32))
@@ -330,6 +397,101 @@ mod tests {
         for doc in &docs {
             assert_eq!(m2.apply(doc), m8.apply(doc));
         }
+    }
+
+    /// The `char`-only implementations the ASCII fast paths replaced.
+    mod reference {
+        pub fn lowercase(s: &str) -> String {
+            s.to_lowercase()
+        }
+
+        pub fn tokenize(s: &str) -> Vec<String> {
+            s.split(|c: char| !c.is_alphanumeric())
+                .filter(|t| !t.is_empty())
+                .map(|t| t.to_string())
+                .collect()
+        }
+
+        pub fn ngrams(tokens: &[String], min_n: usize, max_n: usize) -> Vec<String> {
+            let mut out = Vec::new();
+            for n in min_n..=max_n {
+                if tokens.len() < n {
+                    break;
+                }
+                for window in tokens.windows(n) {
+                    out.push(window.join(" "));
+                }
+            }
+            out
+        }
+    }
+
+    const TEXTS: &[&str] = &[
+        "İSTANBUL naïve café 東京",
+        "ẞ",
+        "0123456789 42x 7",
+        "wow!!! ... ?!, really;;--yes",
+        "  ,leading and trailing.  ",
+        "MiXeD Case ASCII, with punctuation: a-b_c/d",
+        "no\u{a0}break\tspace\nline",
+        "",
+    ];
+
+    #[test]
+    fn fast_paths_equal_the_char_implementations() {
+        for &text in TEXTS {
+            let s = text.to_string();
+            assert_eq!(LowerCase.apply(&s), reference::lowercase(text), "{text:?}");
+            let tokens = Tokenizer.apply(&s);
+            assert_eq!(tokens, reference::tokenize(text), "{text:?}");
+            let lowered = Tokenizer.apply(&LowerCase.apply(&s));
+            for (lo, hi) in [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (2, 9)] {
+                for toks in [&tokens, &lowered] {
+                    assert_eq!(
+                        NGrams::new(lo, hi).apply(toks),
+                        reference::ngrams(toks, lo, hi),
+                        "{text:?} n = {lo}..={hi}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn vocabulary_ids_follow_frequency_then_term() {
+        let docs: Vec<Vec<String>> = vec![
+            vec!["x", "b", "a", "x"],
+            vec!["z", "x", "c"],
+            vec!["a", "b", "z", "y"],
+        ]
+        .into_iter()
+        .map(|d| d.into_iter().map(String::from).collect())
+        .collect();
+        // x: 3; a, b, z: 2; c, y: 1. Ties go to the smaller term, and the
+        // cap of five drops y.
+        let expected = [("x", 0), ("a", 1), ("b", 2), ("z", 3), ("c", 4)];
+        for partitions in [1, 3] {
+            let data = DistCollection::from_vec(docs.clone(), partitions);
+            let model = CommonSparseFeatures::new(5).fit(&data, &ctx());
+            for (term, id) in expected {
+                let fv = model.apply(&vec![term.to_string()]);
+                assert_eq!(fv.dim(), 5);
+                assert_eq!(fv.indices(), &[id], "{term} on {partitions} partitions");
+            }
+            assert_eq!(model.apply(&vec!["y".to_string()]).nnz(), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "HashingTF dimension must be positive")]
+    fn hashing_tf_rejects_zero_dim() {
+        let _ = HashingTF::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "HashingTF dimension must be positive")]
+    fn binary_hashing_tf_rejects_zero_dim() {
+        let _ = HashingTF::binary(0);
     }
 
     #[test]

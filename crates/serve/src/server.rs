@@ -1,9 +1,7 @@
 //! The serving front-end: micro-batcher × executable plan.
 //!
-//! A [`Server`] owns a fitted pipeline's
-//! [`ExecutablePlan`](keystone_core::pipeline::ExecutablePlan), a
-//! [`BatchPolicy`], and one long-lived
-//! [`CacheManager`](keystone_dataflow::cache::CacheManager) pinned to the
+//! A [`Server`] owns a fitted pipeline's [`ExecutablePlan`], a
+//! [`BatchPolicy`], and one long-lived [`CacheManager`] pinned to the
 //! plan's request-independent nodes. Each dispatched batch runs as a single
 //! apply wave through `ExecutablePlan::execute_erased_with_cache` — the
 //! same code path `FittedPipeline::apply` uses — so a request's score

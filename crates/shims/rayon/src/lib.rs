@@ -7,16 +7,26 @@
 //! items are split into one contiguous chunk per available core and executed
 //! on `std::thread::scope` threads, preserving input order in the output.
 //!
-//! Unlike real rayon there is no work-stealing pool: each `collect`/
-//! `for_each` spawns short-lived scoped threads. That is a good fit for this
-//! workspace, where parallel regions are coarse (per-partition pipeline work,
-//! GEMM row panels) and already guarded against tiny inputs.
+//! The core count is read once per process, on first use, as real rayon
+//! sizes its pool once: std's query re-reads the affinity mask and the
+//! cgroup CPU quota on every call, which cost more than a single-partition
+//! region's own work. Unlike real rayon there is no
+//! work-stealing pool: each multi-chunk `collect`/`for_each` still spawns
+//! short-lived scoped threads. That is a good fit for this workspace, where
+//! parallel regions are coarse (per-partition pipeline work, GEMM row
+//! panels) and already guarded against tiny inputs.
 
-/// Number of threads parallel regions fan out to (one per available core).
+use std::sync::OnceLock;
+
+/// Number of threads parallel regions fan out to (one per available core,
+/// read once per process).
 pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 thread_local! {
@@ -321,6 +331,19 @@ mod tests {
     #[test]
     fn current_num_threads_positive() {
         assert!(super::current_num_threads() >= 1);
+    }
+
+    #[test]
+    fn current_num_threads_is_one_value_per_process() {
+        let first = super::current_num_threads();
+        assert!((0..1000).all(|_| super::current_num_threads() == first));
+        let seen: Vec<usize> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| scope.spawn(super::current_num_threads))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(seen, vec![first; 8]);
     }
 
     #[test]

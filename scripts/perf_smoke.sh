@@ -25,6 +25,9 @@ GATES = [
     ("chain_serve", "serve.batch_speedup", ">=", 4.0),
     # Loose on purpose: the region fork cost is a known defect.
     ("chain_serve", "serve.partition_penalty", "<=", 6.0),
+    # An identity node's executor overhead (2 vCPUs): ~17 us when every
+    # region re-read the CPU count, 1.5-1.9 us with it read once per process.
+    ("chain_serve", "executor.node_overhead_us", "<=", 5.0),
     ("text_sparse", "optimizer.mat_speedup", ">=", 2.0),
     ("sweep_forest", "optimizer.forest_vs_solo_wall", "<=", 0.7),
 ]
