@@ -1,6 +1,6 @@
 //! Depth-first, cache-aware DAG execution (§2.3 "runtime").
 //!
-//! The executor evaluates nodes on demand. There is **no implicit
+//! The executor evaluates nodes on demand. In a fit there is **no implicit
 //! memoization of data nodes**: a node requested twice (fan-out, or an
 //! iterative estimator re-reading its input) is recomputed unless the
 //! [`CacheManager`] holds it — exactly the Spark behaviour the automatic
@@ -53,18 +53,18 @@ use parking_lot::Mutex;
 ///   holds them, and the context's fault plan is in force;
 /// * **apply** ([`Executor::with_runtime_input`] — every apply and serving
 ///   wave binds one): a single pass that memoizes every data node for the
-///   run, stays fault-free, and offers an output to the cache only when
-///   the policy admits it.
+///   run and stays fault-free. Only nodes the cache's policy admits look
+///   the cache up or are offered to it; every other node, the whole
+///   apply path among them, never touches the cache.
 ///
-/// It writes to the context's three ledgers — `sim`, `tracer`, `metrics` —
-/// from one place, the private `run_node` bracket every operator kind
-/// executes in.
+/// One run-local memo holds what a run keeps without the cache: fitted
+/// models always, data outputs in apply mode. It writes to the context's
+/// three ledgers — `sim`, `tracer`, `metrics` — from one place, the
+/// private `run_node` bracket every operator kind executes in.
 pub struct Executor<'g> {
     graph: &'g Graph,
     ctx: ExecContext,
     cache: Arc<CacheManager>,
-    /// Fitted models, memoized for the run.
-    models: Mutex<HashMap<NodeId, Arc<dyn ErasedTransformer>>>,
     /// Apply-time input binding; its presence selects apply mode.
     runtime_input: Option<AnyData>,
     /// Per-node profiles used to charge the simulated clock.
@@ -73,7 +73,7 @@ pub struct Executor<'g> {
     /// can compare observed demand against the plan's prediction and apply
     /// cost-only cache revisions (see [`crate::optimizer::adaptive`]).
     adaptive: Option<Arc<crate::optimizer::AdaptiveController>>,
-    /// Data outputs of this run (apply mode only).
+    /// Fitted models of this run, plus its data outputs in apply mode.
     memo: Mutex<HashMap<NodeId, NodeOutput>>,
 }
 
@@ -96,7 +96,6 @@ impl<'g> Executor<'g> {
             graph,
             ctx,
             cache,
-            models: Mutex::new(HashMap::new()),
             runtime_input: None,
             profiles: None,
             adaptive: None,
@@ -107,15 +106,15 @@ impl<'g> Executor<'g> {
     /// Binds the apply-time input, which puts the executor in apply mode
     /// (see the type docs).
     ///
-    /// In apply mode policy-admitted data outputs are offered to the cache
-    /// so they survive this run — a no-op against the nothing-admitted
-    /// cache single-shot apply uses, and how a cache shared across runs
-    /// (the serving pattern) serves request-independent intermediates to
-    /// later waves. Cache keys are bare node ids, so every executor
-    /// sharing one cache must run the *same* graph — two plans with
-    /// different node numbering would collide keys and serve each other's
-    /// outputs. The multi-tenant forest path satisfies this by construction
-    /// (all tenants execute one merged graph).
+    /// In apply mode a node the cache's policy admits is looked up and, on
+    /// a miss, offered, so it survives this run: that is how an
+    /// `ExecutablePlan`'s cache, pinned to the request-independent nodes,
+    /// serves them to every later `apply` and serving wave. Cache keys are
+    /// bare node ids, so every executor sharing one cache must run the
+    /// *same* graph — two plans with different node numbering would
+    /// collide keys and serve each other's outputs. The multi-tenant forest
+    /// path satisfies this by construction (all tenants execute one merged
+    /// graph).
     pub fn with_runtime_input(mut self, data: AnyData) -> Self {
         self.runtime_input = Some(data);
         self
@@ -135,7 +134,11 @@ impl<'g> Executor<'g> {
 
     /// Preloads fitted models (used by `FittedPipeline::apply`).
     pub fn with_models(self, models: HashMap<NodeId, Arc<dyn ErasedTransformer>>) -> Self {
-        *self.models.lock() = models;
+        self.memo.lock().extend(
+            models
+                .into_iter()
+                .map(|(node, m)| (node, NodeOutput::Model(m))),
+        );
         self
     }
 
@@ -146,7 +149,14 @@ impl<'g> Executor<'g> {
 
     /// Snapshot of fitted models.
     pub fn models(&self) -> HashMap<NodeId, Arc<dyn ErasedTransformer>> {
-        self.models.lock().clone()
+        self.memo
+            .lock()
+            .iter()
+            .filter_map(|(&node, out)| match out {
+                NodeOutput::Model(m) => Some((node, m.clone())),
+                NodeOutput::Data(_) => None,
+            })
+            .collect()
     }
 
     /// Whether this is an apply-mode (single-pass) run.
@@ -160,20 +170,23 @@ impl<'g> Executor<'g> {
         if let Some(m) = self.memo.lock().get(&node) {
             return m.clone();
         }
-        if let Some(m) = self.models.lock().get(&node) {
-            return NodeOutput::Model(m.clone());
-        }
-        // Adaptive hook: count this request and let the re-planner revise
-        // the cache membership at the wave boundary.
+        // Adaptive hook (fit mode, where the memo holds only models): count
+        // this request and let the re-planner revise the cache membership
+        // at the wave boundary.
         if let Some(ad) = &self.adaptive {
-            let fitted = |n: NodeId| self.models.lock().contains_key(&n);
+            let fitted = |n: NodeId| self.memo.lock().contains_key(&n);
             ad.on_request(node, fitted, &self.cache);
         }
+        // An apply run touches the cache only for nodes its policy admits:
+        // a run that cannot reuse a node records no miss or reject for it,
+        // and an apply-path node is never offered, or wave N would serve
+        // wave N-1's answers.
+        let cacheable = !self.apply_mode() || self.cache.policy_admits(node as u64);
         // Policy-driven cache for data nodes. A resident entry can still be
         // *lost* (simulated executor failure) or hold a foreign value; both
         // cases invalidate and fall through to lineage recompute — a cached
         // output is an optimization, never a correctness requirement.
-        if let Some(v) = self.cache.get(node as u64) {
+        if let Some(v) = cacheable.then(|| self.cache.get(node as u64)).flatten() {
             if self
                 .active_faults()
                 .is_some_and(|f| f.cache_entry_lost(node as u64))
@@ -193,20 +206,16 @@ impl<'g> Executor<'g> {
 
         match &out {
             NodeOutput::Data(d) => {
-                if self.apply_mode() {
-                    self.memo.lock().insert(node, out.clone());
-                }
-                // An apply run offers only what the policy admits: a run
-                // that cannot reuse the node produces no reject noise in
-                // trace streams, and an apply-path node must never be
-                // offered, or wave N would serve wave N-1's answers.
-                if !self.apply_mode() || self.cache.policy_admits(node as u64) {
+                if cacheable {
                     self.cache
                         .put(node as u64, Arc::new(d.clone()), d.total_bytes().max(1));
                 }
+                if self.apply_mode() {
+                    self.memo.lock().insert(node, out.clone());
+                }
             }
-            NodeOutput::Model(m) => {
-                self.models.lock().insert(node, m.clone());
+            NodeOutput::Model(_) => {
+                self.memo.lock().insert(node, out.clone());
             }
         }
         out
@@ -343,12 +352,11 @@ impl<'g> Executor<'g> {
 
     /// Charges the simulated clock: marginal profiled cost × records, spread
     /// over the cluster's workers. Unprofiled nodes (apply path, model-apply
-    /// stages the profiler never sees) are priced on the same synthetic
-    /// per-label scale as [`ExecutablePlan::est_apply_secs`], so every sim
-    /// charge is a pure function of the plan and the record count — the
-    /// simulated ledger never absorbs measured wall time.
-    ///
-    /// [`ExecutablePlan::est_apply_secs`]: crate::pipeline::ExecutablePlan::est_apply_secs
+    /// stages the profiler never sees) are priced on the synthetic per-label
+    /// scale `deterministic_timing` profiling uses, so every sim charge is a
+    /// pure function of the plan and the record count — the simulated
+    /// ledger never absorbs measured wall time, and a serving wave's
+    /// `execute_secs` is exactly what its nodes charge here.
     fn charge_sim(&self, node: NodeId, label: &str, records: usize) {
         let Some(profiles) = &self.profiles else {
             return;

@@ -288,13 +288,16 @@ pub struct FitReport {
 }
 
 /// The type-erased executable artifact of a fit: the optimized DAG, the
-/// fitted models, and the per-node profiles — everything needed to run the
-/// apply path, with the input typing stripped off.
+/// fitted models, the per-node profiles and the plan's one cache —
+/// everything needed to run the apply path, with the input typing stripped
+/// off.
 ///
 /// Both [`FittedPipeline::apply`] and the serving layer (`keystone-serve`)
-/// execute through this one object, so batch apply and micro-batched
-/// serving cannot diverge: a serving wave *is* an [`ExecutablePlan::
-/// execute_erased`] call over the wave's records.
+/// execute through [`ExecutablePlan::execute_erased`], so batch apply and
+/// micro-batched serving cannot diverge: a serving wave *is* an
+/// `execute_erased` call over the wave's records. Every call shares the
+/// plan's cache (see [`ExecutablePlan::cache`]), so request-independent
+/// work is computed once per plan, not once per call.
 pub struct ExecutablePlan {
     graph: Arc<Graph>,
     output: NodeId,
@@ -303,16 +306,15 @@ pub struct ExecutablePlan {
     /// The output's ancestry that the runtime input feeds, in topological
     /// order (see [`ExecutablePlan::apply_path`]).
     apply_path: Vec<NodeId>,
-    /// The rest of the output's ancestry that produces data by running an
-    /// operator (see [`ExecutablePlan::reusable_nodes`]).
-    reusable: Vec<NodeId>,
+    cache: Arc<CacheManager>,
 }
 
 impl ExecutablePlan {
-    /// Assembles a plan from its parts. `Pipeline::fit` is the normal
-    /// producer; this constructor exists for serving/test harnesses that
-    /// build the optimized graph directly (e.g. to exercise cross-request
-    /// cache reuse on hand-crafted DAGs).
+    /// Assembles a plan from its parts and builds its cache (see
+    /// [`ExecutablePlan::cache`]). `Pipeline::fit` is the normal producer;
+    /// this constructor exists for serving/test harnesses that build the
+    /// optimized graph directly (e.g. to exercise cross-request cache reuse
+    /// on hand-crafted DAGs).
     pub fn new(
         graph: Arc<Graph>,
         output: NodeId,
@@ -327,17 +329,28 @@ impl ExecutablePlan {
             .topo_ancestors(&[output])
             .into_iter()
             .partition(|id| tainted.contains(id));
+        // Request-independent nodes that produce data by running an
+        // operator: estimator models are memoized by the executor and data
+        // sources are already resident, so only `Transform` and
+        // `ModelApply` nodes are worth keeping.
         let reusable = rest
             .into_iter()
-            .filter(|&id| runs_operator(&graph.nodes[id].kind))
+            .filter(|&id| {
+                matches!(
+                    graph.nodes[id].kind,
+                    NodeKind::Transform(_) | NodeKind::ModelApply
+                )
+            })
+            .map(|id| id as u64)
             .collect();
+        let cache = Arc::new(CacheManager::new(u64::MAX, CachePolicy::Pinned(reusable)));
         ExecutablePlan {
             graph,
             output,
             models,
             profiles,
             apply_path,
-            reusable,
+            cache,
         }
     }
 
@@ -357,83 +370,34 @@ impl ExecutablePlan {
         &self.profiles
     }
 
-    /// Runs the apply path over an erased input with a fresh, nothing-
-    /// admitted cache — the classic single-shot `apply`.
+    /// Runs the apply path over an erased input: the one way a plan runs,
+    /// for `FittedPipeline::apply` and for every serving wave alike.
     pub fn execute_erased(&self, input: AnyData, ctx: &ExecContext) -> AnyData {
-        let cache = Arc::new(
-            CacheManager::new(0, CachePolicy::Pinned(HashSet::new())).with_observer(Arc::new(
-                crate::trace::TraceCacheObserver(ctx.tracer.clone()),
-            )),
-        );
-        self.execute_erased_with_cache(input, ctx, cache)
-    }
-
-    /// Runs the apply path against a caller-supplied cache. The serving
-    /// layer passes one long-lived [`CacheManager`] across waves so
-    /// request-independent intermediates (see
-    /// [`ExecutablePlan::reusable_nodes`]) are computed once per process,
-    /// not once per batch.
-    pub fn execute_erased_with_cache(
-        &self,
-        input: AnyData,
-        ctx: &ExecContext,
-        cache: Arc<CacheManager>,
-    ) -> AnyData {
-        let executor = Executor::new(&self.graph, ctx.clone(), cache)
+        let executor = Executor::new(&self.graph, ctx.clone(), self.cache.clone())
             .with_runtime_input(input)
             .with_models(self.models.clone())
             .with_profiles(self.profiles.clone());
         executor.eval(self.output).data().clone()
     }
 
-    /// Data-producing nodes on the output's ancestry whose value does *not*
-    /// depend on the runtime input — safe to cache across apply calls with
-    /// different inputs. Estimator models are memoized separately and data
-    /// sources are already resident, so only `Transform` and `ModelApply`
-    /// nodes qualify.
-    pub fn reusable_nodes(&self) -> HashSet<NodeId> {
-        self.reusable.iter().copied().collect()
+    /// The plan's one cache, shared by every [`ExecutablePlan::
+    /// execute_erased`] call: unbounded and pinned to the data-producing
+    /// nodes on the output's ancestry whose value does *not* depend on the
+    /// runtime input, so nothing an input influences can leak from one
+    /// call into another. Its hit counters are the evidence that
+    /// request-independent work amortizes across calls.
+    pub fn cache(&self) -> &CacheManager {
+        &self.cache
     }
 
     /// Apply-path nodes: the output's ancestry restricted to what the
     /// runtime input feeds, in topological order. This is exactly the work
     /// one `execute_erased` call performs per wave (request-independent
-    /// ancestry is either a memoized model or served by the cross-run
-    /// cache after the first wave).
+    /// ancestry is either a memoized model or served by the plan's cache
+    /// after the first call).
     pub fn apply_path(&self) -> Vec<NodeId> {
         self.apply_path.clone()
     }
-
-    /// Deterministic estimate of one apply wave's simulated seconds over
-    /// `records` input records on `workers` workers. Profiled nodes use
-    /// their extrapolated cost; apply-path nodes the profiler skipped (they
-    /// hang off the runtime input) are priced on the same synthetic
-    /// per-label scale that `deterministic_timing` profiling uses — with
-    /// fused chains on the columnar path charged at the columnar discount —
-    /// so the estimate — and everything the serving layer derives from it —
-    /// is a pure function of the plan, the record count, and the worker
-    /// count.
-    pub fn est_apply_secs(&self, records: usize, workers: usize) -> f64 {
-        let w = workers.max(1) as f64;
-        self.apply_path
-            .iter()
-            .filter(|&&id| runs_operator(&self.graph.nodes[id].kind))
-            .map(|&id| {
-                let n = &self.graph.nodes[id];
-                match self.profiles.get(&id) {
-                    Some(p) => p.est_secs(records),
-                    None => crate::profiler::synthetic_node_secs(n, records),
-                }
-            })
-            .sum::<f64>()
-            / w
-    }
-}
-
-/// Whether a node produces data by running an operator — the nodes worth
-/// caching across waves and the ones an apply wave is charged for.
-fn runs_operator(kind: &NodeKind) -> bool {
-    matches!(kind, NodeKind::Transform(_) | NodeKind::ModelApply)
 }
 
 /// A fitted pipeline: a typed handle over the shared [`ExecutablePlan`].
@@ -646,6 +610,42 @@ pub(crate) mod tests {
         );
         let out = fitted.apply(&DistCollection::from_vec(vec![5.0], 1), &ctx);
         assert_eq!(out.collect(), vec![15.0]);
+    }
+
+    /// An apply runs through the plan's one cache, which admits no
+    /// apply-path node, so a single-record apply records its nodes'
+    /// brackets and nothing else: no cache lookup, miss or reject.
+    #[test]
+    fn apply_one_records_only_node_brackets() {
+        use crate::trace::TraceEvent;
+        let train = DistCollection::from_vec(vec![1.0, 2.0, 3.0], 2);
+        let pipe = Pipeline::<f64, f64>::input()
+            .and_then(Inc)
+            .and_then(Scale)
+            .and_then_est(MeanCenter, &train);
+        let opts = PipelineOptions {
+            profile: small_profile(),
+            ..PipelineOptions::none()
+        };
+        let (fitted, _) = pipe.fit(&ctx(), &opts);
+        let apply_ctx = ctx();
+        for x in [0.0, 5.0] {
+            // (x + 1) * 3 - mean(6, 9, 12)
+            assert_eq!(fitted.apply_one(&x, &apply_ctx), (x + 1.0) * 3.0 - 9.0);
+        }
+        let events = apply_ctx.tracer.events();
+        assert!(!events.is_empty());
+        for e in &events {
+            assert!(
+                matches!(
+                    e.event,
+                    TraceEvent::NodeStart { .. } | TraceEvent::NodeEnd { .. }
+                ),
+                "{:?}",
+                e.event
+            );
+        }
+        assert_eq!(fitted.plan().cache().stats(), Default::default());
     }
 
     /// A logical `Scale` that counts its `options()` calls.

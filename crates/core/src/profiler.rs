@@ -107,12 +107,10 @@ impl Default for ProfileOptions {
 /// The synthetic profiling clock: linear in `in_records` with an
 /// FNV-1a-derived per-label rate, so distinct operators order stably and
 /// the two-size linear fit recovers a non-negative slope and intercept.
-/// Crate-visible so [`ExecutablePlan::est_apply_secs`] can price apply-path
-/// nodes the profiler skipped (they depend on the runtime input) on the
-/// same deterministic scale.
-///
-/// [`ExecutablePlan::est_apply_secs`]: crate::pipeline::ExecutablePlan::est_apply_secs
-pub(crate) fn synthetic_secs(label: &str, in_records: usize) -> f64 {
+/// The executor prices apply-path nodes the profiler skipped (they depend
+/// on the runtime input) on the same deterministic scale, through
+/// [`synthetic_node_secs`].
+fn synthetic_secs(label: &str, in_records: usize) -> f64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for b in label.bytes() {
         h ^= b as u64;

@@ -183,7 +183,7 @@ pub enum TraceEvent {
         dispatch_secs: f64,
         /// Seconds the batch lingered open waiting for more arrivals.
         linger_secs: f64,
-        /// Seconds the wave's plan execution was charged.
+        /// Simulated seconds the executor charged while running the wave.
         execute_secs: f64,
     },
     /// Admission control refused a request: the bounded serving queue was

@@ -1,20 +1,21 @@
 //! The serving front-end: micro-batcher × executable plan.
 //!
-//! A [`Server`] owns a fitted pipeline's [`ExecutablePlan`], a
-//! [`BatchPolicy`], and one long-lived [`CacheManager`] pinned to the
-//! plan's request-independent nodes. Each dispatched batch runs as a single
-//! apply wave through `ExecutablePlan::execute_erased_with_cache` — the
-//! same code path `FittedPipeline::apply` uses — so a request's score
-//! cannot depend on how it was batched.
+//! A [`Server`] owns a fitted pipeline's [`ExecutablePlan`] and a
+//! [`BatchPolicy`]. Each dispatched batch runs as a single apply wave
+//! through `ExecutablePlan::execute_erased` — the one code path
+//! `FittedPipeline::apply` uses too — so a request's score cannot depend on
+//! how it was batched, and request-independent intermediates live in the
+//! plan's own cache, shared with every other apply of the plan.
 //!
-//! Accounting is split between the two clocks: the *simulated* clock takes
-//! the deterministic quantities (per-wave execution cost from
-//! `ExecutablePlan::est_apply_secs` under `serve:execute`, batch linger
-//! under `serve:linger`), while wall time is measured only for the
-//! sustained-QPS figure. Per-request latency splits, admission and batch
-//! counts live in the returned [`ServeOutcome`]; each wave and each reject
-//! is also recorded once as a `ServeBatch`/`ServeReject` event on the
-//! context's `Tracer`.
+//! Accounting is split between the two clocks, and each wave is charged
+//! once. On the *simulated* clock the executor charges the wave's nodes as
+//! they run (deterministic synthetic or profiled prices); the wave's
+//! `execute_secs` is what it charged, read off the ledger around the wave,
+//! and the server itself adds only the batch linger, under `serve:linger`.
+//! Wall time is measured only for the sustained-QPS figure. Per-request
+//! latency splits, admission and batch counts live in the returned
+//! [`ServeOutcome`]; each wave and each reject is also recorded once as a
+//! `ServeBatch`/`ServeReject` event on the context's `Tracer`.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -26,7 +27,7 @@ use keystone_core::pipeline::{ExecutablePlan, FittedPipeline};
 use keystone_core::record::Record;
 use keystone_core::report::ServeSection;
 use keystone_core::trace::TraceEvent;
-use keystone_dataflow::cache::{CacheManager, CachePolicy};
+use keystone_dataflow::cache::CacheManager;
 use keystone_dataflow::collection::DistCollection;
 
 use crate::batcher::{Arrival, MicroBatcher, Rejection, RequestTiming};
@@ -68,7 +69,7 @@ pub struct BatchRecord {
     pub dispatch_secs: f64,
     /// Formation-window length (`dispatch - open`).
     pub linger_secs: f64,
-    /// Charged execution seconds.
+    /// Simulated seconds the executor charged while running the wave.
     pub execute_secs: f64,
 }
 
@@ -136,7 +137,6 @@ impl<B> ServeOutcome<B> {
 pub struct Server<A: Record, B: Record> {
     plan: Arc<ExecutablePlan>,
     policy: BatchPolicy,
-    cache: Arc<CacheManager>,
     _ph: PhantomData<fn(&A) -> B>,
 }
 
@@ -147,20 +147,11 @@ impl<A: Record, B: Record> Server<A, B> {
     }
 
     /// A server over a raw plan (serving/test harnesses that assemble the
-    /// optimized graph directly). The cross-request cache is pinned to the
-    /// plan's request-independent nodes, so nothing an input influences can
-    /// ever leak from one wave into another.
+    /// optimized graph directly).
     pub fn from_plan(plan: Arc<ExecutablePlan>, policy: BatchPolicy) -> Self {
-        let keys = plan
-            .reusable_nodes()
-            .into_iter()
-            .map(|n| n as u64)
-            .collect();
-        let cache = Arc::new(CacheManager::new(u64::MAX, CachePolicy::Pinned(keys)));
         Server {
             plan,
             policy,
-            cache,
             _ph: PhantomData,
         }
     }
@@ -176,14 +167,15 @@ impl<A: Record, B: Record> Server<A, B> {
         &self.plan
     }
 
-    /// The shared cross-request cache (its hit counters are the evidence
-    /// that request-independent work amortizes across waves).
+    /// The plan's cache, which every wave shares (see
+    /// [`ExecutablePlan::cache`]).
     pub fn cache(&self) -> &CacheManager {
-        &self.cache
+        self.plan.cache()
     }
 
     /// Runs the batcher over `requests`, scoring each dispatched wave as
-    /// one plan execution. The cache persists across calls, so a warm
+    /// one plan execution and charging it what its nodes charged the
+    /// simulated clock. The plan's cache persists across calls, so a warm
     /// server keeps its materialized intermediates.
     ///
     /// # Panics
@@ -192,7 +184,6 @@ impl<A: Record, B: Record> Server<A, B> {
     /// exactly one output per input record).
     pub fn run(&self, requests: Vec<Request<A>>, ctx: &ExecContext) -> ServeOutcome<B> {
         let start = Instant::now();
-        let workers = ctx.resources.workers;
         let arrivals: Vec<Arrival<A>> = requests
             .into_iter()
             .map(|r| Arrival {
@@ -209,10 +200,15 @@ impl<A: Record, B: Record> Server<A, B> {
             let n = records.len();
             let partitions = self.policy.batch_partitions.min(n).max(1);
             let wave = DistCollection::from_vec(records, partitions);
+            let mark = ctx.sim.mark();
             let out: DistCollection<B> = self
                 .plan
-                .execute_erased_with_cache(AnyData::wrap(wave), ctx, self.cache.clone())
+                .execute_erased(AnyData::wrap(wave), ctx)
                 .downcast();
+            // The executor's deterministic charges for this wave; wall time
+            // stays out of the accounting so two same-seed runs split
+            // bit-identically.
+            let execute_secs = ctx.sim.seconds_since(mark);
             let outputs = out.collect();
             assert_eq!(
                 outputs.len(),
@@ -223,10 +219,6 @@ impl<A: Record, B: Record> Server<A, B> {
             for (m, o) in batch.members.iter().zip(outputs) {
                 scored.push((m.id, o));
             }
-            // The wave's deterministic virtual cost; wall time stays out of
-            // the accounting so two same-seed runs split bit-identically.
-            let execute_secs = self.plan.est_apply_secs(n, workers);
-            ctx.sim.charge_seconds("serve:execute", execute_secs, 0.0);
             ctx.sim
                 .charge_seconds("serve:linger", batch.linger_secs, 0.0);
             ctx.tracer.record(TraceEvent::ServeBatch {

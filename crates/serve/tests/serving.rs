@@ -187,15 +187,13 @@ fn latency_accounting_is_bit_identical_across_runs() {
                 )
             })
             .collect();
-        // Only the serve-charged stages are asserted bit-identical: the
-        // executor's own per-node charges fall back to wall time for
-        // unprofiled apply-path nodes (profiling skips dependents of the
-        // runtime input), which is measured, not simulated.
+        // The whole ledger: the executor prices unprofiled apply-path nodes
+        // synthetically, so every stage, not only the server's, is a pure
+        // function of the plan and the schedule.
         let sim: Vec<(String, u64)> = serve_ctx
             .sim
             .by_stage()
             .into_iter()
-            .filter(|(stage, _)| stage == "serve")
             .map(|(stage, secs)| (stage, secs.to_bits()))
             .collect();
         assert!(!sim.is_empty());
@@ -242,9 +240,32 @@ fn serve_metrics_and_trace_events_surface() {
     assert_eq!(batch_events.iter().map(|&(_, s)| s).sum::<usize>(), 12);
     assert!(batch_events.windows(2).all(|w| w[0].0 < w[1].0));
 
-    // Virtual accounting landed on the simulated clock under serve stages.
-    let stages = serve_ctx.sim.by_stage();
-    assert!(stages.iter().any(|(s, _)| s == "serve"));
+    // Each wave is charged once: its nodes charge the executor's
+    // `transform:`/`apply:` stages, which is its `execute_secs`, and the
+    // server adds only the linger.
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1e-12);
+    let entries = serve_ctx.sim.entries();
+    assert!(entries.iter().all(|e| e.stage != "serve:execute"));
+    let stage_secs = |prefixes: &[&str]| -> f64 {
+        entries
+            .iter()
+            .filter(|e| prefixes.iter().any(|p| e.stage.starts_with(p)))
+            .map(|e| e.exec_secs + e.coord_secs)
+            .sum()
+    };
+    let executed: f64 = outcome.batches.iter().map(|b| b.execute_secs).sum();
+    let lingered: f64 = outcome.batches.iter().map(|b| b.linger_secs).sum();
+    let nodes = stage_secs(&["transform:", "apply:"]);
+    assert!(executed > 0.0);
+    assert!(
+        close(executed, nodes),
+        "Σ execute_secs {executed} vs nodes {nodes}"
+    );
+    let serve = stage_secs(&["serve:"]);
+    assert!(
+        close(serve, lingered),
+        "serve {serve} vs Σ linger {lingered}"
+    );
 }
 
 #[test]
@@ -332,14 +353,17 @@ fn request_independent_work_is_computed_once_across_waves() {
         HashMap::new(),
         Arc::new(HashMap::new()),
     ));
-    assert_eq!(
-        plan.reusable_nodes().into_iter().collect::<Vec<_>>(),
-        vec![counted],
-        "only the request-independent transform is reusable"
+    assert!(
+        plan.cache().policy_admits(counted as u64),
+        "the request-independent transform is reusable"
+    );
+    assert!(
+        !plan.cache().policy_admits(apply as u64),
+        "the apply-path node is not"
     );
 
     let serve_ctx = ctx();
-    let server = Server::<f64, f64>::from_plan(plan, BatchPolicy::new(1, 0.0));
+    let server = Server::<f64, f64>::from_plan(plan.clone(), BatchPolicy::new(1, 0.0));
     let records = [10.0f64, 20.0, 30.0];
     let outcome = server.run(one_at_a_time(&records), &serve_ctx);
 
@@ -353,4 +377,16 @@ fn request_independent_work_is_computed_once_across_waves() {
     );
     let stats = server.cache().stats();
     assert_eq!(stats.hits, 2, "waves 2 and 3 must hit the shared cache");
+
+    // A batch apply of the same plan shares that cache: the transform the
+    // waves computed is not computed again.
+    let applied = FittedPipeline::<f64, f64>::from_plan(plan)
+        .apply(&DistCollection::from_vec(vec![40.0], 1), &ctx());
+    assert_eq!(applied.collect(), vec![36.0]);
+    assert_eq!(
+        calls.load(Ordering::SeqCst),
+        1,
+        "apply recomputed what the server's waves cached"
+    );
+    assert_eq!(server.cache().stats().hits, 3);
 }
