@@ -1,25 +1,33 @@
 //! Depth-first, cache-aware DAG execution (§2.3 "runtime").
 //!
-//! The executor evaluates nodes on demand. In a fit there is **no implicit
-//! memoization of data nodes**: a node requested twice (fan-out, or an
-//! iterative estimator re-reading its input) is recomputed unless the
-//! [`CacheManager`] holds it — exactly the Spark behaviour the automatic
-//! materialization optimizer (§4.3) manages. Fitted models *are* memoized
-//! per run: an estimator fits once.
+//! A fit evaluates nodes on demand through [`Executor::eval`]. There is
+//! **no implicit memoization of data nodes**: a node requested twice
+//! (fan-out, or an iterative estimator re-reading its input) is recomputed
+//! unless the [`CacheManager`] holds it — exactly the Spark behaviour the
+//! automatic materialization optimizer (§4.3) manages. Fitted models *are*
+//! memoized per run: an estimator fits once.
+//!
+//! An apply is a walk, [`Executor::apply`]: the plan's apply path runs
+//! once, in topological order, each node reading its inputs from the
+//! walk's own earlier results. Only inputs off the path — fitted models,
+//! and the request-independent nodes only hand-built plans have — go
+//! through `eval`. Fit and walk compute a node the same way, inside one
+//! instrumented bracket that records one `NodeEnd` event per node run.
 //!
 //! ## Fault tolerance
 //!
 //! The executor provides the recovery guarantees the paper inherits from
-//! Spark's RDD lineage:
+//! Spark's RDD lineage, under the context's
+//! [`FaultPlan`](keystone_dataflow::faults::FaultPlan) when it has one
+//! (an `ExecutablePlan` applies under a context without one):
 //!
 //! * **Task retry** — a partition attempt that panics, or that the
-//!   context's [`FaultPlan`] fails, is re-run by the collection layer; the
-//!   span records how many attempts failed. The executor charges each
-//!   retry's exponential backoff to the simulated clock (under a
-//!   `recovery:` stage) and emits a
-//!   [`TraceEvent::TaskRetry`](crate::trace::TraceEvent) per failed
-//!   attempt. A task that fails past the retry limit fails the job with its
-//!   own panic.
+//!   fault plan fails, is re-run by the collection layer; the span records
+//!   how many attempts failed. The executor charges each retry's
+//!   exponential backoff to the simulated clock (under a `recovery:` stage)
+//!   and emits a [`TraceEvent::TaskRetry`](crate::trace::TraceEvent) per
+//!   failed attempt. A task that fails past the retry limit fails the job
+//!   with its own panic.
 //! * **Lineage recompute** — a cache entry that is lost (or holds a foreign
 //!   value) is invalidated and the node recomputed from its DAG ancestry
 //!   instead of panicking; losses surface as `CacheLost` events.
@@ -33,7 +41,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use keystone_dataflow::cache::CacheManager;
-use keystone_dataflow::faults::{backoff_secs, FaultPlan};
+use keystone_dataflow::faults::backoff_secs;
 use keystone_dataflow::metrics::{enter_task_scope, TaskScope};
 
 use crate::context::ExecContext;
@@ -45,37 +53,36 @@ use parking_lot::Mutex;
 
 /// DAG evaluator over a frozen graph.
 ///
-/// The executor runs in one of two modes, decided by whether a runtime
-/// input is bound rather than by a switch:
+/// [`Executor::eval`] drives a fit and [`Executor::apply`] walks an apply
+/// path; both compute every node the same way, under the context's fault
+/// plan. A run-local memo holds the fitted models; data outputs are kept
+/// only by the cache, or by a walk for its own duration. The executor
+/// writes to the context's three ledgers — `sim`, `tracer`, `metrics` —
+/// from one place, the private `run_node` bracket every operator kind
+/// executes in.
 ///
-/// * **fit** (no runtime input — `Pipeline::fit` never binds one): data
-///   nodes are recomputed on every request unless the [`CacheManager`]
-///   holds them, and the context's fault plan is in force;
-/// * **apply** ([`Executor::with_runtime_input`] — every apply and serving
-///   wave binds one): a single pass that memoizes every data node for the
-///   run and stays fault-free. Only nodes the cache's policy admits look
-///   the cache up or are offered to it; every other node, the whole
-///   apply path among them, never touches the cache.
-///
-/// One run-local memo holds what a run keeps without the cache: fitted
-/// models always, data outputs in apply mode. It writes to the context's
-/// three ledgers — `sim`, `tracer`, `metrics` — from one place, the
-/// private `run_node` bracket every operator kind executes in.
+/// Cache keys are bare node ids, so every executor sharing one cache must
+/// run the *same* graph — two plans with different node numbering would
+/// collide keys and serve each other's outputs. The multi-tenant forest
+/// path satisfies this by construction (all tenants execute one merged
+/// graph).
 pub struct Executor<'g> {
     graph: &'g Graph,
     ctx: ExecContext,
     cache: Arc<CacheManager>,
-    /// Apply-time input binding; its presence selects apply mode.
-    runtime_input: Option<AnyData>,
     /// Per-node profiles used to charge the simulated clock.
     profiles: Option<Arc<HashMap<NodeId, NodeProfile>>>,
     /// Mid-fit adaptive re-planner: notified of every node request so it
     /// can compare observed demand against the plan's prediction and apply
     /// cost-only cache revisions (see [`crate::optimizer::adaptive`]).
     adaptive: Option<Arc<crate::optimizer::AdaptiveController>>,
-    /// Fitted models of this run, plus its data outputs in apply mode.
-    memo: Mutex<HashMap<NodeId, NodeOutput>>,
+    /// Fitted models of this run.
+    models: Mutex<HashMap<NodeId, Arc<dyn ErasedTransformer>>>,
 }
+
+/// Where a node being computed reads an input from: [`Executor::eval`] in
+/// a fit, the walk's earlier results (else `eval`) in an apply.
+type Resolve<'r> = &'r (dyn Fn(NodeId) -> NodeOutput + Sync);
 
 /// When a node's execution is billed to the simulated clock.
 enum SimCharge<'a> {
@@ -90,34 +97,16 @@ enum SimCharge<'a> {
 }
 
 impl<'g> Executor<'g> {
-    /// Creates an executor in fit mode (cache-managed recomputation).
+    /// Creates an executor over `graph` with no fitted models yet.
     pub fn new(graph: &'g Graph, ctx: ExecContext, cache: Arc<CacheManager>) -> Self {
         Executor {
             graph,
             ctx,
             cache,
-            runtime_input: None,
             profiles: None,
             adaptive: None,
-            memo: Mutex::new(HashMap::new()),
+            models: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Binds the apply-time input, which puts the executor in apply mode
-    /// (see the type docs).
-    ///
-    /// In apply mode a node the cache's policy admits is looked up and, on
-    /// a miss, offered, so it survives this run: that is how an
-    /// `ExecutablePlan`'s cache, pinned to the request-independent nodes,
-    /// serves them to every later `apply` and serving wave. Cache keys are
-    /// bare node ids, so every executor sharing one cache must run the
-    /// *same* graph — two plans with different node numbering would
-    /// collide keys and serve each other's outputs. The multi-tenant forest
-    /// path satisfies this by construction (all tenants execute one merged
-    /// graph).
-    pub fn with_runtime_input(mut self, data: AnyData) -> Self {
-        self.runtime_input = Some(data);
-        self
     }
 
     /// Supplies per-node profiles so execution charges the simulated clock.
@@ -126,19 +115,15 @@ impl<'g> Executor<'g> {
         self
     }
 
-    /// Attaches the adaptive mid-fit re-planner (fit mode only).
+    /// Attaches the adaptive mid-fit re-planner.
     pub fn with_adaptive(mut self, controller: Arc<crate::optimizer::AdaptiveController>) -> Self {
         self.adaptive = Some(controller);
         self
     }
 
-    /// Preloads fitted models (used by `FittedPipeline::apply`).
-    pub fn with_models(self, models: HashMap<NodeId, Arc<dyn ErasedTransformer>>) -> Self {
-        self.memo.lock().extend(
-            models
-                .into_iter()
-                .map(|(node, m)| (node, NodeOutput::Model(m))),
-        );
+    /// Preloads fitted models (used by `ExecutablePlan::execute_erased`).
+    pub fn with_models(mut self, models: HashMap<NodeId, Arc<dyn ErasedTransformer>>) -> Self {
+        self.models = Mutex::new(models);
         self
     }
 
@@ -149,105 +134,86 @@ impl<'g> Executor<'g> {
 
     /// Snapshot of fitted models.
     pub fn models(&self) -> HashMap<NodeId, Arc<dyn ErasedTransformer>> {
-        self.memo
-            .lock()
-            .iter()
-            .filter_map(|(&node, out)| match out {
-                NodeOutput::Model(m) => Some((node, m.clone())),
-                NodeOutput::Data(_) => None,
-            })
-            .collect()
-    }
-
-    /// Whether this is an apply-mode (single-pass) run.
-    fn apply_mode(&self) -> bool {
-        self.runtime_input.is_some()
+        self.models.lock().clone()
     }
 
     /// Evaluates `node`, recursively materializing dependencies.
     pub fn eval(&self, node: NodeId) -> NodeOutput {
-        // Run-local memo (models always; data only in apply mode).
-        if let Some(m) = self.memo.lock().get(&node) {
-            return m.clone();
+        if let Some(m) = self.models.lock().get(&node) {
+            return NodeOutput::Model(m.clone());
         }
-        // Adaptive hook (fit mode, where the memo holds only models): count
-        // this request and let the re-planner revise the cache membership
-        // at the wave boundary.
+        // Adaptive hook: count this request and let the re-planner revise
+        // the cache membership at the wave boundary.
         if let Some(ad) = &self.adaptive {
-            let fitted = |n: NodeId| self.memo.lock().contains_key(&n);
+            let fitted = |n: NodeId| self.models.lock().contains_key(&n);
             ad.on_request(node, fitted, &self.cache);
         }
-        // An apply run touches the cache only for nodes its policy admits:
-        // a run that cannot reuse a node records no miss or reject for it,
-        // and an apply-path node is never offered, or wave N would serve
-        // wave N-1's answers.
-        let cacheable = !self.apply_mode() || self.cache.policy_admits(node as u64);
         // Policy-driven cache for data nodes. A resident entry can still be
         // *lost* (simulated executor failure) or hold a foreign value; both
         // cases invalidate and fall through to lineage recompute — a cached
         // output is an optimization, never a correctness requirement.
-        if let Some(v) = cacheable.then(|| self.cache.get(node as u64)).flatten() {
-            if self
-                .active_faults()
-                .is_some_and(|f| f.cache_entry_lost(node as u64))
-            {
-                self.cache.invalidate(node as u64);
-            } else {
-                match v.downcast_ref::<AnyData>() {
-                    Some(data) => return NodeOutput::Data(data.clone()),
-                    None => {
-                        self.cache.invalidate(node as u64);
-                    }
+        if let Some(v) = self.cache.get(node as u64) {
+            let lost = self
+                .ctx
+                .faults
+                .as_ref()
+                .is_some_and(|f| f.cache_entry_lost(node as u64));
+            match v.downcast_ref::<AnyData>() {
+                Some(data) if !lost => return NodeOutput::Data(data.clone()),
+                _ => {
+                    self.cache.invalidate(node as u64);
                 }
             }
         }
 
-        let out = self.compute(node);
-
+        let out = self.compute(node, &|i| self.eval(i));
         match &out {
             NodeOutput::Data(d) => {
-                if cacheable {
-                    self.cache
-                        .put(node as u64, Arc::new(d.clone()), d.total_bytes().max(1));
-                }
-                if self.apply_mode() {
-                    self.memo.lock().insert(node, out.clone());
-                }
+                self.cache
+                    .put(node as u64, Arc::new(d.clone()), d.total_bytes().max(1));
             }
-            NodeOutput::Model(_) => {
-                self.memo.lock().insert(node, out.clone());
+            NodeOutput::Model(m) => {
+                self.models.lock().insert(node, m.clone());
             }
         }
         out
     }
 
-    /// The fault plan in effect, if any. Apply runs stay fault-free:
-    /// injection targets the fit-time executor the recovery machinery
-    /// protects.
-    fn active_faults(&self) -> Option<&FaultPlan> {
-        if self.apply_mode() {
-            None
-        } else {
-            self.ctx.faults.as_ref()
+    /// Walks `path` — a topological list of nodes, `input`'s runtime-input
+    /// node among them — once, and returns `output`'s data. Each node on
+    /// the path runs exactly once and reads its inputs from the walk's
+    /// earlier results; an input off the path goes through
+    /// [`Executor::eval`]. The walk itself never touches the cache.
+    pub fn apply(&self, path: &[NodeId], input: AnyData, output: NodeId) -> AnyData {
+        let mut done: Vec<(NodeId, NodeOutput)> = Vec::with_capacity(path.len());
+        for &node in path {
+            let out = match self.graph.nodes[node].kind {
+                NodeKind::RuntimeInput => NodeOutput::Data(input.clone()),
+                _ => {
+                    let resolve = |i: NodeId| match done.iter().rfind(|(n, _)| *n == i) {
+                        Some((_, out)) => out.clone(),
+                        None => self.eval(i),
+                    };
+                    self.compute(node, &resolve)
+                }
+            };
+            done.push((node, out));
+        }
+        match done.pop() {
+            Some((last, out)) if last == output => out.data().clone(),
+            _ => self.eval(output).data().clone(),
         }
     }
 
-    /// Computes a node unconditionally (no cache lookup).
-    fn compute(&self, node: NodeId) -> NodeOutput {
+    /// Computes a node unconditionally, reading each input via `input`.
+    fn compute(&self, node: NodeId, input: Resolve<'_>) -> NodeOutput {
         let n = &self.graph.nodes[node];
         match &n.kind {
-            NodeKind::RuntimeInput => NodeOutput::Data(
-                self.runtime_input
-                    .clone()
-                    .expect("runtime input not bound; call with_runtime_input"),
-            ),
+            NodeKind::RuntimeInput => panic!("runtime input is bound only by Executor::apply"),
             NodeKind::DataSource(data) => NodeOutput::Data(data.clone()),
             NodeKind::Transform(op) => {
-                let inputs: Vec<AnyData> = n
-                    .inputs
-                    .iter()
-                    .map(|&i| self.eval(i).data().clone())
-                    .collect();
+                let inputs: Vec<AnyData> =
+                    n.inputs.iter().map(|&i| input(i).data().clone()).collect();
                 let in_count = inputs.first().map_or(0, |d| d.stats().count);
                 let label = format!("transform:{}", n.label);
                 self.run_node(node, &label, in_count, SimCharge::Always, || {
@@ -256,11 +222,12 @@ impl<'g> Executor<'g> {
             }
             NodeKind::Estimate(op) => {
                 let pulled = AtomicUsize::new(0);
-                let handles: Vec<NodeHandle<'_, 'g>> = n
+                let handles: Vec<NodeHandle<'_>> = n
                     .inputs
                     .iter()
                     .map(|&i| NodeHandle {
-                        exec: self,
+                        ctx: &self.ctx,
+                        input,
                         node: i,
                         pulled: &pulled,
                     })
@@ -284,8 +251,8 @@ impl<'g> Executor<'g> {
                 })
             }
             NodeKind::ModelApply => {
-                let model = self.eval(n.inputs[0]).model().clone();
-                let data = self.eval(n.inputs[1]).data().clone();
+                let model = input(n.inputs[0]).model().clone();
+                let data = input(n.inputs[1]).data().clone();
                 let in_count = data.stats().count;
                 let label = format!("apply:{}", n.label);
                 self.run_node(node, &label, in_count, SimCharge::Always, || {
@@ -296,10 +263,10 @@ impl<'g> Executor<'g> {
     }
 
     /// Runs one node's `work` inside the instrumentation bracket every
-    /// operator kind shares: `NodeStart`, the work under a fault-aware task
-    /// scope (every `DistCollection` operation inside it emits
-    /// per-partition spans attributed to this node), the simulated-clock
-    /// charge, `NodeEnd` carrying wall and simulated seconds, then retry
+    /// operator kind shares: the work under a fault-aware task scope (every
+    /// `DistCollection` operation inside it emits per-partition spans
+    /// attributed to this node), the simulated-clock charge, the node's one
+    /// `NodeEnd` event carrying wall and simulated seconds, then retry
     /// accounting when a span the work recorded retried.
     fn run_node(
         &self,
@@ -309,7 +276,6 @@ impl<'g> Executor<'g> {
         charge: SimCharge<'_>,
         work: impl FnOnce() -> NodeOutput,
     ) -> NodeOutput {
-        self.ctx.tracer.node_start(node, label);
         let sim_mark = self.ctx.sim.mark();
         let span_mark = self.ctx.metrics.span_count();
         let retry_mark = self.ctx.metrics.retries_recorded();
@@ -320,7 +286,7 @@ impl<'g> Executor<'g> {
             Some(node as u64),
             self.ctx.resources.workers,
         )
-        .with_faults(self.active_faults().cloned());
+        .with_faults(self.ctx.faults.clone());
         let out = enter_task_scope(scope, work);
         let wall_secs = start.elapsed().as_secs_f64();
         let charged = match charge {
@@ -406,10 +372,12 @@ impl<'g> Executor<'g> {
     }
 }
 
-/// Lazy estimator input bound to an executor node: each `get` re-enters the
-/// executor, so uncached upstream chains are genuinely recomputed per pass.
-struct NodeHandle<'a, 'g> {
-    exec: &'a Executor<'g>,
+/// Lazy estimator input bound to a node: each `get` resolves the node
+/// again, so in a fit an uncached upstream chain is genuinely recomputed
+/// per pass.
+struct NodeHandle<'a> {
+    ctx: &'a ExecContext,
+    input: Resolve<'a>,
     node: NodeId,
     /// Simulated-ledger entries appended during pulls, shared by all of one
     /// estimator's handles. A statistic read on the driving thread after the
@@ -417,12 +385,12 @@ struct NodeHandle<'a, 'g> {
     pulled: &'a AtomicUsize,
 }
 
-impl InputHandle for NodeHandle<'_, '_> {
+impl InputHandle for NodeHandle<'_> {
     fn get(&self) -> AnyData {
-        let mark = self.exec.ctx.sim.mark();
-        let data = self.exec.eval(self.node).data().clone();
+        let mark = self.ctx.sim.mark();
+        let data = (self.input)(self.node).data().clone();
         self.pulled
-            .fetch_add(self.exec.ctx.sim.mark() - mark, Ordering::Relaxed);
+            .fetch_add(self.ctx.sim.mark() - mark, Ordering::Relaxed);
         data
     }
 }
@@ -525,25 +493,50 @@ mod tests {
         assert_eq!(execs(&exec, t), 1);
     }
 
+    /// A walk runs each path node once, even when two path nodes read it,
+    /// and touches no cache.
     #[test]
-    fn apply_mode_reuses_without_cache() {
+    fn apply_walk_runs_each_path_node_once() {
+        /// Doubles into a one-element vector, counting collection passes.
+        struct CountingLift(Arc<AtomicU64>);
+        impl Transformer<f64, Vec<f64>> for CountingLift {
+            fn apply(&self, x: &f64) -> Vec<f64> {
+                vec![x * 2.0]
+            }
+            fn apply_collection(
+                &self,
+                input: &DistCollection<f64>,
+                _ctx: &ExecContext,
+            ) -> DistCollection<Vec<f64>> {
+                self.0.fetch_add(1, Ordering::SeqCst);
+                input.map(|x| vec![x * 2.0])
+            }
+        }
         let calls = Arc::new(AtomicU64::new(0));
         let mut g = Graph::new();
         let input = g.add(NodeKind::RuntimeInput, vec![], "input");
         let t = g.add(
-            NodeKind::Transform(Arc::new(TypedTransformer::new(CountingDouble(
-                calls.clone(),
-            )))),
+            NodeKind::Transform(Arc::new(TypedTransformer::new(CountingLift(calls.clone())))),
             vec![input],
-            "double",
+            "lift",
         );
-        let bound = AnyData::wrap(DistCollection::from_vec(vec![1.0, 2.0, 3.0], 2));
-        let exec =
-            Executor::new(&g, ExecContext::default_cluster(), no_cache()).with_runtime_input(bound);
-        let _ = exec.eval(t);
-        let v: DistCollection<f64> = exec.eval(t).data().downcast();
-        assert_eq!(v.collect(), vec![2.0, 4.0, 6.0]);
+        let both = g.add(
+            NodeKind::Transform(Arc::new(crate::operator::GatherConcat)),
+            vec![t, t],
+            "gather",
+        );
+        let cache = big_cache();
+        let exec = Executor::new(&g, ExecContext::default_cluster(), cache.clone());
+        let out: DistCollection<Vec<f64>> = exec
+            .apply(
+                &[input, t, both],
+                AnyData::wrap(DistCollection::from_vec(vec![1.0, 2.0], 2)),
+                both,
+            )
+            .downcast();
+        assert_eq!(out.collect(), vec![vec![2.0, 2.0], vec![4.0, 4.0]]);
         assert_eq!(calls.load(Ordering::SeqCst), 1);
+        assert_eq!(cache.stats(), Default::default());
     }
 
     /// An estimator that reads its input `weight` times through the lazy
@@ -705,6 +698,7 @@ mod tests {
         assert_eq!(execs(&exec, e), 1);
     }
 
+    /// A walk reads an off-path model through `eval`, which fits it.
     #[test]
     fn model_apply_node_runs_model() {
         let calls = Arc::new(AtomicU64::new(0));
@@ -712,17 +706,17 @@ mod tests {
         let input = g.add(NodeKind::RuntimeInput, vec![], "input");
         let apply = g.add(NodeKind::ModelApply, vec![e, input], "apply");
         let test = AnyData::wrap(DistCollection::from_vec(vec![0.0], 1));
-        let exec =
-            Executor::new(&g, ExecContext::default_cluster(), no_cache()).with_runtime_input(test);
-        let out = exec.eval(apply);
+        let exec = Executor::new(&g, ExecContext::default_cluster(), no_cache());
+        let out = exec.apply(&[input, apply], test, apply);
         // Model adds mean of doubled [1,2,3] = 12/3... MultiPass computes
         // sum(=12)/passes(=1) = 12, so output = 0 + 12.
-        let v: DistCollection<f64> = out.data().downcast();
+        let v: DistCollection<f64> = out.downcast();
         assert_eq!(v.collect(), vec![12.0]);
+        assert!(exec.models().contains_key(&e));
     }
 
     #[test]
-    #[should_panic(expected = "runtime input not bound")]
+    #[should_panic(expected = "runtime input is bound only by Executor::apply")]
     fn unbound_runtime_input_panics() {
         let mut g = Graph::new();
         let input = g.add(NodeKind::RuntimeInput, vec![], "input");
@@ -956,8 +950,8 @@ mod tests {
     }
 
     /// The contract of the one instrumented runner, per node kind: one
-    /// `NodeStart`/`NodeEnd` pair, one sim charge under the node's label
-    /// that `NodeEnd.sim_secs` reports, and recovery booked after `NodeEnd`.
+    /// `NodeEnd`, one sim charge under the node's label that
+    /// `NodeEnd.sim_secs` reports, and recovery booked after `NodeEnd`.
     #[test]
     fn every_node_kind_runs_inside_the_same_bracket() {
         use keystone_dataflow::faults::FaultSpec;
@@ -986,7 +980,6 @@ mod tests {
             let mut end = None;
             for ev in ctx.tracer.events() {
                 match ev.event {
-                    TraceEvent::NodeStart { node: n, .. } if n == node => shape.push("start"),
                     TraceEvent::NodeEnd {
                         node: n,
                         wall_secs,
@@ -1000,10 +993,10 @@ mod tests {
                     _ => {}
                 }
             }
-            assert_eq!(shape[..2], ["start", "end"], "{label}: {shape:?}");
-            assert!(shape.len() > 2, "{label}: no retries recorded");
+            assert_eq!(shape[0], "end", "{label}: {shape:?}");
+            assert!(shape.len() > 1, "{label}: no retries recorded");
             assert!(
-                shape[2..].iter().all(|s| *s == "retry"),
+                shape[1..].iter().all(|s| *s == "retry"),
                 "{label}: {shape:?}"
             );
             let (wall_secs, sim_secs) = end.expect("NodeEnd");

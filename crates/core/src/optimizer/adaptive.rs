@@ -419,6 +419,11 @@ mod tests {
         )
     }
 
+    /// Whether `cache` admits a one-byte entry under `key`.
+    fn admits(cache: &CacheManager, key: u64) -> bool {
+        cache.put(key, std::sync::Arc::new(()), 1)
+    }
+
     #[test]
     fn demand_within_prediction_never_triggers() {
         let (problem, set) = underdeclared_problem();
@@ -451,7 +456,7 @@ mod tests {
         assert!(rev.predicted_saving_secs > 0.0);
         assert!((report.decision_secs - ADAPT_DECISION_SECS).abs() < 1e-18);
         // The cache admits the promoted key now.
-        assert!(cache.policy_admits(1));
+        assert!(admits(&cache, 1));
         // Further passes must not re-trigger.
         for _ in 0..5 {
             ctl.on_request(1, unfitted, &cache);
@@ -497,8 +502,8 @@ mod tests {
         // into the freed budget.
         assert_eq!(rev.evicted, vec![1]);
         assert_eq!(rev.promoted, vec![3]);
-        assert!(!cache.policy_admits(1));
-        assert!(cache.policy_admits(3));
+        assert!(!admits(&cache, 1));
+        assert!(admits(&cache, 3));
         // Soundness: nothing later re-evicts 1's slot or re-promotes it.
         for _ in 0..10 {
             ctl.on_request(3, fitted, &cache);
@@ -544,7 +549,7 @@ mod tests {
             "hint must evict the unpaid pick: {:?}",
             report.revisions[0]
         );
-        assert!(!cache.policy_admits(1));
+        assert!(!admits(&cache, 1));
     }
 
     #[test]

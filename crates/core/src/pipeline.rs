@@ -288,16 +288,15 @@ pub struct FitReport {
 }
 
 /// The type-erased executable artifact of a fit: the optimized DAG, the
-/// fitted models, the per-node profiles and the plan's one cache —
-/// everything needed to run the apply path, with the input typing stripped
+/// fitted models, the per-node profiles, the apply path and the plan's one
+/// cache — everything needed to apply it, with the input typing stripped
 /// off.
 ///
 /// Both [`FittedPipeline::apply`] and the serving layer (`keystone-serve`)
 /// execute through [`ExecutablePlan::execute_erased`], so batch apply and
 /// micro-batched serving cannot diverge: a serving wave *is* an
-/// `execute_erased` call over the wave's records. Every call shares the
-/// plan's cache (see [`ExecutablePlan::cache`]), so request-independent
-/// work is computed once per plan, not once per call.
+/// `execute_erased` call over the wave's records, and every call is one
+/// walk of the stored [`ExecutablePlan::apply_path`].
 pub struct ExecutablePlan {
     graph: Arc<Graph>,
     output: NodeId,
@@ -371,28 +370,31 @@ impl ExecutablePlan {
     }
 
     /// Runs the apply path over an erased input: the one way a plan runs,
-    /// for `FittedPipeline::apply` and for every serving wave alike.
+    /// for `FittedPipeline::apply` and for every serving wave alike. The
+    /// walk runs under `ctx` without its fault plan: injection targets the
+    /// fit the recovery machinery protects, so an apply stays fault-free.
     pub fn execute_erased(&self, input: AnyData, ctx: &ExecContext) -> AnyData {
-        let executor = Executor::new(&self.graph, ctx.clone(), self.cache.clone())
-            .with_runtime_input(input)
+        let mut ctx = ctx.clone();
+        ctx.faults = None;
+        Executor::new(&self.graph, ctx, self.cache.clone())
             .with_models(self.models.clone())
-            .with_profiles(self.profiles.clone());
-        executor.eval(self.output).data().clone()
+            .with_profiles(self.profiles.clone())
+            .apply(&self.apply_path, input, self.output)
     }
 
     /// The plan's one cache, shared by every [`ExecutablePlan::
     /// execute_erased`] call: unbounded and pinned to the data-producing
     /// nodes on the output's ancestry whose value does *not* depend on the
     /// runtime input, so nothing an input influences can leak from one
-    /// call into another. Its hit counters are the evidence that
-    /// request-independent work amortizes across calls.
+    /// call into another. A fitted pipeline's apply never evaluates such a
+    /// node (its models are preloaded), so only hand-built plans use it.
     pub fn cache(&self) -> &CacheManager {
         &self.cache
     }
 
     /// Apply-path nodes: the output's ancestry restricted to what the
     /// runtime input feeds, in topological order. This is exactly the work
-    /// one `execute_erased` call performs per wave (request-independent
+    /// one `execute_erased` call walks per wave (request-independent
     /// ancestry is either a memoized model or served by the plan's cache
     /// after the first call).
     pub fn apply_path(&self) -> Vec<NodeId> {
@@ -612,11 +614,11 @@ pub(crate) mod tests {
         assert_eq!(out.collect(), vec![15.0]);
     }
 
-    /// An apply runs through the plan's one cache, which admits no
-    /// apply-path node, so a single-record apply records its nodes'
-    /// brackets and nothing else: no cache lookup, miss or reject.
+    /// An apply walks its path without touching the plan's cache, so a
+    /// single-record apply records one `NodeEnd` per node run and nothing
+    /// else: no cache lookup, miss or reject.
     #[test]
-    fn apply_one_records_only_node_brackets() {
+    fn apply_one_records_only_node_ends() {
         use crate::trace::TraceEvent;
         let train = DistCollection::from_vec(vec![1.0, 2.0, 3.0], 2);
         let pipe = Pipeline::<f64, f64>::input()
@@ -637,10 +639,7 @@ pub(crate) mod tests {
         assert!(!events.is_empty());
         for e in &events {
             assert!(
-                matches!(
-                    e.event,
-                    TraceEvent::NodeStart { .. } | TraceEvent::NodeEnd { .. }
-                ),
+                matches!(e.event, TraceEvent::NodeEnd { .. }),
                 "{:?}",
                 e.event
             );

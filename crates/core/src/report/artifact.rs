@@ -64,8 +64,9 @@ use crate::trace::TracedEvent;
 /// node rows are the report's rows (`time_skew` is `skew_ratio`, and the
 /// relative errors, utilization and fused members join them), and plan
 /// nodes drop `fused_members` and `cached`, which the rows and `cache_set`
-/// carry.
-pub const SCHEMA_VERSION: u32 = 6;
+/// carry; v7 — a node run writes one event, `node_end` (node, label and
+/// costs), and the event type that marked its start is gone.
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// What kind of run the artifact records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

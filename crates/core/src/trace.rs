@@ -6,8 +6,8 @@
 //! picks from Algorithm 1, §4.3) against *observed* execution. This module
 //! records both sides as structured [`TraceEvent`]s on a shared [`Tracer`]:
 //!
-//! * node execution start/end with wall-clock and simulated-clock durations
-//!   (from the [`Executor`](crate::executor::Executor)),
+//! * one event per node run, carrying its wall-clock and simulated-clock
+//!   durations (from the [`Executor`](crate::executor::Executor)),
 //! * cache hits/misses/evictions/admissions/rejections per node (via a
 //!   [`CacheObserver`] adapter on the
 //!   [`CacheManager`](keystone_dataflow::cache::CacheManager)),
@@ -57,14 +57,6 @@ pub struct OperatorCandidate {
 /// A structured record of one runtime or optimizer decision.
 #[derive(Debug, Clone)]
 pub enum TraceEvent {
-    /// A node's own work began (inputs already materialized for transforms
-    /// and model application; estimators pull inputs lazily inside).
-    NodeStart {
-        /// Node id in the executing graph.
-        node: NodeId,
-        /// Node label.
-        label: String,
-    },
     /// A node's own work finished.
     NodeEnd {
         /// Node id in the executing graph.
@@ -254,10 +246,6 @@ impl TraceEvent {
         let id = |n: &NodeId| JVal::UInt(*n as u64);
         let ids = |ns: &[NodeId]| JVal::Arr(ns.iter().map(id).collect());
         let (kind, mut pairs) = match self {
-            TraceEvent::NodeStart { node, label } => (
-                "node_start",
-                vec![("node", id(node)), ("label", JVal::str(label))],
-            ),
             TraceEvent::NodeEnd {
                 node,
                 label,
@@ -583,14 +571,6 @@ impl Tracer {
             .collect()
     }
 
-    /// Records a node's work beginning.
-    pub fn node_start(&self, node: NodeId, label: &str) {
-        self.record(TraceEvent::NodeStart {
-            node,
-            label: label.to_string(),
-        });
-    }
-
     /// Records a node's work finishing.
     pub fn node_end(
         &self,
@@ -733,12 +713,10 @@ mod tests {
     #[test]
     fn sequence_numbers_follow_recording_order() {
         let t = Tracer::new();
-        t.node_start(0, "a");
         t.node_end(0, "a", 10, 80, 0.5, 0.1);
-        t.node_start(1, "b");
         t.node_end(1, "b", 10, 80, 0.25, 0.05);
         let evs = t.events();
-        assert_eq!(evs.len(), 4);
+        assert_eq!(evs.len(), 2);
         for (i, e) in evs.iter().enumerate() {
             assert_eq!(e.seq, i as u64);
         }

@@ -197,22 +197,6 @@ impl CacheManager {
         keys
     }
 
-    /// Whether the policy would even consider admitting `key` (ignoring
-    /// size and occupancy). Callers that share a cache across runs check
-    /// this before offering, so outputs the policy can never take (e.g.
-    /// request-dependent nodes outside a pinned set) produce no reject
-    /// noise in observers or counters.
-    pub fn policy_admits(&self, key: u64) -> bool {
-        match &self.policy {
-            CachePolicy::Pinned(set) => {
-                let inner = self.inner.lock();
-                (set.contains(&key) && !inner.demoted.contains(&key))
-                    || inner.promoted.contains(&key)
-            }
-            CachePolicy::Lru { .. } => true,
-        }
-    }
-
     /// Adds `key` to a [`CachePolicy::Pinned`] membership after
     /// construction. Used by adaptive plan revisions to promote a
     /// materialization pick the recalibrated cost model now wants. A no-op
@@ -664,20 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_admits_reflects_policy_membership() {
-        let pinned = CacheManager::new(100, CachePolicy::Pinned([3u64].into_iter().collect()));
-        assert!(pinned.policy_admits(3));
-        assert!(!pinned.policy_admits(4));
-        let lru = CacheManager::new(
-            100,
-            CachePolicy::Lru {
-                admission_fraction: 0.5,
-            },
-        );
-        assert!(lru.policy_admits(9), "LRU considers any key");
-    }
-
-    #[test]
     fn resident_put_with_new_size_reaccounts() {
         let c = CacheManager::new(
             100,
@@ -858,14 +828,12 @@ mod tests {
     fn promote_opens_pinned_membership() {
         let set: HashSet<u64> = [1].into_iter().collect();
         let c = CacheManager::new(100, CachePolicy::Pinned(set));
-        assert!(!c.policy_admits(5));
         assert!(!c.put(5, val(5), 10), "non-member admitted");
         c.promote(5);
-        assert!(c.policy_admits(5));
         assert!(c.put(5, val(5), 10), "promoted key rejected");
         assert!(c.get(5).is_some());
         // Original members are unaffected.
-        assert!(c.policy_admits(1));
+        assert!(c.put(1, val(1), 10), "member rejected");
     }
 
     #[test]
@@ -875,7 +843,6 @@ mod tests {
         let c = CacheManager::new(100, CachePolicy::Pinned(set)).with_observer(rec.clone());
         assert!(c.put(1, val(1), 40));
         assert!(c.demote(1), "resident entry not dropped");
-        assert!(!c.policy_admits(1));
         assert!(c.get(1).is_none());
         assert_eq!(c.used(), 0, "demote did not release bytes");
         assert!(!c.put(1, val(1), 40), "demoted key re-admitted");
@@ -894,10 +861,9 @@ mod tests {
         let set: HashSet<u64> = [1].into_iter().collect();
         let c = CacheManager::new(100, CachePolicy::Pinned(set));
         c.demote(1);
-        assert!(!c.policy_admits(1));
+        assert!(!c.put(1, val(1), 10), "demoted key admitted");
         c.promote(1);
-        assert!(c.policy_admits(1));
-        assert!(c.put(1, val(1), 10));
+        assert!(c.put(1, val(1), 10), "re-promoted key rejected");
         // And the freed budget from a demotion is usable by a promotion.
         let tight = CacheManager::new(40, CachePolicy::Pinned([7u64].into_iter().collect()));
         assert!(tight.put(7, val(7), 40));

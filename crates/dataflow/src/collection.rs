@@ -410,8 +410,12 @@ impl<T: Send + Sync + 'static> DistCollection<T> {
         self.iter().take(n).cloned().collect()
     }
 
-    /// Deterministic uniform sample of about `n` elements (without
-    /// replacement, proportional across partitions).
+    /// Deterministic uniform sample of exactly `min(n, count)` elements
+    /// (without replacement, proportional across partitions).
+    ///
+    /// Quotas round cumulatively: partition `i` draws `round(n·Cᵢ/total) −
+    /// round(n·Cᵢ₋₁/total)`, where `C` is the running record count, so the
+    /// quotas sum to `n` and many small partitions still share the sample.
     pub fn sample(&self, n: usize, seed: u64) -> Vec<T>
     where
         T: Clone,
@@ -423,10 +427,12 @@ impl<T: Send + Sync + 'static> DistCollection<T> {
         if n >= total {
             return self.collect();
         }
-        let mut out = Vec::with_capacity(n + self.partitions.len());
+        let quota = |c: usize| (2 * n * c + total) / (2 * total);
+        let mut out = Vec::with_capacity(n);
+        let mut seen = 0;
         for (pi, p) in self.partitions.iter().enumerate() {
-            let want = ((p.len() as f64 / total as f64) * n as f64).round() as usize;
-            let want = want.min(p.len());
+            let want = quota(seen + p.len()) - quota(seen);
+            seen += p.len();
             if want == 0 {
                 continue;
             }
@@ -436,7 +442,6 @@ impl<T: Send + Sync + 'static> DistCollection<T> {
             let offset = (split_seed(seed, pi as u64) as usize) % stride.max(1);
             out.extend((0..want).map(|i| p[(offset + i * stride).min(p.len() - 1)].clone()));
         }
-        out.truncate(n);
         out
     }
 
@@ -564,9 +569,23 @@ mod tests {
         let s1 = c.sample(100, 42);
         let s2 = c.sample(100, 42);
         assert_eq!(s1, s2);
-        assert!(s1.len() >= 90 && s1.len() <= 100, "len {}", s1.len());
+        assert_eq!(s1.len(), 100);
         // Sampling more than exists returns everything.
         assert_eq!(c.sample(5000, 1).len(), 1000);
+    }
+
+    /// Quotas round cumulatively: partitions smaller than one quota still
+    /// yield exactly `n` distinct records, spread over the whole collection
+    /// instead of none at all or only its head.
+    #[test]
+    fn sample_spreads_over_many_small_partitions() {
+        for (len, parts) in [(2000, 2000), (3000, 1000)] {
+            let c = DistCollection::from_vec((0..len).collect::<Vec<i64>>(), parts);
+            let s = c.sample(512, 7);
+            assert_eq!(s.len(), 512, "{len} records over {parts} partitions");
+            assert!(s.windows(2).all(|w| w[0] < w[1]), "repeated records");
+            assert!(s[0] < 8 && s[511] >= len - 10, "{}..{}", s[0], s[511]);
+        }
     }
 
     #[test]
@@ -849,7 +868,7 @@ mod proptests {
         fn prop_sample_is_subset(data in proptest::collection::vec(0i64..1_000_000, 1..200), p in 1usize..10, n in 0usize..250, seed in 0u64..100) {
             let c = DistCollection::from_vec(data.clone(), p);
             let s = c.sample(n, seed);
-            prop_assert!(s.len() <= n.min(data.len()) || s.len() <= data.len());
+            prop_assert_eq!(s.len(), n.min(data.len()));
             for v in &s {
                 prop_assert!(data.contains(v));
             }

@@ -3,9 +3,10 @@
 //! A [`Server`] owns a fitted pipeline's [`ExecutablePlan`] and a
 //! [`BatchPolicy`]. Each dispatched batch runs as a single apply wave
 //! through `ExecutablePlan::execute_erased` — the one code path
-//! `FittedPipeline::apply` uses too — so a request's score cannot depend on
-//! how it was batched, and request-independent intermediates live in the
-//! plan's own cache, shared with every other apply of the plan.
+//! `FittedPipeline::apply` uses too, one walk of the plan's apply path — so
+//! a request's score cannot depend on how it was batched. A hand-built
+//! plan's request-independent intermediates live in the plan's own cache,
+//! shared with every other apply of the plan.
 //!
 //! Accounting is split between the two clocks, and each wave is charged
 //! once. On the *simulated* clock the executor charges the wave's nodes as

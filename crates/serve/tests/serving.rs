@@ -353,15 +353,6 @@ fn request_independent_work_is_computed_once_across_waves() {
         HashMap::new(),
         Arc::new(HashMap::new()),
     ));
-    assert!(
-        plan.cache().policy_admits(counted as u64),
-        "the request-independent transform is reusable"
-    );
-    assert!(
-        !plan.cache().policy_admits(apply as u64),
-        "the apply-path node is not"
-    );
-
     let serve_ctx = ctx();
     let server = Server::<f64, f64>::from_plan(plan.clone(), BatchPolicy::new(1, 0.0));
     let records = [10.0f64, 20.0, 30.0];
@@ -377,6 +368,11 @@ fn request_independent_work_is_computed_once_across_waves() {
     );
     let stats = server.cache().stats();
     assert_eq!(stats.hits, 2, "waves 2 and 3 must hit the shared cache");
+    assert_eq!(
+        server.cache().resident_keys(),
+        vec![counted as u64],
+        "only the request-independent transform is kept, never the apply-path node"
+    );
 
     // A batch apply of the same plan shares that cache: the transform the
     // waves computed is not computed again.
@@ -389,4 +385,62 @@ fn request_independent_work_is_computed_once_across_waves() {
         "apply recomputed what the server's waves cached"
     );
     assert_eq!(server.cache().stats().hits, 3);
+}
+
+/// A node two apply-path consumers share runs once per call: once per
+/// `apply`, once per `apply_one` and once per serving wave. `CountingDouble`
+/// has two consumers, so fusion leaves it a node of its own.
+#[test]
+fn a_shared_apply_path_node_runs_once_per_call() {
+    struct Lift(f64);
+    impl Transformer<f64, Vec<f64>> for Lift {
+        fn apply(&self, x: &f64) -> Vec<f64> {
+            vec![x + self.0]
+        }
+    }
+    let calls = Arc::new(AtomicU64::new(0));
+    let shared = Pipeline::<f64, f64>::input().and_then(CountingDouble(calls.clone()));
+    let pipe = keystone_core::gather(&[shared.and_then(Lift(1.0)), shared.and_then(Lift(2.0))]);
+    let opts = PipelineOptions {
+        profile: profile_opts(),
+        ..PipelineOptions::full()
+    };
+    let (fitted, _) = pipe.fit(&ctx(), &opts);
+    let runs = || calls.swap(0, Ordering::SeqCst);
+    runs();
+
+    let out = fitted.apply(&DistCollection::from_vec(vec![1.0, 2.0, 3.0], 2), &ctx());
+    assert_eq!(out.collect()[2], vec![7.0, 8.0]);
+    assert_eq!(runs(), 1, "apply");
+
+    let one_ctx = ctx();
+    assert_eq!(fitted.apply_one(&5.0, &one_ctx), vec![11.0, 12.0]);
+    assert_eq!(runs(), 1, "apply_one");
+    // One `NodeEnd` per operator node on the apply path, and no other.
+    let plan = fitted.plan();
+    let mut ops: Vec<usize> = plan
+        .apply_path()
+        .into_iter()
+        .filter(|&id| !matches!(plan.graph().nodes[id].kind, NodeKind::RuntimeInput))
+        .collect();
+    let mut ended: Vec<usize> = one_ctx
+        .tracer
+        .events()
+        .into_iter()
+        .filter_map(|e| match e.event {
+            TraceEvent::NodeEnd { node, .. } => Some(node),
+            _ => None,
+        })
+        .collect();
+    ops.sort_unstable();
+    ended.sort_unstable();
+    assert!(ops.len() >= 2, "CountingDouble was fused: {ops:?}");
+    assert_eq!(ended, ops);
+
+    let server = Server::new(&fitted, BatchPolicy::new(4, 1e-3));
+    let records: Vec<f64> = (0..10).map(f64::from).collect();
+    let outcome = server.run(one_at_a_time(&records), &ctx());
+    assert_eq!(outcome.responses.len(), records.len());
+    assert!(outcome.batches.len() > 1, "{} waves", outcome.batches.len());
+    assert_eq!(runs(), outcome.batches.len() as u64, "serving waves");
 }
