@@ -7,12 +7,13 @@
 //! automatic materialization optimizer (§4.3) manages. Fitted models *are*
 //! memoized per run: an estimator fits once.
 //!
-//! An apply is a walk, [`Executor::apply`]: the plan's apply path runs
-//! once, in topological order, each node reading its inputs from the
-//! walk's own earlier results. Only inputs off the path — fitted models,
-//! and the request-independent nodes only hand-built plans have — go
-//! through `eval`. Fit and walk compute a node the same way, inside one
-//! instrumented bracket that records one `NodeEnd` event per node run.
+//! An apply is a walk of the `Program` a plan lowered once: steps in
+//! topological order, each reading its inputs from numbered slots or from
+//! fitted models, and dropping every slot it is the last reader of as soon
+//! as it returns. A walk never calls `eval`, and reads the cache only for
+//! the request-independent values of hand-built plans. Fit and walk compute
+//! a node the same way, inside one instrumented bracket that records one
+//! `NodeEnd` event per node run.
 //!
 //! ## Fault tolerance
 //!
@@ -36,7 +37,7 @@
 //! own work completes, in deterministic span order, so two runs with the
 //! same fault seed produce identical event streams.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -53,13 +54,13 @@ use parking_lot::Mutex;
 
 /// DAG evaluator over a frozen graph.
 ///
-/// [`Executor::eval`] drives a fit and [`Executor::apply`] walks an apply
-/// path; both compute every node the same way, under the context's fault
-/// plan. A run-local memo holds the fitted models; data outputs are kept
-/// only by the cache, or by a walk for its own duration. The executor
-/// writes to the context's three ledgers — `sim`, `tracer`, `metrics` —
-/// from one place, the private `run_node` bracket every operator kind
-/// executes in.
+/// [`Executor::eval`] drives a fit and `Executor::apply` walks a lowered
+/// program; both compute every node the same way, under the context's
+/// fault plan. A fit's run-local memo holds the models it fitted; data
+/// outputs are kept only by the cache, or by a walk's slots until their
+/// last reader has run. The executor writes to the context's three
+/// ledgers — `sim`, `tracer`, `metrics` — from one place, the private
+/// `run_node` bracket every operator kind executes in.
 ///
 /// Cache keys are bare node ids, so every executor sharing one cache must
 /// run the *same* graph — two plans with different node numbering would
@@ -76,13 +77,94 @@ pub struct Executor<'g> {
     /// can compare observed demand against the plan's prediction and apply
     /// cost-only cache revisions (see [`crate::optimizer::adaptive`]).
     adaptive: Option<Arc<crate::optimizer::AdaptiveController>>,
-    /// Fitted models of this run.
+    /// Models this fit has fitted.
     models: Mutex<HashMap<NodeId, Arc<dyn ErasedTransformer>>>,
 }
 
-/// Where a node being computed reads an input from: [`Executor::eval`] in
-/// a fit, the walk's earlier results (else `eval`) in an apply.
-type Resolve<'r> = &'r (dyn Fn(NodeId) -> NodeOutput + Sync);
+/// Reads the `k`-th input of the node being computed: through
+/// [`Executor::eval`] in a fit, from the walk's slots and models in an apply.
+type Resolve<'r> = &'r (dyn Fn(usize) -> NodeOutput + Sync);
+
+/// A plan lowered once for `Executor::apply`. Slot 0 holds the runtime
+/// input and step `i` runs `nodes[i]` into slot `i + 1`. The first
+/// `constants` steps are request-independent, which only hand-built plans
+/// have; the rest are the apply path.
+pub(crate) struct Program {
+    pub(crate) nodes: Vec<NodeId>,
+    pub(crate) constants: usize,
+    /// The constant slots the path reads, with their cache keys; no step
+    /// frees them.
+    pub(crate) pinned: Vec<(usize, u64)>,
+    output: usize,
+    inputs: Vec<Vec<Operand>>,
+    /// Per step, the slots whose last reader it is.
+    frees: Vec<Vec<usize>>,
+}
+
+/// A step input, resolved at lowering.
+enum Operand {
+    Slot(usize),
+    Model(Arc<dyn ErasedTransformer>),
+}
+
+impl Program {
+    /// Lowers what `output` needs beyond the fitted `models`, constants
+    /// first, each part in topological order (node ids are).
+    pub(crate) fn lower(
+        graph: &Graph,
+        output: NodeId,
+        models: &HashMap<NodeId, Arc<dyn ErasedTransformer>>,
+    ) -> Program {
+        let input = graph.runtime_input().expect("a plan has a runtime input");
+        let mut needed = HashSet::from([output]);
+        for id in (0..=output).rev() {
+            if needed.contains(&id) && !models.contains_key(&id) {
+                needed.extend(&graph.nodes[id].inputs);
+            }
+        }
+        let tainted = graph.dependents(input);
+        let (path, mut nodes): (Vec<NodeId>, Vec<NodeId>) = (0..=output)
+            .filter(|id| needed.contains(id) && !models.contains_key(id) && *id != input)
+            .partition(|id| tainted.contains(id));
+        let constants = nodes.len();
+        nodes.extend(path);
+        let slot: HashMap<NodeId, usize> = [input].iter().chain(&nodes).copied().zip(0..).collect();
+        let operand = |i: &NodeId| match slot.get(i) {
+            Some(&s) => Operand::Slot(s),
+            None => Operand::Model(models[i].clone()),
+        };
+        let inputs: Vec<Vec<Operand>> = nodes
+            .iter()
+            .map(|&id| graph.nodes[id].inputs.iter().map(&operand).collect())
+            .collect();
+        // Walking back from the output, a slot's first reader is its last,
+        // except that a constant the path reads stays for the cache.
+        let output = slot[&output];
+        let constant = |s: usize| (1..=constants).contains(&s);
+        let mut pinned: Vec<usize> = [output].into_iter().filter(|&s| constant(s)).collect();
+        let mut seen = HashSet::from([output]);
+        let mut frees = vec![Vec::new(); nodes.len()];
+        for (i, operands) in inputs.iter().enumerate().rev() {
+            for operand in operands {
+                match *operand {
+                    Operand::Slot(s) if !seen.insert(s) => {}
+                    Operand::Slot(s) if i >= constants && constant(s) => pinned.push(s),
+                    Operand::Slot(s) => frees[i].push(s),
+                    Operand::Model(_) => {}
+                }
+            }
+        }
+        let pinned = pinned.into_iter().map(|s| (s, nodes[s - 1] as u64));
+        Program {
+            pinned: pinned.collect(),
+            nodes,
+            constants,
+            output,
+            inputs,
+            frees,
+        }
+    }
+}
 
 /// When a node's execution is billed to the simulated clock.
 enum SimCharge<'a> {
@@ -121,18 +203,12 @@ impl<'g> Executor<'g> {
         self
     }
 
-    /// Preloads fitted models (used by `ExecutablePlan::execute_erased`).
-    pub fn with_models(mut self, models: HashMap<NodeId, Arc<dyn ErasedTransformer>>) -> Self {
-        self.models = Mutex::new(models);
-        self
-    }
-
     /// The execution context.
     pub fn ctx(&self) -> &ExecContext {
         &self.ctx
     }
 
-    /// Snapshot of fitted models.
+    /// Snapshot of the models this fit has fitted.
     pub fn models(&self) -> HashMap<NodeId, Arc<dyn ErasedTransformer>> {
         self.models.lock().clone()
     }
@@ -166,7 +242,8 @@ impl<'g> Executor<'g> {
             }
         }
 
-        let out = self.compute(node, &|i| self.eval(i));
+        let inputs = &self.graph.nodes[node].inputs;
+        let out = self.compute(node, &|k| self.eval(inputs[k]));
         match &out {
             NodeOutput::Data(d) => {
                 self.cache
@@ -179,41 +256,50 @@ impl<'g> Executor<'g> {
         out
     }
 
-    /// Walks `path` — a topological list of nodes, `input`'s runtime-input
-    /// node among them — once, and returns `output`'s data. Each node on
-    /// the path runs exactly once and reads its inputs from the walk's
-    /// earlier results; an input off the path goes through
-    /// [`Executor::eval`]. The walk itself never touches the cache.
-    pub fn apply(&self, path: &[NodeId], input: AnyData, output: NodeId) -> AnyData {
-        let mut done: Vec<(NodeId, NodeOutput)> = Vec::with_capacity(path.len());
-        for &node in path {
-            let out = match self.graph.nodes[node].kind {
-                NodeKind::RuntimeInput => NodeOutput::Data(input.clone()),
-                _ => {
-                    let resolve = |i: NodeId| match done.iter().rfind(|(n, _)| *n == i) {
-                        Some((_, out)) => out.clone(),
-                        None => self.eval(i),
-                    };
-                    self.compute(node, &resolve)
-                }
+    /// Walks `program` once over `input` and returns its output. Each step
+    /// runs once, reads its inputs from earlier slots or from the models
+    /// lowering resolved, and drops every slot it is the last reader of as
+    /// soon as it returns. The constants the path reads come from the
+    /// cache; a walk that misses one runs the constant steps too and leaves
+    /// what the path reads in the cache.
+    pub(crate) fn apply(&self, program: &Program, input: AnyData) -> AnyData {
+        let mut slots = vec![None; program.nodes.len() + 1];
+        slots[0] = Some(NodeOutput::Data(input));
+        let warm = program.pinned.iter().all(|&(s, key)| {
+            slots[s] = self.cache.get(key).and_then(|v| v.downcast_ref().cloned());
+            slots[s].is_some()
+        });
+        for i in if warm { program.constants } else { 0 }..program.nodes.len() {
+            let resolve = |k: usize| match &program.inputs[i][k] {
+                Operand::Slot(s) => slots[*s].clone().expect("read before its last reader"),
+                Operand::Model(model) => NodeOutput::Model(model.clone()),
             };
-            done.push((node, out));
+            let out = self.compute(program.nodes[i], &resolve);
+            slots[i + 1] = Some(out);
+            for &s in &program.frees[i] {
+                slots[s] = None;
+            }
         }
-        match done.pop() {
-            Some((last, out)) if last == output => out.data().clone(),
-            _ => self.eval(output).data().clone(),
+        for &(s, key) in program.pinned.iter().filter(|_| !warm) {
+            let value: NodeOutput = slots[s].clone().expect("pinned slots are never freed");
+            let bytes = value.approx_bytes();
+            self.cache.put(key, Arc::new(value), bytes);
         }
+        let output = slots[program.output].take().expect("the output stays");
+        output.data().clone()
     }
 
-    /// Computes a node unconditionally, reading each input via `input`.
+    /// Computes a node unconditionally, reading its `k`-th input via
+    /// `input(k)`.
     fn compute(&self, node: NodeId, input: Resolve<'_>) -> NodeOutput {
         let n = &self.graph.nodes[node];
         match &n.kind {
-            NodeKind::RuntimeInput => panic!("runtime input is bound only by Executor::apply"),
+            NodeKind::RuntimeInput => panic!("the runtime input is bound only by a walk"),
             NodeKind::DataSource(data) => NodeOutput::Data(data.clone()),
             NodeKind::Transform(op) => {
-                let inputs: Vec<AnyData> =
-                    n.inputs.iter().map(|&i| input(i).data().clone()).collect();
+                let inputs: Vec<AnyData> = (0..n.inputs.len())
+                    .map(|k| input(k).data().clone())
+                    .collect();
                 let in_count = inputs.first().map_or(0, |d| d.stats().count);
                 let label = format!("transform:{}", n.label);
                 self.run_node(node, &label, in_count, SimCharge::Always, || {
@@ -222,13 +308,11 @@ impl<'g> Executor<'g> {
             }
             NodeKind::Estimate(op) => {
                 let pulled = AtomicUsize::new(0);
-                let handles: Vec<NodeHandle<'_>> = n
-                    .inputs
-                    .iter()
-                    .map(|&i| NodeHandle {
+                let handles: Vec<NodeHandle<'_>> = (0..n.inputs.len())
+                    .map(|index| NodeHandle {
                         ctx: &self.ctx,
                         input,
-                        node: i,
+                        index,
                         pulled: &pulled,
                     })
                     .collect();
@@ -251,8 +335,8 @@ impl<'g> Executor<'g> {
                 })
             }
             NodeKind::ModelApply => {
-                let model = input(n.inputs[0]).model().clone();
-                let data = input(n.inputs[1]).data().clone();
+                let model = input(0).model().clone();
+                let data = input(1).data().clone();
                 let in_count = data.stats().count;
                 let label = format!("apply:{}", n.label);
                 self.run_node(node, &label, in_count, SimCharge::Always, || {
@@ -372,13 +456,13 @@ impl<'g> Executor<'g> {
     }
 }
 
-/// Lazy estimator input bound to a node: each `get` resolves the node
-/// again, so in a fit an uncached upstream chain is genuinely recomputed
-/// per pass.
+/// Lazy estimator input bound to one of the estimator's inputs: each `get`
+/// resolves it again, so in a fit an uncached upstream chain is genuinely
+/// recomputed per pass.
 struct NodeHandle<'a> {
     ctx: &'a ExecContext,
     input: Resolve<'a>,
-    node: NodeId,
+    index: usize,
     /// Simulated-ledger entries appended during pulls, shared by all of one
     /// estimator's handles. A statistic read on the driving thread after the
     /// fit returns; it publishes no other data, hence `Relaxed`.
@@ -388,7 +472,7 @@ struct NodeHandle<'a> {
 impl InputHandle for NodeHandle<'_> {
     fn get(&self) -> AnyData {
         let mark = self.ctx.sim.mark();
-        let data = (self.input)(self.node).data().clone();
+        let data = (self.input)(self.index).data().clone();
         self.pulled
             .fetch_add(self.ctx.sim.mark() - mark, Ordering::Relaxed);
         data
@@ -417,6 +501,11 @@ mod tests {
             self.0.fetch_add(1, Ordering::SeqCst);
             input.map(|x| x * 2.0)
         }
+    }
+
+    /// `records` as erased data in two partitions.
+    fn wrap(records: Vec<f64>) -> AnyData {
+        AnyData::wrap(DistCollection::from_vec(records, 2))
     }
 
     fn no_cache() -> Arc<CacheManager> {
@@ -527,13 +616,8 @@ mod tests {
         );
         let cache = big_cache();
         let exec = Executor::new(&g, ExecContext::default_cluster(), cache.clone());
-        let out: DistCollection<Vec<f64>> = exec
-            .apply(
-                &[input, t, both],
-                AnyData::wrap(DistCollection::from_vec(vec![1.0, 2.0], 2)),
-                both,
-            )
-            .downcast();
+        let program = Program::lower(&g, both, &HashMap::new());
+        let out: DistCollection<Vec<f64>> = exec.apply(&program, wrap(vec![1.0, 2.0])).downcast();
         assert_eq!(out.collect(), vec![vec![2.0, 2.0], vec![4.0, 4.0]]);
         assert_eq!(calls.load(Ordering::SeqCst), 1);
         assert_eq!(cache.stats(), Default::default());
@@ -698,25 +782,26 @@ mod tests {
         assert_eq!(execs(&exec, e), 1);
     }
 
-    /// A walk reads an off-path model through `eval`, which fits it.
+    /// A walk reads a model that lowering resolved, and never fits it.
     #[test]
     fn model_apply_node_runs_model() {
         let calls = Arc::new(AtomicU64::new(0));
         let (mut g, e) = estimator_graph(calls, 1);
         let input = g.add(NodeKind::RuntimeInput, vec![], "input");
         let apply = g.add(NodeKind::ModelApply, vec![e, input], "apply");
-        let test = AnyData::wrap(DistCollection::from_vec(vec![0.0], 1));
+        let fit = Executor::new(&g, ExecContext::default_cluster(), no_cache());
+        let models = HashMap::from([(e, fit.eval(e).model().clone())]);
+        let program = Program::lower(&g, apply, &models);
         let exec = Executor::new(&g, ExecContext::default_cluster(), no_cache());
-        let out = exec.apply(&[input, apply], test, apply);
-        // Model adds mean of doubled [1,2,3] = 12/3... MultiPass computes
-        // sum(=12)/passes(=1) = 12, so output = 0 + 12.
-        let v: DistCollection<f64> = out.downcast();
+        // MultiPass computes sum(double([1, 2, 3])) / passes = 12 / 1, so
+        // the output is 0 + 12.
+        let v: DistCollection<f64> = exec.apply(&program, wrap(vec![0.0])).downcast();
         assert_eq!(v.collect(), vec![12.0]);
-        assert!(exec.models().contains_key(&e));
+        assert!(exec.models().is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "runtime input is bound only by Executor::apply")]
+    #[should_panic(expected = "the runtime input is bound only by a walk")]
     fn unbound_runtime_input_panics() {
         let mut g = Graph::new();
         let input = g.add(NodeKind::RuntimeInput, vec![], "input");

@@ -16,7 +16,7 @@ use keystone_dataflow::cache::{CacheManager, CachePolicy};
 use keystone_dataflow::collection::DistCollection;
 
 use crate::context::ExecContext;
-use crate::executor::Executor;
+use crate::executor::{Executor, Program};
 use crate::graph::{Graph, NodeId, NodeKind};
 use crate::operator::{
     AnyData, ErasedTransformer, Estimator, GatherConcat, LabelEstimator, LogicalOperator,
@@ -288,67 +288,46 @@ pub struct FitReport {
 }
 
 /// The type-erased executable artifact of a fit: the optimized DAG, the
-/// fitted models, the per-node profiles, the apply path and the plan's one
-/// cache — everything needed to apply it, with the input typing stripped
-/// off.
+/// per-node profiles, the plan lowered to a program with its fitted models
+/// resolved, and the plan's one cache — everything needed to apply it,
+/// with the input typing stripped off.
 ///
 /// Both [`FittedPipeline::apply`] and the serving layer (`keystone-serve`)
 /// execute through [`ExecutablePlan::execute_erased`], so batch apply and
 /// micro-batched serving cannot diverge: a serving wave *is* an
 /// `execute_erased` call over the wave's records, and every call is one
-/// walk of the stored [`ExecutablePlan::apply_path`].
+/// walk of the program [`ExecutablePlan::new`] lowered.
 pub struct ExecutablePlan {
     graph: Arc<Graph>,
     output: NodeId,
-    models: HashMap<NodeId, Arc<dyn ErasedTransformer>>,
     profiles: Arc<HashMap<NodeId, crate::profiler::NodeProfile>>,
-    /// The output's ancestry that the runtime input feeds, in topological
-    /// order (see [`ExecutablePlan::apply_path`]).
-    apply_path: Vec<NodeId>,
+    program: Program,
     cache: Arc<CacheManager>,
 }
 
 impl ExecutablePlan {
-    /// Assembles a plan from its parts and builds its cache (see
+    /// Assembles a plan from its parts, lowers it once into a program whose
+    /// step inputs are slots or fitted models, and builds its cache (see
     /// [`ExecutablePlan::cache`]). `Pipeline::fit` is the normal producer;
     /// this constructor exists for serving/test harnesses that build the
-    /// optimized graph directly (e.g. to exercise cross-request cache reuse
-    /// on hand-crafted DAGs).
+    /// optimized graph directly.
+    ///
+    /// # Panics
+    /// Panics if the graph has no runtime input.
     pub fn new(
         graph: Arc<Graph>,
         output: NodeId,
         models: HashMap<NodeId, Arc<dyn ErasedTransformer>>,
         profiles: Arc<HashMap<NodeId, crate::profiler::NodeProfile>>,
     ) -> Self {
-        let tainted = graph
-            .runtime_input()
-            .map(|ri| graph.dependents(ri))
-            .unwrap_or_default();
-        let (apply_path, rest): (Vec<NodeId>, Vec<NodeId>) = graph
-            .topo_ancestors(&[output])
-            .into_iter()
-            .partition(|id| tainted.contains(id));
-        // Request-independent nodes that produce data by running an
-        // operator: estimator models are memoized by the executor and data
-        // sources are already resident, so only `Transform` and
-        // `ModelApply` nodes are worth keeping.
-        let reusable = rest
-            .into_iter()
-            .filter(|&id| {
-                matches!(
-                    graph.nodes[id].kind,
-                    NodeKind::Transform(_) | NodeKind::ModelApply
-                )
-            })
-            .map(|id| id as u64)
-            .collect();
-        let cache = Arc::new(CacheManager::new(u64::MAX, CachePolicy::Pinned(reusable)));
+        let program = Program::lower(&graph, output, &models);
+        let pinned = program.pinned.iter().map(|&(_, key)| key).collect();
+        let cache = Arc::new(CacheManager::new(u64::MAX, CachePolicy::Pinned(pinned)));
         ExecutablePlan {
             graph,
             output,
-            models,
             profiles,
-            apply_path,
+            program,
             cache,
         }
     }
@@ -377,28 +356,24 @@ impl ExecutablePlan {
         let mut ctx = ctx.clone();
         ctx.faults = None;
         Executor::new(&self.graph, ctx, self.cache.clone())
-            .with_models(self.models.clone())
             .with_profiles(self.profiles.clone())
-            .apply(&self.apply_path, input, self.output)
+            .apply(&self.program, input)
     }
 
     /// The plan's one cache, shared by every [`ExecutablePlan::
-    /// execute_erased`] call: unbounded and pinned to the data-producing
-    /// nodes on the output's ancestry whose value does *not* depend on the
-    /// runtime input, so nothing an input influences can leak from one
-    /// call into another. A fitted pipeline's apply never evaluates such a
-    /// node (its models are preloaded), so only hand-built plans use it.
+    /// execute_erased`] call: unbounded and pinned to the request-independent
+    /// values the apply path reads, so nothing an input influences can leak
+    /// from one call into another. A fitted pipeline's path reads only its
+    /// models, which lowering resolved, so only hand-built plans use it.
     pub fn cache(&self) -> &CacheManager {
         &self.cache
     }
 
-    /// Apply-path nodes: the output's ancestry restricted to what the
-    /// runtime input feeds, in topological order. This is exactly the work
-    /// one `execute_erased` call walks per wave (request-independent
-    /// ancestry is either a memoized model or served by the plan's cache
-    /// after the first call).
-    pub fn apply_path(&self) -> Vec<NodeId> {
-        self.apply_path.clone()
+    /// Apply-path nodes: the output's ancestry that the runtime input
+    /// feeds, minus the runtime input itself, in topological order — the
+    /// steps one `execute_erased` call runs.
+    pub fn apply_path(&self) -> &[NodeId] {
+        &self.program.nodes[self.program.constants..]
     }
 }
 
@@ -645,6 +620,90 @@ pub(crate) mod tests {
             );
         }
         assert_eq!(fitted.plan().cache().stats(), Default::default());
+    }
+
+    /// Live [`Staged`] records per stage: index 0 counts the chain's input,
+    /// index `k` the output of its `k`-th transformer.
+    static LIVE: [AtomicUsize; 7] = [const { AtomicUsize::new(0) }; 7];
+
+    /// A record tagged with the stage that made it, counted while alive.
+    struct Staged(usize);
+    impl Staged {
+        fn new(stage: usize) -> Self {
+            LIVE[stage].fetch_add(1, Ordering::SeqCst);
+            Staged(stage)
+        }
+    }
+    impl Clone for Staged {
+        fn clone(&self) -> Self {
+            Staged::new(self.0)
+        }
+    }
+    impl Drop for Staged {
+        fn drop(&mut self) {
+            LIVE[self.0].fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+    impl Record for Staged {
+        fn approx_bytes(&self) -> usize {
+            8
+        }
+    }
+
+    /// Stage `k` of the chain: maps a stage `k - 1` record to a stage `k`
+    /// one, first noting in `stale` every output older than its input that
+    /// is still alive, and in `widest` the most outputs alive at once.
+    struct Next {
+        stage: usize,
+        stale: Arc<AtomicUsize>,
+        widest: Arc<AtomicUsize>,
+    }
+    impl Transformer<Staged, Staged> for Next {
+        fn apply(&self, x: &Staged) -> Staged {
+            assert_eq!(x.0 + 1, self.stage);
+            let live = |stages: std::ops::Range<usize>| -> usize {
+                stages.map(|k| LIVE[k].load(Ordering::SeqCst)).sum()
+            };
+            self.stale
+                .fetch_max(live(1..self.stage - 1), Ordering::SeqCst);
+            self.widest.fetch_max(live(1..LIVE.len()), Ordering::SeqCst);
+            Staged::new(self.stage)
+        }
+    }
+
+    /// An apply drops each output right after its last reader runs: in an
+    /// unfused six-transformer chain, no output older than a stage's input
+    /// is alive while the stage runs, so the walk's live outputs never
+    /// exceed the widest adjacent pair.
+    #[test]
+    fn an_apply_frees_each_output_after_its_last_reader() {
+        let stale = Arc::new(AtomicUsize::new(0));
+        let widest = Arc::new(AtomicUsize::new(0));
+        let mut pipe = Pipeline::<Staged, Staged>::input();
+        for stage in 1..LIVE.len() {
+            pipe = pipe.and_then(Next {
+                stage,
+                stale: stale.clone(),
+                widest: widest.clone(),
+            });
+        }
+        let (fitted, report) = pipe.fit(&ctx(), &PipelineOptions::none());
+        assert_eq!(report.fused_nodes, 0);
+        assert_eq!(fitted.plan().apply_path().len(), 6);
+        let n = 8;
+        let input = DistCollection::from_vec((0..n).map(|_| Staged::new(0)).collect(), 2);
+        let out = fitted.apply(&input, &ctx());
+        assert!(out.collect().iter().all(|r| r.0 == 6));
+        assert_eq!(
+            stale.load(Ordering::SeqCst),
+            0,
+            "an older output outlived its last reader"
+        );
+        let widest = widest.load(Ordering::SeqCst);
+        assert!(
+            (n..=2 * n).contains(&widest),
+            "{widest} outputs alive at once"
+        );
     }
 
     /// A logical `Scale` that counts its `options()` calls.

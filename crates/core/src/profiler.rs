@@ -729,7 +729,7 @@ mod tests {
         let choice = ("PickScale[x100]".to_string(), "x100".to_string());
         assert_eq!(report.choices, vec![choice]);
         let plan = fitted.plan();
-        for id in plan.apply_path() {
+        for &id in plan.apply_path() {
             let node = &plan.graph().nodes[id];
             if let NodeKind::Transform(op) = &node.kind {
                 assert!(

@@ -122,11 +122,6 @@ impl DenseMatrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its row-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Element access.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
@@ -416,18 +411,6 @@ pub fn scal(alpha: f64, x: &mut [f64]) {
 #[inline]
 pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
-}
-
-/// Elementwise difference `a - b` as a new vector.
-pub fn vsub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x - y).collect()
-}
-
-/// Elementwise sum `a + b` as a new vector.
-pub fn vadd(a: &[f64], b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x + y).collect()
 }
 
 #[cfg(test)]

@@ -22,12 +22,6 @@ impl Complex {
         Complex { re, im }
     }
 
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Complex::new(self.re, -self.im)
-    }
-
     /// Magnitude.
     #[inline]
     pub fn abs(self) -> f64 {

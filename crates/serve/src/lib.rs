@@ -19,8 +19,8 @@
 //!   [`ExecutablePlan`](keystone_core::pipeline::ExecutablePlan): one batch
 //!   = one `execute` wave through the very code path
 //!   `FittedPipeline::apply` uses, with a cross-request
-//!   [`CacheManager`](keystone_dataflow::cache::CacheManager) serving
-//!   request-independent intermediates to later waves.
+//!   [`CacheManager`](keystone_dataflow::cache::CacheManager) serving a
+//!   hand-built plan's request-independent values to later waves.
 //!
 //! Everything the layer *accounts* — linger, queue wait, execution cost —
 //! lives on the simulated clock (`SimClock`) and is a pure function of the

@@ -3,10 +3,10 @@
 //! A [`Server`] owns a fitted pipeline's [`ExecutablePlan`] and a
 //! [`BatchPolicy`]. Each dispatched batch runs as a single apply wave
 //! through `ExecutablePlan::execute_erased` — the one code path
-//! `FittedPipeline::apply` uses too, one walk of the plan's apply path — so
-//! a request's score cannot depend on how it was batched. A hand-built
-//! plan's request-independent intermediates live in the plan's own cache,
-//! shared with every other apply of the plan.
+//! `FittedPipeline::apply` uses too, one walk of the plan's lowered program
+//! — so a request's score cannot depend on how it was batched. A hand-built
+//! plan's request-independent values are computed once, into the plan's
+//! own cache, shared with every other apply of the plan.
 //!
 //! Accounting is split between the two clocks, and each wave is charged
 //! once. On the *simulated* clock the executor charges the wave's nodes as
@@ -168,16 +168,16 @@ impl<A: Record, B: Record> Server<A, B> {
         &self.plan
     }
 
-    /// The plan's cache, which every wave shares (see
-    /// [`ExecutablePlan::cache`]).
+    /// The plan's cache, which every wave shares; it stays empty for a
+    /// fitted pipeline (see [`ExecutablePlan::cache`]).
     pub fn cache(&self) -> &CacheManager {
         self.plan.cache()
     }
 
     /// Runs the batcher over `requests`, scoring each dispatched wave as
-    /// one plan execution and charging it what its nodes charged the
-    /// simulated clock. The plan's cache persists across calls, so a warm
-    /// server keeps its materialized intermediates.
+    /// one walk of the plan's program and charging it what its nodes charged
+    /// the simulated clock. Only a hand-built plan's request-independent
+    /// values outlive a wave, in the plan's cache.
     ///
     /// # Panics
     /// Panics if a wave's output count differs from its input count — the

@@ -321,10 +321,10 @@ impl Transformer<f64, f64> for CountingDouble {
 #[test]
 fn request_independent_work_is_computed_once_across_waves() {
     // Hand-built plan: a train-side branch (source → counted transform →
-    // estimator) feeding a ModelApply over the runtime input. With no
-    // preloaded models, every wave refits the estimator — but the counted
-    // transform is request-independent, so the server's cross-request
-    // cache must serve it to waves 2..n.
+    // estimator) feeding a ModelApply over the runtime input, with no
+    // preloaded models. The estimator is then a request-independent value
+    // the apply path reads: the first wave fits it, once, and the plan's
+    // cross-request cache must serve it to waves 2..n.
     let calls = Arc::new(AtomicU64::new(0));
     let mut g = Graph::new();
     let input = g.add(NodeKind::RuntimeInput, vec![], "input");
@@ -366,23 +366,31 @@ fn request_independent_work_is_computed_once_across_waves() {
         1,
         "request-independent transform recomputed across waves"
     );
+    let fits = |c: &ExecContext| c.tracer.node_actuals().get(&est).map_or(0, |a| a.execs);
+    assert_eq!(fits(&serve_ctx), 1, "the estimator was refit across waves");
     let stats = server.cache().stats();
     assert_eq!(stats.hits, 2, "waves 2 and 3 must hit the shared cache");
     assert_eq!(
         server.cache().resident_keys(),
-        vec![counted as u64],
-        "only the request-independent transform is kept, never the apply-path node"
+        vec![est as u64],
+        "only the constant the path reads is kept, never an apply-path node"
     );
 
-    // A batch apply of the same plan shares that cache: the transform the
-    // waves computed is not computed again.
+    // A batch apply of the same plan shares that cache: the estimator the
+    // waves fitted is not fitted again.
+    let apply_ctx = ctx();
     let applied = FittedPipeline::<f64, f64>::from_plan(plan)
-        .apply(&DistCollection::from_vec(vec![40.0], 1), &ctx());
+        .apply(&DistCollection::from_vec(vec![40.0], 1), &apply_ctx);
     assert_eq!(applied.collect(), vec![36.0]);
     assert_eq!(
         calls.load(Ordering::SeqCst),
         1,
         "apply recomputed what the server's waves cached"
+    );
+    assert_eq!(
+        fits(&apply_ctx),
+        0,
+        "apply refit what the server's waves cached"
     );
     assert_eq!(server.cache().stats().hits, 3);
 }
@@ -416,13 +424,8 @@ fn a_shared_apply_path_node_runs_once_per_call() {
     let one_ctx = ctx();
     assert_eq!(fitted.apply_one(&5.0, &one_ctx), vec![11.0, 12.0]);
     assert_eq!(runs(), 1, "apply_one");
-    // One `NodeEnd` per operator node on the apply path, and no other.
-    let plan = fitted.plan();
-    let mut ops: Vec<usize> = plan
-        .apply_path()
-        .into_iter()
-        .filter(|&id| !matches!(plan.graph().nodes[id].kind, NodeKind::RuntimeInput))
-        .collect();
+    // One `NodeEnd` per node on the apply path, and no other.
+    let mut ops: Vec<usize> = fitted.plan().apply_path().to_vec();
     let mut ended: Vec<usize> = one_ctx
         .tracer
         .events()

@@ -79,7 +79,10 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
             .collect()
     });
     results.into_iter().flatten().collect()
@@ -320,7 +323,13 @@ mod tests {
         let v: Vec<u64> = (0..64).collect();
         let payload = std::panic::catch_unwind(|| {
             v.par_iter()
-                .map(|&x| if x == 63 { panic!("item {x} is poison") } else { x })
+                .map(|&x| {
+                    if x == 63 {
+                        panic!("item {x} is poison")
+                    } else {
+                        x
+                    }
+                })
                 .collect::<Vec<u64>>()
         })
         .expect_err("the closure panicked");

@@ -1,7 +1,6 @@
 //! The fitted model every linear solver produces: a `d × k` linear map
 //! (plus intercept) applied row-wise.
 
-use keystone_core::context::ExecContext;
 use keystone_core::operator::Transformer;
 use keystone_linalg::dense::DenseMatrix;
 
@@ -68,15 +67,6 @@ impl Transformer<Vec<f64>, usize> for MaxClassifier {
     fn name(&self) -> String {
         "MaxClassifier".to_string()
     }
-}
-
-/// Helper used by tests and examples: applies a model to a whole collection.
-pub fn predict_all<F: Features>(
-    model: &LinearMapModel,
-    data: &keystone_dataflow::collection::DistCollection<F>,
-    ctx: &ExecContext,
-) -> keystone_dataflow::collection::DistCollection<Vec<f64>> {
-    Transformer::apply_collection(model, data, ctx)
 }
 
 #[cfg(test)]

@@ -221,8 +221,8 @@ pub fn run_cell(seed: u64, cell: &MatrixCell) -> CellRun {
     let selected = cell.opts.level == OptLevel::Full;
     let logical_on_apply_path = plan
         .apply_path()
-        .into_iter()
-        .map(|id| &plan.graph().nodes[id])
+        .iter()
+        .map(|&id| &plan.graph().nodes[id])
         .filter(|n| matches!(&n.kind, NodeKind::Transform(op) if selected && op.physical_options().is_some()))
         .map(|n| n.label.clone())
         .collect();

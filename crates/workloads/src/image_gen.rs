@@ -55,19 +55,6 @@ impl ImageDatasetSpec {
         }
     }
 
-    /// ImageNet-like: many classes.
-    pub fn imagenet_like(n: usize, size: usize, classes: usize) -> Self {
-        ImageDatasetSpec {
-            n,
-            size,
-            channels: 3,
-            classes,
-            noise: 0.4,
-            seed: 0x1337,
-            partitions: 8,
-        }
-    }
-
     fn class_params(&self, class: usize) -> (f64, f64, f64) {
         // Orientation in [0, π), frequency, phase-per-channel factor.
         let golden = 0.618_033_988_749_895;

@@ -75,8 +75,8 @@ fn cifar_pipeline_learns_and_selects_convolver() {
     let plan = fitted.plan();
     let conv_apply = plan
         .apply_path()
-        .into_iter()
-        .flat_map(|id| {
+        .iter()
+        .flat_map(|&id| {
             let node = &plan.graph().nodes[id];
             match &node.kind {
                 NodeKind::Transform(op) => op.fused_members(),
