@@ -18,9 +18,8 @@
 //! ## Fault tolerance
 //!
 //! The executor provides the recovery guarantees the paper inherits from
-//! Spark's RDD lineage, under the context's
-//! [`FaultPlan`](keystone_dataflow::faults::FaultPlan) when it has one
-//! (an `ExecutablePlan` applies under a context without one):
+//! Spark's RDD lineage, under the context's [`FaultPlan`] when it has one
+//! (an `ExecutablePlan`'s apply walk drops it):
 //!
 //! * **Task retry** — a partition attempt that panics, or that the
 //!   fault plan fails, is re-run by the collection layer; the span records
@@ -37,16 +36,17 @@
 //! own work completes, in deterministic span order, so two runs with the
 //! same fault seed produce identical event streams.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use keystone_dataflow::cache::CacheManager;
-use keystone_dataflow::faults::backoff_secs;
+use keystone_dataflow::faults::{backoff_secs, FaultPlan};
 use keystone_dataflow::metrics::{enter_task_scope, TaskScope};
 
 use crate::context::ExecContext;
-use crate::graph::{Graph, NodeId, NodeKind};
+use crate::graph::{Graph, Node, NodeId, NodeKind};
 use crate::operator::{AnyData, ErasedTransformer, InputHandle, NodeOutput};
 use crate::profiler::NodeProfile;
 use crate::trace::TraceEvent;
@@ -56,7 +56,8 @@ use parking_lot::Mutex;
 ///
 /// [`Executor::eval`] drives a fit and `Executor::apply` walks a lowered
 /// program; both compute every node the same way, under the context's
-/// fault plan. A fit's run-local memo holds the models it fitted; data
+/// fault plan unless the executor drops it. A fit's run-local memo holds
+/// the models it fitted; data
 /// outputs are kept only by the cache, or by a walk's slots until their
 /// last reader has run. The executor writes to the context's three
 /// ledgers — `sim`, `tracer`, `metrics` — from one place, the private
@@ -69,7 +70,9 @@ use parking_lot::Mutex;
 /// graph).
 pub struct Executor<'g> {
     graph: &'g Graph,
-    ctx: ExecContext,
+    ctx: Cow<'g, ExecContext>,
+    /// The fault plan node runs execute under.
+    faults: Option<FaultPlan>,
     cache: Arc<CacheManager>,
     /// Per-node profiles used to charge the simulated clock.
     profiles: Option<Arc<HashMap<NodeId, NodeProfile>>>,
@@ -79,6 +82,18 @@ pub struct Executor<'g> {
     adaptive: Option<Arc<crate::optimizer::AdaptiveController>>,
     /// Models this fit has fitted.
     models: Mutex<HashMap<NodeId, Arc<dyn ErasedTransformer>>>,
+    /// Every node's bracket label, built on a fit's first node run.
+    labels: OnceLock<Vec<Arc<str>>>,
+}
+
+/// A node's stage label in all three ledgers.
+fn bracket_label(n: &Node) -> Arc<str> {
+    match &n.kind {
+        NodeKind::Transform(_) => format!("transform:{}", n.label).into(),
+        NodeKind::Estimate(_) => format!("fit:{}", n.label).into(),
+        NodeKind::ModelApply => format!("apply:{}", n.label).into(),
+        NodeKind::RuntimeInput | NodeKind::DataSource(_) => Arc::from(""),
+    }
 }
 
 /// Reads the `k`-th input of the node being computed: through
@@ -97,6 +112,8 @@ pub(crate) struct Program {
     pub(crate) pinned: Vec<(usize, u64)>,
     output: usize,
     inputs: Vec<Vec<Operand>>,
+    /// Per step, its node's bracket label.
+    labels: Vec<Arc<str>>,
     /// Per step, the slots whose last reader it is.
     frees: Vec<Vec<usize>>,
 }
@@ -157,6 +174,10 @@ impl Program {
         let pinned = pinned.into_iter().map(|s| (s, nodes[s - 1] as u64));
         Program {
             pinned: pinned.collect(),
+            labels: nodes
+                .iter()
+                .map(|&id| bracket_label(&graph.nodes[id]))
+                .collect(),
             nodes,
             constants,
             output,
@@ -179,16 +200,30 @@ enum SimCharge<'a> {
 }
 
 impl<'g> Executor<'g> {
-    /// Creates an executor over `graph` with no fitted models yet.
-    pub fn new(graph: &'g Graph, ctx: ExecContext, cache: Arc<CacheManager>) -> Self {
+    /// Creates an executor over `graph` with no fitted models yet, under a
+    /// borrowed or owned `ctx`.
+    pub fn new(
+        graph: &'g Graph,
+        ctx: impl Into<Cow<'g, ExecContext>>,
+        cache: Arc<CacheManager>,
+    ) -> Self {
+        let ctx = ctx.into();
         Executor {
             graph,
+            faults: ctx.faults.clone(),
             ctx,
             cache,
             profiles: None,
             adaptive: None,
             models: Mutex::new(HashMap::new()),
+            labels: OnceLock::new(),
         }
+    }
+
+    /// Drops the fault plan: node runs execute fault-free.
+    pub(crate) fn fault_free(mut self) -> Self {
+        self.faults = None;
+        self
     }
 
     /// Supplies per-node profiles so execution charges the simulated clock.
@@ -230,7 +265,6 @@ impl<'g> Executor<'g> {
         // output is an optimization, never a correctness requirement.
         if let Some(v) = self.cache.get(node as u64) {
             let lost = self
-                .ctx
                 .faults
                 .as_ref()
                 .is_some_and(|f| f.cache_entry_lost(node as u64));
@@ -243,7 +277,10 @@ impl<'g> Executor<'g> {
         }
 
         let inputs = &self.graph.nodes[node].inputs;
-        let out = self.compute(node, &|k| self.eval(inputs[k]));
+        let labels = self
+            .labels
+            .get_or_init(|| self.graph.nodes.iter().map(bracket_label).collect());
+        let out = self.compute(node, &labels[node], &|k| self.eval(inputs[k]));
         match &out {
             NodeOutput::Data(d) => {
                 self.cache
@@ -274,7 +311,7 @@ impl<'g> Executor<'g> {
                 Operand::Slot(s) => slots[*s].clone().expect("read before its last reader"),
                 Operand::Model(model) => NodeOutput::Model(model.clone()),
             };
-            let out = self.compute(program.nodes[i], &resolve);
+            let out = self.compute(program.nodes[i], &program.labels[i], &resolve);
             slots[i + 1] = Some(out);
             for &s in &program.frees[i] {
                 slots[s] = None;
@@ -289,9 +326,9 @@ impl<'g> Executor<'g> {
         output.data().clone()
     }
 
-    /// Computes a node unconditionally, reading its `k`-th input via
-    /// `input(k)`.
-    fn compute(&self, node: NodeId, input: Resolve<'_>) -> NodeOutput {
+    /// Computes a node unconditionally under its bracket `label`, reading
+    /// its `k`-th input via `input(k)`.
+    fn compute(&self, node: NodeId, label: &Arc<str>, input: Resolve<'_>) -> NodeOutput {
         let n = &self.graph.nodes[node];
         match &n.kind {
             NodeKind::RuntimeInput => panic!("the runtime input is bound only by a walk"),
@@ -301,8 +338,7 @@ impl<'g> Executor<'g> {
                     .map(|k| input(k).data().clone())
                     .collect();
                 let in_count = inputs.first().map_or(0, |d| d.stats().count);
-                let label = format!("transform:{}", n.label);
-                self.run_node(node, &label, in_count, SimCharge::Always, || {
+                self.run_node(node, label, in_count, SimCharge::Always, || {
                     NodeOutput::Data(op.apply_any(&inputs, &self.ctx))
                 })
             }
@@ -324,13 +360,12 @@ impl<'g> Executor<'g> {
                     .as_ref()
                     .and_then(|p| p.get(&node))
                     .map_or(0, |p| p.records_hint);
-                let label = format!("fit:{}", n.label);
                 // Estimators re-enter the executor through lazy handles;
                 // inner nodes push their own (innermost-wins) scope, so only
                 // the fit's own collection work is attributed here. Inner
                 // nodes likewise run their own recovery accounting.
                 let charge = SimCharge::UnlessSelfCharged(&pulled);
-                self.run_node(node, &label, records, charge, || {
+                self.run_node(node, label, records, charge, || {
                     NodeOutput::Model(op.fit_any(&handle_refs, &self.ctx))
                 })
             }
@@ -338,8 +373,7 @@ impl<'g> Executor<'g> {
                 let model = input(0).model().clone();
                 let data = input(1).data().clone();
                 let in_count = data.stats().count;
-                let label = format!("apply:{}", n.label);
-                self.run_node(node, &label, in_count, SimCharge::Always, || {
+                self.run_node(node, label, in_count, SimCharge::Always, || {
                     NodeOutput::Data(model.apply_any(&[data], &self.ctx))
                 })
             }
@@ -355,7 +389,7 @@ impl<'g> Executor<'g> {
     fn run_node(
         &self,
         node: NodeId,
-        label: &str,
+        label: &Arc<str>,
         records: usize,
         charge: SimCharge<'_>,
         work: impl FnOnce() -> NodeOutput,
@@ -366,11 +400,11 @@ impl<'g> Executor<'g> {
         let start = std::time::Instant::now();
         let scope = TaskScope::new(
             &self.ctx.metrics,
-            label,
+            label.clone(),
             Some(node as u64),
             self.ctx.resources.workers,
         )
-        .with_faults(self.ctx.faults.clone());
+        .with_faults(self.faults.clone());
         let out = enter_task_scope(scope, work);
         let wall_secs = start.elapsed().as_secs_f64();
         let charged = match charge {

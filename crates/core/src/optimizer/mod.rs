@@ -19,7 +19,7 @@ use crate::executor::Executor;
 use crate::graph::{Graph, NodeId, NodeKind};
 use crate::pipeline::{ExecutablePlan, FitReport};
 use crate::profiler::{profile_and_select, PipelineProfile, ProfileOptions};
-use crate::report::{LedgerWindow, PipelineReport};
+use crate::report::{LedgerMarks, PipelineReport};
 use crate::trace::TraceEvent;
 
 pub use adaptive::{
@@ -273,13 +273,14 @@ impl FitPlan {
 
     /// Step 4: traces the picks, builds the fit-time cache, fuses, runs the
     /// estimator waves and folds the report, returning one plan per output.
-    /// `window` and `started` mark where the caller's fit began.
+    /// `window` and `started` mark where the caller's fit began; the caller
+    /// keeps its window open until the fit returns.
     pub(crate) fn execute(
         self,
         ctx: &ExecContext,
         opts: &PipelineOptions,
         eliminated: usize,
-        window: LedgerWindow,
+        window: LedgerMarks,
         started: Instant,
     ) -> (FitReport, Vec<Arc<ExecutablePlan>>) {
         let FitPlan {
@@ -370,7 +371,7 @@ impl FitPlan {
         // own charges land there too) and memoized for the rest.
         let profiles = Arc::new(profile.nodes.clone());
         let mut executor =
-            Executor::new(&graph, ctx.clone(), Arc::new(cache)).with_profiles(profiles.clone());
+            Executor::new(&graph, ctx, Arc::new(cache)).with_profiles(profiles.clone());
         if let Some(ad) = &adaptive {
             executor = executor.with_adaptive(ad.clone());
         }

@@ -348,7 +348,7 @@ pub fn fit_forest<A: Record, B: Record>(
         || opts.level == OptLevel::None
         || matches!(opts.caching, CachingStrategy::Lru { .. })
     {
-        return fit_solo(tenants, ctx, opts, window.sim, None);
+        return fit_solo(tenants, ctx, opts, window.marks.sim, None);
     }
     let t0 = Instant::now();
 
@@ -378,7 +378,7 @@ pub fn fit_forest<A: Record, B: Record>(
         ctx.resources.workers.max(1) as f64,
     );
     if !estimate.favours_sharing() {
-        return fit_solo(tenants, ctx, opts, window.sim, Some(estimate));
+        return fit_solo(tenants, ctx, opts, window.marks.sim, Some(estimate));
     }
 
     // The shared plan runs: from here on the context is told about it, so
@@ -409,8 +409,13 @@ pub fn fit_forest<A: Record, B: Record>(
         .collect();
 
     // 4. The tenants' waves interleave on one executor, each in its lane.
-    let (mut fit, plans) = plan.execute(ctx, opts, eliminated, window, t0);
-    let lanes: HashMap<String, f64> = ctx.sim.since(window.sim).by_stage().into_iter().collect();
+    let (mut fit, plans) = plan.execute(ctx, opts, eliminated, window.marks, t0);
+    let lanes: HashMap<String, f64> = ctx
+        .sim
+        .since(window.marks.sim)
+        .by_stage()
+        .into_iter()
+        .collect();
     for row in &mut rows {
         row.sim_secs = lanes
             .get(&format!("tenant{}", row.tenant))
@@ -421,7 +426,7 @@ pub fn fit_forest<A: Record, B: Record>(
     let report = ForestReport {
         shared: true,
         estimate: Some(estimate),
-        forest_secs: ctx.sim.seconds_since(window.sim),
+        forest_secs: ctx.sim.seconds_since(window.marks.sim),
         cross_merges: merges,
         tenants: rows,
         fit: Some(fit),

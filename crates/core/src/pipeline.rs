@@ -224,8 +224,13 @@ impl<A: Record, B: Record> Pipeline<A, B> {
             }
             (r.graph, r.remap[&self.output], r.eliminated)
         };
-        let (report, mut plans) =
-            FitPlan::new(graph, vec![output], ctx, opts).execute(ctx, opts, eliminated, window, t0);
+        let (report, mut plans) = FitPlan::new(graph, vec![output], ctx, opts).execute(
+            ctx,
+            opts,
+            eliminated,
+            window.marks,
+            t0,
+        );
         (FittedPipeline::from_plan(plans.remove(0)), report)
     }
 }
@@ -352,10 +357,11 @@ impl ExecutablePlan {
     /// for `FittedPipeline::apply` and for every serving wave alike. The
     /// walk runs under `ctx` without its fault plan: injection targets the
     /// fit the recovery machinery protects, so an apply stays fault-free.
+    /// Its rows fold only if the caller runs it in
+    /// [`ExecContext::apply_scope`].
     pub fn execute_erased(&self, input: AnyData, ctx: &ExecContext) -> AnyData {
-        let mut ctx = ctx.clone();
-        ctx.faults = None;
         Executor::new(&self.graph, ctx, self.cache.clone())
+            .fault_free()
             .with_profiles(self.profiles.clone())
             .apply(&self.program, input)
     }
@@ -404,11 +410,12 @@ impl<A: Record, B: Record> FittedPipeline<A, B> {
         }
     }
 
-    /// Applies the fitted pipeline to new data.
+    /// Applies the fitted pipeline to new data. Unless a window is open on
+    /// `ctx`, the call's rows fold when it ends
+    /// ([`ExecContext::apply_scope`]).
     pub fn apply(&self, data: &DistCollection<A>, ctx: &ExecContext) -> DistCollection<B> {
-        self.plan
-            .execute_erased(AnyData::wrap(data.clone()), ctx)
-            .downcast()
+        let input = AnyData::wrap(data.clone());
+        ctx.apply_scope(|| self.plan.execute_erased(input, ctx).downcast())
     }
 
     /// Applies to a single record (convenience; wraps it in a collection).
@@ -606,6 +613,8 @@ pub(crate) mod tests {
         };
         let (fitted, _) = pipe.fit(&ctx(), &opts);
         let apply_ctx = ctx();
+        // The window keeps the calls' rows from folding.
+        let _window = crate::report::LedgerWindow::open(&apply_ctx);
         for x in [0.0, 5.0] {
             // (x + 1) * 3 - mean(6, 9, 12)
             assert_eq!(fitted.apply_one(&x, &apply_ctx), (x + 1.0) * 3.0 - 9.0);
@@ -620,6 +629,92 @@ pub(crate) mod tests {
             );
         }
         assert_eq!(fitted.plan().cache().stats(), Default::default());
+    }
+
+    /// Rows each ledger holds: trace events, task spans, clock entries.
+    fn held(ctx: &ExecContext) -> (usize, usize, usize) {
+        (ctx.tracer.len(), ctx.metrics.span_count(), ctx.sim.mark())
+    }
+
+    /// `Inc`, `Scale` and `MeanCenter`, fitted unfused on `ctx`.
+    fn fit_chain(ctx: &ExecContext) -> FittedPipeline<f64, f64> {
+        let train = DistCollection::from_vec(vec![1.0, 2.0, 3.0], 2);
+        let pipe = Pipeline::<f64, f64>::input()
+            .and_then(Inc)
+            .and_then(Scale)
+            .and_then_est(MeanCenter, &train);
+        let opts = PipelineOptions {
+            profile: small_profile(),
+            ..PipelineOptions::none()
+        };
+        pipe.fit(ctx, &opts).0
+    }
+
+    /// Outside a window, every single-record apply folds its rows when it
+    /// ends: the ledgers hold after 20,000 calls what they held after
+    /// 1,000 (the fit's rows), the totals count every call, and every sum
+    /// is bit-equal to the same calls' rows kept under an open window.
+    #[test]
+    fn unwindowed_applies_stay_bounded_and_conserve_their_totals() {
+        let (folded, kept) = (ctx(), ctx());
+        let fitted = fit_chain(&folded);
+        fit_chain(&kept);
+        let fit_rows = held(&folded);
+        let fit_execs = folded.tracer.node_actuals();
+        let window = crate::report::LedgerWindow::open(&kept);
+        let calls: u32 = 20_000;
+        for i in 0..calls {
+            let x = f64::from(i % 7);
+            assert_eq!(fitted.apply_one(&x, &folded), fitted.apply_one(&x, &kept));
+            if i + 1 == 1_000 {
+                assert_eq!(held(&folded), fit_rows, "after 1,000 calls");
+            }
+        }
+        assert_eq!(held(&folded), fit_rows, "after {calls} calls");
+        assert!(held(&kept).0 > fit_rows.0 + calls as usize);
+        let (actuals, rows) = (folded.tracer.node_actuals(), kept.tracer.node_actuals());
+        for n in fitted.plan().apply_path() {
+            let before = fit_execs.get(n).map_or(0, |a| a.execs);
+            assert_eq!(actuals[n].execs, before + u64::from(calls));
+            assert_eq!(actuals[n].records, rows[n].records);
+        }
+        let bits = |c: &ExecContext| {
+            let mut sims: Vec<(NodeId, u64)> = c
+                .tracer
+                .node_actuals()
+                .into_iter()
+                .map(|(n, a)| (n, a.sim_secs.to_bits()))
+                .collect();
+            sims.sort_unstable();
+            let stages = c.sim.by_stage().into_iter();
+            let stages: Vec<(String, u64)> = stages.map(|(s, v)| (s, v.to_bits())).collect();
+            (sims, stages, c.sim.total_seconds().to_bits())
+        };
+        assert_eq!(bits(&folded), bits(&kept));
+        drop(window);
+    }
+
+    /// Two threads applying on one context fold every row, and the totals
+    /// count every call.
+    #[test]
+    fn concurrent_applies_on_one_context_fold_every_row() {
+        let fitted = fit_chain(&ctx());
+        let ctx = ctx();
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for i in 0..2_000 {
+                        let x = f64::from(i);
+                        assert_eq!(fitted.apply_one(&x, &ctx), (x + 1.0) * 3.0 - 9.0);
+                    }
+                });
+            }
+        });
+        assert_eq!(held(&ctx), (0, 0, 0));
+        let actuals = ctx.tracer.node_actuals();
+        for n in fitted.plan().apply_path() {
+            assert_eq!(actuals[n].execs, 4_000);
+        }
     }
 
     /// Live [`Staged`] records per stage: index 0 counts the chain's input,

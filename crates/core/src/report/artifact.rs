@@ -261,7 +261,7 @@ impl RunArtifact {
     /// Open the window ([`LedgerWindow::open`]) just before the run.
     pub fn capture_apply(
         plan: &ExecutablePlan,
-        window: LedgerWindow,
+        window: &LedgerWindow,
         serve: Option<ServeSection>,
         ctx: &ExecContext,
         opts: &CaptureOptions,
@@ -272,7 +272,7 @@ impl RunArtifact {
         };
         let metrics = Some(&ctx.metrics);
         let report =
-            PipelineReport::build_since(plan.graph(), &profile, &ctx.tracer, metrics, window);
+            PipelineReport::build_since(plan.graph(), &profile, &ctx.tracer, metrics, window.marks);
         let kind = if serve.is_some() {
             RunKind::Serve
         } else {
@@ -417,7 +417,7 @@ mod tests {
             deterministic,
             label: String::new(),
         };
-        RunArtifact::capture_apply(&plan, LedgerWindow::default(), None, ctx, &opts)
+        RunArtifact::capture_apply(&plan, &LedgerWindow::default(), None, ctx, &opts)
     }
 
     fn span(partition: usize, start_us: u64, end_us: u64) -> TaskSpan {

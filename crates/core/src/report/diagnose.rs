@@ -535,7 +535,7 @@ mod tests {
         let plan = ExecutablePlan::new(Arc::new(g), 3, HashMap::new(), Arc::new(HashMap::new()));
         let ctx = ExecContext::default_cluster();
         let opts = CaptureOptions::default();
-        let mut a = RunArtifact::capture_apply(&plan, LedgerWindow::default(), None, &ctx, &opts);
+        let mut a = RunArtifact::capture_apply(&plan, &LedgerWindow::default(), None, &ctx, &opts);
         a.kind = RunKind::Fit;
         a.cache_set = vec![2];
         a.report.nodes = (0..4)

@@ -44,7 +44,7 @@ use std::collections::HashMap;
 use keystone_dataflow::json::JVal;
 use keystone_dataflow::metrics::MetricsRegistry;
 
-use crate::context::ExecContext;
+use crate::context::{ExecContext, WindowHold};
 use crate::graph::{Graph, NodeId};
 use crate::profiler::PipelineProfile;
 use crate::trace::{CacheCounters, RecoveryStats, Tracer};
@@ -198,10 +198,11 @@ impl TenantRow {
 }
 
 /// Where one run's slice of an [`ExecContext`]'s ledgers begins. A report
-/// keeps the window it folded, so what is derived from it later (the run
-/// artifact) reads the same slice; the default window is the whole context.
+/// keeps the marks of the window it folded, so what is derived from it later
+/// (the run artifact) reads the same slice; the default marks are the whole
+/// context.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LedgerWindow {
+pub struct LedgerMarks {
     /// First trace event of the run ([`Tracer::len`] at its start).
     pub events: usize,
     /// First task span of the run ([`MetricsRegistry::span_count`]).
@@ -210,14 +211,28 @@ pub struct LedgerWindow {
     pub sim: usize,
 }
 
+/// A window on an [`ExecContext`]'s ledgers, open until dropped: no fold
+/// runs meanwhile, and the rows held when it drops are kept. A fit opens
+/// one; open one before an apply or serving run to capture or read its
+/// rows. The default window holds nothing and marks the whole context.
+#[derive(Debug, Default)]
+pub struct LedgerWindow {
+    /// Where the run's rows begin.
+    pub marks: LedgerMarks,
+    _hold: Option<WindowHold>,
+}
+
 impl LedgerWindow {
-    /// Opens a window at the context's current ledger ends: open one before
-    /// a run to capture that run alone from a reused context.
+    /// Opens a window at the context's current ledger ends.
     pub fn open(ctx: &ExecContext) -> Self {
+        let hold = ctx.hold_window();
         LedgerWindow {
-            events: ctx.tracer.len(),
-            spans: ctx.metrics.span_count(),
-            sim: ctx.sim.mark(),
+            marks: LedgerMarks {
+                events: ctx.tracer.len(),
+                spans: ctx.metrics.span_count(),
+                sim: ctx.sim.mark(),
+            },
+            _hold: Some(hold),
         }
     }
 }
@@ -238,8 +253,8 @@ pub struct PipelineReport {
     /// Per-tenant rows when this fit was part of a multi-tenant forest
     /// (`fit_forest`); empty for ordinary solo fits.
     pub tenants: Vec<TenantRow>,
-    /// The slice of the context's ledgers this report folded.
-    pub window: LedgerWindow,
+    /// The marks of the window this report folded.
+    pub window: LedgerMarks,
 }
 
 fn rel_error(predicted: f64, actual: f64) -> f64 {
@@ -257,19 +272,19 @@ impl PipelineReport {
         tracer: &Tracer,
         metrics: Option<&MetricsRegistry>,
     ) -> Self {
-        Self::build_since(graph, profile, tracer, metrics, LedgerWindow::default())
+        Self::build_since(graph, profile, tracer, metrics, LedgerMarks::default())
     }
 
     /// [`PipelineReport::build_with_metrics`] over the events and spans from
-    /// `window` onward, which the report keeps. A fit opens its window on
-    /// entry, so on a reused `ExecContext` it reports itself alone — node
-    /// ids repeat from one fit's graph to the next.
+    /// the `window` marks onward, which the report keeps. A fit opens its
+    /// window on entry, so on a reused `ExecContext` it reports itself
+    /// alone — node ids repeat from one fit's graph to the next.
     pub fn build_since(
         graph: &Graph,
         profile: &PipelineProfile,
         tracer: &Tracer,
         metrics: Option<&MetricsRegistry>,
-        window: LedgerWindow,
+        window: LedgerMarks,
     ) -> Self {
         let tracer = &tracer.since(window.events);
         let actuals = tracer.node_actuals();

@@ -38,6 +38,7 @@ use std::sync::Arc;
 use keystone_dataflow::cache::CacheObserver;
 use keystone_dataflow::cost::CostProfile;
 use keystone_dataflow::json::JVal;
+use keystone_dataflow::ledger::{Ledger, Totals};
 use parking_lot::Mutex;
 
 use crate::graph::NodeId;
@@ -512,18 +513,66 @@ impl CacheCounters {
 pub struct NodeActuals {
     /// Number of completed executions.
     pub execs: u64,
+    /// Input records summed over executions.
+    pub records: u64,
     /// Total wall-clock seconds across executions.
     pub wall_secs: f64,
+    /// Slowest single execution, wall-clock seconds.
+    pub max_wall_secs: f64,
     /// Total simulated seconds across executions.
     pub sim_secs: f64,
     /// Output bytes of the last execution.
     pub out_bytes: u64,
 }
 
-/// Shared, append-only event sink. Cloning shares the ledger.
+/// Per-node actuals from `NodeEnd` events and the count of `ServeBatch`
+/// events: the two kinds a fold drops.
+#[derive(Debug, Clone, Default)]
+struct TraceTotals {
+    nodes: HashMap<NodeId, NodeActuals>,
+    serve_batches: u64,
+}
+
+impl Totals<TraceEvent> for TraceTotals {
+    fn absorb(&mut self, e: &TraceEvent) {
+        match e {
+            TraceEvent::NodeEnd {
+                node,
+                records,
+                out_bytes,
+                wall_secs,
+                sim_secs,
+                ..
+            } => {
+                let a = self.nodes.entry(*node).or_default();
+                a.execs += 1;
+                a.records += *records as u64;
+                a.wall_secs += wall_secs;
+                a.max_wall_secs = a.max_wall_secs.max(*wall_secs);
+                a.sim_secs += sim_secs;
+                a.out_bytes = *out_bytes;
+            }
+            TraceEvent::ServeBatch { .. } => self.serve_batches += 1,
+            _ => {}
+        }
+    }
+
+    fn folds(e: &TraceEvent) -> bool {
+        matches!(
+            e,
+            TraceEvent::NodeEnd { .. } | TraceEvent::ServeBatch { .. }
+        )
+    }
+}
+
+/// Shared event sink. Cloning shares the ledger.
+///
+/// [`Tracer::node_actuals`] and [`Tracer::serve_batches`] count every
+/// event ever recorded; every other reader sees the events held, from which
+/// a [`Tracer::fold`] drops the `NodeEnd` and `ServeBatch` events.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
-    events: Arc<Mutex<Vec<TraceEvent>>>,
+    events: Arc<Mutex<Ledger<TraceEvent, TraceTotals>>>,
 }
 
 impl Tracer {
@@ -537,30 +586,41 @@ impl Tracer {
         self.events.lock().push(event);
     }
 
-    /// Number of recorded events.
+    /// Number of events held.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.events.lock().rows().len()
     }
 
-    /// Whether nothing has been recorded.
+    /// Whether no event is held.
     pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
+        self.events.lock().rows().is_empty()
     }
 
     /// A detached tracer holding only the events recorded at index `mark`
     /// onward ([`Tracer::len`] taken earlier serves as the mark) — how a fit
     /// on a reused context reports its own part of the ledger.
     pub fn since(&self, mark: usize) -> Tracer {
-        let events = self.events.lock();
         Tracer {
-            events: Arc::new(Mutex::new(events[mark.min(events.len())..].to_vec())),
+            events: Arc::new(Mutex::new(self.events.lock().since(mark))),
         }
     }
 
-    /// Snapshot of all events with sequence numbers.
+    /// Keeps every event held now through later folds.
+    pub fn keep(&self) {
+        self.events.lock().keep();
+    }
+
+    /// Drops the `NodeEnd` and `ServeBatch` events held above the kept
+    /// prefix.
+    pub fn fold(&self) {
+        self.events.lock().fold();
+    }
+
+    /// Snapshot of the events held, with sequence numbers.
     pub fn events(&self) -> Vec<TracedEvent> {
         self.events
             .lock()
+            .rows()
             .iter()
             .cloned()
             .enumerate()
@@ -594,7 +654,7 @@ impl Tracer {
     /// Per-node cache counters aggregated from the stream.
     pub fn cache_counters(&self) -> HashMap<NodeId, CacheCounters> {
         let mut out: HashMap<NodeId, CacheCounters> = HashMap::new();
-        for e in self.events.lock().iter() {
+        for e in self.events.lock().rows().iter() {
             match e {
                 TraceEvent::CacheHit { node } => out.entry(*node).or_default().hits += 1,
                 TraceEvent::CacheMiss { node } => out.entry(*node).or_default().misses += 1,
@@ -611,30 +671,18 @@ impl Tracer {
 
     /// Per-node execution actuals aggregated from `NodeEnd` events.
     pub fn node_actuals(&self) -> HashMap<NodeId, NodeActuals> {
-        let mut out: HashMap<NodeId, NodeActuals> = HashMap::new();
-        for e in self.events.lock().iter() {
-            if let TraceEvent::NodeEnd {
-                node,
-                out_bytes,
-                wall_secs,
-                sim_secs,
-                ..
-            } = e
-            {
-                let a = out.entry(*node).or_default();
-                a.execs += 1;
-                a.wall_secs += wall_secs;
-                a.sim_secs += sim_secs;
-                a.out_bytes = *out_bytes;
-            }
-        }
-        out
+        self.events.lock().totals().nodes.clone()
+    }
+
+    /// `ServeBatch` events recorded.
+    pub fn serve_batches(&self) -> u64 {
+        self.events.lock().totals().serve_batches
     }
 
     /// Pipeline-wide recovery statistics aggregated from the stream.
     pub fn recovery_stats(&self) -> RecoveryStats {
         let mut out = RecoveryStats::default();
-        for e in self.events.lock().iter() {
+        for e in self.events.lock().rows().iter() {
             out.absorb(e);
         }
         out
@@ -643,7 +691,7 @@ impl Tracer {
     /// Per-node recovery statistics aggregated from the stream.
     pub fn recovery_by_node(&self) -> HashMap<NodeId, RecoveryStats> {
         let mut out: HashMap<NodeId, RecoveryStats> = HashMap::new();
-        for e in self.events.lock().iter() {
+        for e in self.events.lock().rows().iter() {
             let node = match e {
                 TraceEvent::TaskRetry { node, .. } | TraceEvent::CacheLost { node } => *node,
                 _ => continue,
@@ -658,6 +706,7 @@ impl Tracer {
     pub fn completion_order(&self) -> Vec<String> {
         self.events
             .lock()
+            .rows()
             .iter()
             .filter_map(|e| match e {
                 TraceEvent::NodeEnd { label, .. } => Some(label.clone()),

@@ -25,6 +25,9 @@
 //! * [`metrics::MetricsRegistry`] — partition-level observability: the
 //!   ledger of per-task spans with worker-lane attribution, and per-stage
 //!   skew/utilization analysis over it;
+//! * [`ledger::Ledger`] — the row ledger under the clock, the registry and
+//!   the core crate's tracer: rows in recording order, folded into running
+//!   totals once no reader can still need them;
 //! * [`json`] — the one JSON codec (the sorted-key [`json::JVal`] document
 //!   builder and a parser) every report, artifact and trace export goes
 //!   through;
@@ -41,6 +44,7 @@ pub mod columnar;
 pub mod cost;
 pub mod faults;
 pub mod json;
+pub mod ledger;
 pub mod metrics;
 pub mod simclock;
 

@@ -13,9 +13,9 @@
 //!   worker lane that actually executed it (the pool thread's index,
 //!   falling back to `partition % workers` when no pool is active), and
 //!   item/byte throughput.
-//! * [`MetricsRegistry`] — a cheaply-cloneable, append-only span ledger,
-//!   plus a running total of the failed attempts its spans carry so a
-//!   reader can skip the ledger when nothing retried. Every other run fact
+//! * [`MetricsRegistry`] — a cheaply-cloneable span ledger, plus a running
+//!   total of the failed attempts its spans carry so a reader can skip the
+//!   ledger when nothing retried. Every other run fact
 //!   (retry events, cache traffic, serving admissions) is a trace event in
 //!   `keystone-core` or a field of the serving outcome, recorded once there.
 //! * [`TaskScope`] — an ambient, thread-local attribution scope. The
@@ -38,6 +38,7 @@ use std::time::Instant;
 
 use crate::faults::FaultPlan;
 use crate::json::JVal;
+use crate::ledger::{Ledger, Totals};
 
 /// One partition's work inside one stage: the physical-task record the
 /// node-level trace decomposes into.
@@ -109,13 +110,41 @@ impl TaskSpan {
     }
 }
 
+/// Per stage, in first-seen order, its task count and busy seconds: the
+/// figures of a [`StageSkew`] that need no partition breakdown.
+#[derive(Debug, Clone, Default)]
+struct SpanTotals(Vec<StageSkew>);
+
+impl Totals<TaskSpan> for SpanTotals {
+    fn absorb(&mut self, s: &TaskSpan) {
+        let same = |t: &StageSkew| t.stage_id == s.stage_id && t.stage == s.stage;
+        let i = self.0.iter().position(same).unwrap_or_else(|| {
+            self.0.push(StageSkew {
+                stage: s.stage.clone(),
+                stage_id: s.stage_id,
+                skew_ratio: 1.0,
+                record_skew: 1.0,
+                utilization: 1.0,
+                ..StageSkew::default()
+            });
+            self.0.len() - 1
+        });
+        self.0[i].tasks += 1;
+        self.0[i].total_secs += s.duration_secs();
+    }
+}
+
 /// Shared partition-metrics sink. Cloning shares the span ledger, so
 /// collection operations deep inside operators record into the same registry
 /// the driver reads — the same ownership model as `SimClock`.
+///
+/// [`MetricsRegistry::stage_skew`] counts every span ever recorded in its
+/// task counts and busy seconds; every other reader sees the spans held,
+/// which a [`MetricsRegistry::fold`] drops.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     epoch: Instant,
-    spans: Arc<Mutex<Vec<TaskSpan>>>,
+    spans: Arc<Mutex<Ledger<TaskSpan, SpanTotals>>>,
     /// Sum of `retries` over every recorded span.
     retries: Arc<AtomicU64>,
 }
@@ -131,7 +160,7 @@ impl MetricsRegistry {
     pub fn new() -> Self {
         MetricsRegistry {
             epoch: Instant::now(),
-            spans: Arc::new(Mutex::new(Vec::new())),
+            spans: Arc::default(),
             retries: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -165,39 +194,64 @@ impl MetricsRegistry {
         self.retries.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of all recorded spans.
+    /// Snapshot of the spans held.
     pub fn spans(&self) -> Vec<TaskSpan> {
-        self.spans.lock().clone()
+        self.spans.lock().rows().to_vec()
     }
 
-    /// Number of recorded spans.
+    /// Number of spans held.
     pub fn span_count(&self) -> usize {
-        self.spans.lock().len()
+        self.spans.lock().rows().len()
     }
 
     /// Spans recorded at index `mark` onward ([`MetricsRegistry::span_count`]
     /// taken earlier serves as the mark) — how the executor attributes a
     /// window of the ledger to one node execution.
     pub fn spans_from(&self, mark: usize) -> Vec<TaskSpan> {
-        self.spans.lock().iter().skip(mark).cloned().collect()
+        let spans = self.spans.lock();
+        spans.rows().iter().skip(mark).cloned().collect()
+    }
+
+    /// Keeps every span held now through later folds.
+    pub fn keep(&self) {
+        self.spans.lock().keep();
+    }
+
+    /// Drops the spans held above the kept prefix.
+    pub fn fold(&self) {
+        self.spans.lock().fold();
     }
 
     /// Per-stage skew and utilization over the recorded spans, in first-seen
     /// stage order. Stages are keyed by `(stage_id, stage)`, so two nodes
     /// sharing a label stay separate. Partition time is the summed busy time
     /// of that partition's spans within the stage (a node may run several
-    /// collection operations).
+    /// collection operations). `tasks` and `total_secs` count dropped spans
+    /// too; the other figures read the spans held, and a stage with none
+    /// held reads as balanced.
     pub fn stage_skew(&self) -> Vec<StageSkew> {
-        self.stage_skew_from(0)
+        let held = self.stage_skew_from(0);
+        let totals = self.spans.lock().totals().0.clone();
+        let merge = |t: StageSkew| {
+            let found = held
+                .iter()
+                .find(|s| (s.stage_id, &s.stage) == (t.stage_id, &t.stage));
+            StageSkew {
+                tasks: t.tasks,
+                total_secs: t.total_secs,
+                ..found.cloned().unwrap_or(t)
+            }
+        };
+        totals.into_iter().map(merge).collect()
     }
 
-    /// [`MetricsRegistry::stage_skew`] over the spans recorded at index
-    /// `mark` onward only.
+    /// [`MetricsRegistry::stage_skew`] over the spans held at index `mark`
+    /// onward only.
     pub fn stage_skew_from(&self, mark: usize) -> Vec<StageSkew> {
         let spans = self.spans.lock();
         let mut order: Vec<(Option<u64>, String)> = Vec::new();
         let mut groups: HashMap<(Option<u64>, String), Vec<&TaskSpan>> = HashMap::new();
-        for s in spans.iter().skip(mark) {
+        for s in spans.rows().iter().skip(mark) {
             let key = (s.stage_id, s.stage.clone());
             groups.entry(key.clone()).or_insert_with(|| {
                 order.push(key.clone());
@@ -216,7 +270,7 @@ impl MetricsRegistry {
 }
 
 /// Skew and utilization analysis of one stage's task spans.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StageSkew {
     /// Stage label.
     pub stage: String,
@@ -333,16 +387,16 @@ pub struct TaskScope {
 }
 
 impl TaskScope {
-    /// A fault-free scope.
+    /// A fault-free scope. An `Arc<str>` stage label is shared, not copied.
     pub fn new(
         registry: &MetricsRegistry,
-        stage: &str,
+        stage: impl Into<Arc<str>>,
         stage_id: Option<u64>,
         workers: usize,
     ) -> Self {
         TaskScope {
             registry: registry.clone(),
-            stage: Arc::from(stage),
+            stage: stage.into(),
             stage_id,
             workers: workers.max(1),
             faults: None,

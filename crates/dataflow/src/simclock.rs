@@ -9,6 +9,7 @@
 
 use crate::cluster::ResourceDesc;
 use crate::cost::CostProfile;
+use crate::ledger::{Ledger, Totals};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -23,10 +24,48 @@ pub struct SimEntry {
     pub coord_secs: f64,
 }
 
+/// The sums the clock's totals readers return, accumulated in entry order;
+/// `stages` is per stage prefix, in first-charged order.
+#[derive(Debug, Clone)]
+struct SimTotals {
+    secs: f64,
+    coord: f64,
+    stages: Vec<(String, f64)>,
+}
+
+impl Default for SimTotals {
+    fn default() -> Self {
+        // `Iterator::sum` over `f64` starts from -0.0.
+        SimTotals {
+            secs: -0.0,
+            coord: -0.0,
+            stages: Vec::new(),
+        }
+    }
+}
+
+impl Totals<SimEntry> for SimTotals {
+    fn absorb(&mut self, e: &SimEntry) {
+        let secs = e.exec_secs + e.coord_secs;
+        self.secs += secs;
+        self.coord += e.coord_secs;
+        let prefix = e.stage.split(':').next().unwrap_or(&e.stage);
+        match self.stages.iter_mut().find(|(p, _)| p == prefix) {
+            Some((_, total)) => *total += secs,
+            // A stage's sum starts from +0.0, the overall ones from -0.0.
+            None => self.stages.push((prefix.to_string(), 0.0 + secs)),
+        }
+    }
+}
+
 /// Thread-safe simulated clock. Cloning shares the underlying ledger.
+///
+/// [`SimClock::total_seconds`], [`SimClock::coord_seconds`] and
+/// [`SimClock::by_stage`] sum every entry ever charged; every other reader
+/// sees the entries held, which a [`SimClock::fold`] drops.
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
-    entries: Arc<Mutex<Vec<SimEntry>>>,
+    entries: Arc<Mutex<Ledger<SimEntry, SimTotals>>>,
     /// Ambient lane prepended (as `lane:`) to every charged stage label
     /// inside [`SimClock::in_lane`], so charges operators make themselves
     /// (a solver's `solve:lbfgs`) land in the lane too.
@@ -82,69 +121,60 @@ impl SimClock {
 
     /// Total simulated seconds.
     pub fn total_seconds(&self) -> f64 {
-        self.entries
-            .lock()
-            .iter()
-            .map(|e| e.exec_secs + e.coord_secs)
-            .sum()
+        self.entries.lock().totals().secs
     }
 
     /// Total simulated seconds attributed to coordination.
     pub fn coord_seconds(&self) -> f64 {
-        self.entries.lock().iter().map(|e| e.coord_secs).sum()
+        self.entries.lock().totals().coord
     }
 
     /// Seconds grouped by stage prefix (everything before the first ':').
     pub fn by_stage(&self) -> Vec<(String, f64)> {
-        let mut order: Vec<String> = Vec::new();
-        let mut totals: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
-        for e in self.entries.lock().iter() {
-            let key = e.stage.split(':').next().unwrap_or(&e.stage).to_string();
-            if !totals.contains_key(&key) {
-                order.push(key.clone());
-            }
-            *totals.entry(key).or_insert(0.0) += e.exec_secs + e.coord_secs;
-        }
-        order
-            .into_iter()
-            .map(|k| {
-                let v = totals[&k];
-                (k, v)
-            })
-            .collect()
+        self.entries.lock().totals().stages.clone()
     }
 
-    /// Opaque position in the ledger; pair with [`SimClock::seconds_since`]
-    /// to attribute a span of charges (e.g. one node's execution) without
-    /// re-summing the whole ledger.
+    /// Opaque position in the entries held; pair with
+    /// [`SimClock::seconds_since`] to attribute a span of charges (e.g. one
+    /// node's execution) without re-summing the whole ledger.
     pub fn mark(&self) -> usize {
-        self.entries.lock().len()
+        self.entries.lock().rows().len()
     }
 
     /// Simulated seconds charged since `mark`.
     pub fn seconds_since(&self, mark: usize) -> f64 {
         self.entries
             .lock()
+            .rows()
             .iter()
             .skip(mark)
             .map(|e| e.exec_secs + e.coord_secs)
             .sum()
     }
 
-    /// Snapshot of all entries.
+    /// Snapshot of the entries held.
     pub fn entries(&self) -> Vec<SimEntry> {
-        self.entries.lock().clone()
+        self.entries.lock().rows().to_vec()
     }
 
     /// A detached clock holding only the entries charged at `mark` onward
     /// ([`SimClock::mark`] taken earlier) — how one run on a reused context
     /// reads its own part of the ledger.
     pub fn since(&self, mark: usize) -> SimClock {
-        let entries = self.entries.lock();
         SimClock {
-            entries: Arc::new(Mutex::new(entries[mark.min(entries.len())..].to_vec())),
+            entries: Arc::new(Mutex::new(self.entries.lock().since(mark))),
             prefix: Arc::default(),
         }
+    }
+
+    /// Keeps every entry held now through later folds.
+    pub fn keep(&self) {
+        self.entries.lock().keep();
+    }
+
+    /// Drops the entries held above the kept prefix.
+    pub fn fold(&self) {
+        self.entries.lock().fold();
     }
 
     /// Entries paired with cumulative start offsets (seconds): entry `i`
@@ -162,6 +192,7 @@ impl SimClock {
         let mut t = 0.0;
         self.entries
             .lock()
+            .rows()
             .iter()
             .map(|e| {
                 let start = t;
@@ -169,11 +200,6 @@ impl SimClock {
                 (start, e.clone())
             })
             .collect()
-    }
-
-    /// Clears the ledger.
-    pub fn reset(&self) {
-        self.entries.lock().clear();
     }
 }
 
@@ -279,8 +305,6 @@ mod tests {
         let clone = clock.clone();
         clone.charge_seconds("x", 1.5, 0.0);
         assert_eq!(clock.total_seconds(), 1.5);
-        clock.reset();
-        assert_eq!(clone.total_seconds(), 0.0);
     }
 
     #[test]

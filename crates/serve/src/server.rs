@@ -17,6 +17,12 @@
 //! latency splits, admission and batch counts live in the returned
 //! [`ServeOutcome`]; each wave and each reject is also recorded once as a
 //! `ServeBatch`/`ServeReject` event on the context's `Tracer`.
+//!
+//! Each wave is one apply-path call on the context
+//! (`ExecContext::apply_scope`): unless a window is open on it, the wave's
+//! node rows, clock entries and `ServeBatch` event fold into the ledgers'
+//! totals once the wave is recorded, so a long-lived server's context stays
+//! bounded. Open a `LedgerWindow` around a run to keep its rows.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -197,39 +203,41 @@ impl<A: Record, B: Record> Server<A, B> {
         let mut scored: Vec<(u64, B)> = Vec::new();
         let batcher = MicroBatcher::new(self.policy.clone());
         let schedule = batcher.run(arrivals, |batch| {
-            let records: Vec<A> = batch.members.iter().map(|m| m.payload.clone()).collect();
-            let n = records.len();
-            let partitions = self.policy.batch_partitions.min(n).max(1);
-            let wave = DistCollection::from_vec(records, partitions);
-            let mark = ctx.sim.mark();
-            let out: DistCollection<B> = self
-                .plan
-                .execute_erased(AnyData::wrap(wave), ctx)
-                .downcast();
-            // The executor's deterministic charges for this wave; wall time
-            // stays out of the accounting so two same-seed runs split
-            // bit-identically.
-            let execute_secs = ctx.sim.seconds_since(mark);
-            let outputs = out.collect();
-            assert_eq!(
-                outputs.len(),
-                n,
-                "serving requires a record-wise pipeline ({n} records in, {} out)",
-                outputs.len()
-            );
-            for (m, o) in batch.members.iter().zip(outputs) {
-                scored.push((m.id, o));
-            }
-            ctx.sim
-                .charge_seconds("serve:linger", batch.linger_secs, 0.0);
-            ctx.tracer.record(TraceEvent::ServeBatch {
-                batch: batch.index,
-                size: n,
-                dispatch_secs: batch.dispatch_secs,
-                linger_secs: batch.linger_secs,
-                execute_secs,
-            });
-            execute_secs
+            ctx.apply_scope(|| {
+                let records: Vec<A> = batch.members.iter().map(|m| m.payload.clone()).collect();
+                let n = records.len();
+                let partitions = self.policy.batch_partitions.min(n).max(1);
+                let wave = DistCollection::from_vec(records, partitions);
+                let mark = ctx.sim.mark();
+                let out: DistCollection<B> = self
+                    .plan
+                    .execute_erased(AnyData::wrap(wave), ctx)
+                    .downcast();
+                // The executor's deterministic charges for this wave; wall time
+                // stays out of the accounting so two same-seed runs split
+                // bit-identically.
+                let execute_secs = ctx.sim.seconds_since(mark);
+                let outputs = out.collect();
+                assert_eq!(
+                    outputs.len(),
+                    n,
+                    "serving requires a record-wise pipeline ({n} records in, {} out)",
+                    outputs.len()
+                );
+                for (m, o) in batch.members.iter().zip(outputs) {
+                    scored.push((m.id, o));
+                }
+                ctx.sim
+                    .charge_seconds("serve:linger", batch.linger_secs, 0.0);
+                ctx.tracer.record(TraceEvent::ServeBatch {
+                    batch: batch.index,
+                    size: n,
+                    dispatch_secs: batch.dispatch_secs,
+                    linger_secs: batch.linger_secs,
+                    execute_secs,
+                });
+                execute_secs
+            })
         });
 
         for r in &schedule.rejects {

@@ -12,6 +12,7 @@ use keystone_core::operator::{AnyData, Estimator, Transformer, TypedEstimator, T
 use keystone_core::optimizer::PipelineOptions;
 use keystone_core::pipeline::{ExecutablePlan, FittedPipeline, Pipeline};
 use keystone_core::profiler::ProfileOptions;
+use keystone_core::report::LedgerWindow;
 use keystone_core::trace::TraceEvent;
 use keystone_dataflow::cluster::ClusterProfile;
 use keystone_dataflow::collection::DistCollection;
@@ -219,6 +220,8 @@ fn serve_metrics_and_trace_events_surface() {
     let fitted = fitted_pipeline(&fit_ctx);
     let held_out: Vec<f64> = (0..12).map(|i| i as f64).collect();
     let serve_ctx = ctx();
+    // The window keeps the waves' rows from folding.
+    let _window = LedgerWindow::open(&serve_ctx);
     let server = Server::new(&fitted, BatchPolicy::new(4, 1e-4));
     let outcome = server.run(one_at_a_time(&held_out), &serve_ctx);
 
@@ -422,6 +425,7 @@ fn a_shared_apply_path_node_runs_once_per_call() {
     assert_eq!(runs(), 1, "apply");
 
     let one_ctx = ctx();
+    let window = LedgerWindow::open(&one_ctx);
     assert_eq!(fitted.apply_one(&5.0, &one_ctx), vec![11.0, 12.0]);
     assert_eq!(runs(), 1, "apply_one");
     // One `NodeEnd` per node on the apply path, and no other.
@@ -439,6 +443,7 @@ fn a_shared_apply_path_node_runs_once_per_call() {
     ended.sort_unstable();
     assert!(ops.len() >= 2, "CountingDouble was fused: {ops:?}");
     assert_eq!(ended, ops);
+    drop(window);
 
     let server = Server::new(&fitted, BatchPolicy::new(4, 1e-3));
     let records: Vec<f64> = (0..10).map(f64::from).collect();
@@ -446,4 +451,42 @@ fn a_shared_apply_path_node_runs_once_per_call() {
     assert_eq!(outcome.responses.len(), records.len());
     assert!(outcome.batches.len() > 1, "{} waves", outcome.batches.len());
     assert_eq!(runs(), outcome.batches.len() as u64, "serving waves");
+}
+
+/// Outside a window every wave folds once it is recorded: the context holds
+/// no row after the run, and its totals read what a windowed run's rows
+/// sum to, bit for bit.
+#[test]
+fn an_unwindowed_serve_run_folds_every_wave() {
+    let fitted = fitted_pipeline(&ctx());
+    let held_out: Vec<f64> = (0..12).map(f64::from).collect();
+    let server = Server::new(&fitted, BatchPolicy::new(4, 1e-4));
+    let run = |windowed: bool| {
+        let ctx = ctx();
+        let window = windowed.then(|| LedgerWindow::open(&ctx));
+        let outcome = server.run(one_at_a_time(&held_out), &ctx);
+        drop(window);
+        (ctx, outcome.batches.len() as u64)
+    };
+    let ((folded, waves), (kept, _)) = (run(false), run(true));
+    assert!(waves > 1, "{waves} waves");
+    let held = |c: &ExecContext| (c.tracer.len(), c.metrics.span_count(), c.sim.mark());
+    assert_eq!(held(&folded), (0, 0, 0));
+    assert_ne!(held(&kept), (0, 0, 0));
+    for c in [&folded, &kept] {
+        assert_eq!(c.tracer.serve_batches(), waves);
+    }
+    let bits = |c: &ExecContext| -> Vec<(String, u64)> {
+        let by_stage = c.sim.by_stage().into_iter();
+        by_stage.map(|(s, secs)| (s, secs.to_bits())).collect()
+    };
+    assert_eq!(bits(&folded), bits(&kept));
+    let execs = |c: &ExecContext| {
+        let mut a: Vec<_> = c.tracer.node_actuals().into_iter().collect();
+        a.sort_by_key(|(n, _)| *n);
+        a.into_iter()
+            .map(|(n, a)| (n, a.execs, a.records, a.sim_secs.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(execs(&folded), execs(&kept));
 }

@@ -194,7 +194,7 @@ fn apply_capture_joins_plan_nodes_without_a_fit_report() {
     let _ = fitted.apply(&test, &apply_ctx);
     let capture = || {
         let opts = CaptureOptions::default();
-        RunArtifact::capture_apply(&fitted.plan(), window, None, &apply_ctx, &opts)
+        RunArtifact::capture_apply(&fitted.plan(), &window, None, &apply_ctx, &opts)
     };
     let artifact = capture();
     assert_eq!(artifact.kind, RunKind::Apply);
@@ -224,7 +224,7 @@ fn serve_capture_carries_latency_splits_and_virtual_batches() {
         let serve = Some(outcome.section());
         RunArtifact::capture_apply(
             &fitted.plan(),
-            window,
+            &window,
             serve,
             &ctx,
             &CaptureOptions::default(),
@@ -387,7 +387,7 @@ fn an_apply_artifact_on_a_reused_context_covers_its_own_apply_only() {
         let window = LedgerWindow::open(ctx);
         let _ = fitted.apply(&test, ctx);
         let opts = CaptureOptions::default();
-        RunArtifact::capture_apply(&fitted.plan(), window, None, ctx, &opts)
+        RunArtifact::capture_apply(&fitted.plan(), &window, None, ctx, &opts)
     };
     // The README quickstart's pattern: fit and apply on one context.
     let reused = ExecContext::default_cluster();
