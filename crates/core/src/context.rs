@@ -1,13 +1,18 @@
 //! Execution context threaded through every operator invocation.
+//!
+//! Its three ledgers stay bounded on a long-lived context: an apply-path
+//! call runs [`quiet`](keystone_dataflow::ledger::quiet), and with no
+//! [`LedgerWindow`](crate::report::LedgerWindow) open its node-run rows
+//! only add to each ledger's running totals. A fit, or any run inside a
+//! window, stores its rows. No per-call figure reads the shared rows: a
+//! node run's simulated seconds are a tally of its own thread's charges.
 
 use std::borrow::Cow;
-use std::sync::Arc;
 
 use keystone_dataflow::cluster::{ClusterProfile, ResourceDesc};
 use keystone_dataflow::faults::FaultPlan;
 use keystone_dataflow::metrics::MetricsRegistry;
 use keystone_dataflow::simclock::SimClock;
-use parking_lot::Mutex;
 
 use crate::trace::Tracer;
 
@@ -19,12 +24,6 @@ use crate::trace::Tracer;
 /// Cloning is cheap and shares the underlying ledgers, so operators deep in
 /// a pipeline charge the same clock — and trace into the same sink — the
 /// driver reads.
-///
-/// The ledgers stay bounded: an apply-path call no open
-/// [`LedgerWindow`](crate::report::LedgerWindow) covers drops its rows when
-/// it ends ([`ExecContext::apply_scope`]), leaving the running totals each
-/// ledger keeps of every row. A fit, or a run inside a window, keeps its
-/// rows.
 #[derive(Debug, Clone)]
 pub struct ExecContext {
     /// Cluster resource descriptor (`R`).
@@ -42,30 +41,6 @@ pub struct ExecContext {
     /// inside partition work) and probes it for cache-entry loss; recovery
     /// costs are charged back to `sim`.
     pub faults: Option<FaultPlan>,
-    /// Open windows and running apply-path calls on these ledgers.
-    occupancy: Arc<Mutex<Occupancy>>,
-}
-
-#[derive(Debug, Default)]
-struct Occupancy {
-    windows: usize,
-    calls: usize,
-}
-
-/// An open window: no fold runs while it lives, and every row held when
-/// it drops is kept.
-#[derive(Debug)]
-pub(crate) struct WindowHold(ExecContext);
-
-impl Drop for WindowHold {
-    fn drop(&mut self) {
-        let ctx = &self.0;
-        let mut occupancy = ctx.occupancy.lock();
-        ctx.tracer.keep();
-        ctx.metrics.keep();
-        ctx.sim.keep();
-        occupancy.windows -= 1;
-    }
 }
 
 impl<'a> From<&'a ExecContext> for Cow<'a, ExecContext> {
@@ -89,7 +64,6 @@ impl ExecContext {
             tracer: Tracer::new(),
             metrics: MetricsRegistry::new(),
             faults: None,
-            occupancy: Arc::default(),
         }
     }
 
@@ -122,40 +96,8 @@ impl ExecContext {
     pub fn with_workers(&self, workers: usize) -> Self {
         ExecContext {
             resources: self.resources.with_workers(workers),
-            sim: self.sim.clone(),
-            tracer: self.tracer.clone(),
-            metrics: self.metrics.clone(),
-            faults: self.faults.clone(),
-            occupancy: self.occupancy.clone(),
+            ..self.clone()
         }
-    }
-
-    /// Runs `call` as one apply-path call. When the last call running on
-    /// these ledgers ends and no window is open, they fold every row no
-    /// window kept, so no running call loses a row it holds a mark into.
-    pub fn apply_scope<R>(&self, call: impl FnOnce() -> R) -> R {
-        struct End<'a>(&'a ExecContext);
-        impl Drop for End<'_> {
-            fn drop(&mut self) {
-                let ctx = self.0;
-                let mut occupancy = ctx.occupancy.lock();
-                occupancy.calls -= 1;
-                if occupancy.calls == 0 && occupancy.windows == 0 {
-                    ctx.tracer.fold();
-                    ctx.metrics.fold();
-                    ctx.sim.fold();
-                }
-            }
-        }
-        self.occupancy.lock().calls += 1;
-        let _end = End(self);
-        call()
-    }
-
-    /// Opens a window: no fold runs until the hold drops.
-    pub(crate) fn hold_window(&self) -> WindowHold {
-        self.occupancy.lock().windows += 1;
-        WindowHold(self.clone())
     }
 }
 
@@ -167,23 +109,6 @@ mod tests {
     fn default_cluster_is_16_nodes() {
         let ctx = ExecContext::default_cluster();
         assert_eq!(ctx.resources.workers, 16);
-    }
-
-    /// A call that ends while another runs does not fold: the running
-    /// call's marks stay good until the last call ends, which folds.
-    #[test]
-    fn only_the_last_running_call_folds() {
-        let ctx = ExecContext::default_cluster();
-        ctx.apply_scope(|| {
-            let mark = ctx.sim.mark();
-            ctx.sim.charge_seconds("x", 1.0, 0.0);
-            std::thread::scope(|s| {
-                s.spawn(|| ctx.apply_scope(|| ctx.sim.charge_seconds("y", 2.0, 0.0)));
-            });
-            assert_eq!(ctx.sim.seconds_since(mark), 3.0);
-        });
-        assert_eq!(ctx.sim.mark(), 0);
-        assert_eq!(ctx.sim.total_seconds(), 3.0);
     }
 
     #[test]

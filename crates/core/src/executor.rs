@@ -191,8 +191,8 @@ impl Program {
 enum SimCharge<'a> {
     /// Unconditionally (transforms and model applications).
     Always,
-    /// Only if the work charged nothing itself, i.e. every ledger entry
-    /// since the node started came from an input pull, which the node's
+    /// Only if the work charged nothing itself, i.e. every clock entry the
+    /// work charged came from an input pull, which the node's
     /// [`NodeHandle`]s count here. Solvers charge themselves; other
     /// estimators fall back to the profiled estimate whether or not their
     /// inputs were cache hits.
@@ -384,8 +384,9 @@ impl<'g> Executor<'g> {
     /// operator kind shares: the work under a fault-aware task scope (every
     /// `DistCollection` operation inside it emits per-partition spans
     /// attributed to this node), the simulated-clock charge, the node's one
-    /// `NodeEnd` event carrying wall and simulated seconds, then retry
-    /// accounting when a span the work recorded retried.
+    /// `NodeEnd` event carrying wall seconds and the simulated seconds this
+    /// thread charged meanwhile, then retry accounting when a span the
+    /// scope recorded retried.
     fn run_node(
         &self,
         node: NodeId,
@@ -394,10 +395,6 @@ impl<'g> Executor<'g> {
         charge: SimCharge<'_>,
         work: impl FnOnce() -> NodeOutput,
     ) -> NodeOutput {
-        let sim_mark = self.ctx.sim.mark();
-        let span_mark = self.ctx.metrics.span_count();
-        let retry_mark = self.ctx.metrics.retries_recorded();
-        let start = std::time::Instant::now();
         let scope = TaskScope::new(
             &self.ctx.metrics,
             label.clone(),
@@ -405,31 +402,30 @@ impl<'g> Executor<'g> {
             self.ctx.resources.workers,
         )
         .with_faults(self.faults.clone());
-        let out = enter_task_scope(scope, work);
-        let wall_secs = start.elapsed().as_secs_f64();
-        let charged = match charge {
-            SimCharge::Always => true,
-            SimCharge::UnlessSelfCharged(pulled) => {
-                self.ctx.sim.mark() - sim_mark == pulled.load(Ordering::Relaxed)
+        let ((out, wall_secs), sim) = self.ctx.sim.tally(|| {
+            let start = std::time::Instant::now();
+            let (out, work) = self.ctx.sim.tally(|| enter_task_scope(scope.clone(), work));
+            let wall_secs = start.elapsed().as_secs_f64();
+            let charged = match charge {
+                SimCharge::Always => true,
+                SimCharge::UnlessSelfCharged(pulled) => {
+                    work.entries == pulled.load(Ordering::Relaxed)
+                }
+            };
+            if charged {
+                self.charge_sim(node, label, records);
             }
-        };
-        if charged {
-            self.charge_sim(node, label, records);
-        }
+            (out, wall_secs)
+        });
         let out_bytes = match &out {
             NodeOutput::Data(d) => d.total_bytes(),
             NodeOutput::Model(_) => 0,
         };
-        self.ctx.tracer.node_end(
-            node,
-            label,
-            records,
-            out_bytes,
-            wall_secs,
-            self.ctx.sim.seconds_since(sim_mark),
-        );
-        if self.ctx.metrics.retries_recorded() != retry_mark {
-            self.account_retries(node, label, span_mark);
+        let tracer = &self.ctx.tracer;
+        tracer.node_end(node, label.clone(), records, out_bytes, wall_secs, sim.secs);
+        let retried = scope.retried();
+        if !retried.is_empty() {
+            self.account_retries(node, label, &retried);
         }
         out
     }
@@ -441,42 +437,34 @@ impl<'g> Executor<'g> {
     /// pure function of the plan and the record count — the simulated
     /// ledger never absorbs measured wall time, and a serving wave's
     /// `execute_secs` is exactly what its nodes charge here.
-    fn charge_sim(&self, node: NodeId, label: &str, records: usize) {
+    fn charge_sim(&self, node: NodeId, label: &Arc<str>, records: usize) {
         let Some(profiles) = &self.profiles else {
             return;
         };
         let w = self.ctx.resources.workers.max(1) as f64;
-        match profiles.get(&node) {
-            Some(p) => {
-                let total = p.fixed_secs + p.secs_per_record * records as f64;
-                self.ctx.sim.charge_seconds(label, total / w, 0.0);
-            }
-            None => {
-                let total = crate::profiler::synthetic_node_secs(&self.graph.nodes[node], records);
-                self.ctx.sim.charge_seconds(label, total / w, 0.0);
-            }
-        }
+        let total = match profiles.get(&node) {
+            Some(p) => p.fixed_secs + p.secs_per_record * records as f64,
+            None => crate::profiler::synthetic_node_secs(&self.graph.nodes[node], records),
+        };
+        self.ctx.sim.charge_seconds(label.clone(), total / w, 0.0);
     }
 
-    /// Accounts for the retries a node's execution absorbed, reading the
-    /// task spans recorded since `span_mark`: each failed attempt is charged
-    /// its exponential backoff under a `recovery:` sim stage and emitted as
-    /// a [`TraceEvent::TaskRetry`]. Runs on the driving thread after the
+    /// Accounts for the retries a node's execution absorbed, given the
+    /// `(partition, retries)` of each span its task scope recorded that
+    /// retried: each failed attempt is charged its exponential backoff
+    /// under a `recovery:` sim stage and emitted as a
+    /// [`TraceEvent::TaskRetry`]. Runs on the driving thread after the
     /// node's own work (and its `NodeEnd` event), so the charges land in
     /// deterministic span order and never perturb the node's own
-    /// `sim_secs`; [`Executor::run_node`] calls it only when some span
-    /// recorded during the work retried.
-    fn account_retries(&self, node: NodeId, label: &str, span_mark: usize) {
+    /// `sim_secs`.
+    fn account_retries(&self, node: NodeId, label: &str, retried: &[(usize, u32)]) {
         let mut backoff_total = 0.0;
-        for s in self.ctx.metrics.spans_from(span_mark) {
-            if s.stage_id != Some(node as u64) {
-                continue;
-            }
-            for attempt in 0..s.retries {
+        for &(partition, retries) in retried {
+            for attempt in 0..retries {
                 backoff_total += backoff_secs(attempt);
                 self.ctx.tracer.record(TraceEvent::TaskRetry {
                     node,
-                    partition: s.partition,
+                    partition,
                     attempt,
                     backoff_secs: backoff_secs(attempt),
                 });
@@ -485,7 +473,7 @@ impl<'g> Executor<'g> {
         if backoff_total > 0.0 {
             self.ctx
                 .sim
-                .charge_seconds(&format!("recovery:{label}"), backoff_total, 0.0);
+                .charge_seconds(format!("recovery:{label}"), backoff_total, 0.0);
         }
     }
 }
@@ -497,7 +485,7 @@ struct NodeHandle<'a> {
     ctx: &'a ExecContext,
     input: Resolve<'a>,
     index: usize,
-    /// Simulated-ledger entries appended during pulls, shared by all of one
+    /// Simulated-clock entries charged during pulls, shared by all of one
     /// estimator's handles. A statistic read on the driving thread after the
     /// fit returns; it publishes no other data, hence `Relaxed`.
     pulled: &'a AtomicUsize,
@@ -505,10 +493,11 @@ struct NodeHandle<'a> {
 
 impl InputHandle for NodeHandle<'_> {
     fn get(&self) -> AnyData {
-        let mark = self.ctx.sim.mark();
-        let data = (self.input)(self.index).data().clone();
-        self.pulled
-            .fetch_add(self.ctx.sim.mark() - mark, Ordering::Relaxed);
+        let (data, pull) = self
+            .ctx
+            .sim
+            .tally(|| (self.input)(self.index).data().clone());
+        self.pulled.fetch_add(pull.entries, Ordering::Relaxed);
         data
     }
 }
@@ -747,7 +736,7 @@ mod tests {
             .entries()
             .into_iter()
             .filter(|e| e.stage.starts_with(prefix))
-            .map(|e| (e.stage, e.exec_secs))
+            .map(|e| (e.stage.to_string(), e.exec_secs))
             .collect()
     }
 
@@ -1034,7 +1023,7 @@ mod tests {
             .entries()
             .into_iter()
             .filter(|e| e.stage.starts_with("recovery:"))
-            .map(|e| (e.stage, e.exec_secs))
+            .map(|e| (e.stage.to_string(), e.exec_secs))
             .collect();
         assert_eq!(recovery, [("recovery:transform:flaky".to_string(), 1.0)]);
     }
@@ -1127,7 +1116,7 @@ mod tests {
                 .entries()
                 .into_iter()
                 .filter(|en| own_stage(&en.stage))
-                .map(|en| (en.stage, en.exec_secs))
+                .map(|en| (en.stage.to_string(), en.exec_secs))
                 .collect();
             assert_eq!(ledger.len(), 2, "{label}: {ledger:?}");
             assert_eq!(ledger[0], (label.to_string(), sim_secs), "{label}");

@@ -108,7 +108,7 @@ pub fn chrome_trace_json(ctx: &ExecContext) -> String {
             ("exec_secs", JVal::Num(e.exec_secs)),
             ("coord_secs", JVal::Num(e.coord_secs)),
         ];
-        sim.push((lane, None), e.stage, "sim", span, args);
+        sim.push((lane, None), e.stage.to_string(), "sim", span, args);
     }
 
     for traced in ctx.tracer.events() {

@@ -410,12 +410,8 @@ pub fn fit_forest<A: Record, B: Record>(
 
     // 4. The tenants' waves interleave on one executor, each in its lane.
     let (mut fit, plans) = plan.execute(ctx, opts, eliminated, window.marks, t0);
-    let lanes: HashMap<String, f64> = ctx
-        .sim
-        .since(window.marks.sim)
-        .by_stage()
-        .into_iter()
-        .collect();
+    let spent = ctx.sim.since(window.marks.sim);
+    let lanes: HashMap<String, f64> = spent.by_stage().into_iter().collect();
     for row in &mut rows {
         row.sim_secs = lanes
             .get(&format!("tenant{}", row.tenant))
@@ -426,7 +422,7 @@ pub fn fit_forest<A: Record, B: Record>(
     let report = ForestReport {
         shared: true,
         estimate: Some(estimate),
-        forest_secs: ctx.sim.seconds_since(window.marks.sim),
+        forest_secs: spent.total_seconds(),
         cross_merges: merges,
         tenants: rows,
         fit: Some(fit),
@@ -450,9 +446,8 @@ fn fit_solo<A: Record, B: Record>(
     let mut reports = Vec::new();
     let mut rows = Vec::new();
     for (i, t) in tenants.iter().enumerate() {
-        let mark = ctx.sim.mark();
-        let (f, r) = t.fit(ctx, opts);
-        let secs = ctx.sim.seconds_since(mark);
+        let ((f, r), spent) = ctx.sim.tally(|| t.fit(ctx, opts));
+        let secs = spent.secs;
         let output = f.plan().output_node();
         rows.push(TenantRow {
             tenant: i,
@@ -468,7 +463,7 @@ fn fit_solo<A: Record, B: Record>(
     let report = ForestReport {
         shared: false,
         estimate,
-        forest_secs: ctx.sim.seconds_since(sim_mark),
+        forest_secs: ctx.sim.since(sim_mark).total_seconds(),
         cross_merges: Vec::new(),
         tenants: rows,
         fit: None,
@@ -645,8 +640,8 @@ mod tests {
         assert!(shared, "the failure must come from the shared plan's waves");
         ctx.sim.charge_seconds("probe", 1.0, 0.0);
         assert_eq!(
-            ctx.sim.entries().last().map(|e| e.stage.as_str()),
-            Some("probe")
+            ctx.sim.entries().last().map(|e| e.stage.to_string()),
+            Some("probe".to_string())
         );
     }
 
@@ -690,7 +685,7 @@ mod tests {
             .into_iter()
             .map(|mut e| {
                 if let Some(stage) = e.stage.strip_prefix("tenant0:") {
-                    e.stage = stage.to_string();
+                    e.stage = stage.into();
                 }
                 e
             })

@@ -14,6 +14,7 @@ use std::time::Instant;
 
 use keystone_dataflow::cache::{CacheManager, CachePolicy};
 use keystone_dataflow::collection::DistCollection;
+use keystone_dataflow::ledger::quiet;
 
 use crate::context::ExecContext;
 use crate::executor::{Executor, Program};
@@ -357,8 +358,7 @@ impl ExecutablePlan {
     /// for `FittedPipeline::apply` and for every serving wave alike. The
     /// walk runs under `ctx` without its fault plan: injection targets the
     /// fit the recovery machinery protects, so an apply stays fault-free.
-    /// Its rows fold only if the caller runs it in
-    /// [`ExecContext::apply_scope`].
+    /// Its rows are stored unless the caller runs it [`quiet`].
     pub fn execute_erased(&self, input: AnyData, ctx: &ExecContext) -> AnyData {
         Executor::new(&self.graph, ctx, self.cache.clone())
             .fault_free()
@@ -410,12 +410,12 @@ impl<A: Record, B: Record> FittedPipeline<A, B> {
         }
     }
 
-    /// Applies the fitted pipeline to new data. Unless a window is open on
-    /// `ctx`, the call's rows fold when it ends
-    /// ([`ExecContext::apply_scope`]).
+    /// Applies the fitted pipeline to new data, [`quiet`]: unless a window
+    /// is open on `ctx`, the call's node-run rows only add to the ledgers'
+    /// totals.
     pub fn apply(&self, data: &DistCollection<A>, ctx: &ExecContext) -> DistCollection<B> {
         let input = AnyData::wrap(data.clone());
-        ctx.apply_scope(|| self.plan.execute_erased(input, ctx).downcast())
+        quiet(|| self.plan.execute_erased(input, ctx).downcast())
     }
 
     /// Applies to a single record (convenience; wraps it in a collection).
@@ -650,10 +650,11 @@ pub(crate) mod tests {
         pipe.fit(ctx, &opts).0
     }
 
-    /// Outside a window, every single-record apply folds its rows when it
-    /// ends: the ledgers hold after 20,000 calls what they held after
-    /// 1,000 (the fit's rows), the totals count every call, and every sum
-    /// is bit-equal to the same calls' rows kept under an open window.
+    /// Outside a window, every single-record apply folds its rows into the
+    /// totals and stores none: the ledgers hold after 20,000 calls what
+    /// they held after 1,000 (the fit's rows), the totals count every call,
+    /// and every sum is bit-equal to the same calls' rows kept under an
+    /// open window.
     #[test]
     fn unwindowed_applies_stay_bounded_and_conserve_their_totals() {
         let (folded, kept) = (ctx(), ctx());
@@ -715,6 +716,156 @@ pub(crate) mod tests {
         for n in fitted.plan().apply_path() {
             assert_eq!(actuals[n].execs, 4_000);
         }
+    }
+
+    /// A node run's simulated seconds are what its own thread charged:
+    /// two threads applying on one context give every node the execs and
+    /// the Σsim bits one thread gives for the same calls.
+    #[test]
+    fn concurrent_applies_attribute_each_call_its_own_charges() {
+        let fitted = fit_chain(&ctx());
+        let run = |threads: u32| {
+            let ctx = ctx();
+            std::thread::scope(|s| {
+                for _ in 0..threads {
+                    s.spawn(|| {
+                        for i in 0..4_000 / threads {
+                            fitted.apply_one(&f64::from(i % 7), &ctx);
+                        }
+                    });
+                }
+            });
+            let mut nodes: Vec<(NodeId, u64, u64)> = ctx
+                .tracer
+                .node_actuals()
+                .into_iter()
+                .map(|(n, a)| (n, a.execs, a.sim_secs.to_bits()))
+                .collect();
+            nodes.sort_unstable();
+            nodes
+        };
+        let one = run(1);
+        assert_eq!(one.len(), fitted.plan().apply_path().len());
+        assert!(one.iter().all(|&(_, execs, _)| execs == 4_000));
+        assert_eq!(run(2), one);
+    }
+
+    /// Passes records through, waiting twice at the barrier in each
+    /// collection pass while armed.
+    struct Gated(Arc<(std::sync::atomic::AtomicBool, std::sync::Barrier)>);
+    impl Transformer<f64, f64> for Gated {
+        fn apply(&self, x: &f64) -> f64 {
+            *x
+        }
+        fn apply_collection(
+            &self,
+            input: &DistCollection<f64>,
+            _ctx: &ExecContext,
+        ) -> DistCollection<f64> {
+            if self.0 .0.load(Ordering::SeqCst) {
+                self.0 .1.wait();
+                self.0 .1.wait();
+            }
+            input.map(|x| *x)
+        }
+    }
+
+    /// A window opened while an unwindowed call runs on another thread
+    /// holds the rows that call writes after it opens, and none from
+    /// before.
+    #[test]
+    fn a_window_opened_mid_call_holds_the_rows_written_after_it_opens() {
+        let gate = Arc::new((
+            std::sync::atomic::AtomicBool::new(false),
+            std::sync::Barrier::new(2),
+        ));
+        let pipe = Pipeline::<f64, f64>::input()
+            .and_then(Inc)
+            .and_then(Gated(gate.clone()));
+        let opts = PipelineOptions {
+            profile: small_profile(),
+            ..PipelineOptions::none()
+        };
+        let ctx = ctx();
+        let (fitted, _) = pipe.fit(&ctx, &opts);
+        let gated = fitted.plan().output_node();
+        let before = held(&ctx);
+        gate.0.store(true, Ordering::SeqCst);
+        std::thread::scope(|s| {
+            let call = s.spawn(|| fitted.apply_one(&1.0, &ctx));
+            // `Inc` has run, unwindowed; `Gated` is inside its work.
+            gate.1.wait();
+            let window = crate::report::LedgerWindow::open(&ctx);
+            gate.1.wait();
+            assert_eq!(call.join().expect("the call panicked"), 2.0);
+            let after = held(&ctx);
+            let rows = (after.0 - before.0, after.1 - before.1, after.2 - before.2);
+            assert_eq!(rows, (1, 1, 1), "Gated's NodeEnd, span and clock entry");
+            let events = ctx.tracer.since(window.marks.events).events();
+            assert!(
+                matches!(events[0].event, crate::trace::TraceEvent::NodeEnd { node, .. } if node == gated),
+                "{:?}",
+                events[0].event
+            );
+        });
+        gate.0.store(false, Ordering::SeqCst);
+        fitted.apply_one(&1.0, &ctx);
+        assert_eq!(held(&ctx), (before.0 + 1, before.1 + 1, before.2 + 1));
+    }
+
+    /// Adds one, panicking in the first partition attempt after it is armed.
+    struct PanicsOnce(Arc<std::sync::atomic::AtomicBool>);
+    impl Transformer<f64, f64> for PanicsOnce {
+        fn apply(&self, x: &f64) -> f64 {
+            x + 1.0
+        }
+        fn apply_collection(
+            &self,
+            input: &DistCollection<f64>,
+            _ctx: &ExecContext,
+        ) -> DistCollection<f64> {
+            let armed = self.0.clone();
+            input.map(move |x| {
+                if armed.swap(false, Ordering::SeqCst) {
+                    panic!("partition attempt failed");
+                }
+                x + 1.0
+            })
+        }
+    }
+
+    /// A partition that panics once inside an unwindowed apply still
+    /// records its `TaskRetry` event and its `recovery:` seconds, and the
+    /// call stores no span, clock entry or `NodeEnd`.
+    #[test]
+    fn a_retry_in_an_unwindowed_apply_keeps_its_event_and_recovery_seconds() {
+        use crate::trace::TraceEvent;
+        let armed = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let pipe = Pipeline::<f64, f64>::input().and_then(PanicsOnce(armed.clone()));
+        let opts = PipelineOptions {
+            profile: small_profile(),
+            ..PipelineOptions::none()
+        };
+        let ctx = ctx();
+        let (fitted, _) = pipe.fit(&ctx, &opts);
+        let node = fitted.plan().output_node();
+        let before = held(&ctx);
+        armed.store(true, Ordering::SeqCst);
+        assert_eq!(fitted.apply_one(&1.0, &ctx), 2.0);
+        assert!(!armed.load(Ordering::SeqCst), "the attempt never panicked");
+        assert_eq!(held(&ctx), (before.0 + 1, before.1, before.2));
+        let last = ctx.tracer.events().pop().expect("an event").event;
+        assert!(
+            matches!(last, TraceEvent::TaskRetry { node: n, partition: 0, attempt: 0, .. } if n == node),
+            "{last:?}"
+        );
+        let recovery = ctx
+            .sim
+            .by_stage()
+            .into_iter()
+            .find(|(s, _)| s == "recovery");
+        let backoff = keystone_dataflow::faults::backoff_secs(0);
+        assert_eq!(recovery, Some(("recovery".to_string(), backoff)));
     }
 
     /// Live [`Staged`] records per stage: index 0 counts the chain's input,
@@ -1121,7 +1272,7 @@ pub(crate) mod tests {
             ctx: &ExecContext,
         ) -> Box<dyn Transformer<f64, f64>> {
             ctx.sim
-                .charge_seconds(&format!("solve:{}", self.0), 1.0, 0.0);
+                .charge_seconds(format!("solve:{}", self.0), 1.0, 0.0);
             MeanCenter.fit(data, ctx)
         }
     }
@@ -1141,7 +1292,12 @@ pub(crate) mod tests {
             ..PipelineOptions::full()
         };
         pipe.fit(&ctx, &opts);
-        let stages: Vec<String> = ctx.sim.entries().into_iter().map(|e| e.stage).collect();
+        let stages: Vec<String> = ctx
+            .sim
+            .entries()
+            .iter()
+            .map(|e| e.stage.to_string())
+            .collect();
         for name in ["first", "second"] {
             let count = |stage: String| stages.iter().filter(|s| **s == stage).count();
             assert_eq!(count(format!("solve:{name}")), 1, "{stages:?}");

@@ -44,7 +44,7 @@ use std::collections::HashMap;
 use keystone_dataflow::json::JVal;
 use keystone_dataflow::metrics::MetricsRegistry;
 
-use crate::context::{ExecContext, WindowHold};
+use crate::context::ExecContext;
 use crate::graph::{Graph, NodeId};
 use crate::profiler::PipelineProfile;
 use crate::trace::{CacheCounters, RecoveryStats, Tracer};
@@ -211,30 +211,45 @@ pub struct LedgerMarks {
     pub sim: usize,
 }
 
-/// A window on an [`ExecContext`]'s ledgers, open until dropped: no fold
-/// runs meanwhile, and the rows held when it drops are kept. A fit opens
-/// one; open one before an apply or serving run to capture or read its
-/// rows. The default window holds nothing and marks the whole context.
+/// A window on an [`ExecContext`]'s ledgers, open until dropped: while it
+/// is open every ledger stores every row, including those of a quiet
+/// apply-path call on any thread. A fit opens one; open one before an
+/// apply or serving run to capture or read its rows. The default window
+/// registers nothing and marks the whole context.
 #[derive(Debug, Default)]
 pub struct LedgerWindow {
     /// Where the run's rows begin.
     pub marks: LedgerMarks,
-    _hold: Option<WindowHold>,
+    ctx: Option<ExecContext>,
 }
 
 impl LedgerWindow {
     /// Opens a window at the context's current ledger ends.
     pub fn open(ctx: &ExecContext) -> Self {
-        let hold = ctx.hold_window();
+        set_window(ctx, true);
         LedgerWindow {
             marks: LedgerMarks {
                 events: ctx.tracer.len(),
                 spans: ctx.metrics.span_count(),
                 sim: ctx.sim.mark(),
             },
-            _hold: Some(hold),
+            ctx: Some(ctx.clone()),
         }
     }
+}
+
+impl Drop for LedgerWindow {
+    fn drop(&mut self) {
+        if let Some(ctx) = &self.ctx {
+            set_window(ctx, false);
+        }
+    }
+}
+
+fn set_window(ctx: &ExecContext, open: bool) {
+    ctx.tracer.window(open);
+    ctx.metrics.window(open);
+    ctx.sim.window(open);
 }
 
 /// Whole-pipeline observability report.

@@ -62,8 +62,8 @@ pub enum TraceEvent {
     NodeEnd {
         /// Node id in the executing graph.
         node: NodeId,
-        /// Node label.
-        label: String,
+        /// Node label, shared with the node's other rows.
+        label: Arc<str>,
         /// Input records consumed by this execution.
         records: usize,
         /// Output bytes produced (0 for models).
@@ -526,7 +526,7 @@ pub struct NodeActuals {
 }
 
 /// Per-node actuals from `NodeEnd` events and the count of `ServeBatch`
-/// events: the two kinds a fold drops.
+/// events: the two kinds a quiet call need not store.
 #[derive(Debug, Clone, Default)]
 struct TraceTotals {
     nodes: HashMap<NodeId, NodeActuals>,
@@ -568,8 +568,9 @@ impl Totals<TraceEvent> for TraceTotals {
 /// Shared event sink. Cloning shares the ledger.
 ///
 /// [`Tracer::node_actuals`] and [`Tracer::serve_batches`] count every
-/// event ever recorded; every other reader sees the events held, from which
-/// a [`Tracer::fold`] drops the `NodeEnd` and `ServeBatch` events.
+/// event ever recorded; every other reader sees the events held, which
+/// leave out the `NodeEnd` and `ServeBatch` events a quiet call recorded
+/// outside any window (see [`keystone_dataflow::ledger`]).
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     events: Arc<Mutex<Ledger<TraceEvent, TraceTotals>>>,
@@ -605,15 +606,10 @@ impl Tracer {
         }
     }
 
-    /// Keeps every event held now through later folds.
-    pub fn keep(&self) {
-        self.events.lock().keep();
-    }
-
-    /// Drops the `NodeEnd` and `ServeBatch` events held above the kept
-    /// prefix.
-    pub fn fold(&self) {
-        self.events.lock().fold();
+    /// Opens (`true`) or closes (`false`) one window on the ledger: while
+    /// any is open, every event is stored.
+    pub fn window(&self, open: bool) {
+        self.events.lock().window(open);
     }
 
     /// Snapshot of the events held, with sequence numbers.
@@ -631,11 +627,12 @@ impl Tracer {
             .collect()
     }
 
-    /// Records a node's work finishing.
+    /// Records a node's work finishing. An `Arc<str>` label is shared, not
+    /// copied.
     pub fn node_end(
         &self,
         node: NodeId,
-        label: &str,
+        label: impl Into<Arc<str>>,
         records: usize,
         out_bytes: u64,
         wall_secs: f64,
@@ -643,7 +640,7 @@ impl Tracer {
     ) {
         self.record(TraceEvent::NodeEnd {
             node,
-            label: label.to_string(),
+            label: label.into(),
             records,
             out_bytes,
             wall_secs,
@@ -709,7 +706,7 @@ impl Tracer {
             .rows()
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::NodeEnd { label, .. } => Some(label.clone()),
+                TraceEvent::NodeEnd { label, .. } => Some(label.to_string()),
                 _ => None,
             })
             .collect()

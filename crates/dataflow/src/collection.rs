@@ -101,7 +101,7 @@ fn measure_partition<R>(
         }
     }
     let span = TaskSpan {
-        stage: sc.stage.to_string(),
+        stage: sc.stage.clone(),
         op,
         op_seq,
         stage_id: sc.stage_id,
@@ -238,7 +238,7 @@ impl<T: Send + Sync + 'static> DistCollection<T> {
             spans.extend(span);
         }
         if let Some(sc) = &scope {
-            sc.registry.record_spans(spans);
+            sc.record(spans);
         }
         out
     }

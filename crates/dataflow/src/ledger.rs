@@ -1,27 +1,52 @@
 //! The row ledger under [`SimClock`](crate::simclock::SimClock), the
 //! [`MetricsRegistry`](crate::metrics::MetricsRegistry) and the core
 //! crate's `Tracer`: rows in recording order, plus running totals every row
-//! is absorbed into, in that order, as it is recorded. A fold drops the
-//! rows above the kept prefix and leaves the totals whole, so a reader of
-//! totals reads the same bits whether or not anything folded.
+//! is absorbed into, in that order, as it is recorded.
+//!
+//! A row recorded inside [`quiet`] on the calling thread is absorbed into
+//! the totals and not stored when its kind [`Totals::folds`] and no window
+//! is open on the ledger ([`Ledger::window`]). Every other row is stored,
+//! and a stored row is never dropped, so a mark into the rows stays good.
+//! A reader of totals reads the same bits whether or not a row was stored.
+
+use std::cell::Cell;
 
 /// What a ledger's rows add up to.
 pub trait Totals<R>: Default {
     /// Adds one row. Rows arrive in recording order.
     fn absorb(&mut self, row: &R);
 
-    /// Whether a fold may drop `row`; one it may not stays held.
+    /// Whether a quiet call may leave `row` out of the rows; one it may
+    /// not is always stored.
     fn folds(_row: &R) -> bool {
         true
     }
+}
+
+thread_local! {
+    static QUIET: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `call` quiet on the calling thread: every ledger it records into
+/// with no window open absorbs the rows that fold without storing them.
+/// The flag is restored when `call` returns or unwinds.
+pub fn quiet<R>(call: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            QUIET.with(|q| q.set(self.0));
+        }
+    }
+    let _restore = Restore(QUIET.with(|q| q.replace(true)));
+    call()
 }
 
 /// Rows plus the totals of every row ever recorded.
 #[derive(Debug)]
 pub struct Ledger<R, T> {
     rows: Vec<R>,
-    /// Rows below this index are never dropped.
-    kept: usize,
+    /// Windows open on this ledger; while any is, every row is stored.
+    windows: usize,
     totals: T,
 }
 
@@ -29,7 +54,7 @@ impl<R, T: Default> Default for Ledger<R, T> {
     fn default() -> Self {
         Ledger {
             rows: Vec::new(),
-            kept: 0,
+            windows: 0,
             totals: T::default(),
         }
     }
@@ -41,15 +66,22 @@ impl<R, T: Totals<R>> Ledger<R, T> {
     where
         R: Clone,
     {
-        let mut ledger = Ledger::default();
-        ledger.extend(self.rows.get(mark..).unwrap_or_default().iter().cloned());
+        let rows = self.rows.get(mark..).unwrap_or_default().to_vec();
+        let mut ledger = Ledger {
+            rows,
+            ..Self::default()
+        };
+        ledger.rows.iter().for_each(|r| ledger.totals.absorb(r));
         ledger
     }
 
-    /// Records one row.
+    /// Records one row: absorbs it, and stores it unless a quiet call may
+    /// leave it out.
     pub fn push(&mut self, row: R) {
         self.totals.absorb(&row);
-        self.rows.push(row);
+        if self.windows > 0 || !T::folds(&row) || !QUIET.with(Cell::get) {
+            self.rows.push(row);
+        }
     }
 
     /// Records rows in order.
@@ -62,28 +94,18 @@ impl<R, T: Totals<R>> Ledger<R, T> {
         &self.rows
     }
 
-    /// The totals over every row recorded, held or dropped.
+    /// The totals over every row recorded, held or not.
     pub fn totals(&self) -> &T {
         &self.totals
     }
 
-    /// Keeps every row held now through all later folds.
-    pub fn keep(&mut self) {
-        self.kept = self.rows.len();
-    }
-
-    /// Drops every row above the kept prefix that [`Totals::folds`],
-    /// keeping the rest in order.
-    pub fn fold(&mut self) {
-        let mut held = self.kept;
-        for i in self.kept..self.rows.len() {
-            if !T::folds(&self.rows[i]) {
-                self.rows.swap(held, i);
-                held += 1;
-            }
-        }
-        self.rows.truncate(held);
-        self.kept = held;
+    /// Opens (`true`) or closes (`false`) one window on this ledger.
+    pub fn window(&mut self, open: bool) {
+        self.windows = if open {
+            self.windows + 1
+        } else {
+            self.windows - 1
+        };
     }
 }
 
@@ -91,7 +113,7 @@ impl<R, T: Totals<R>> Ledger<R, T> {
 mod tests {
     use super::*;
 
-    /// Sums the rows, and keeps the negative ones.
+    /// Sums the rows; a negative one is always stored.
     #[derive(Debug, Clone, Default, PartialEq)]
     struct Sum(f64);
     impl Totals<f64> for Sum {
@@ -104,16 +126,19 @@ mod tests {
     }
 
     #[test]
-    fn a_fold_keeps_the_kept_prefix_and_what_does_not_fold() {
+    fn a_quiet_push_stores_only_what_does_not_fold_or_a_window_holds() {
         let mut l = Ledger::<f64, Sum>::default();
-        l.extend([0.1, 0.2]);
-        l.keep();
-        l.extend([0.3, -1.0, 0.4]);
-        l.fold();
-        assert_eq!(l.rows(), [0.1, 0.2, -1.0]);
+        l.push(0.1);
+        quiet(|| {
+            l.extend([0.2, -1.0]);
+            l.window(true);
+            l.push(0.3);
+            l.window(false);
+            l.push(0.4);
+        });
         l.push(0.5);
-        l.fold();
-        assert_eq!(l.rows(), [0.1, 0.2, -1.0]);
+        assert_eq!(l.rows(), [0.1, -1.0, 0.3, 0.5]);
+        assert_eq!(l.since(2).rows(), [0.3, 0.5]);
     }
 
     #[test]
@@ -121,11 +146,10 @@ mod tests {
         let rows = [0.1, 0.7, 0.3, -0.2, 1e-17, 0.9, 0.6];
         let mut l = Ledger::<f64, Sum>::default();
         for (i, &r) in rows.iter().enumerate() {
-            l.push(r);
-            match i % 3 {
-                0 => l.fold(),
-                1 => l.keep(),
-                _ => {}
+            if i % 2 == 0 {
+                quiet(|| l.push(r));
+            } else {
+                l.push(r);
             }
             let scan = rows[..=i].iter().fold(0.0, |a, r| a + r);
             assert_eq!(l.totals().0.to_bits(), scan.to_bits());

@@ -26,8 +26,9 @@
 //!   ledger of per-task spans with worker-lane attribution, and per-stage
 //!   skew/utilization analysis over it;
 //! * [`ledger::Ledger`] — the row ledger under the clock, the registry and
-//!   the core crate's tracer: rows in recording order, folded into running
-//!   totals once no reader can still need them;
+//!   the core crate's tracer: rows in recording order plus running totals;
+//!   an apply-path call's node-run rows reach only the totals unless a
+//!   window is open;
 //! * [`json`] — the one JSON codec (the sorted-key [`json::JVal`] document
 //!   builder and a parser) every report, artifact and trace export goes
 //!   through;

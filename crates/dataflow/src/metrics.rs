@@ -13,15 +13,15 @@
 //!   worker lane that actually executed it (the pool thread's index,
 //!   falling back to `partition % workers` when no pool is active), and
 //!   item/byte throughput.
-//! * [`MetricsRegistry`] — a cheaply-cloneable span ledger, plus a running
-//!   total of the failed attempts its spans carry so a reader can skip the
-//!   ledger when nothing retried. Every other run fact
-//!   (retry events, cache traffic, serving admissions) is a trace event in
-//!   `keystone-core` or a field of the serving outcome, recorded once there.
+//! * [`MetricsRegistry`] — a cheaply-cloneable span ledger. Every other run
+//!   fact (retry events, cache traffic, serving admissions) is a trace event
+//!   in `keystone-core` or a field of the serving outcome, recorded once
+//!   there.
 //! * [`TaskScope`] — an ambient, thread-local attribution scope. The
 //!   executor pushes a scope around each node's work; every instrumented
 //!   [`DistCollection`](crate::collection::DistCollection) operation invoked
-//!   under it emits one `TaskSpan` per partition into the scope's registry.
+//!   under it emits one `TaskSpan` per partition into the scope's registry,
+//!   and the scope itself lists the partitions that retried.
 //! * [`StageSkew`] — per-stage max/median/p99 partition time, a straggler
 //!   flag (`max > 2 × median`), and worker-lane utilization (busy wall time
 //!   ÷ lane span).
@@ -44,8 +44,9 @@ use crate::ledger::{Ledger, Totals};
 /// node-level trace decomposes into.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskSpan {
-    /// Stage label (the executor uses its node label, e.g. `transform:NGrams`).
-    pub stage: String,
+    /// Stage label (the executor uses its node label, e.g. `transform:NGrams`),
+    /// shared with the scope that recorded the span.
+    pub stage: Arc<str>,
     /// Collection operation that did the work (`map`, `aggregate`, ...).
     pub op: &'static str,
     /// Sequence number of the collection operation within its scope — one
@@ -117,10 +118,10 @@ struct SpanTotals(Vec<StageSkew>);
 
 impl Totals<TaskSpan> for SpanTotals {
     fn absorb(&mut self, s: &TaskSpan) {
-        let same = |t: &StageSkew| t.stage_id == s.stage_id && t.stage == s.stage;
+        let same = |t: &StageSkew| t.stage_id == s.stage_id && *t.stage == *s.stage;
         let i = self.0.iter().position(same).unwrap_or_else(|| {
             self.0.push(StageSkew {
-                stage: s.stage.clone(),
+                stage: s.stage.to_string(),
                 stage_id: s.stage_id,
                 skew_ratio: 1.0,
                 record_skew: 1.0,
@@ -140,13 +141,12 @@ impl Totals<TaskSpan> for SpanTotals {
 ///
 /// [`MetricsRegistry::stage_skew`] counts every span ever recorded in its
 /// task counts and busy seconds; every other reader sees the spans held,
-/// which a [`MetricsRegistry::fold`] drops.
+/// which leave out what a quiet call recorded outside any window (see
+/// [`crate::ledger`]).
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     epoch: Instant,
     spans: Arc<Mutex<Ledger<TaskSpan, SpanTotals>>>,
-    /// Sum of `retries` over every recorded span.
-    retries: Arc<AtomicU64>,
 }
 
 impl Default for MetricsRegistry {
@@ -161,7 +161,6 @@ impl MetricsRegistry {
         MetricsRegistry {
             epoch: Instant::now(),
             spans: Arc::default(),
-            retries: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -180,18 +179,7 @@ impl MetricsRegistry {
         if spans.is_empty() {
             return;
         }
-        let retries: u64 = spans.iter().map(|s| u64::from(s.retries)).sum();
-        if retries > 0 {
-            self.retries.fetch_add(retries, Ordering::Relaxed);
-        }
         self.spans.lock().extend(spans);
-    }
-
-    /// Failed attempts carried by all spans recorded so far. A reader takes
-    /// it as a mark before some work and compares after: unchanged means no
-    /// span recorded in between retried.
-    pub fn retries_recorded(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the spans held.
@@ -204,22 +192,18 @@ impl MetricsRegistry {
         self.spans.lock().rows().len()
     }
 
-    /// Spans recorded at index `mark` onward ([`MetricsRegistry::span_count`]
-    /// taken earlier serves as the mark) — how the executor attributes a
-    /// window of the ledger to one node execution.
+    /// Spans held at index `mark` onward ([`MetricsRegistry::span_count`]
+    /// taken earlier serves as the mark) — how a capture reads one run's
+    /// spans on a reused context.
     pub fn spans_from(&self, mark: usize) -> Vec<TaskSpan> {
         let spans = self.spans.lock();
         spans.rows().iter().skip(mark).cloned().collect()
     }
 
-    /// Keeps every span held now through later folds.
-    pub fn keep(&self) {
-        self.spans.lock().keep();
-    }
-
-    /// Drops the spans held above the kept prefix.
-    pub fn fold(&self) {
-        self.spans.lock().fold();
+    /// Opens (`true`) or closes (`false`) one window on the ledger: while
+    /// any is open, every span is stored.
+    pub fn window(&self, open: bool) {
+        self.spans.lock().window(open);
     }
 
     /// Per-stage skew and utilization over the recorded spans, in first-seen
@@ -249,8 +233,8 @@ impl MetricsRegistry {
     /// onward only.
     pub fn stage_skew_from(&self, mark: usize) -> Vec<StageSkew> {
         let spans = self.spans.lock();
-        let mut order: Vec<(Option<u64>, String)> = Vec::new();
-        let mut groups: HashMap<(Option<u64>, String), Vec<&TaskSpan>> = HashMap::new();
+        let mut order: Vec<(Option<u64>, Arc<str>)> = Vec::new();
+        let mut groups: HashMap<(Option<u64>, Arc<str>), Vec<&TaskSpan>> = HashMap::new();
         for s in spans.rows().iter().skip(mark) {
             let key = (s.stage_id, s.stage.clone());
             groups.entry(key.clone()).or_insert_with(|| {
@@ -263,7 +247,7 @@ impl MetricsRegistry {
             .into_iter()
             .map(|key| {
                 let group = &groups[&key];
-                StageSkew::from_spans(key.1, key.0, group)
+                StageSkew::from_spans(key.1.to_string(), key.0, group)
             })
             .collect()
     }
@@ -381,9 +365,18 @@ pub struct TaskScope {
     pub workers: usize,
     /// Fault schedule governing tasks under this scope, if any.
     pub faults: Option<FaultPlan>,
-    /// Sequence number of collection operations run under this scope, so
+    /// What clones of this scope share.
+    shared: Arc<ScopeState>,
+}
+
+#[derive(Debug, Default)]
+struct ScopeState {
+    /// Sequence number of collection operations run under the scope, so
     /// two ops on the same partition get independent fault decisions.
-    op_seq: Arc<AtomicU64>,
+    op_seq: AtomicU64,
+    /// `(partition, retries)` of each span recorded under the scope that
+    /// retried, in recording order.
+    retried: Mutex<Vec<(usize, u32)>>,
 }
 
 impl TaskScope {
@@ -400,7 +393,7 @@ impl TaskScope {
             stage_id,
             workers: workers.max(1),
             faults: None,
-            op_seq: Arc::new(AtomicU64::new(0)),
+            shared: Arc::default(),
         }
     }
 
@@ -420,7 +413,22 @@ impl TaskScope {
     /// Takes the next operation sequence number (one per collection
     /// operation, drawn on the driving thread before the fan-out).
     pub fn next_op_seq(&self) -> u64 {
-        self.op_seq.fetch_add(1, Ordering::Relaxed)
+        self.shared.op_seq.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Records spans measured under this scope into its registry, noting
+    /// the ones that retried.
+    pub fn record(&self, spans: Vec<TaskSpan>) {
+        for s in spans.iter().filter(|s| s.retries > 0) {
+            self.shared.retried.lock().push((s.partition, s.retries));
+        }
+        self.registry.record_spans(spans);
+    }
+
+    /// `(partition, retries)` of every span recorded under this scope (or
+    /// a clone) that retried, in recording order.
+    pub fn retried(&self) -> Vec<(usize, u32)> {
+        self.shared.retried.lock().clone()
     }
 }
 
@@ -466,7 +474,7 @@ mod tests {
 
     fn span(stage: &str, partition: usize, worker: usize, start: u64, end: u64) -> TaskSpan {
         TaskSpan {
-            stage: stage.to_string(),
+            stage: stage.into(),
             op: "map",
             op_seq: 0,
             stage_id: Some(1),

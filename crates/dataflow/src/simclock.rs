@@ -11,13 +11,14 @@ use crate::cluster::ResourceDesc;
 use crate::cost::CostProfile;
 use crate::ledger::{Ledger, Totals};
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// One charged entry on the simulated clock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimEntry {
     /// Stage label (e.g. "featurize", "solve:lbfgs iter 3").
-    pub stage: String,
+    pub stage: Arc<str>,
     /// Execution seconds on the critical-path node.
     pub exec_secs: f64,
     /// Coordination (network) seconds on the most loaded link.
@@ -49,7 +50,7 @@ impl Totals<SimEntry> for SimTotals {
         let secs = e.exec_secs + e.coord_secs;
         self.secs += secs;
         self.coord += e.coord_secs;
-        let prefix = e.stage.split(':').next().unwrap_or(&e.stage);
+        let prefix = e.stage.split(':').next().unwrap_or_default();
         match self.stages.iter_mut().find(|(p, _)| p == prefix) {
             Some((_, total)) => *total += secs,
             // A stage's sum starts from +0.0, the overall ones from -0.0.
@@ -58,11 +59,29 @@ impl Totals<SimEntry> for SimTotals {
     }
 }
 
+/// What was charged to one clock on one thread while a closure ran (see
+/// [`SimClock::tally`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Tally {
+    /// Execution plus coordination seconds, summed in charge order from
+    /// `-0.0`, as `Iterator::sum` sums.
+    pub secs: f64,
+    /// Entries charged.
+    pub entries: usize,
+}
+
+thread_local! {
+    /// The open tallies on this thread, innermost last: the identity of the
+    /// clock each counts, its seconds and its entries.
+    static TALLIES: RefCell<Vec<(usize, f64, usize)>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Thread-safe simulated clock. Cloning shares the underlying ledger.
 ///
 /// [`SimClock::total_seconds`], [`SimClock::coord_seconds`] and
 /// [`SimClock::by_stage`] sum every entry ever charged; every other reader
-/// sees the entries held, which a [`SimClock::fold`] drops.
+/// sees the entries held, which leave out what a quiet call charged
+/// outside any window (see [`crate::ledger`]).
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
     entries: Arc<Mutex<Ledger<SimEntry, SimTotals>>>,
@@ -91,32 +110,54 @@ impl SimClock {
         f()
     }
 
-    fn labeled(&self, stage: &str) -> String {
-        match self.prefix.lock().as_deref() {
-            Some(p) => format!("{p}:{stage}"),
-            None => stage.to_string(),
-        }
-    }
-
     /// Charges a cost profile under a stage label.
-    pub fn charge(&self, stage: &str, profile: &CostProfile, r: &ResourceDesc) {
-        let entry = SimEntry {
-            stage: self.labeled(stage),
-            exec_secs: r.exec_weight * profile.exec_seconds(r),
-            coord_secs: r.coord_weight * profile.coord_seconds(r),
-        };
-        self.entries.lock().push(entry);
+    pub fn charge(&self, stage: impl Into<Arc<str>>, profile: &CostProfile, r: &ResourceDesc) {
+        let (exec, coord) = (profile.exec_seconds(r), profile.coord_seconds(r));
+        self.charge_seconds(stage, r.exec_weight * exec, r.coord_weight * coord);
     }
 
     /// Charges raw seconds directly (used when an operator measures a
-    /// sample and extrapolates rather than deriving FLOPs analytically).
-    pub fn charge_seconds(&self, stage: &str, exec_secs: f64, coord_secs: f64) {
-        let stage = self.labeled(stage);
+    /// sample and extrapolates rather than deriving FLOPs analytically),
+    /// under the current lane, and counts them in every tally of this
+    /// clock open on the calling thread. An `Arc<str>` label is shared.
+    pub fn charge_seconds(&self, stage: impl Into<Arc<str>>, exec_secs: f64, coord_secs: f64) {
+        let stage = stage.into();
+        let stage = match self.prefix.lock().as_deref() {
+            Some(p) => format!("{p}:{stage}").into(),
+            None => stage,
+        };
+        let (id, secs) = (Arc::as_ptr(&self.entries) as usize, exec_secs + coord_secs);
+        TALLIES.with(|t| {
+            for (_, sum, n) in t.borrow_mut().iter_mut().filter(|(c, ..)| *c == id) {
+                *sum += secs;
+                *n += 1;
+            }
+        });
         self.entries.lock().push(SimEntry {
             stage,
             exec_secs,
             coord_secs,
         });
+    }
+
+    /// Runs `f` and returns what was charged to this clock (or a clone) on
+    /// the calling thread meanwhile — how one node run or serving wave is
+    /// attributed its own charges while other threads charge the same
+    /// clock. Tallies nest: an inner one's charges count in the outer too.
+    pub fn tally<R>(&self, f: impl FnOnce() -> R) -> (R, Tally) {
+        struct Pop;
+        impl Drop for Pop {
+            fn drop(&mut self) {
+                TALLIES.with(|t| t.borrow_mut().pop());
+            }
+        }
+        let id = Arc::as_ptr(&self.entries) as usize;
+        TALLIES.with(|t| t.borrow_mut().push((id, -0.0, 0)));
+        let pop = Pop;
+        let out = f();
+        let (_, secs, entries) = TALLIES.with(|t| *t.borrow().last().expect("opened above"));
+        drop(pop);
+        (out, Tally { secs, entries })
     }
 
     /// Total simulated seconds.
@@ -134,22 +175,11 @@ impl SimClock {
         self.entries.lock().totals().stages.clone()
     }
 
-    /// Opaque position in the entries held; pair with
-    /// [`SimClock::seconds_since`] to attribute a span of charges (e.g. one
-    /// node's execution) without re-summing the whole ledger.
+    /// Opaque position in the entries held: the number stored so far. An
+    /// entry once stored stays, so a mark taken under a window still
+    /// points at the same entry later; pass it to [`SimClock::since`].
     pub fn mark(&self) -> usize {
         self.entries.lock().rows().len()
-    }
-
-    /// Simulated seconds charged since `mark`.
-    pub fn seconds_since(&self, mark: usize) -> f64 {
-        self.entries
-            .lock()
-            .rows()
-            .iter()
-            .skip(mark)
-            .map(|e| e.exec_secs + e.coord_secs)
-            .sum()
     }
 
     /// Snapshot of the entries held.
@@ -167,14 +197,10 @@ impl SimClock {
         }
     }
 
-    /// Keeps every entry held now through later folds.
-    pub fn keep(&self) {
-        self.entries.lock().keep();
-    }
-
-    /// Drops the entries held above the kept prefix.
-    pub fn fold(&self) {
-        self.entries.lock().fold();
+    /// Opens (`true`) or closes (`false`) one window on the ledger: while
+    /// any is open, every entry is stored.
+    pub fn window(&self, open: bool) {
+        self.entries.lock().window(open);
     }
 
     /// Entries paired with cumulative start offsets (seconds): entry `i`
@@ -273,13 +299,40 @@ mod tests {
     }
 
     #[test]
-    fn mark_and_seconds_since_span_charges() {
+    fn a_tally_counts_this_threads_charges_in_order() {
+        let clock = SimClock::new();
+        clock.charge_seconds("before", 1.0, 0.0);
+        let (_, empty) = clock.tally(|| ());
+        assert_eq!(
+            (empty.secs.to_bits(), empty.entries),
+            ((-0.0f64).to_bits(), 0)
+        );
+        let ((_, inner), outer) = clock.tally(|| {
+            clock.charge_seconds("during", 2.0, 0.5);
+            let inner = clock
+                .clone()
+                .tally(|| clock.charge_seconds("inner", 0.25, 0.0));
+            // Another thread's charge and another clock's are not counted.
+            std::thread::scope(|s| {
+                s.spawn(|| clock.charge_seconds("elsewhere", 8.0, 0.0));
+            });
+            SimClock::new().charge_seconds("other clock", 16.0, 0.0);
+            inner
+        });
+        assert_eq!((inner.secs, inner.entries), (0.25, 1));
+        assert_eq!((outer.secs, outer.entries), (2.75, 2));
+        let unwound = std::panic::catch_unwind(|| clock.tally(|| panic!("work failed")));
+        assert!(unwound.is_err());
+        let (_, after) = clock.tally(|| clock.charge_seconds("after", 1.0, 0.0));
+        assert_eq!((after.secs, after.entries), (1.0, 1));
+    }
+
+    #[test]
+    fn since_a_mark_detaches_the_later_entries() {
         let clock = SimClock::new();
         clock.charge_seconds("before", 1.0, 0.0);
         let mark = clock.mark();
-        assert_eq!(clock.seconds_since(mark), 0.0);
         clock.charge_seconds("during", 2.0, 0.5);
-        assert!((clock.seconds_since(mark) - 2.5).abs() < 1e-12);
         assert!((clock.total_seconds() - 3.5).abs() < 1e-12);
         let window = clock.since(mark);
         assert_eq!(window.by_stage(), vec![("during".to_string(), 2.5)]);
@@ -296,7 +349,7 @@ mod tests {
         assert_eq!(tl.len(), 2);
         assert_eq!(tl[0].0, 0.0);
         assert!((tl[1].0 - 1.5).abs() < 1e-12);
-        assert_eq!(tl[1].1.stage, "b");
+        assert_eq!(&*tl[1].1.stage, "b");
     }
 
     #[test]

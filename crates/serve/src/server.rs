@@ -11,18 +11,20 @@
 //! Accounting is split between the two clocks, and each wave is charged
 //! once. On the *simulated* clock the executor charges the wave's nodes as
 //! they run (deterministic synthetic or profiled prices); the wave's
-//! `execute_secs` is what it charged, read off the ledger around the wave,
-//! and the server itself adds only the batch linger, under `serve:linger`.
-//! Wall time is measured only for the sustained-QPS figure. Per-request
-//! latency splits, admission and batch counts live in the returned
-//! [`ServeOutcome`]; each wave and each reject is also recorded once as a
-//! `ServeBatch`/`ServeReject` event on the context's `Tracer`.
+//! `execute_secs` is what the wave's walk charged on the serving thread
+//! (`SimClock::tally`), so an apply running on the same context from
+//! another thread never moves it, and the server itself adds only the
+//! batch linger, under `serve:linger`. Wall time is measured only for the
+//! sustained-QPS figure. Per-request latency splits, admission and batch
+//! counts live in the returned [`ServeOutcome`]; each wave and each reject
+//! is also recorded once as a `ServeBatch`/`ServeReject` event on the
+//! context's `Tracer`.
 //!
-//! Each wave is one apply-path call on the context
-//! (`ExecContext::apply_scope`): unless a window is open on it, the wave's
-//! node rows, clock entries and `ServeBatch` event fold into the ledgers'
-//! totals once the wave is recorded, so a long-lived server's context stays
-//! bounded. Open a `LedgerWindow` around a run to keep its rows.
+//! Each wave runs `quiet` (`keystone_dataflow::ledger`): unless a window is
+//! open on the context, the wave's node rows, clock entries and
+//! `ServeBatch` event only add to the ledgers' totals and are not stored,
+//! so a long-lived server's context stays bounded. Open a `LedgerWindow`
+//! around a run to keep its rows.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -36,6 +38,7 @@ use keystone_core::report::ServeSection;
 use keystone_core::trace::TraceEvent;
 use keystone_dataflow::cache::CacheManager;
 use keystone_dataflow::collection::DistCollection;
+use keystone_dataflow::ledger::quiet;
 
 use crate::batcher::{Arrival, MicroBatcher, Rejection, RequestTiming};
 use crate::loadgen::percentile;
@@ -203,20 +206,19 @@ impl<A: Record, B: Record> Server<A, B> {
         let mut scored: Vec<(u64, B)> = Vec::new();
         let batcher = MicroBatcher::new(self.policy.clone());
         let schedule = batcher.run(arrivals, |batch| {
-            ctx.apply_scope(|| {
+            quiet(|| {
                 let records: Vec<A> = batch.members.iter().map(|m| m.payload.clone()).collect();
                 let n = records.len();
                 let partitions = self.policy.batch_partitions.min(n).max(1);
                 let wave = DistCollection::from_vec(records, partitions);
-                let mark = ctx.sim.mark();
-                let out: DistCollection<B> = self
-                    .plan
-                    .execute_erased(AnyData::wrap(wave), ctx)
-                    .downcast();
                 // The executor's deterministic charges for this wave; wall time
                 // stays out of the accounting so two same-seed runs split
                 // bit-identically.
-                let execute_secs = ctx.sim.seconds_since(mark);
+                let (out, execute) = ctx
+                    .sim
+                    .tally(|| self.plan.execute_erased(AnyData::wrap(wave), ctx));
+                let execute_secs = execute.secs;
+                let out: DistCollection<B> = out.downcast();
                 let outputs = out.collect();
                 assert_eq!(
                     outputs.len(),

@@ -248,7 +248,7 @@ fn serve_metrics_and_trace_events_surface() {
     // server adds only the linger.
     let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1e-12);
     let entries = serve_ctx.sim.entries();
-    assert!(entries.iter().all(|e| e.stage != "serve:execute"));
+    assert!(entries.iter().all(|e| &*e.stage != "serve:execute"));
     let stage_secs = |prefixes: &[&str]| -> f64 {
         entries
             .iter()
@@ -453,7 +453,7 @@ fn a_shared_apply_path_node_runs_once_per_call() {
     assert_eq!(runs(), outcome.batches.len() as u64, "serving waves");
 }
 
-/// Outside a window every wave folds once it is recorded: the context holds
+/// Outside a window every wave folds as it is recorded: the context holds
 /// no row after the run, and its totals read what a windowed run's rows
 /// sum to, bit for bit.
 #[test]
@@ -489,4 +489,40 @@ fn an_unwindowed_serve_run_folds_every_wave() {
             .collect::<Vec<_>>()
     };
     assert_eq!(execs(&folded), execs(&kept));
+}
+
+/// A wave's `execute_secs` is what its own walk charged: `apply_one` calls
+/// running on the same context from another thread do not move it.
+#[test]
+fn a_waves_execute_secs_ignores_applies_on_other_threads() {
+    let fitted = fitted_pipeline(&ctx());
+    let held_out: Vec<f64> = (0..64).map(f64::from).collect();
+    let server = Server::new(&fitted, BatchPolicy::new(4, 1e-4));
+    let execute_bits = |ctx: &ExecContext| -> Vec<u64> {
+        let outcome = server.run(one_at_a_time(&held_out), ctx);
+        outcome
+            .batches
+            .iter()
+            .map(|b| b.execute_secs.to_bits())
+            .collect()
+    };
+    let alone = execute_bits(&ctx());
+    let shared = ctx();
+    let started = std::sync::Barrier::new(2);
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let beside = std::thread::scope(|s| {
+        s.spawn(|| {
+            fitted.apply_one(&1.0, &shared);
+            started.wait();
+            while !done.load(Ordering::SeqCst) {
+                fitted.apply_one(&1.0, &shared);
+            }
+        });
+        started.wait();
+        let beside = execute_bits(&shared);
+        done.store(true, Ordering::SeqCst);
+        beside
+    });
+    assert!(alone.len() > 1, "{} waves", alone.len());
+    assert_eq!(beside, alone);
 }

@@ -31,7 +31,7 @@ GATES = [
     # Tracer events + metric spans the apply_one context holds per call: 5
     # while every apply also probed a nothing-admitted cache, 3 while a node
     # run wrote a start and an end event, 2 with one event per node run, 0
-    # since an apply no window covers folds its rows when it ends.
+    # since an apply no window covers stores no node-run rows.
     ("chain_serve", "executor.ctx_events_per_call", "<=", 0.0),
     ("text_sparse", "optimizer.mat_speedup", ">=", 2.0),
     ("sweep_forest", "optimizer.forest_vs_solo_wall", "<=", 0.7),
