@@ -2,9 +2,10 @@
 //!
 //! `DistCollection<T>` plays the role of Spark's RDD: an immutable
 //! collection split into partitions, with one partition per logical worker
-//! node by default. Per-partition work runs concurrently on the rayon pool,
-//! so a `w`-worker simulated cluster genuinely does `w`-way parallel work
-//! (bounded by the machine's cores).
+//! node by default. Per-partition work runs concurrently on the rayon shim's
+//! persistent pool, the calling thread included, so a `w`-worker simulated
+//! cluster genuinely does `w`-way parallel work (bounded by the machine's
+//! cores).
 //!
 //! Unlike Spark, collections here are **eager**; recomputation-versus-reuse
 //! decisions live one level up, in the pipeline executor, which is where the
@@ -15,18 +16,25 @@
 //! draw on the driving thread, the file's only parallel fan-out, per
 //! partition the re-run of failed attempts and [`TaskSpan`] measurement,
 //! one batched span commit. The public ops only say what a partition's work
-//! is. Anything that changes how a region runs — a persistent pool in place
-//! of the per-region thread spawn, a "don't fork below N records" rule,
-//! turning an exhausted retry into a typed error — is an edit to that one
-//! function.
+//! is. Anything that changes how a region runs — turning an exhausted retry
+//! into a typed error, say — is an edit to that one function.
+//!
+//! Which thread runs a partition is a race: the caller claims chunks from
+//! the same cursor as the pool's workers, so a small region runs wholly on
+//! the caller and a large one on every core. A partition's work therefore
+//! runs with the calling thread's task scopes, quiet flag and open tallies
+//! set aside, as a fresh thread has them, and its span's worker lane is its
+//! static chunk index; neither depends on who ran it.
 
 use rayon::prelude::*;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::faults::RETRY_LIMIT;
-use crate::metrics::{current_task_scope, TaskScope, TaskSpan};
+use crate::ledger::set_quiet;
+use crate::metrics::{current_task_scope, swap_task_scopes, TaskScope, TaskSpan};
 use crate::rng_util::split_seed;
+use crate::simclock::{swap_tallies, OpenTallies};
 
 /// Shallow byte estimate of a partition: element count × element size. Deep
 /// payloads (e.g. `Vec<f64>` records) are undercounted; spans report this as
@@ -41,12 +49,37 @@ fn counted<U>(out: Vec<U>) -> (Arc<Vec<U>>, u64) {
     (Arc::new(out), n)
 }
 
+/// The calling thread's task scopes, quiet flag and open tallies, set aside
+/// while a partition's work runs and put back on drop (also on unwind). A
+/// partition then sees them as a fresh thread does, whichever of the
+/// region's threads — the caller's included — runs it.
+struct SetAside(Vec<TaskScope>, bool, OpenTallies);
+
+impl SetAside {
+    fn new() -> SetAside {
+        SetAside(
+            swap_task_scopes(Vec::new()),
+            set_quiet(false),
+            swap_tallies(Vec::new()),
+        )
+    }
+}
+
+impl Drop for SetAside {
+    fn drop(&mut self) {
+        swap_task_scopes(std::mem::take(&mut self.0));
+        set_quiet(self.1);
+        swap_tallies(std::mem::take(&mut self.2));
+    }
+}
+
 /// Runs one partition's work, re-running a failed attempt, and measures a
 /// [`TaskSpan`] when a task scope is active. `f` returns the result plus the
-/// number of items produced. This is called on the pool's worker threads, so
-/// timestamps bracket the real per-partition work of every attempt; the
-/// scope itself is captured (and `op_seq` drawn) on the driving thread
-/// before the fan-out.
+/// number of items produced. This is called on whichever thread claimed the
+/// partition's chunk, so timestamps bracket the real per-partition work of
+/// every attempt; the scope itself is captured (and `op_seq` drawn) on the
+/// driving thread before the fan-out, and each attempt runs with that
+/// thread's own thread-local state set aside (`SetAside`).
 ///
 /// An attempt fails when `f` panics, or when the scope's
 /// [`FaultPlan`](crate::faults::FaultPlan) schedules it to: then the work
@@ -79,6 +112,7 @@ fn measure_partition<R>(
     let mut retries = 0;
     let (out, items_out) = loop {
         let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
+            let _fresh = SetAside::new();
             let out = f();
             if retries < injected {
                 panic::resume_unwind(Box::new("injected task failure"));
@@ -793,6 +827,66 @@ mod tests {
             a.iter().map(shape).collect::<Vec<_>>(),
             b.iter().map(shape).collect::<Vec<_>>()
         );
+    }
+
+    /// A partition's work sees the calling thread's task scopes, quiet flag
+    /// and open tallies as a fresh thread does, whichever thread runs it: a
+    /// nested op records no span under the caller's scope and draws none of
+    /// its `op_seq`s, and a charge lands on the clock, stored although the
+    /// caller is quiet, but in none of the caller's tallies. One partition
+    /// always runs on the caller; four race the caller against the pool.
+    #[test]
+    fn partition_work_sees_a_fresh_thread_on_the_caller_and_on_the_pool() {
+        use crate::ledger::quiet;
+        use crate::simclock::SimClock;
+        let run = |parts: usize| {
+            let r = MetricsRegistry::new();
+            r.window(true);
+            let clock = SimClock::new();
+            let c = DistCollection::from_vec((0..8i64).collect(), parts);
+            let ((), tally) = enter_task_scope(TaskScope::new(&r, "stage", None, 2), || {
+                quiet(|| {
+                    clock.tally(|| {
+                        let nested = c.map_partitions(|p| {
+                            clock.charge_seconds("inner", 0.25, 0.0);
+                            DistCollection::from_vec(p.to_vec(), 2)
+                                .map(|x| x + 1)
+                                .collect()
+                        });
+                        assert_eq!(nested.collect(), (1..9).collect::<Vec<i64>>());
+                        assert_eq!(c.map(|x| x * 2).count(), 8);
+                    })
+                })
+            });
+            let spans: Vec<_> = (r.spans().iter())
+                .map(|s| {
+                    (
+                        s.op,
+                        s.op_seq,
+                        s.partition,
+                        s.worker,
+                        s.items_in,
+                        s.items_out,
+                    )
+                })
+                .collect();
+            let charged = (clock.entries().len(), clock.total_seconds().to_bits());
+            (spans, tally.secs.to_bits(), tally.entries, charged)
+        };
+        for parts in [1, 4] {
+            let (spans, secs, entries, charged) = run(parts);
+            let ops: Vec<_> = spans.iter().map(|s| (s.0, s.1, s.2)).collect();
+            let want: Vec<_> = (0..parts)
+                .map(|p| ("map_partitions", 0, p))
+                .chain((0..parts).map(|p| ("map", 1, p)))
+                .collect();
+            assert_eq!(ops, want, "{parts} partitions: the caller's ops only");
+            assert_eq!((secs, entries), ((-0.0f64).to_bits(), 0), "{parts}");
+            assert_eq!(charged, (parts, (0.25 * parts as f64).to_bits()), "{parts}");
+            for _ in 0..50 {
+                assert_eq!(run(parts), (spans.clone(), secs, entries, charged));
+            }
+        }
     }
 
     #[test]

@@ -34,11 +34,16 @@ pub fn quiet<R>(call: impl FnOnce() -> R) -> R {
     struct Restore(bool);
     impl Drop for Restore {
         fn drop(&mut self) {
-            QUIET.with(|q| q.set(self.0));
+            set_quiet(self.0);
         }
     }
-    let _restore = Restore(QUIET.with(|q| q.replace(true)));
+    let _restore = Restore(set_quiet(true));
     call()
+}
+
+/// Sets the calling thread's quiet flag and returns the one it replaces.
+pub(crate) fn set_quiet(quiet: bool) -> bool {
+    QUIET.with(|q| q.replace(quiet))
 }
 
 /// Rows plus the totals of every row ever recorded.

@@ -458,6 +458,12 @@ pub fn enter_task_scope<T>(scope: TaskScope, f: impl FnOnce() -> T) -> T {
     f()
 }
 
+/// Replaces the calling thread's scope stack and returns the one it
+/// replaces.
+pub(crate) fn swap_task_scopes(scopes: Vec<TaskScope>) -> Vec<TaskScope> {
+    SCOPES.with(|s| s.replace(scopes))
+}
+
 /// The innermost active scope on this thread, if any.
 pub fn current_task_scope() -> Option<TaskScope> {
     SCOPES.with(|s| s.borrow().last().cloned())

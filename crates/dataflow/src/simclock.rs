@@ -71,9 +71,18 @@ pub struct Tally {
 }
 
 thread_local! {
-    /// The open tallies on this thread, innermost last: the identity of the
-    /// clock each counts, its seconds and its entries.
-    static TALLIES: RefCell<Vec<(usize, f64, usize)>> = const { RefCell::new(Vec::new()) };
+    /// The open tallies on this thread, innermost last.
+    static TALLIES: RefCell<OpenTallies> = const { RefCell::new(Vec::new()) };
+}
+
+/// One thread's open tallies: per tally, the identity of the clock it
+/// counts, its seconds and its entries.
+pub(crate) type OpenTallies = Vec<(usize, f64, usize)>;
+
+/// Replaces the calling thread's open tallies and returns the ones it
+/// replaces.
+pub(crate) fn swap_tallies(tallies: OpenTallies) -> OpenTallies {
+    TALLIES.with(|t| t.replace(tallies))
 }
 
 /// Thread-safe simulated clock. Cloning shares the underlying ledger.

@@ -23,8 +23,12 @@ GATES = [
     ("chain_serve", "executor.fusion_speedup", ">=", 1.5),
     ("chain_serve", "executor.columnar_speedup", ">=", 1.2),
     ("chain_serve", "serve.batch_speedup", ">=", 4.0),
-    # Loose on purpose: the region fork cost is a known defect.
-    ("chain_serve", "serve.partition_penalty", "<=", 6.0),
+    # A 2-partition wave against a 1-partition one: 2.7-4.4 while every
+    # multi-chunk region spawned its threads, ~1.0-1.3 on the pool.
+    ("chain_serve", "serve.partition_penalty", "<=", 2.0),
+    # A tiny region's fixed cost: 36-50 us spawning scoped threads, ~1 us
+    # when the caller finishes it before a parked worker wakes.
+    ("chain_serve", "dataflow.region_fixed_us", "<=", 10.0),
     # An identity node's executor overhead (2 vCPUs): ~17 us when every
     # region re-read the CPU count, 1.5-1.9 us with it read once per process.
     ("chain_serve", "executor.node_overhead_us", "<=", 5.0),
