@@ -74,8 +74,11 @@ impl Process {
 /// Serializes the context's whole run as one Perfetto-loadable Chrome
 /// trace-event JSON array of three process groups, each with `"ph":"M"`
 /// events naming it and its threads:
-/// * `pid 1` — measured worker lanes: one thread per pool lane, one
-///   complete (`"ph":"X"`) event per `TaskSpan` at wall-clock microseconds;
+/// * `pid 1` — measured worker lanes: one track per static lane (a
+///   region's contiguous chunk of partitions, not an OS thread), one
+///   complete (`"ph":"X"`) event per `TaskSpan` at wall-clock microseconds.
+///   Two threads may run partitions of one lane at once, so a lane's
+///   slices can overlap;
 /// * `pid 2` — the simulated cluster: the `SimClock` timeline, one thread
 ///   per stage prefix (`recovery:` and `serve:` included);
 /// * `pid 3` — serving (virtual), only when the tracer holds serving

@@ -32,6 +32,7 @@
 //! fit roots, the output id) survives unchanged; absorbed members simply
 //! become orphans outside the output's ancestor set.
 
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -119,19 +120,25 @@ impl FusedMap {
 
     /// Columnar execution: gather each partition into a [`ColumnarBatch`],
     /// run every member kernel as a tight loop over contiguous slices
-    /// (ping-ponging two batches so allocations amortize across members),
-    /// scatter back to records. Uses the same `fused_partitions` primitive —
-    /// and therefore the same single "fused" task-span wave and fault
-    /// surface — as the record path; only the per-record inner work
-    /// changes, and each kernel reproduces its operator's `apply`
+    /// (ping-ponging two batches, kept per thread so their buffers are
+    /// reused across members and calls), scatter back to records. A
+    /// partition run on the caller of a parallel region therefore frees no
+    /// buffer into the caller's heap, where it would leave holes between
+    /// the records that outlive the call. Uses the same `fused_partitions`
+    /// primitive — and therefore the same single "fused" task-span wave
+    /// and fault surface — as the record path; only the per-record inner
+    /// work changes, and each kernel reproduces its operator's `apply`
     /// bit-for-bit, so outputs are identical to the record path.
     fn apply_columnar(&self, input: &AnyData, kernels: &[ColumnarFn]) -> AnyData {
         let typed: DistCollection<Vec<f64>> = input.downcast();
         // One `Vec<Vec<f64>>` per input partition, exactly what the record
         // path's assemble produces.
+        thread_local! {
+            static BATCHES: Cell<(ColumnarBatch, ColumnarBatch)> = Cell::default();
+        }
         let parts = typed.fused_partitions(|part| {
-            let mut batch = ColumnarBatch::from_records(part);
-            let mut next = ColumnarBatch::with_capacity(batch.values().len(), batch.len());
+            let (mut batch, mut next) = BATCHES.take();
+            batch.gather(part);
             for k in kernels {
                 next.clear();
                 for i in 0..batch.len() {
@@ -139,8 +146,10 @@ impl FusedMap {
                 }
                 std::mem::swap(&mut batch, &mut next);
             }
-            let n = batch.len() as u64;
-            (batch.into_records(), n)
+            let records: Vec<Vec<f64>> = batch.records().map(<[f64]>::to_vec).collect();
+            let n = records.len() as u64;
+            BATCHES.set((batch, next));
+            (records, n)
         });
         AnyData::wrap(DistCollection::from_partitions(parts))
     }

@@ -436,6 +436,22 @@ impl<T: Send + Sync + 'static> DistCollection<T> {
         out
     }
 
+    /// All elements in partition order, moved out of each partition this
+    /// collection holds alone and cloned from one it shares.
+    pub fn into_vec(self) -> Vec<T>
+    where
+        T: Clone,
+    {
+        let mut out = Vec::with_capacity(self.count());
+        for p in self.partitions {
+            match Arc::try_unwrap(p) {
+                Ok(p) => out.extend(p),
+                Err(p) => out.extend(p.iter().cloned()),
+            }
+        }
+        out
+    }
+
     /// First `n` elements in partition order.
     pub fn take(&self, n: usize) -> Vec<T>
     where

@@ -40,13 +40,21 @@ impl ColumnarBatch {
     /// Gathers a slice of records into one contiguous batch (a single copy
     /// of each record's values).
     pub fn from_records(records: &[Vec<f64>]) -> Self {
-        let total: usize = records.iter().map(|r| r.len()).sum();
-        let mut batch = ColumnarBatch::with_capacity(total, records.len());
-        for r in records {
-            batch.values.extend_from_slice(r);
-            batch.offsets.push(batch.values.len());
-        }
+        let mut batch = ColumnarBatch::default();
+        batch.gather(records);
         batch
+    }
+
+    /// Replaces the batch's records with a copy of `records`, reusing its
+    /// buffers.
+    pub fn gather(&mut self, records: &[Vec<f64>]) {
+        self.offsets.reserve(records.len() + 1);
+        self.clear();
+        self.values.reserve(records.iter().map(|r| r.len()).sum());
+        for r in records {
+            self.values.extend_from_slice(r);
+            self.offsets.push(self.values.len());
+        }
     }
 
     /// Number of records in the batch.

@@ -200,16 +200,76 @@ impl Transformer<Vec<String>, SparseVector> for HashingTF {
 /// produced by [`CommonSparseFeatures`]).
 #[derive(Clone)]
 pub struct VocabTermFrequency {
-    vocab: TermMap<u32>,
+    vocab: Vocab,
     dim: usize,
     binary: bool,
+}
+
+/// A vocabulary's terms back to back in one buffer, looked up through an
+/// open-addressing table of term ids: one allocation for the text however
+/// many terms there are, laid out together wherever the fit ran, so a
+/// lookup never chases a term scattered among the fit's freed temporaries.
+#[derive(Clone)]
+struct Vocab {
+    text: String,
+    /// Term `i` is `text[ends[i - 1]..ends[i]]` (from 0 for the first).
+    ends: Vec<usize>,
+    /// Term id + 1 per slot, 0 when empty; a power of two, over half empty.
+    slots: Vec<u32>,
+}
+
+impl Vocab {
+    /// Ids are positions in `terms`, which holds no term twice.
+    fn new(terms: &[&str]) -> Vocab {
+        let mut vocab = Vocab {
+            text: String::with_capacity(terms.iter().map(|t| t.len()).sum()),
+            ends: Vec::with_capacity(terms.len()),
+            slots: vec![0; (2 * terms.len()).next_power_of_two()],
+        };
+        for (id, term) in terms.iter().enumerate() {
+            vocab.text.push_str(term);
+            vocab.ends.push(vocab.text.len());
+            let mut slot = vocab.slot(term);
+            while vocab.slots[slot] != 0 {
+                slot = (slot + 1) & (vocab.slots.len() - 1);
+            }
+            vocab.slots[slot] = id as u32 + 1;
+        }
+        vocab
+    }
+
+    fn slot(&self, term: &str) -> usize {
+        let mut h = Fnv1a::default();
+        h.write(term.as_bytes());
+        h.finish() as usize & (self.slots.len() - 1)
+    }
+
+    fn term(&self, id: usize) -> &str {
+        let start = if id == 0 { 0 } else { self.ends[id - 1] };
+        &self.text[start..self.ends[id]]
+    }
+
+    fn get(&self, term: &str) -> Option<u32> {
+        let mut slot = self.slot(term);
+        loop {
+            match self.slots[slot] {
+                0 => return None,
+                id if self.term(id as usize - 1) == term => return Some(id - 1),
+                _ => slot = (slot + 1) & (self.slots.len() - 1),
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
 }
 
 impl Transformer<Vec<String>, SparseVector> for VocabTermFrequency {
     fn apply(&self, terms: &Vec<String>) -> SparseVector {
         let mut pairs: Vec<(u32, f64)> = terms
             .iter()
-            .filter_map(|t| self.vocab.get(t).map(|&i| (i, 1.0)))
+            .filter_map(|t| self.vocab.get(t).map(|i| (i, 1.0)))
             .collect();
         if self.binary {
             pairs.sort_unstable_by_key(|p| p.0);
@@ -279,13 +339,13 @@ impl Estimator<Vec<String>, SparseVector> for CommonSparseFeatures {
         let mut by_freq: Vec<(String, u64)> = counts.into_iter().collect();
         // Sort by frequency descending, term ascending for determinism.
         by_freq.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        by_freq.truncate(self.max_features);
-        let dim = by_freq.len();
-        let vocab: TermMap<u32> = by_freq
-            .into_iter()
-            .enumerate()
-            .map(|(i, (t, _))| (t, i as u32))
+        let kept: Vec<&str> = by_freq
+            .iter()
+            .take(self.max_features)
+            .map(|(t, _)| t.as_str())
             .collect();
+        let vocab = Vocab::new(&kept);
+        let dim = vocab.len();
         Box::new(VocabTermFrequency {
             vocab,
             dim,
@@ -336,6 +396,22 @@ mod tests {
     #[should_panic(expected = "invalid n-gram range")]
     fn ngrams_rejects_bad_range() {
         let _ = NGrams::new(2, 1);
+    }
+
+    #[test]
+    fn vocab_finds_each_term_by_position_and_nothing_else() {
+        let terms: Vec<String> = (0..1000).map(|i| format!("t{i}")).collect();
+        let refs: Vec<&str> = terms.iter().map(String::as_str).collect();
+        let vocab = Vocab::new(&refs);
+        assert_eq!(vocab.len(), 1000);
+        for (i, t) in refs.iter().enumerate() {
+            assert_eq!(vocab.get(t), Some(i as u32), "{t}");
+        }
+        for absent in ["", "t", "t1000", "t01", "x1"] {
+            assert_eq!(vocab.get(absent), None, "{absent}");
+        }
+        assert_eq!(Vocab::new(&[]).get("t0"), None);
+        assert_eq!(Vocab::new(&["", "a"]).get(""), Some(0));
     }
 
     #[test]

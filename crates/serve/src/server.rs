@@ -194,20 +194,34 @@ impl<A: Record, B: Record> Server<A, B> {
     /// exactly one output per input record).
     pub fn run(&self, requests: Vec<Request<A>>, ctx: &ExecContext) -> ServeOutcome<B> {
         let start = Instant::now();
-        let arrivals: Vec<Arrival<A>> = requests
+        // The batcher schedules each request by its position in `payloads`;
+        // a wave moves its records out, and the schedule keeps none.
+        let (arrivals, mut payloads): (Vec<Arrival<usize>>, Vec<Option<A>>) = requests
             .into_iter()
-            .map(|r| Arrival {
-                id: r.id,
-                at_secs: r.arrival_secs,
-                payload: r.record,
+            .enumerate()
+            .map(|(i, r)| {
+                let arrival = Arrival {
+                    id: r.id,
+                    at_secs: r.arrival_secs,
+                    payload: i,
+                };
+                (arrival, Some(r.record))
             })
-            .collect();
+            .unzip();
 
-        let mut scored: Vec<(u64, B)> = Vec::new();
+        let mut scored: Vec<(u64, B)> = Vec::with_capacity(arrivals.len());
         let batcher = MicroBatcher::new(self.policy.clone());
         let schedule = batcher.run(arrivals, |batch| {
             quiet(|| {
-                let records: Vec<A> = batch.members.iter().map(|m| m.payload.clone()).collect();
+                let records: Vec<A> = batch
+                    .members
+                    .iter()
+                    .map(|m| {
+                        payloads[m.payload]
+                            .take()
+                            .expect("each request is in one wave")
+                    })
+                    .collect();
                 let n = records.len();
                 let partitions = self.policy.batch_partitions.min(n).max(1);
                 let wave = DistCollection::from_vec(records, partitions);
@@ -219,7 +233,7 @@ impl<A: Record, B: Record> Server<A, B> {
                     .tally(|| self.plan.execute_erased(AnyData::wrap(wave), ctx));
                 let execute_secs = execute.secs;
                 let out: DistCollection<B> = out.downcast();
-                let outputs = out.collect();
+                let outputs = out.into_vec();
                 assert_eq!(
                     outputs.len(),
                     n,
@@ -254,7 +268,15 @@ impl<A: Record, B: Record> Server<A, B> {
         timings.sort_by_key(|t| t.id);
         scored.sort_by_key(|(id, _)| *id);
         debug_assert_eq!(scored.len(), timings.len());
-        let responses: Vec<Response<B>> = scored
+        // Each wave's outputs were allocated among that wave's temporaries,
+        // on whichever thread ran its partitions, the caller among them.
+        // Copying them only once every wave is done, while the originals
+        // still live, puts the records the outcome keeps side by side and
+        // frees the waves' memory in whole runs: an outcome kept after this
+        // call pins no holes in the caller's heap.
+        let kept: Vec<(u64, B)> = scored.iter().map(|(id, o)| (*id, o.clone())).collect();
+        drop(scored);
+        let responses: Vec<Response<B>> = kept
             .into_iter()
             .zip(timings)
             .map(|((id, output), timing)| {
