@@ -1,24 +1,27 @@
 //! Execution subsampling (§4.1): the pipeline profile.
 //!
-//! The profiler runs the fit-relevant part of the DAG on small samples
-//! (512 and 1024 records by default), recording each node's execution time
-//! and output size, then extrapolates linearly to full scale — the paper
-//! reports memory extrapolations as highly accurate and runtimes within 15%.
+//! The profiler runs the fit-relevant part of the DAG on a small sample,
+//! recording each node's execution time and output size at two cut points
+//! (512 and 1024 records by default), then extrapolates linearly to full
+//! scale — the paper reports memory extrapolations as highly accurate and
+//! runtimes within 15%. The sample is nested: each pass after the first
+//! draws only the records its cut point adds, so every sampled record is
+//! featurized once.
 //!
 //! Operator-level optimization is interleaved exactly as §4.1 describes:
-//! each node is optimized using statistics derived from the sample outputs
-//! of its (already optimized) predecessors, then executed on the sample so
-//! its successors can be optimized in turn.
+//! each node is optimized using statistics derived from the first pass's
+//! outputs of its (already optimized) predecessors, then executed on the
+//! sample so its successors can be optimized in turn.
 //!
-//! One kind of node is priced rather than measured: a *terminal*
+//! Every estimator is fit at most once, on the first pass; later passes
+//! apply that model. One kind is not fit at all but priced: a *terminal*
 //! estimator, whose model no profiled node reads, once operator selection
 //! has chosen its physical option. Algorithm 1 marks estimators
-//! always-cached, so such a node's time adds the same constant to every
-//! candidate cache set, and sample fits of it would decide nothing. Its
-//! profile, and with it the node's predicted time in reports, is the chosen
-//! option's §3 estimate instead, in the seconds [`SimClock::charge`] books.
-//! Every other estimator (one whose model a profiled node reads, or a plain
-//! one with no physical options) is still fit once per sample size. The
+//! always-cached, so an estimator's time adds the same constant to every
+//! candidate cache set, and more sample fits of it would decide nothing. A
+//! priced node's profile, and with it the node's predicted time in reports,
+//! is the chosen option's §3 estimate, in the seconds [`SimClock::charge`]
+//! books; a fitted one extrapolates its one fit's time per record. The
 //! sample runs charge the simulated clock in the `profile` lane, apart from
 //! the fit's own charges.
 //!
@@ -32,6 +35,7 @@ use crate::context::ExecContext;
 use crate::graph::{Graph, NodeId, NodeKind};
 use crate::operator::{AnyData, ErasedOption, ErasedTransformer, InputHandle};
 use crate::record::DataStats;
+use keystone_dataflow::rng_util::split_seed;
 
 /// Extrapolated profile of one node. A priced terminal estimator (see the
 /// module docs) has no measurement to extrapolate: its profile is the §3
@@ -77,7 +81,9 @@ pub struct PipelineProfile {
 /// Profiling options.
 #[derive(Debug, Clone)]
 pub struct ProfileOptions {
-    /// Sample sizes; the paper uses 512 and 1024.
+    /// Ascending cut points of the nested sample, in records; the paper
+    /// measures at 512 and 1024. A cut point no larger than an earlier one
+    /// adds no measurement.
     pub sizes: Vec<usize>,
     /// Sampling seed.
     pub seed: u64,
@@ -184,14 +190,29 @@ pub fn profile_and_select(
     let mut scales: HashMap<NodeId, f64> = HashMap::new();
     let mut full_counts: HashMap<NodeId, usize> = HashMap::new();
     let mut sample_stats: HashMap<NodeId, DataStats> = HashMap::new();
+    // Records each source has drawn, and models fit, over the passes.
+    let mut sampled_counts: HashMap<NodeId, usize> = HashMap::new();
+    let mut models: HashMap<NodeId, Arc<dyn ErasedTransformer>> = HashMap::new();
     // Selected logical transformers by operator identity: the kind and
     // label each was rewritten to.
     let mut chosen_for: HashMap<usize, (NodeKind, String)> = HashMap::new();
+    let mut cut = 0;
 
     ctx.sim.in_lane("profile".into(), || {
         for (pass, &size) in opts.sizes.iter().enumerate() {
+            // A later pass draws only the records its cut point adds, on a
+            // seed of its own.
+            let draw = size.saturating_sub(cut);
+            let seed = if pass == 0 {
+                opts.seed
+            } else {
+                split_seed(opts.seed, pass as u64)
+            };
+            if pass > 0 && draw == 0 {
+                continue;
+            }
+            cut = cut.max(size);
             let mut outputs: HashMap<NodeId, AnyData> = HashMap::new();
-            let mut models: HashMap<NodeId, Arc<dyn ErasedTransformer>> = HashMap::new();
 
             for &id in &topo {
                 if skip.contains(&id) {
@@ -224,13 +245,15 @@ pub fn profile_and_select(
                         node.kind = kind;
                     }
                 }
+                let label = &graph.nodes[id].label;
                 match &node.kind {
                     NodeKind::RuntimeInput => {}
                     NodeKind::DataSource(data) => {
                         let full = data.stats().count;
-                        let sampled = sample_anydata(data, size, opts.seed);
-                        let got = sampled.stats().count.max(1);
-                        scales.insert(id, full as f64 / got as f64);
+                        let sampled = sample_anydata(data, draw, seed);
+                        let got = sampled_counts.entry(id).or_default();
+                        *got += sampled.stats().count;
+                        scales.insert(id, full as f64 / (*got).max(1) as f64);
                         full_counts.insert(id, full);
                         sample_stats.insert(id, *sampled.stats());
                         outputs.insert(id, sampled);
@@ -245,23 +268,29 @@ pub fn profile_and_select(
                         let scale = scales.get(&data_ids[0]).copied().unwrap_or(1.0);
                         let inputs: Vec<AnyData> =
                             data_ids.iter().map(|i| outputs[i].clone()).collect();
-                        let in_records = inputs[0].stats().count;
                         let start = Instant::now();
                         let out = op.apply_any(&inputs, ctx);
-                        let secs = sample_secs(opts, &graph.nodes[id].label, in_records, start);
-                        record_measurement(&mut measurements, id, in_records, secs, &out);
+                        let run = Measurement {
+                            in_records: inputs[0].stats().count,
+                            secs: start.elapsed().as_secs_f64(),
+                            out_records: out.stats().count,
+                            out_bytes_per_record: out.stats().bytes_per_record,
+                        };
+                        let point = add_pass(measurements.entry(id).or_default(), opts, label, run);
                         scales.insert(id, scale);
-                        full_counts.insert(id, (out.stats().count as f64 * scale).round() as usize);
+                        full_counts.insert(id, (point.out_records as f64 * scale).round() as usize);
                         sample_stats.insert(id, *out.stats());
                         outputs.insert(id, out);
                     }
                     NodeKind::Estimate(op) => {
-                        let in_records = outputs[&node.inputs[0]].stats().count;
-                        // A priced node is not fit; its measured time is
-                        // replaced by the estimate below.
-                        let secs = if priced.contains_key(&id) {
-                            0.0
-                        } else {
+                        // Fit at most once, on pass 0, and a priced node
+                        // never: later passes apply the pass-0 model, and add
+                        // a point only to the synthetic clock's line.
+                        if pass > 0 && !opts.deterministic_timing {
+                            continue;
+                        }
+                        let start = Instant::now();
+                        if pass == 0 && !priced.contains_key(&id) {
                             let handles: Vec<SampleHandle> = node
                                 .inputs
                                 .iter()
@@ -269,19 +298,19 @@ pub fn profile_and_select(
                                 .collect();
                             let handle_refs: Vec<&dyn InputHandle> =
                                 handles.iter().map(|h| h as &dyn InputHandle).collect();
-                            let start = Instant::now();
                             models.insert(id, op.fit_any(&handle_refs, ctx));
-                            sample_secs(opts, &graph.nodes[id].label, in_records, start)
-                        };
-                        measurements.entry(id).or_default().push(Measurement {
-                            in_records,
-                            secs,
-                            out_records: 1,
+                        }
+                        let run = Measurement {
+                            in_records: outputs[&node.inputs[0]].stats().count,
+                            secs: start.elapsed().as_secs_f64(),
+                            out_records: usize::from(pass == 0), // one model
                             out_bytes_per_record: 1024.0,
-                        });
+                        };
+                        let point = add_pass(measurements.entry(id).or_default(), opts, label, run);
+                        // At this point's scale, `records_hint` is the full input.
                         let scale = scales.get(&node.inputs[0]).copied().unwrap_or(1.0);
                         scales.insert(id, scale);
-                        full_counts.insert(id, (in_records as f64 * scale).round() as usize);
+                        full_counts.insert(id, (point.in_records as f64 * scale).round() as usize);
                     }
                 }
             }
@@ -350,29 +379,29 @@ pub fn profile_and_select(
     profile
 }
 
-/// What one sampled run that began at `start` is booked as: wall time, or
-/// the label-derived synthetic time under `deterministic_timing`.
-fn sample_secs(opts: &ProfileOptions, label: &str, in_records: usize, start: Instant) -> f64 {
-    if opts.deterministic_timing {
-        synthetic_secs(label, in_records)
-    } else {
-        start.elapsed().as_secs_f64()
-    }
-}
-
-fn record_measurement(
-    measurements: &mut HashMap<NodeId, Vec<Measurement>>,
-    id: NodeId,
-    in_records: usize,
-    secs: f64,
-    out: &AnyData,
-) {
-    measurements.entry(id).or_default().push(Measurement {
+/// Appends to `ms` the point one more pass's `run` of a node makes: input
+/// records, seconds and output records summed over the passes so far (under
+/// `deterministic_timing`, the synthetic time of those records), and returns it.
+fn add_pass(
+    ms: &mut Vec<Measurement>,
+    o: &ProfileOptions,
+    label: &str,
+    run: Measurement,
+) -> Measurement {
+    let prev = ms.last().copied().unwrap_or_default();
+    let in_records = prev.in_records + run.in_records;
+    let secs = match o.deterministic_timing {
+        true => synthetic_secs(label, in_records),
+        false => prev.secs + run.secs,
+    };
+    let out_records = prev.out_records + run.out_records;
+    ms.push(Measurement {
         in_records,
         secs,
-        out_records: out.stats().count,
-        out_bytes_per_record: out.stats().bytes_per_record,
+        out_records,
+        ..run
     });
+    ms[ms.len() - 1]
 }
 
 /// Full-scale statistics of a node's inputs, extrapolated from their
@@ -873,19 +902,115 @@ mod tests {
         assert_eq!(fits.load(Ordering::SeqCst), 1, "fits in total");
     }
 
-    /// An estimator whose model a profiled node reads is still fit on every
-    /// sample, selected or not, and so is a plain terminal estimator: its
-    /// profile is the only price the executor charges it by.
+    /// An estimator whose model a profiled node reads is fit once, selected
+    /// or not, and so is a plain terminal estimator: its profile is the only
+    /// price the executor charges it by.
     #[test]
-    fn read_and_plain_estimators_are_still_fit_per_sample() {
+    fn read_and_plain_estimators_are_fit_once() {
         let (read, plain) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
         let pipe = Pipeline::<f64, f64>::input()
             .and_then_optimizable_est(TwoFits(read.clone()), &counted_source())
             .and_then_est(CountedFit(plain.clone()), &counted_source());
         let (profile, _) = profile_pipeline(&pipe);
         assert_eq!(profile.choices.len(), 1, "the read estimator was selected");
-        let sizes = counted_profile().sizes.len();
-        assert_eq!(read.load(Ordering::SeqCst), sizes);
-        assert_eq!(plain.load(Ordering::SeqCst), sizes);
+        assert_eq!(read.load(Ordering::SeqCst), 1);
+        assert_eq!(plain.load(Ordering::SeqCst), 1);
+    }
+
+    /// Counts the records it is applied to.
+    struct CountRecords(Arc<AtomicUsize>);
+    impl<T: crate::record::Record> Transformer<T, T> for CountRecords {
+        fn apply(&self, x: &T) -> T {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            x.clone()
+        }
+    }
+
+    /// Profiles a source of `n` two-column records feeding a
+    /// [`CountRecords`] at `sizes`, returning the node's profile and the
+    /// records it saw.
+    fn profile_counted_chain(
+        n: usize,
+        sizes: Vec<usize>,
+        deterministic: bool,
+    ) -> (NodeProfile, usize) {
+        let seen = Arc::new(AtomicUsize::new(0));
+        let mut g = Graph::new();
+        let src = g.add(source(n), vec![], "src");
+        let op = TypedTransformer::<Vec<f64>, _>::new(CountRecords(seen.clone()));
+        let t = g.add(NodeKind::Transform(Arc::new(op)), vec![src], "count");
+        let opts = ProfileOptions {
+            sizes,
+            deterministic_timing: deterministic,
+            ..counted_profile()
+        };
+        let prof = profile_and_select(&mut g, &[t], &ExecContext::default_cluster(), &opts);
+        (prof.nodes[&t].clone(), seen.load(Ordering::SeqCst))
+    }
+
+    /// The second cut point's pass draws only the records it adds, so a
+    /// transformer sees the last cut point's count over the whole profile,
+    /// and its line runs through the cumulative points.
+    #[test]
+    fn each_sampled_record_is_featurized_once() {
+        let (p, seen) = profile_counted_chain(N, vec![8, 16], true);
+        assert_eq!(seen, 16, "the two passes together");
+        assert_eq!(p.records_hint, N);
+        assert_eq!(p.out_stats.count, N);
+        let rate = synthetic_secs("count", 16) - synthetic_secs("count", 8);
+        assert!((p.secs_per_record - rate / 8.0).abs() < 1e-15);
+    }
+
+    /// A model that counts the records it is applied to.
+    struct CountingModelFit {
+        fits: Arc<AtomicUsize>,
+        applied: Arc<AtomicUsize>,
+    }
+    impl Estimator<f64, f64> for CountingModelFit {
+        fn fit(&self, _: &DistCollection<f64>, _: &ExecContext) -> Box<dyn Transformer<f64, f64>> {
+            self.fits.fetch_add(1, Ordering::SeqCst);
+            Box::new(CountRecords(self.applied.clone()))
+        }
+    }
+
+    /// A read estimator is fit on the first pass only; the second pass
+    /// feeds its new records through that same model.
+    #[test]
+    fn a_read_estimator_is_fit_once_and_its_model_serves_every_pass() {
+        let (fits, applied) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let est = CountingModelFit {
+            fits: fits.clone(),
+            applied: applied.clone(),
+        };
+        let pipe = Pipeline::<f64, f64>::input()
+            .and_then_est(est, &counted_source())
+            .and_then_est(CountedFit(Arc::new(AtomicUsize::new(0))), &counted_source());
+        profile_pipeline(&pipe);
+        assert_eq!(fits.load(Ordering::SeqCst), 1);
+        assert_eq!(
+            applied.load(Ordering::SeqCst),
+            *counted_profile().sizes.last().unwrap()
+        );
+    }
+
+    /// A source smaller than the first cut point is drawn whole on each
+    /// pass; the extrapolation still lands on the source's count.
+    #[test]
+    fn a_source_below_the_first_cut_point_extrapolates_to_its_count() {
+        let (p, _) = profile_counted_chain(5, vec![8, 16], false);
+        assert_eq!(p.records_hint, 5);
+        assert_eq!(p.out_stats.count, 5);
+        assert!(p.secs_per_record.is_finite() && p.fixed_secs.is_finite());
+    }
+
+    /// A cut point no larger than the one before it draws nothing and adds
+    /// no point: the line degenerates to the one measurement's rate.
+    #[test]
+    fn a_cut_point_that_adds_no_records_adds_no_point() {
+        let (p, seen) = profile_counted_chain(N, vec![16, 8, 16], true);
+        assert_eq!(seen, 16);
+        assert_eq!(p.records_hint, N);
+        assert_eq!(p.fixed_secs, 0.0);
+        assert!((p.secs_per_record - synthetic_secs("count", 16) / 16.0).abs() < 1e-15);
     }
 }

@@ -50,7 +50,7 @@ pub mod metrics;
 pub mod simclock;
 
 /// Tiny seed-splitting helper shared by deterministic samplers.
-pub(crate) mod rng_util {
+pub mod rng_util {
     /// Derives an independent-ish seed from `(seed, stream)` via splitmix64.
     pub fn split_seed(seed: u64, stream: u64) -> u64 {
         let mut z = seed
