@@ -4,19 +4,17 @@
 //! recording each node's execution time and output size at two cut points
 //! (512 and 1024 records by default), then extrapolates linearly to full
 //! scale — the paper reports memory extrapolations as highly accurate and
-//! runtimes within 15%. The sample is nested: each pass after the first
-//! draws only the records its cut point adds, so every sampled record is
-//! featurized once.
+//! runtimes within 15%. The sample is nested: a later pass draws only the
+//! records its cut point adds.
 //!
 //! Operator-level optimization is interleaved exactly as §4.1 describes:
 //! each node is optimized using statistics derived from the first pass's
 //! outputs of its (already optimized) predecessors, then executed on the
 //! sample so its successors can be optimized in turn.
 //!
-//! Every estimator is fit at most once, on the first pass; later passes
-//! apply that model. One kind is not fit at all but priced: a *terminal*
-//! estimator, whose model no profiled node reads, once operator selection
-//! has chosen its physical option. Algorithm 1 marks estimators
+//! Every estimator is fit at most once, on the first pass, and a *terminal*
+//! one, whose model no profiled node reads, not at all once operator
+//! selection has chosen its physical option. Algorithm 1 marks estimators
 //! always-cached, so an estimator's time adds the same constant to every
 //! candidate cache set, and more sample fits of it would decide nothing. A
 //! priced node's profile, and with it the node's predicted time in reports,
@@ -83,7 +81,9 @@ pub struct PipelineProfile {
 pub struct ProfileOptions {
     /// Ascending cut points of the nested sample, in records; the paper
     /// measures at 512 and 1024. A cut point no larger than an earlier one
-    /// adds no measurement.
+    /// adds no measurement. On the wall clock each pass pays an operator's
+    /// per-call fixed cost again, and equal passes (512 + 512) cannot tell
+    /// it from a per-record cost: it lands in `secs_per_record`.
     pub sizes: Vec<usize>,
     /// Sampling seed.
     pub seed: u64,
@@ -152,7 +152,6 @@ struct Measurement {
     in_records: usize,
     secs: f64,
     out_records: usize,
-    out_bytes_per_record: f64,
 }
 
 struct SampleHandle(AnyData);
@@ -189,9 +188,8 @@ pub fn profile_and_select(
     let mut measurements: HashMap<NodeId, Vec<Measurement>> = HashMap::new();
     let mut scales: HashMap<NodeId, f64> = HashMap::new();
     let mut full_counts: HashMap<NodeId, usize> = HashMap::new();
+    // Output statistics pooled over the passes, and models fit on the first.
     let mut sample_stats: HashMap<NodeId, DataStats> = HashMap::new();
-    // Records each source has drawn, and models fit, over the passes.
-    let mut sampled_counts: HashMap<NodeId, usize> = HashMap::new();
     let mut models: HashMap<NodeId, Arc<dyn ErasedTransformer>> = HashMap::new();
     // Selected logical transformers by operator identity: the kind and
     // label each was rewritten to.
@@ -250,12 +248,11 @@ pub fn profile_and_select(
                     NodeKind::RuntimeInput => {}
                     NodeKind::DataSource(data) => {
                         let full = data.stats().count;
-                        let sampled = sample_anydata(data, draw, seed);
-                        let got = sampled_counts.entry(id).or_default();
-                        *got += sampled.stats().count;
-                        scales.insert(id, full as f64 / (*got).max(1) as f64);
+                        let sampled = data.sample_erased(draw, seed);
+                        let pooled = pool(sample_stats.get(&id), sampled.stats());
+                        scales.insert(id, full as f64 / pooled.count.max(1) as f64);
                         full_counts.insert(id, full);
-                        sample_stats.insert(id, *sampled.stats());
+                        sample_stats.insert(id, pooled);
                         outputs.insert(id, sampled);
                     }
                     NodeKind::Transform(_) | NodeKind::ModelApply => {
@@ -274,12 +271,11 @@ pub fn profile_and_select(
                             in_records: inputs[0].stats().count,
                             secs: start.elapsed().as_secs_f64(),
                             out_records: out.stats().count,
-                            out_bytes_per_record: out.stats().bytes_per_record,
                         };
                         let point = add_pass(measurements.entry(id).or_default(), opts, label, run);
                         scales.insert(id, scale);
                         full_counts.insert(id, (point.out_records as f64 * scale).round() as usize);
-                        sample_stats.insert(id, *out.stats());
+                        sample_stats.insert(id, pool(sample_stats.get(&id), out.stats()));
                         outputs.insert(id, out);
                     }
                     NodeKind::Estimate(op) => {
@@ -304,13 +300,10 @@ pub fn profile_and_select(
                             in_records: outputs[&node.inputs[0]].stats().count,
                             secs: start.elapsed().as_secs_f64(),
                             out_records: usize::from(pass == 0), // one model
-                            out_bytes_per_record: 1024.0,
                         };
-                        let point = add_pass(measurements.entry(id).or_default(), opts, label, run);
-                        // At this point's scale, `records_hint` is the full input.
-                        let scale = scales.get(&node.inputs[0]).copied().unwrap_or(1.0);
-                        scales.insert(id, scale);
-                        full_counts.insert(id, (point.in_records as f64 * scale).round() as usize);
+                        add_pass(measurements.entry(id).or_default(), opts, label, run);
+                        // At its input's scale, `records_hint` is the full input.
+                        scales.insert(id, scales.get(&node.inputs[0]).copied().unwrap_or(1.0));
                     }
                 }
             }
@@ -355,17 +348,15 @@ pub fn profile_and_select(
             None => linear_fit(ms),
         };
         let out_full = full_counts.get(id).copied().unwrap_or(records_hint);
-        let out_stats = sample_stats
-            .get(id)
-            .copied()
-            .unwrap_or_else(DataStats::empty)
-            .at_scale(out_full);
+        // An estimator's output is one model, booked at 1 KiB.
+        let sampled = sample_stats.get(id);
+        let out_stats = DataStats::at_scale(sampled.unwrap_or(&DataStats::empty()), out_full);
         profile.nodes.insert(
             *id,
             NodeProfile {
                 secs_per_record: slope,
                 fixed_secs: intercept,
-                out_bytes_per_record: last.out_bytes_per_record,
+                out_bytes_per_record: sampled.map_or(1024.0, |s| s.bytes_per_record),
                 out_records_per_in: if last.in_records > 0 {
                     last.out_records as f64 / last.in_records as f64
                 } else {
@@ -399,9 +390,23 @@ fn add_pass(
         in_records,
         secs,
         out_records,
-        ..run
     });
     ms[ms.len() - 1]
+}
+
+/// Output statistics pooled over passes: counts add, means weigh by count.
+fn pool(prev: Option<&DataStats>, run: &DataStats) -> DataStats {
+    let Some(prev) = prev else { return *run };
+    let count = prev.count + run.count;
+    let w = run.count as f64 / count.max(1) as f64;
+    let mean = |a: f64, b: f64| a + (b - a) * w;
+    DataStats {
+        count,
+        bytes_per_record: mean(prev.bytes_per_record, run.bytes_per_record),
+        dims: mean(prev.dims, run.dims),
+        nnz_per_record: mean(prev.nnz_per_record, run.nnz_per_record),
+        is_sparse: run.is_sparse,
+    }
 }
 
 /// Full-scale statistics of a node's inputs, extrapolated from their
@@ -508,10 +513,6 @@ fn linear_fit(ms: &[Measurement]) -> (f64, f64) {
     (slope, intercept)
 }
 
-fn sample_anydata(data: &AnyData, size: usize, seed: u64) -> AnyData {
-    data.sample_erased(size, seed)
-}
-
 impl AnyData {
     /// Samples up to `size` records deterministically, preserving the
     /// element type, and rewraps as a single-partition collection so
@@ -587,13 +588,11 @@ mod tests {
                 in_records: 100,
                 secs: 1.0,
                 out_records: 100,
-                out_bytes_per_record: 8.0,
             },
             Measurement {
                 in_records: 200,
                 secs: 1.8,
                 out_records: 200,
-                out_bytes_per_record: 8.0,
             },
         ];
         let (slope, intercept) = linear_fit(&ms);
@@ -607,7 +606,6 @@ mod tests {
             in_records: 100,
             secs: 2.0,
             out_records: 100,
-            out_bytes_per_record: 8.0,
         }];
         let (slope, intercept) = linear_fit(&ms);
         assert!((slope - 0.02).abs() < 1e-9);
@@ -622,13 +620,11 @@ mod tests {
                 in_records: 100,
                 secs: 2.0,
                 out_records: 100,
-                out_bytes_per_record: 8.0,
             },
             Measurement {
                 in_records: 200,
                 secs: 1.0,
                 out_records: 200,
-                out_bytes_per_record: 8.0,
             },
         ];
         let (slope, intercept) = linear_fit(&ms);
@@ -991,6 +987,63 @@ mod tests {
             applied.load(Ordering::SeqCst),
             *counted_profile().sizes.last().unwrap()
         );
+    }
+
+    /// Sleeps a fixed time once per collection it is applied to.
+    struct FixedCost(f64);
+    impl Transformer<Vec<f64>, Vec<f64>> for FixedCost {
+        fn apply(&self, x: &Vec<f64>) -> Vec<f64> {
+            x.clone()
+        }
+        fn apply_collection(
+            &self,
+            input: &DistCollection<Vec<f64>>,
+            _: &ExecContext,
+        ) -> DistCollection<Vec<f64>> {
+            std::thread::sleep(std::time::Duration::from_secs_f64(self.0));
+            input.map(|x| x.clone())
+        }
+        fn per_record(&self) -> bool {
+            false
+        }
+    }
+
+    /// On the wall clock each pass pays a per-call fixed cost again, and two
+    /// equal passes cannot tell it from a per-record cost: the line carries
+    /// it in the slope, and the intercept is only the passes' jitter.
+    #[test]
+    fn the_wall_clock_folds_a_per_call_fixed_cost_into_the_slope() {
+        let fixed = 0.05;
+        let mut g = Graph::new();
+        let src = g.add(source(N), vec![], "src");
+        let op = TypedTransformer::new(FixedCost(fixed));
+        let t = g.add(NodeKind::Transform(Arc::new(op)), vec![src], "fixed");
+        let opts = ProfileOptions {
+            sizes: vec![8, 16],
+            deterministic_timing: false,
+            ..counted_profile()
+        };
+        let prof = profile_and_select(&mut g, &[t], &ExecContext::default_cluster(), &opts);
+        let p = &prof.nodes[&t];
+        assert!(p.secs_per_record >= fixed / 8.0, "{p:?}");
+        assert!(p.fixed_secs < fixed / 2.0, "{p:?}");
+    }
+
+    /// Pooling two passes' statistics adds their counts and weighs each
+    /// per-record mean by count.
+    #[test]
+    fn pass_statistics_pool_by_count() {
+        let stats = |count, bytes_per_record, nnz_per_record| DataStats {
+            count,
+            bytes_per_record,
+            dims: 4.0,
+            nnz_per_record,
+            is_sparse: true,
+        };
+        let first = stats(100, 8.0, 1.0);
+        assert_eq!(pool(None, &first), first);
+        let both = pool(Some(&first), &stats(300, 16.0, 3.0));
+        assert_eq!(both, stats(400, 14.0, 2.5));
     }
 
     /// A source smaller than the first cut point is drawn whole on each
